@@ -1,29 +1,26 @@
-// DSM hot-path bench: wall-clock page-fetch and lock-grant latency, legacy
-// eager-copy pipeline vs the zero-copy segment pool (CoW twins, direct
-// serve encode, span-decoded installs and diffs).
+// DSM hot-path bench: wall-clock page-fetch and lock-grant latency through
+// the segment pool (CoW twins, direct serve encode, span-decoded installs
+// and diffs).
 //
 //   dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] [--locks=4]
-//               [--reps=3] [--out=PATH] [--baseline=PATH] [--tolerance=0.15]
-//               [--require-zerocopy-win]
+//               [--reps=3] [--out=PATH] [--baseline=PATH]
 //
-// Each mode runs --reps times interleaved and the median run (by fetch mean)
-// is reported, squeezing scheduler noise out of the gated ratios.
+// The cluster runs --reps times and the median run (by fetch mean) is
+// reported.
 //
 // A 2-node cluster ping-pongs ownership: the home dirties every page, the
 // remote node refetches and rewrites them all (fetch + twin + diff per page
-// per epoch) and cycles a few managed locks. The reported figures are the
-// p50 of the real `dsm.fetch_ns` / `dsm.lock_grant_ns` histograms on the
-// remote node — actual nanoseconds through serve/install and grant, not
-// modeled time.
+// per epoch) and cycles a few managed locks. The reported latencies are the
+// real `dsm.fetch_ns` / `dsm.lock_grant_ns` histograms on the remote node —
+// actual nanoseconds through serve/install and grant, not modeled time.
 //
-// Absolute nanoseconds vary across machines, so the regression gate compares
-// the RATIO zerocopy/legacy for each metric against the committed baseline
-// (--baseline, --tolerance) — machine-independent by construction.
-// --require-zerocopy-win additionally fails the run unless the zero-copy
-// fetch p50 beats legacy outright (ratio < 1).
+// Absolute nanoseconds vary across machines and are never gated. The
+// regression gate (--baseline) instead requires the remote node's protocol
+// counts to match the committed baseline exactly: `fetches` (one per page
+// per epoch) and `twins_shared` (every twin a CoW alias of the home frame).
+// A drop in twins_shared means copy-on-write aliasing silently switched off.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -38,7 +35,6 @@ namespace parade::dsm {
 namespace {
 
 struct HotpathRow {
-  std::string mode;  // "legacy" or "zerocopy"
   double fetch_p50_ns = 0.0;
   double fetch_p95_ns = 0.0;
   double fetch_mean_ns = 0.0;
@@ -48,10 +44,9 @@ struct HotpathRow {
 };
 
 /// One measured cluster run. Resets the per-node registry slices first so
-/// consecutive modes in the same process do not pollute each other's
+/// consecutive runs in the same process do not pollute each other's
 /// histograms.
-HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
-                    int epochs, int locks) {
+HotpathRow run_once(int pages, std::size_t page_bytes, int epochs, int locks) {
   auto& reg = obs::Registry::instance();
   for (NodeId n = 0; n < 2; ++n) reg.reset_node(n);
 
@@ -59,12 +54,11 @@ HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
   DsmConfig config;
   config.pool_bytes = static_cast<std::size_t>(pages + 2) * page_bytes;
   config.page_bytes = page_bytes;
-  config.zero_copy = zero_copy;
   // Keep every page homed at node 0 so each epoch's refetch crosses the
   // fabric; migration would collapse the traffic after one round.
   config.home_migration = false;
 
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);
     auto* data = static_cast<std::uint64_t*>(node.shmalloc(
@@ -99,7 +93,6 @@ HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
   });
 
   HotpathRow row;
-  row.mode = zero_copy ? "zerocopy" : "legacy";
   const auto& fetch = reg.hist(1, "dsm.fetch_ns");
   row.fetch_p50_ns = static_cast<double>(fetch.percentile_ns(0.50));
   row.fetch_p95_ns = static_cast<double>(fetch.percentile_ns(0.95));
@@ -118,9 +111,7 @@ HotpathRow run_mode(bool zero_copy, int pages, std::size_t page_bytes,
 }
 
 bool write_json(const std::string& path, int pages, long page_kb,
-                int epochs, const std::vector<HotpathRow>& rows,
-                double fetch_ratio, double fetch_mean_ratio,
-                double grant_ratio) {
+                int epochs, const HotpathRow& row) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("bench");
@@ -131,34 +122,19 @@ bool write_json(const std::string& path, int pages, long page_kb,
   w.value(static_cast<std::int64_t>(page_kb));
   w.key("epochs");
   w.value(static_cast<std::int64_t>(epochs));
-  w.key("rows");
-  w.begin_array();
-  for (const HotpathRow& row : rows) {
-    w.begin_object();
-    w.key("mode");
-    w.value(row.mode);
-    w.key("fetch_p50_ns");
-    w.value(row.fetch_p50_ns);
-    w.key("fetch_mean_ns");
-    w.value(row.fetch_mean_ns);
-    w.key("fetch_p95_ns");
-    w.value(row.fetch_p95_ns);
-    w.key("lock_grant_p50_ns");
-    w.value(row.lock_grant_p50_ns);
-    w.key("fetches");
-    w.value(row.fetches);
-    w.key("twins_shared");
-    w.value(row.twins_shared);
-    w.end_object();
-  }
-  w.end_array();
-  // The machine-independent gate inputs: zerocopy p50 / legacy p50.
-  w.key("fetch_p50_ratio");
-  w.value(fetch_ratio);
-  w.key("fetch_mean_ratio");
-  w.value(fetch_mean_ratio);
-  w.key("lock_grant_p50_ratio");
-  w.value(grant_ratio);
+  w.key("fetch_p50_ns");
+  w.value(row.fetch_p50_ns);
+  w.key("fetch_mean_ns");
+  w.value(row.fetch_mean_ns);
+  w.key("fetch_p95_ns");
+  w.value(row.fetch_p95_ns);
+  w.key("lock_grant_p50_ns");
+  w.value(row.lock_grant_p50_ns);
+  // The gated counts (exact match against the baseline).
+  w.key("fetches");
+  w.value(row.fetches);
+  w.key("twins_shared");
+  w.value(row.twins_shared);
   w.end_object();
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
@@ -166,12 +142,10 @@ bool write_json(const std::string& path, int pages, long page_kb,
   return static_cast<bool>(out);
 }
 
-/// Gate on the committed ratios: a fresh ratio may not exceed the baseline
-/// ratio by more than `tolerance` (absolute nanoseconds are machine-local
-/// and never compared).
-int check_baseline(const std::string& path, double fetch_ratio,
-                   double fetch_mean_ratio, double grant_ratio,
-                   double tolerance) {
+/// Gate on the committed counts: the run's shape must match the baseline's
+/// and every gated count must equal it exactly. Returns the failure count.
+int check_baseline(const std::string& path, int pages, long page_kb,
+                   int epochs, const HotpathRow& row) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "dsm_hotpath: cannot open baseline %s\n",
@@ -182,30 +156,37 @@ int check_baseline(const std::string& path, double fetch_ratio,
   text << in.rdbuf();
   auto parsed = obs::parse_json(text.str());
   if (!parsed.is_ok() || !parsed.value().is_object() ||
-      !parsed.value().has("fetch_p50_ratio")) {
+      !parsed.value().has("fetches") || !parsed.value().has("twins_shared")) {
     std::fprintf(stderr, "dsm_hotpath: baseline %s is not a hotpath table\n",
+                 path.c_str());
+    return 1;
+  }
+  const obs::JsonValue& base = parsed.value();
+  const auto number = [&](const char* key) {
+    return base.has(key) ? static_cast<std::int64_t>(base.at(key).number) : -1;
+  };
+  if (number("pages") != pages || number("page_kb") != page_kb ||
+      number("epochs") != epochs) {
+    std::fprintf(stderr,
+                 "dsm_hotpath: baseline %s was measured with a different "
+                 "--pages/--page-kb/--epochs\n",
                  path.c_str());
     return 1;
   }
   int regressions = 0;
   const struct {
     const char* key;
-    double fresh;
+    std::int64_t fresh;
   } gates[] = {
-      // Only the fetch path is gated: that is what the zero-copy pipeline
-      // changes. The lock-grant ratio is recorded for context but hovers
-      // around 1.0 with scheduler noise either side — gating it would flake.
-      {"fetch_p50_ratio", fetch_ratio},
-      {"fetch_mean_ratio", fetch_mean_ratio},
+      {"fetches", row.fetches},
+      {"twins_shared", row.twins_shared},
   };
   for (const auto& gate : gates) {
-    if (!parsed.value().has(gate.key)) continue;
-    const double base = parsed.value().at(gate.key).number;
-    const double budget = base + tolerance;
-    const bool regressed = gate.fresh > budget;
-    std::printf("gate %-22s %8.4f vs baseline %8.4f (budget %8.4f) %s\n",
-                gate.key, gate.fresh, base, budget,
-                regressed ? "REGRESSED" : "ok");
+    const std::int64_t want = number(gate.key);
+    const bool regressed = gate.fresh != want;
+    std::printf("gate %-13s %8lld vs baseline %8lld %s\n", gate.key,
+                static_cast<long long>(gate.fresh),
+                static_cast<long long>(want), regressed ? "MISMATCH" : "ok");
     if (regressed) ++regressions;
   }
   return regressions;
@@ -220,26 +201,6 @@ HotpathRow median_row(std::vector<HotpathRow> runs) {
   return runs[runs.size() / 2];
 }
 
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
-}
-
-/// Gated ratios are the median of the per-rep pairwise ratios, not the ratio
-/// of median rows: each rep runs legacy and zerocopy back to back, so machine
-/// drift (a noisy neighbour, frequency scaling) hits both sides of one pair
-/// and cancels in its ratio.
-double median_pair_ratio(const std::vector<HotpathRow>& legacy,
-                         const std::vector<HotpathRow>& zerocopy,
-                         double HotpathRow::* metric) {
-  std::vector<double> ratios;
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    const double base = legacy[r].*metric;
-    ratios.push_back(base > 0 ? zerocopy[r].*metric / base : 1.0);
-  }
-  return median(std::move(ratios));
-}
-
 }  // namespace
 }  // namespace parade::dsm
 
@@ -248,9 +209,9 @@ int main(int argc, char** argv) {
   using namespace parade::dsm;
   const int pages =
       static_cast<int>(bench::arg_long(argc, argv, "pages", 32));
-  // Big pages by default: the copies the zero-copy pipeline removes scale
-  // with the page size, and the log2 histogram needs the delta to be a
-  // meaningful fraction of the fetch to resolve it.
+  // Big pages by default: the serve, install and twin copies scale with the
+  // page size, so the fetch latency is dominated by the data path rather
+  // than by message overhead.
   const long page_kb = bench::arg_long(argc, argv, "page-kb", 64);
   const int epochs =
       static_cast<int>(bench::arg_long(argc, argv, "epochs", 48));
@@ -258,76 +219,42 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::arg_long(argc, argv, "reps", 3));
   const std::string out_path = bench::arg_string(argc, argv, "out", "");
   const std::string baseline = bench::arg_string(argc, argv, "baseline", "");
-  const double tolerance =
-      std::atof(bench::arg_string(argc, argv, "tolerance", "0.15").c_str());
-  bool require_zerocopy_win = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--require-zerocopy-win") {
-      require_zerocopy_win = true;
-    }
-  }
   if (pages < 1 || page_kb < 4 || page_kb % 4 != 0 || epochs < 1 ||
       locks < 0 || locks > 256 || reps < 1) {
-    std::fprintf(
-        stderr,
-        "usage: dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] "
-        "[--locks=4] [--reps=3] [--out=PATH] [--baseline=PATH] "
-        "[--tolerance=0.15] [--require-zerocopy-win]\n");
+    std::fprintf(stderr,
+                 "usage: dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] "
+                 "[--locks=4] [--reps=3] [--out=PATH] [--baseline=PATH]\n");
     return 2;
   }
   const auto page_bytes = static_cast<std::size_t>(page_kb) * 1024;
 
-  // Warm-up pass absorbs first-run effects (page-cache, lazy allocations)
-  // shared by both measured modes.
-  (void)run_mode(true, pages, page_bytes, 2, locks);
+  // Warm-up pass absorbs first-run effects (page-cache, lazy allocations).
+  (void)run_once(pages, page_bytes, 2, locks);
 
-  std::vector<HotpathRow> legacy_runs, zerocopy_runs;
+  std::vector<HotpathRow> runs;
   for (int r = 0; r < reps; ++r) {
-    legacy_runs.push_back(run_mode(false, pages, page_bytes, epochs, locks));
-    zerocopy_runs.push_back(run_mode(true, pages, page_bytes, epochs, locks));
+    runs.push_back(run_once(pages, page_bytes, epochs, locks));
   }
-  const double fetch_ratio =
-      median_pair_ratio(legacy_runs, zerocopy_runs, &HotpathRow::fetch_p50_ns);
-  const double fetch_mean_ratio = median_pair_ratio(
-      legacy_runs, zerocopy_runs, &HotpathRow::fetch_mean_ns);
-  const double grant_ratio = median_pair_ratio(
-      legacy_runs, zerocopy_runs, &HotpathRow::lock_grant_p50_ns);
-  const HotpathRow legacy = median_row(std::move(legacy_runs));
-  const HotpathRow zerocopy = median_row(std::move(zerocopy_runs));
+  const HotpathRow row = median_row(std::move(runs));
 
   std::printf(
       "DSM hot path, 2 nodes, %d x %ldKB pages, %d epochs (wall clock)\n",
       pages, page_kb, epochs);
-  for (const HotpathRow* row : {&legacy, &zerocopy}) {
-    std::printf(
-        "  %-8s fetch p50 %9.0f ns  mean %9.0f ns  p95 %9.0f ns  "
-        "grant p50 %9.0f ns  (%lld fetches, %lld shared twins)\n",
-        row->mode.c_str(), row->fetch_p50_ns, row->fetch_mean_ns,
-        row->fetch_p95_ns, row->lock_grant_p50_ns,
-        static_cast<long long>(row->fetches),
-        static_cast<long long>(row->twins_shared));
-  }
-  std::printf("  fetch p50  ratio zerocopy/legacy: %.4f\n", fetch_ratio);
-  std::printf("  fetch mean ratio zerocopy/legacy: %.4f\n", fetch_mean_ratio);
-  std::printf("  grant p50  ratio zerocopy/legacy: %.4f\n", grant_ratio);
+  std::printf(
+      "  fetch p50 %9.0f ns  mean %9.0f ns  p95 %9.0f ns  "
+      "grant p50 %9.0f ns  (%lld fetches, %lld shared twins)\n",
+      row.fetch_p50_ns, row.fetch_mean_ns, row.fetch_p95_ns,
+      row.lock_grant_p50_ns, static_cast<long long>(row.fetches),
+      static_cast<long long>(row.twins_shared));
 
   if (!out_path.empty() &&
-      !write_json(out_path, pages, page_kb, epochs, {legacy, zerocopy},
-                  fetch_ratio, fetch_mean_ratio, grant_ratio)) {
+      !write_json(out_path, pages, page_kb, epochs, row)) {
     std::fprintf(stderr, "dsm_hotpath: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  int failures = 0;
-  if (!baseline.empty()) {
-    failures += check_baseline(baseline, fetch_ratio, fetch_mean_ratio,
-                               grant_ratio, tolerance);
+  if (!baseline.empty() &&
+      check_baseline(baseline, pages, page_kb, epochs, row) != 0) {
+    return 1;
   }
-  if (require_zerocopy_win && fetch_ratio >= 1.0) {
-    std::fprintf(stderr,
-                 "dsm_hotpath: zero-copy fetch p50 did not beat legacy "
-                 "(ratio %.4f)\n",
-                 fetch_ratio);
-    ++failures;
-  }
-  return failures == 0 ? 0 : 1;
+  return 0;
 }

@@ -35,9 +35,13 @@ void BM_DiffEncode(benchmark::State& state) {
     const std::size_t at = (rng() % words) * 8;
     current[at] ^= 0xFF;
   }
+  // The flush path's encoder: runs stream into a wire buffer.
   for (auto _ : state) {
-    auto diff = encode_diff(current.data(), twin.data(), page_bytes);
-    benchmark::DoNotOptimize(diff);
+    WireBuffer buffer;
+    benchmark::DoNotOptimize(
+        append_diff(buffer, current.data(), twin.data(), page_bytes));
+    benchmark::DoNotOptimize(buffer.bytes().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_DiffEncode)->Arg(1)->Arg(10)->Arg(50)->Arg(100);
@@ -87,7 +91,7 @@ BENCHMARK(BM_ProtectionFlip);
 void BM_RemotePageFetch(benchmark::State& state) {
   DsmConfig config;
   config.pool_bytes = 8 << 20;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   auto* data = static_cast<std::uint8_t*>(cluster.node(0).shmalloc(4 << 20));
   (void)cluster.node(1).shmalloc(4 << 20);  // keep allocators in lockstep
   // Node 0 (home/master) has the data; node 1 faults pages in, then both

@@ -65,7 +65,7 @@ void BM_RemoteFaultService(benchmark::State& state) {
   DsmConfig config;
   config.pool_bytes = 8 << 20;
   config.map_method = method_of(state);
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   auto* data = static_cast<std::uint8_t*>(cluster.node(0).shmalloc(4 << 20));
   (void)cluster.node(1).shmalloc(4 << 20);
   const std::byte* base1 = cluster.node(1).base();

@@ -16,8 +16,8 @@ namespace {
 void BM_PingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   net::InProcFabric fabric(2);
-  Comm comm0(fabric.channel(0), vtime::ideal());
-  Comm comm1(fabric.channel(1), vtime::ideal());
+  Comm comm0(Topology::flat(0, 2), fabric.channel(0), vtime::ideal());
+  Comm comm1(Topology::flat(1, 2), fabric.channel(1), vtime::ideal());
   std::vector<std::uint8_t> payload(bytes, 0xAB);
 
   std::atomic<bool> stop{false};
@@ -54,7 +54,8 @@ void run_ranks(int n, const Body& body) {
   std::vector<std::unique_ptr<Comm>> comms;
   comms.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    comms.push_back(std::make_unique<Comm>(fabric.channel(r), vtime::ideal()));
+    comms.push_back(std::make_unique<Comm>(Topology::flat(r, n),
+                                           fabric.channel(r), vtime::ideal()));
   }
   std::vector<std::thread> threads;
   for (int r = 0; r < n; ++r) {

@@ -55,7 +55,7 @@ double sweep_total_us(int nodes, int fanout, const std::string& net,
   config.cpu_scale = 0.0;  // modeled communication only: deterministic
   config.dsm.net = vtime::model_from_name(net);
   config.dsm.pool_bytes = static_cast<std::size_t>(nodes + 2) * kPageBytes;
-  config.dsm.barrier_fanout = fanout;
+  config.barrier_fanout = fanout;
   const double seconds = run_virtual_cluster_s(config, [&] {
     auto* data = shmalloc_array<std::uint64_t>(
         static_cast<std::size_t>(num_nodes()) * kPageBytes /

@@ -9,7 +9,7 @@ namespace {
 /// with itself (EPCC's delay() function).
 void delay(double* sink) {
   volatile double acc = *sink;
-  for (int i = 0; i < 32; ++i) acc += 1e-9 * i;
+  for (int i = 0; i < 32; ++i) acc = acc + 1e-9 * i;
   *sink = acc;
 }
 

@@ -18,13 +18,6 @@ DsmCluster::DsmCluster(const Topology& topology, DsmConfig config,
   init(topology, config, std::move(faults));
 }
 
-DsmCluster::DsmCluster(int size, DsmConfig config)
-    : DsmCluster(Topology::cluster(size, config.barrier_fanout), config) {}
-
-DsmCluster::DsmCluster(int size, DsmConfig config, net::FaultPlan faults)
-    : DsmCluster(Topology::cluster(size, config.barrier_fanout), config,
-                 std::move(faults)) {}
-
 void DsmCluster::init(const Topology& topology, const DsmConfig& config,
                       std::optional<net::FaultPlan> faults) {
   const int size = topology.nodes;
@@ -37,7 +30,7 @@ void DsmCluster::init(const Topology& topology, const DsmConfig& config,
     }
   }
   // One registry across the whole in-process cluster: ranks share page
-  // frames CoW-style (zero_copy) instead of eagerly copying twins.
+  // frames CoW-style instead of eagerly copying twins.
   auto twins = std::make_shared<TwinRegistry>(config.num_pages(),
                                               config.page_bytes, size);
   nodes_.reserve(static_cast<std::size_t>(size));

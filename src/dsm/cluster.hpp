@@ -17,17 +17,13 @@ namespace parade::dsm {
 
 class DsmCluster {
  public:
-  /// Primary constructor: the cluster-level Topology (rank ignored) carries
+  /// The cluster-level Topology (rank ignored) carries
   /// the node count and barrier-tree fan-out; each node gets
   /// `topology.with_rank(r)`. Faults are injected when PARADE_FAULT_SEED /
   /// PARADE_FAULT_PLAN are set.
   explicit DsmCluster(const Topology& topology, DsmConfig config = {});
   /// Same, with an explicit fault plan (chaos tests; overrides the env).
   DsmCluster(const Topology& topology, DsmConfig config, net::FaultPlan faults);
-  /// Deprecation shims for callers still passing a loose node count; the
-  /// fan-out falls back to config.barrier_fanout.
-  explicit DsmCluster(int size, DsmConfig config = {});
-  DsmCluster(int size, DsmConfig config, net::FaultPlan faults);
   ~DsmCluster();
 
   int size() const { return static_cast<int>(nodes_.size()); }

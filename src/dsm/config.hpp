@@ -61,11 +61,6 @@ struct DsmConfig {
   /// How the SegmentPool's backing object is created (PARADE_MAP_METHOD:
   /// "memfd" | "sysv"; mdup/child-process probe as unsupported).
   MapMethod map_method = MapMethod::kMemfd;
-  /// Zero-copy hot paths over the segment pool: CoW twin aliasing through
-  /// the TwinRegistry, serves encoded straight from the sys view into the
-  /// wire buffer, diffs encoded/applied by span (PARADE_ZERO_COPY). Off =
-  /// the legacy eager-copy pipeline, kept for equivalence testing.
-  bool zero_copy = true;
   /// HLRC home migration at barrier time (paper §5.2.2). Off = fixed home,
   /// i.e. original HLRC (the baseline in ablation benches).
   bool home_migration = true;
@@ -74,11 +69,6 @@ struct DsmConfig {
   std::size_t mp_threshold_bytes = 256;
   SyncMode sync_mode = SyncMode::kParade;
 
-  /// Barrier gather/scatter tree fan-out (Topology::fanout). <= 0 selects
-  /// the flat shape: node 0 gathers every arrival directly. Small fan-outs
-  /// trade root-side O(nodes) overhead for O(log_k nodes) latency hops —
-  /// the scaleout bench shows tree winning from ~32 nodes (docs/SCALING.md).
-  int barrier_fanout = 0;
   /// Stripe initial page homes round-robin across nodes instead of homing
   /// everything at node 0 (rules::default_home). Off by default: single-home
   /// start matches the paper's setup and many tests pin home 0.

@@ -16,15 +16,17 @@
 
 namespace parade::dsm {
 
-/// Encodes the byte runs where `current` differs from `twin`.
+/// Encodes the byte runs where `current` differs from `twin` into a vector.
 /// Both buffers are `page_bytes` long; `page_bytes` must be a multiple of 8.
+/// Reference encoder: the flush path runs append_diff, and the tests check
+/// it (and codec<DiffMsg> frames) against this.
 std::vector<std::uint8_t> encode_diff(const std::uint8_t* current,
                                       const std::uint8_t* twin,
                                       std::size_t page_bytes);
 
-/// Zero-copy variant: streams the runs straight into `out` in the exact
-/// wire layout of put_vector<uint8_t> (u32 byte count, then the runs), so a
-/// DiffMsg can be encoded without staging the diff in its own vector.
+/// The flush-path encoder: streams the runs straight into `out` in the
+/// exact wire layout of put_vector<uint8_t> (u32 byte count, then the runs),
+/// so a DiffMsg is encoded without staging the diff in its own vector.
 /// Returns the number of diff bytes written (0 = clean page).
 std::size_t append_diff(WireBuffer& out, const std::uint8_t* current,
                         const std::uint8_t* twin, std::size_t page_bytes);

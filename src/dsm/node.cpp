@@ -85,10 +85,6 @@ DsmNode::DsmNode(const Topology& topology, net::Channel& channel,
                    "topology disagrees with channel rank/size");
 }
 
-DsmNode::DsmNode(net::Channel& channel, DsmConfig config)
-    : DsmNode(Topology{channel.rank(), channel.size(), config.barrier_fanout},
-              channel, config) {}
-
 void DsmNode::set_twin_registry(std::shared_ptr<TwinRegistry> twins) {
   PARADE_CHECK_MSG(!started_, "set_twin_registry after start");
   twins_ = std::move(twins);
@@ -308,10 +304,10 @@ bool DsmNode::handle_fault(void* addr, bool is_write) {
         set_state(entry, page, PageState::kBlocked);
         [[fallthrough]];
       case rules::FaultAction::kWaitForFetch:
-        entry.cv.wait(lock, [&] {
-          return entry.state == PageState::kReadOnly ||
-                 entry.state == PageState::kDirty;
-        });
+        // Wait for the fetch to end, whatever state it left: a copy
+        // invalidated again before we woke re-dispatches to a fresh fetch.
+        entry.cv.wait(lock,
+                      [&] { return !rules::fetch_in_flight(entry.state); });
         if (auto* clock = vtime::thread_clock()) {
           clock->sync_cpu();
           clock->merge(entry.ready_vtime);
@@ -356,11 +352,11 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
   lock.lock();
   // Only the thread that initiated the fetch retransmits; threads that piled
   // up behind it (BLOCKED) wait indefinitely — the fetcher either succeeds
-  // and wakes them or aborts the process.
-  const auto ready = [&] {
-    return entry.state == PageState::kReadOnly ||
-           entry.state == PageState::kDirty;
-  };
+  // and wakes them or aborts the process. The fetch is over once the state
+  // leaves TRANSIENT/BLOCKED, even if the installed copy was invalidated
+  // before this thread woke: every later reply would be dropped, so waiting
+  // for READ_ONLY here could only time out. handle_fault re-fetches.
+  const auto ready = [&] { return !rules::fetch_in_flight(entry.state); };
   int attempts = 1;
   while (!entry.cv.wait_for(lock, config_.retry.timeout(), ready)) {
     PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
@@ -380,12 +376,12 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
 void DsmNode::upgrade_to_dirty(PageId page, PageEntry& entry) {
   if (rules::needs_twin(entry.home, rank())) {
     // Non-home writers keep a twin so the flush can diff (§5.2.1: the home
-    // itself needs no twin — all diffs merge into its copy). Under
-    // zero_copy the twin starts as a CoW alias of the home's frame; the
-    // registry privatizes it (one page copy through the sys view) only when
-    // the home's copy is about to diverge.
-    const bool shared = twins_->attach_twin(
-        rank(), page, entry.home, entry.fetched_version, config_.zero_copy);
+    // itself needs no twin — all diffs merge into its copy). The twin starts
+    // as a CoW alias of the home's frame; the registry privatizes it (one
+    // page copy through the sys view) only when the home's copy is about to
+    // diverge.
+    const bool shared = twins_->attach_twin(rank(), page, entry.home,
+                                            entry.fetched_version);
     if (shared) {
       stats_.inc_twins_shared();
     } else {
@@ -447,42 +443,22 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages) {
     const std::uint32_t seq = next_seq();
     std::size_t diff_bytes = 0;
     std::vector<std::uint8_t> payload;
-    if (config_.zero_copy) {
-      // Zero-copy flush: diff runs stream from the sys view straight into
-      // the wire buffer (codec<DiffMsg> layout). The pristine copy — CoW
-      // alias of the home's frame or private twin frame — is read inside
-      // the registry's critical section so a concurrent privatization
-      // cannot swap it mid-diff.
-      WireBuffer buffer;
-      buffer.put(page);
-      buffer.put(seq);
-      const bool had_twin =
-          twins_->with_twin(rank(), page, [&](const std::byte* pristine) {
-            diff_bytes = append_diff(
-                buffer, reinterpret_cast<const std::uint8_t*>(sys_page(page)),
-                reinterpret_cast<const std::uint8_t*>(pristine),
-                config_.page_bytes);
-          });
-      check_invariant(had_twin, "twin.present", page);
-      if (had_twin && diff_bytes > 0) payload = std::move(buffer).take();
-    } else {
-      // Legacy eager pipeline: stage the diff in its own vector, then run
-      // it through the generic codec (one extra copy, kept as the
-      // equivalence baseline).
-      std::vector<std::uint8_t> diff;
-      const bool had_twin =
-          twins_->with_twin(rank(), page, [&](const std::byte* pristine) {
-            diff = encode_diff(
-                reinterpret_cast<const std::uint8_t*>(sys_page(page)),
-                reinterpret_cast<const std::uint8_t*>(pristine),
-                config_.page_bytes);
-          });
-      check_invariant(had_twin, "twin.present", page);
-      diff_bytes = diff.size();
-      if (had_twin && diff_bytes > 0) {
-        payload = codec<DiffMsg>::encode({page, std::move(diff), seq});
-      }
-    }
+    // Diff runs stream from the sys view straight into the wire buffer
+    // (codec<DiffMsg> layout). The pristine copy — CoW alias of the home's
+    // frame or private twin frame — is read inside the registry's critical
+    // section so a concurrent privatization cannot swap it mid-diff.
+    WireBuffer buffer;
+    buffer.put(page);
+    buffer.put(seq);
+    const bool had_twin =
+        twins_->with_twin(rank(), page, [&](const std::byte* pristine) {
+          diff_bytes = append_diff(
+              buffer, reinterpret_cast<const std::uint8_t*>(sys_page(page)),
+              reinterpret_cast<const std::uint8_t*>(pristine),
+              config_.page_bytes);
+        });
+    check_invariant(had_twin, "twin.present", page);
+    if (had_twin && diff_bytes > 0) payload = std::move(buffer).take();
     entry.release_twin(*twins_, rank(), page);
     protect(page, PROT_READ);
     set_state(entry, page, PageState::kReadOnly);
@@ -1046,59 +1022,35 @@ void DsmNode::serve_page_request(const net::Message& message) {
   comm_ledger_.charge(config_.net.page_service_us +
                       config_.net.send_overhead_us);
 
-  std::vector<std::uint8_t> payload;
-  if (config_.zero_copy) {
-    // Zero-copy serve: the frame is encoded from the sys view straight into
-    // the wire buffer (codec<PageReplyMsg> layout — the span decoders in
-    // protocol.hpp pin the equivalence), skipping the staging reply vector.
-    WireBuffer buffer;
-    buffer.put(request.page);
-    buffer.put(request.seq);
-    {
-      // The serving copy is read through the system view; the home invariant
-      // (see DESIGN.md) guarantees it is current.
-      PageEntry& entry = pages_->entry(request.page);
-      std::lock_guard lock(entry.mutex);
-      // home.holds_copy: a node that believes it is home must hold page data.
-      // (A retransmitted request can land after migration moved the home
-      // away; the requester's seq gate discards the reply, so only the home
-      // case is checkable here.)
-      if (entry.home == rank()) {
-        check_invariant(entry.state == PageState::kReadOnly ||
-                            entry.state == PageState::kDirty,
-                        "home.holds_copy", request.page);
-      }
-      // Version first, frame bytes second, both under the entry lock every
-      // home-side frame mutation also takes: an interleaved bump can only
-      // make the reply look OLDER than its bytes (safe — the requester
-      // privatizes), never newer.
-      buffer.put(twins_->frame_version(request.page));
-      buffer.put(static_cast<std::uint32_t>(config_.page_bytes));
-      buffer.put_bytes(sys_page(request.page), config_.page_bytes);
+  // The frame is encoded from the sys view straight into the wire buffer
+  // (codec<PageReplyMsg> layout; dsm_unit_test pins it against the span
+  // decoder), with no staging reply vector.
+  WireBuffer buffer;
+  buffer.put(request.page);
+  buffer.put(request.seq);
+  {
+    // The serving copy is read through the system view; the home invariant
+    // (see DESIGN.md) guarantees it is current.
+    PageEntry& entry = pages_->entry(request.page);
+    std::lock_guard lock(entry.mutex);
+    // home.holds_copy: a node that believes it is home must hold page data.
+    // (A retransmitted request can land after migration moved the home
+    // away; the requester's seq gate discards the reply, so only the home
+    // case is checkable here.)
+    if (entry.home == rank()) {
+      check_invariant(entry.state == PageState::kReadOnly ||
+                          entry.state == PageState::kDirty,
+                      "home.holds_copy", request.page);
     }
-    payload = std::move(buffer).take();
-  } else {
-    PageReplyMsg reply;
-    reply.page = request.page;
-    reply.seq = request.seq;
-    reply.data.resize(config_.page_bytes);
-    {
-      // Legacy serve: stage the frame in the reply vector, then codec-copy
-      // it into the wire buffer.
-      PageEntry& entry = pages_->entry(request.page);
-      std::lock_guard lock(entry.mutex);
-      if (entry.home == rank()) {
-        check_invariant(entry.state == PageState::kReadOnly ||
-                            entry.state == PageState::kDirty,
-                        "home.holds_copy", request.page);
-      }
-      reply.version = twins_->frame_version(request.page);
-      std::memcpy(reply.data.data(), sys_page(request.page),
-                  config_.page_bytes);
-    }
-    payload = codec<PageReplyMsg>::encode(std::move(reply));
+    // Version first, frame bytes second, both under the entry lock every
+    // home-side frame mutation also takes: an interleaved bump can only
+    // make the reply look OLDER than its bytes (safe — the requester
+    // privatizes), never newer.
+    buffer.put(twins_->frame_version(request.page));
+    buffer.put(static_cast<std::uint32_t>(config_.page_bytes));
+    buffer.put_bytes(sys_page(request.page), config_.page_bytes);
   }
-  post(message.header.src, kTagPageReply, std::move(payload),
+  post(message.header.src, kTagPageReply, std::move(buffer).take(),
        comm_clock_.now());
 }
 

@@ -46,13 +46,10 @@ namespace parade::dsm {
 
 class DsmNode {
  public:
-  /// Primary constructor: `topology` carries this node's rank, the cluster
+  /// `topology` carries this node's rank, the cluster
   /// size, and the barrier-tree fan-out. Must agree with the channel's
   /// rank/size (checked).
   DsmNode(const Topology& topology, net::Channel& channel, DsmConfig config);
-  /// Deprecation shim for callers still passing shape via the channel; the
-  /// fan-out falls back to config.barrier_fanout.
-  DsmNode(net::Channel& channel, DsmConfig config);
   ~DsmNode();
 
   DsmNode(const DsmNode&) = delete;

@@ -117,8 +117,7 @@ int TwinRegistry::privatize_locked(PageId page, PageShare& share) {
 }
 
 bool TwinRegistry::attach_twin(NodeId self, PageId page, NodeId home,
-                               std::uint32_t fetched_version,
-                               bool allow_share) {
+                               std::uint32_t fetched_version) {
   PARADE_CHECK(static_cast<std::size_t>(page) < pages_.size());
   std::lock_guard<std::mutex> lock(stripe(page));
   PageShare& share = pages_[static_cast<std::size_t>(page)];
@@ -130,8 +129,8 @@ bool TwinRegistry::attach_twin(NodeId self, PageId page, NodeId home,
           ? pools_[static_cast<std::size_t>(home)].load(
                 std::memory_order_acquire)
           : nullptr;
-  const bool share_alias = allow_share && home != self &&
-                           home_pool != nullptr && !share.unstable &&
+  const bool share_alias = home != self && home_pool != nullptr &&
+                           !share.unstable &&
                            fetched_version != kNeverFetched &&
                            fetched_version == share.version;
   TwinSlot* slot = find_slot(page, self);

@@ -113,7 +113,7 @@ class PageTable {
 ///
 /// In-process clusters share one registry across ranks; a standalone node
 /// (socket fabric) gets a solo registry where no peer pool is registered,
-/// making every attach privatize eagerly — exactly the legacy behavior.
+/// making every attach privatize eagerly.
 class TwinRegistry {
  public:
   /// Sentinel fetched_version: "this copy has no known frame version".
@@ -128,12 +128,12 @@ class TwinRegistry {
   /// another rank still holds into this pool's frames.
   void unregister_pool(NodeId rank);
 
-  /// Records a twin for (`self`, `page`). Aliases `home`'s frame when
-  /// sharing is allowed and provably safe; otherwise copies self's current
-  /// frame into self's twin frame. Returns true when the twin is a shared
-  /// alias (no copy happened).
+  /// Records a twin for (`self`, `page`). Aliases `home`'s frame when that
+  /// is provably safe; otherwise copies self's current frame into self's
+  /// twin frame. Returns true when the twin is a shared alias (no copy
+  /// happened).
   bool attach_twin(NodeId self, PageId page, NodeId home,
-                   std::uint32_t fetched_version, bool allow_share);
+                   std::uint32_t fetched_version);
 
   /// Drops (`self`, `page`)'s twin if present.
   void release_twin(NodeId self, PageId page);

@@ -23,7 +23,11 @@
 //
 // Serialization is the generic codec<T> at the bottom of this file: each
 // message declares its wire layout with a single wire_fields() one-liner and
-// gets encode/decode for free. Adding a message kind = struct + wire_fields.
+// gets encode/try_decode for free. Adding a message kind = struct +
+// wire_fields. PageReply and Diff frames are the exception on the hot path:
+// node.cpp writes them field by field into a WireBuffer and receivers read
+// them through the span views below. Their wire_fields layout stays the
+// reference that dsm_unit_test and dsm_random_test compare those paths to.
 #pragma once
 
 #include <cstdint>
@@ -200,8 +204,9 @@ static_assert(kTagLockReleaseAckBase + 256 <= net::kDsmTagLimit,
 // instead validates the frame and returns spans pointing into the original
 // payload, so page installs and diff application read straight from the
 // fabric's buffer into the sys view. Views share the exact wire layout with
-// the codec (the equivalence test pins this): a frame encoded by either side
-// decodes identically through both.
+// the codec: dsm_unit_test round-trips codec<PageReplyMsg>/codec<DiffMsg>
+// frames through them field by field, and codec_fuzz_test feeds them
+// malformed frames.
 
 namespace view_detail {
 
@@ -299,7 +304,7 @@ void get_field(WireBuffer& buffer, std::vector<E>& field) {
 
 }  // namespace codec_detail
 
-/// codec<T>::encode / codec<T>::decode for any message with wire_fields().
+/// codec<T>::encode / codec<T>::try_decode for any message with wire_fields().
 template <WireMessage T>
 struct codec {
   /// Takes the message by value so call sites can move vector payloads in:
@@ -332,21 +337,6 @@ struct codec {
       return make_error(ErrorCode::kInvalidArgument,
                         "trailing bytes after decode");
     }
-    return msg;
-  }
-
-  /// Abort-on-malformed decode for frames this process produced itself
-  /// (a failure here is a ParADE bug, not wire corruption).
-  static T decode(const std::vector<std::uint8_t>& bytes) {
-    WireBuffer buffer{bytes};
-    T msg;
-    std::apply(
-        [&buffer](auto&... fields) {
-          (codec_detail::get_field(buffer, fields), ...);
-        },
-        wire_fields(msg));
-    PARADE_CHECK_MSG(buffer.ok(), "truncated frame");
-    PARADE_CHECK_MSG(buffer.exhausted(), "trailing bytes after decode");
     return msg;
   }
 };

@@ -157,6 +157,13 @@ constexpr FaultAction fault_action(PageState state, bool is_write,
 /// none — all diffs merge into its copy (§5.2.1).
 constexpr bool needs_twin(NodeId home, NodeId self) { return home != self; }
 
+/// A fetch is outstanding while the page is TRANSIENT or BLOCKED. Fault-path
+/// waiters wait for this to turn false, not for a particular end state: the
+/// installed copy can be invalidated again before they run.
+constexpr bool fetch_in_flight(PageState state) {
+  return state == PageState::kTransient || state == PageState::kBlocked;
+}
+
 // ---------------------------------------------------------------------------
 // Reliability layer: sequence-number and dedup acceptance (PR 2).
 
@@ -167,8 +174,7 @@ constexpr bool needs_twin(NodeId home, NodeId self) { return home != self; }
 constexpr bool accept_page_reply(PageState state, std::uint32_t expected_seq,
                                  std::uint32_t reply_seq,
                                  Mutation m = Mutation::kNone) {
-  const bool fetching =
-      state == PageState::kTransient || state == PageState::kBlocked;
+  const bool fetching = fetch_in_flight(state);
   if (m == Mutation::kSkipReplySeqCheck) return fetching;
   return fetching && reply_seq == expected_seq;
 }

@@ -1,8 +1,8 @@
 // parade_run: multi-process cluster launcher.
 //
-//   parade_run -n <nodes> [-t <threads>] [--net clan|fastether|ideal] \
-//              [--barrier=flat|tree:<k>] [--sockdir <dir>] \
-//              [--fault-seed N] [--fault-plan SPEC] \
+//   parade_run -n <nodes> [-t <threads>] [--net clan|fastether|ideal]
+//              [--barrier=flat|tree:<k>] [--sockdir <dir>]
+//              [--fault-seed N] [--fault-plan SPEC]
 //              [--metrics=PATH] [--trace=PATH] <program> [args...]
 //
 // Forks one OS process per node; each process joins the Unix-domain-socket

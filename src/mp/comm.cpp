@@ -41,11 +41,6 @@ Comm::Comm(const Topology& topology, net::Channel& channel,
   metrics_.collective_ns = &reg.hist(node, "mp.collective_ns");
 }
 
-Comm::Comm(net::Channel& channel, vtime::NetworkModel model,
-           Reliability reliability)
-    : Comm(Topology::flat(channel.rank(), channel.size()), channel, model,
-           reliability) {}
-
 void Comm::count_collective(obs::Counter* which, std::size_t payload_bytes) {
   which->add();
   metrics_.coll_payload_bytes->add(static_cast<std::int64_t>(payload_bytes));

@@ -56,14 +56,11 @@ struct Reliability {
 
 class Comm {
  public:
-  /// Primary constructor: `topology` carries this node's rank, the cluster
+  /// `topology` carries this node's rank, the cluster
   /// size, and the tree fan-out. Must agree with the channel's rank/size
   /// (checked).
   Comm(const Topology& topology, net::Channel& channel,
        vtime::NetworkModel model, Reliability reliability = {});
-  /// Deprecation shim for callers still passing shape via the channel.
-  Comm(net::Channel& channel, vtime::NetworkModel model,
-       Reliability reliability = {});
 
   NodeId rank() const { return topo_.rank; }
   int size() const { return topo_.nodes; }

@@ -2,9 +2,8 @@
 // metric primitive next to Counter and Timer (obs/metric.hpp). Each power-of-
 // two octave is split into 2^kHistSubBits linear sub-buckets, bounding the
 // quantization error of any percentile to ~1/2^kHistSubBits (12.5%) of the
-// value — fine enough to resolve the zero-copy-vs-legacy fetch deltas the
-// dsm_hotpath gate compares, where plain log2 buckets could only see 2x
-// steps. Recording is lock-free (one relaxed add per bucket plus a CAS loop
+// value — fine enough to resolve fetch-latency changes of a few tens of
+// percent, where plain log2 buckets could only see 2x steps. Recording is lock-free (one relaxed add per bucket plus a CAS loop
 // for the max); percentile reads are racy-by-design snapshots, same contract
 // as Counter.
 #pragma once

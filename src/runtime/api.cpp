@@ -56,7 +56,6 @@ void parallel(const std::function<void()>& body) {
 
 void barrier(BarrierScope scope) { current_ctx().node->team().barrier(scope); }
 void barrier() { barrier(BarrierScope::kGlobal); }
-void node_barrier() { barrier(BarrierScope::kNode); }
 
 void static_slice(long begin, long end, long* lo, long* hi) {
   ThreadCtx& ctx = current_ctx();
@@ -140,7 +139,7 @@ void team_update_bytes(void* replica, const void* contribution,
       combine(scratch.data(), contribution, bytes);
     }
   }
-  team.barrier_node();
+  team.barrier(BarrierScope::kNode);
 
   // Phase 2: one allreduce between nodes, result merged into the replica by
   // the node representative (Fig. 2's inter-node synchronization).
@@ -150,7 +149,7 @@ void team_update_bytes(void* replica, const void* contribution,
     combine(replica, scratch.data(), bytes);
     team.reset_combine_count();
   }
-  team.barrier_node();
+  team.barrier(BarrierScope::kNode);
 }
 
 void team_allreduce_bytes(void* inout, std::size_t bytes,
@@ -175,7 +174,7 @@ void team_allreduce_bytes(void* inout, std::size_t bytes,
       combine(scratch.data(), inout, bytes);
     }
   }
-  team.barrier_node();
+  team.barrier(BarrierScope::kNode);
 
   // Phase 2: inter-node allreduce by the representative.
   if (ctx.local_id == 0) {
@@ -183,12 +182,12 @@ void team_allreduce_bytes(void* inout, std::size_t bytes,
                                     combine);
     team.reset_combine_count();
   }
-  team.barrier_node();
+  team.barrier(BarrierScope::kNode);
 
   // Phase 3: every thread copies the result out before the scratch can be
   // reused by a subsequent collective.
   std::memcpy(inout, team.combine_scratch().data(), bytes);
-  team.barrier_node();
+  team.barrier(BarrierScope::kNode);
 }
 
 void single_small(void* data, std::size_t bytes,

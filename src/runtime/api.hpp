@@ -62,8 +62,6 @@ void parallel(const std::function<void()>& body);
 void barrier(BarrierScope scope);
 /// Full hierarchical barrier — shorthand for barrier(BarrierScope::kGlobal).
 void barrier();
-/// Deprecation shim for barrier(BarrierScope::kNode).
-void node_barrier();
 
 // ---- worksharing loops ----
 enum class ScheduleKind { kStatic, kStaticChunk, kDynamic, kGuided };

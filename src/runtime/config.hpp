@@ -10,6 +10,12 @@ namespace parade {
 struct RuntimeConfig {
   int nodes = 2;
   int threads_per_node = 2;
+  /// Barrier gather/scatter tree fan-out (Topology::fanout, PARADE_BARRIER).
+  /// <= 0 selects the flat shape: node 0 gathers every arrival directly.
+  /// Small fan-outs trade root-side O(nodes) overhead for O(log_k nodes)
+  /// latency hops — the scaleout bench shows tree winning from ~32 nodes
+  /// (docs/SCALING.md).
+  int barrier_fanout = 0;
   dsm::DsmConfig dsm{};
   /// Virtual-time multiplier for measured CPU time (PARADE_CPU_SCALE).
   double cpu_scale = 1.0;

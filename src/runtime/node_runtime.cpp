@@ -28,7 +28,7 @@ RuntimeConfig runtime_config_from_env() {
   config.dsm.retry = net::RetryPolicy::from_env();
   const std::string barrier_spec = env::get_string_or("PARADE_BARRIER", "flat");
   if (const auto fanout = parse_barrier_spec(barrier_spec)) {
-    config.dsm.barrier_fanout = *fanout;
+    config.barrier_fanout = *fanout;
   } else {
     // parade_run rejects bad specs up front (exit 2); a bare binary falls
     // back to the flat barrier rather than aborting mid-launch.
@@ -36,7 +36,6 @@ RuntimeConfig runtime_config_from_env() {
                                                      << "' (want flat|tree:<k>)");
   }
   config.dsm.sharded_homes = env::get_bool_or("PARADE_HOME_SHARDING", false);
-  config.dsm.zero_copy = env::get_bool_or("PARADE_ZERO_COPY", true);
   const std::string map_spec = env::get_string_or("PARADE_MAP_METHOD", "memfd");
   if (const auto method = dsm::parse_map_method(map_spec)) {
     config.dsm.map_method = *method;
@@ -72,7 +71,7 @@ NodeRuntime::NodeRuntime(net::Channel& channel, const RuntimeConfig& config)
   // One Topology value per node, shared by every layer: the DSM barrier tree,
   // the communicator, and the thread team all see the same shape.
   const Topology topology{channel.rank(), channel.size(),
-                          config_.dsm.barrier_fanout};
+                          config_.barrier_fanout};
   dsm_ = std::make_unique<dsm::DsmNode>(topology, channel, config_.dsm);
   comm_ = std::make_unique<mp::Comm>(topology, channel, config_.dsm.net);
   team_ = std::make_unique<Team>(*this, topology, config_.threads_per_node);

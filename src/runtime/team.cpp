@@ -51,10 +51,6 @@ Team::Team(NodeRuntime& node, const Topology& topology, int num_threads)
   }
 }
 
-Team::Team(NodeRuntime& node, int num_threads)
-    : Team(node, Topology::flat(node.node_id(), node.num_nodes()),
-           num_threads) {}
-
 Team::~Team() { stop(); }
 
 void Team::start() {
@@ -98,7 +94,7 @@ void Team::worker_loop(LocalThreadId local_id) {
     ctx.single_seq = 0;
     ctx.loop_seq = 0;
     (*body)();
-    barrier_global();  // implicit barrier at the end of a parallel region
+    barrier(BarrierScope::kGlobal);  // implicit barrier at the end of a parallel region
     (void)join_barrier_.arrive(0.0);
   }
   detail::set_current_ctx(nullptr);
@@ -135,7 +131,7 @@ void Team::run_region(const std::function<void()>& body) {
   ctx.single_seq = 0;
   ctx.loop_seq = 0;
   body();
-  barrier_global();
+  barrier(BarrierScope::kGlobal);
   ctx.single_seq = saved_single_seq;
   ctx.loop_seq = saved_loop_seq;
 

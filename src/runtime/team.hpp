@@ -22,8 +22,7 @@ class NodeRuntime;
 
 /// Which levels a barrier synchronizes. The runtime exposes one consolidated
 /// entry point, `Team::barrier(BarrierScope)` (mirrored by the public
-/// `parade::barrier(BarrierScope)`); the former `barrier_global` /
-/// `barrier_node` names remain as shims.
+/// `parade::barrier(BarrierScope)`).
 enum class BarrierScope {
   kNode,    ///< intra-node pthread barrier only (clock max-combined)
   kGlobal,  ///< intra-node combine + inter-node DSM tree barrier
@@ -50,12 +49,10 @@ class CombiningBarrier {
 
 class Team {
  public:
-  /// Primary constructor: `topology` is this node's view of the cluster
+  /// `topology` is this node's view of the cluster
   /// (rank, node count, barrier fan-out) and must agree with the owning
   /// NodeRuntime's DSM engine (checked).
   Team(NodeRuntime& node, const Topology& topology, int num_threads);
-  /// Deprecation shim: derives a flat Topology from the node runtime.
-  Team(NodeRuntime& node, int num_threads);
   ~Team();
 
   int num_threads() const { return num_threads_; }
@@ -74,11 +71,6 @@ class Team {
   /// the DSM tree barrier by local thread 0, then distribution of the
   /// departure time. kNode: intra-node combine only.
   void barrier(BarrierScope scope);
-
-  /// Shim for barrier(BarrierScope::kGlobal).
-  void barrier_global() { barrier(BarrierScope::kGlobal); }
-  /// Shim for barrier(BarrierScope::kNode).
-  void barrier_node() { barrier(BarrierScope::kNode); }
 
   // --- single construct support (see api.cpp) ---
   struct SingleSlot {

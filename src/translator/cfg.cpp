@@ -114,6 +114,35 @@ AccessScan scan_accesses(const std::string& text) {
   return out;
 }
 
+std::set<std::string> subscript_idents(const std::string& text,
+                                       const std::string& name) {
+  std::set<std::string> idents;
+  auto tokens_result = lex(text);
+  if (!tokens_result.is_ok()) return idents;
+  const auto tokens = std::move(tokens_result).value();
+  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+    if (tokens[i].kind != TokKind::kIdent || tokens[i].text != name ||
+        !tokens[i + 1].is_punct("[")) {
+      continue;
+    }
+    // Consecutive groups chain: grid[i][j] contributes both i and j.
+    int depth = 0;
+    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
+      if (tokens[j].is_punct("[")) {
+        ++depth;
+      } else if (tokens[j].is_punct("]")) {
+        if (--depth == 0 &&
+            (j + 1 >= tokens.size() || !tokens[j + 1].is_punct("["))) {
+          break;
+        }
+      } else if (depth > 0 && tokens[j].kind == TokKind::kIdent) {
+        idents.insert(tokens[j].text);
+      }
+    }
+  }
+  return idents;
+}
+
 std::size_t Cfg::edge_count() const {
   std::size_t edges = 0;
   for (const CfgBlock& b : blocks) edges += b.succs.size();

@@ -108,4 +108,10 @@ struct AccessScan {
 
 AccessScan scan_accesses(const std::string& text);
 
+/// Identifiers appearing inside `name [ ... ]` subscripts within `text`
+/// (chained groups such as grid[i][j] contribute both i and j). Shared by the
+/// footprint analysis and the interference pass.
+std::set<std::string> subscript_idents(const std::string& text,
+                                       const std::string& name);
+
 }  // namespace parade::translator

@@ -343,7 +343,7 @@ Status CodeGen::emit_parallel(const Directive& d, const Stmt& body) {
     line("*" + red_ptrs[i] + " = *" + red_ptrs[i] + " " + std::string(cop) +
          " __contrib;");
     close();
-    line("parade::node_barrier();");
+    line("parade::barrier(parade::BarrierScope::kNode);");
     close();
   }
 
@@ -485,7 +485,7 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
     line("*" + red_ptrs[i] + " = *" + red_ptrs[i] + " " + std::string(cop) +
          " __contrib;");
     close();
-    line("parade::node_barrier();");
+    line("parade::barrier(parade::BarrierScope::kNode);");
     close();
   }
 
@@ -502,7 +502,7 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
     open("if (parade::local_thread_id() == 0 && __sel.has) {");
     line(rewrite(lp.var) + " = __sel.v;");
     close();
-    line("parade::node_barrier();");
+    line("parade::barrier(parade::BarrierScope::kNode);");
     close();
   }
 
@@ -576,13 +576,13 @@ Status CodeGen::emit_single(const Directive& d, const Stmt& body) {
       line(rewrite(names[i]) + " = __sgl.v" + std::to_string(i) + ";");
     }
     close();
-    line("parade::node_barrier();");
+    line("parade::barrier(parade::BarrierScope::kNode);");
   }
   if (!d.clauses.nowait) {
     // OpenMP single carries an implicit barrier; ParADE's broadcast already
     // synchronizes the data, so a node-local barrier suffices (the paper's
     // "reducing the number of inter-process barriers").
-    line("parade::node_barrier();");
+    line("parade::barrier(parade::BarrierScope::kNode);");
   }
   close();
   return Status::ok();
@@ -614,7 +614,7 @@ Status CodeGen::emit_critical(const Directive& d, const Stmt& body) {
       line(rewrite(pattern->var) + " = " + rewrite(pattern->var) + " " +
            pattern->apply_op + " __contrib;");
       close();
-      line("parade::node_barrier();");
+      line("parade::barrier(parade::BarrierScope::kNode);");
       close();
       return Status::ok();
     }

@@ -7,7 +7,6 @@
 #include "obs/json.hpp"
 #include "translator/analyze.hpp"
 #include "translator/cfg.hpp"
-#include "translator/token.hpp"
 
 namespace parade::translator {
 
@@ -187,36 +186,6 @@ class FootprintWalker {
     if (span <= 0) return 0;
     const long long abs_step = step < 0 ? -step : step;
     return static_cast<std::size_t>((span + abs_step - 1) / abs_step);
-  }
-
-  /// Idents appearing inside `name [ ... ]` subscripts within `text`.
-  std::set<std::string> subscript_idents(const std::string& text,
-                                         const std::string& name) const {
-    std::set<std::string> idents;
-    auto tokens_result = lex(text);
-    if (!tokens_result.is_ok()) return idents;
-    const auto tokens = std::move(tokens_result).value();
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-      if (tokens[i].kind != TokKind::kIdent || tokens[i].text != name ||
-          !tokens[i + 1].is_punct("[")) {
-        continue;
-      }
-      // Consecutive groups chain: grid[i][j] contributes both i and j.
-      int depth = 0;
-      for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-        if (tokens[j].is_punct("[")) {
-          ++depth;
-        } else if (tokens[j].is_punct("]")) {
-          if (--depth == 0 &&
-              (j + 1 >= tokens.size() || !tokens[j + 1].is_punct("["))) {
-            break;
-          }
-        } else if (depth > 0 && tokens[j].kind == TokKind::kIdent) {
-          idents.insert(tokens[j].text);
-        }
-      }
-    }
-    return idents;
   }
 
   void account_text(const std::string& text, int line) {

@@ -10,7 +10,6 @@
 
 #include "obs/json.hpp"
 #include "translator/cfg.hpp"
-#include "translator/token.hpp"
 
 namespace parade::translator {
 namespace {
@@ -31,35 +30,6 @@ bool parse_literal(const std::string& text, long long* out) {
   if (end == nullptr || *end != '\0') return false;
   *out = v;
   return true;
-}
-
-/// Idents appearing inside `name [ ... ]` subscripts within `text`.
-std::set<std::string> subscript_idents(const std::string& text,
-                                       const std::string& name) {
-  std::set<std::string> idents;
-  auto tokens_result = lex(text);
-  if (!tokens_result.is_ok()) return idents;
-  const auto tokens = std::move(tokens_result).value();
-  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i].kind != TokKind::kIdent || tokens[i].text != name ||
-        !tokens[i + 1].is_punct("[")) {
-      continue;
-    }
-    int depth = 0;
-    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-      if (tokens[j].is_punct("[")) {
-        ++depth;
-      } else if (tokens[j].is_punct("]")) {
-        if (--depth == 0 &&
-            (j + 1 >= tokens.size() || !tokens[j + 1].is_punct("["))) {
-          break;
-        }
-      } else if (depth > 0 && tokens[j].kind == TokKind::kIdent) {
-        idents.insert(tokens[j].text);
-      }
-    }
-  }
-  return idents;
 }
 
 /// Walks the unit in program order building the region-sequence graph:
@@ -275,7 +245,7 @@ class SeqWalker {
         --parallel_depth_;
         construct_ = saved_construct;
         scopes_.pop_back();
-        bump_phase();  // Team::run_region ends with barrier_global()
+        bump_phase();  // Team::run_region ends with a global barrier
         return;
       }
       case DirectiveKind::kParallelFor: {

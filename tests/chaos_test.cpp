@@ -68,11 +68,12 @@ RunResult run_workload(std::optional<std::uint64_t> fault_seed) {
   config.retry.timeout_ms = 50;
   config.retry.max_attempts = 400;
 
+  const Topology topology = Topology::cluster(kNodes);
   auto cluster = fault_seed.has_value()
                      ? std::make_unique<DsmCluster>(
-                           kNodes, config,
+                           topology, config,
                            net::default_chaos_plan(*fault_seed))
-                     : std::make_unique<DsmCluster>(kNodes, config);
+                     : std::make_unique<DsmCluster>(topology, config);
 
   RunResult result;
   cluster->run([&](NodeId rank) {
@@ -167,7 +168,7 @@ TEST(Chaos, HealingPartitionRecovers) {
   faults.seed = 99;
   faults.partitions.push_back(net::PartitionEvent{0, 1, 30, 90, false});
 
-  DsmCluster cluster(kNodes, config, faults);
+  DsmCluster cluster(Topology::cluster(kNodes), config, faults);
   std::vector<std::uint64_t> memory;
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);

@@ -1,12 +1,15 @@
 // Wire-codec robustness: frames straight off the wire may be truncated, carry
-// trailing garbage, or have corrupted length prefixes. try_decode must reject
-// them with a Status — never crash, never allocate from a hostile length
+// trailing garbage, or have corrupted length prefixes. try_decode and the
+// PageReply/Diff span views must reject them with a Status — never crash, never allocate from a hostile length
 // prefix — and WireBuffer must validate counts against the bytes actually
 // present before reserving memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "common/serialize.hpp"
@@ -113,6 +116,140 @@ TEST(CodecFuzz, RandomGarbageNeverCrashes) {
     (void)codec<BarrierDepartMsg>::try_decode(garbage);
     (void)codec<LockGrantMsg>::try_decode(garbage);
     (void)codec<DiffMsg>::try_decode(garbage);
+  }
+}
+
+// ---- span views (PageReplyView / DiffView) ----
+//
+// The runtime decodes page replies and diffs off the wire through these
+// views, never through codec<T>. Each view must reject exactly the frames
+// codec<T>::try_decode rejects, agree with it field by field on the frames
+// both accept, and only ever hand out spans inside the frame.
+
+bool same_bytes(std::span<const std::uint8_t> span,
+                const std::vector<std::uint8_t>& vec) {
+  return std::equal(span.begin(), span.end(), vec.begin(), vec.end());
+}
+
+bool inside(std::span<const std::uint8_t> part,
+            const std::vector<std::uint8_t>& frame) {
+  return part.empty() || (part.data() >= frame.data() &&
+                          part.data() + part.size() <= frame.data() +
+                                                           frame.size());
+}
+
+/// Differential check of one frame; returns whether the view accepted it.
+bool check_page_reply_view(const std::vector<std::uint8_t>& frame) {
+  const auto view = PageReplyView::from(frame);
+  const auto owned = codec<PageReplyMsg>::try_decode(frame);
+  EXPECT_EQ(view.is_ok(), owned.is_ok());
+  if (!view.is_ok() || !owned.is_ok()) return view.is_ok();
+  const PageReplyView& v = view.value();
+  const PageReplyMsg& m = owned.value();
+  EXPECT_EQ(v.page, m.page);
+  EXPECT_EQ(v.seq, m.seq);
+  EXPECT_EQ(v.version, m.version);
+  EXPECT_TRUE(same_bytes(v.data, m.data));
+  EXPECT_TRUE(inside(v.data, frame));
+  return true;
+}
+
+bool check_diff_view(const std::vector<std::uint8_t>& frame) {
+  const auto view = DiffView::from(frame);
+  const auto owned = codec<DiffMsg>::try_decode(frame);
+  EXPECT_EQ(view.is_ok(), owned.is_ok());
+  if (!view.is_ok() || !owned.is_ok()) return view.is_ok();
+  const DiffView& v = view.value();
+  const DiffMsg& m = owned.value();
+  EXPECT_EQ(v.page, m.page);
+  EXPECT_EQ(v.seq, m.seq);
+  EXPECT_TRUE(same_bytes(v.diff, m.diff));
+  EXPECT_TRUE(inside(v.diff, frame));
+  return true;
+}
+
+template <typename Check>
+void expect_view_rejects_truncations_and_trailing(
+    const std::vector<std::uint8_t>& bytes, Check check) {
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> cut(bytes.begin(),
+                                        bytes.begin() + static_cast<long>(len));
+    EXPECT_FALSE(check(cut)) << "accepted truncation at " << len;
+  }
+  for (std::size_t extra : {1u, 3u, 16u}) {
+    auto padded = bytes;
+    padded.insert(padded.end(), extra, 0xAB);
+    EXPECT_FALSE(check(padded)) << "accepted " << extra << " trailing bytes";
+  }
+  EXPECT_TRUE(check(bytes));
+}
+
+TEST(ViewFuzz, TruncationAndTrailingRejected) {
+  expect_view_rejects_truncations_and_trailing(
+      codec<PageReplyMsg>::encode(PageReplyMsg{3, {0x10, 0x20, 0x30}, 9, 4}),
+      check_page_reply_view);
+  expect_view_rejects_truncations_and_trailing(
+      codec<DiffMsg>::encode(DiffMsg{5, {1, 2, 3, 4, 5}, 11}),
+      check_diff_view);
+}
+
+TEST(ViewFuzz, HostileLengthPrefixRejected) {
+  // page + seq + version + count=0xFFFFFFFF followed by a few bytes: the
+  // count must be checked against the bytes present, with no overflow.
+  WireBuffer reply;
+  reply.put<PageId>(1);
+  reply.put<std::uint32_t>(2);
+  reply.put<std::uint32_t>(3);
+  reply.put<std::uint32_t>(0xFFFFFFFFu);
+  reply.put_bytes("abcd", 4);
+  EXPECT_FALSE(check_page_reply_view(std::move(reply).take()));
+
+  WireBuffer diff;
+  diff.put<PageId>(1);
+  diff.put<std::uint32_t>(2);
+  diff.put<std::uint32_t>(0xFFFFFFF0u);
+  diff.put_bytes("abcd", 4);
+  EXPECT_FALSE(check_diff_view(std::move(diff).take()));
+}
+
+TEST(ViewFuzz, BitFlipsAgreeWithCodec) {
+  std::vector<std::uint8_t> data(48);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 11);
+  }
+  // Single-bit flips across each frame: the view and the codec agree on
+  // every outcome, and flips inside the count prefix must reject.
+  const auto rejections = [](const std::vector<std::uint8_t>& frame,
+                             auto check) {
+    int rejected = 0;
+    for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      auto mutated = frame;
+      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      if (!check(mutated)) ++rejected;
+    }
+    return rejected;
+  };
+  EXPECT_GT(rejections(codec<PageReplyMsg>::encode({7, data, 5, 2}),
+                       check_page_reply_view),
+            0);
+  EXPECT_GT(rejections(codec<DiffMsg>::encode({7, data, 5}), check_diff_view),
+            0);
+}
+
+TEST(ViewFuzz, RandomGarbageAgreesWithCodec) {
+  std::mt19937_64 rng(20261016);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::uint8_t> garbage(rng() % 48);
+    for (auto& b : garbage) b = static_cast<std::uint8_t>(rng());
+    // Plant a consistent count prefix (PageReply's at byte 12, Diff's at 8)
+    // so some frames parse instead of all failing.
+    if (garbage.size() >= 16) {
+      const std::size_t at = round % 2 == 0 ? 12 : 8;
+      const auto count = static_cast<std::uint32_t>(garbage.size() - at - 4);
+      std::memcpy(garbage.data() + at, &count, sizeof(count));
+    }
+    (void)check_page_reply_view(garbage);
+    (void)check_diff_view(garbage);
   }
 }
 

@@ -24,7 +24,7 @@ TEST_P(AtomicUpdateStress, NoTornPagesUnderConcurrentFaults) {
   DsmConfig config;
   config.pool_bytes = 1 << 20;
   config.map_method = GetParam();
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
 
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<std::uint64_t*>(

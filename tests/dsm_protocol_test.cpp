@@ -19,7 +19,7 @@ DsmConfig config_mb(std::size_t mb = 4) {
 }
 
 TEST(DsmProtocol, ReadCachingAvoidsRefetch) {
-  DsmCluster cluster(2, config_mb());
+  DsmCluster cluster(Topology::cluster(2), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     if (rank == 0) *data = 11;
@@ -37,7 +37,7 @@ TEST(DsmProtocol, ReadCachingAvoidsRefetch) {
 }
 
 TEST(DsmProtocol, CachedCopySurvivesUnrelatedBarriers) {
-  DsmCluster cluster(2, config_mb());
+  DsmCluster cluster(Topology::cluster(2), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     if (rank == 0) *data = 5;
@@ -56,7 +56,7 @@ TEST(DsmProtocol, CachedCopySurvivesUnrelatedBarriers) {
 }
 
 TEST(DsmProtocol, RemoteWriteInvalidatesCachedCopy) {
-  DsmCluster cluster(3, config_mb());
+  DsmCluster cluster(Topology::cluster(3), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     if (rank == 0) *data = 1;
@@ -74,7 +74,7 @@ TEST(DsmProtocol, RemoteWriteInvalidatesCachedCopy) {
 TEST(DsmProtocol, MigrationDisabledKeepsHome) {
   DsmConfig config = config_mb();
   config.home_migration = false;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     const PageId page =
@@ -92,7 +92,7 @@ TEST(DsmProtocol, MigrationDisabledKeepsHome) {
 }
 
 TEST(DsmProtocol, MultiWriterPageKeepsOldHome) {
-  DsmCluster cluster(3, config_mb());
+  DsmCluster cluster(Topology::cluster(3), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     cluster.node(rank).barrier();
@@ -113,7 +113,7 @@ TEST(DsmProtocol, MultiWriterPageKeepsOldHome) {
 }
 
 TEST(DsmProtocol, ChainedMigrationFollowsWriter) {
-  DsmCluster cluster(3, config_mb());
+  DsmCluster cluster(Topology::cluster(3), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     const PageId page =
@@ -145,7 +145,7 @@ TEST(DsmProtocol, ChainedMigrationFollowsWriter) {
 TEST(DsmProtocol, ManyPagesManyEpochs) {
   constexpr int kPages = 32;
   constexpr int kEpochs = 8;
-  DsmCluster cluster(4, config_mb(8));
+  DsmCluster cluster(Topology::cluster(4), config_mb(8));
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<std::int64_t*>(
         cluster.node(rank).shmalloc(kPages * 4096, 4096));
@@ -172,7 +172,7 @@ TEST(DsmProtocol, ManyPagesManyEpochs) {
 TEST(DsmProtocol, LockTransfersProtectedData) {
   // Token passing: each node appends to a shared log under the lock.
   constexpr int kRounds = 3;
-  DsmCluster cluster(3, config_mb());
+  DsmCluster cluster(Topology::cluster(3), config_mb());
   cluster.run([&](NodeId rank) {
     auto* log = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     if (rank == 0) log[0] = 0;  // log[0] = count
@@ -198,7 +198,7 @@ TEST(DsmProtocol, LockTransfersProtectedData) {
 TEST(DsmProtocol, TwoThreadsFaultSamePage) {
   // Exercises TRANSIENT -> BLOCKED: two threads of one node fault the same
   // remote page concurrently; exactly one fetch must happen.
-  DsmCluster cluster(2, config_mb());
+  DsmCluster cluster(Topology::cluster(2), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     if (rank == 0) *data = 77;
@@ -217,7 +217,7 @@ TEST(DsmProtocol, TwoThreadsFaultSamePage) {
 }
 
 TEST(DsmProtocol, StatsAccounting) {
-  DsmCluster cluster(2, config_mb());
+  DsmCluster cluster(Topology::cluster(2), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     cluster.node(rank).barrier();
@@ -229,8 +229,7 @@ TEST(DsmProtocol, StatsAccounting) {
   const auto n1 = cluster.node(1).stats().snapshot();
   EXPECT_EQ(n1.page_fetches, 1);
   EXPECT_EQ(n0.page_serves, 1);
-  // Under zero_copy (the default) the twin is a CoW alias of the home's
-  // frame, not an eager copy; nothing ever mutates the frame while the alias
+  // The twin is a CoW alias of the home's frame, not an eager copy; nothing ever mutates the frame while the alias
   // lives, so it is never privatized either.
   EXPECT_EQ(n1.twins_created, 0);
   EXPECT_EQ(n1.twins_shared, 1);
@@ -247,7 +246,7 @@ TEST(DsmProtocol, StatsAccounting) {
 TEST(DsmProtocol, SysVMappingCluster) {
   DsmConfig config = config_mb();
   config.map_method = MapMethod::kSysV;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     if (rank == 0) *data = 31;
@@ -264,7 +263,7 @@ TEST(DsmProtocol, SysVMappingCluster) {
 TEST(DsmProtocol, SoleModifierKeepsCopyWithoutMigration) {
   DsmConfig config = config_mb();
   config.home_migration = false;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     cluster.node(rank).barrier();
@@ -282,7 +281,7 @@ TEST(DsmProtocol, SoleModifierKeepsCopyWithoutMigration) {
 }
 
 TEST(DsmProtocol, AllocatorAlignmentAndDeterminism) {
-  DsmCluster cluster(2, config_mb());
+  DsmCluster cluster(Topology::cluster(2), config_mb());
   std::size_t offsets[2][3];
   cluster.run([&](NodeId rank) {
     void* a = cluster.node(rank).shmalloc(100);
@@ -303,7 +302,7 @@ TEST(DsmProtocol, InvariantViolationCounterStaysZero) {
   // read back `dsm.invariant.violations`. The counter is registered
   // unconditionally; under PARADE_CHECKED builds every rules.hpp decision is
   // re-checked at runtime and any disagreement would show up here.
-  DsmCluster cluster(3, config_mb());
+  DsmCluster cluster(Topology::cluster(3), config_mb());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<int*>(cluster.node(rank).shmalloc(8192, 4096));
     if (rank == 0) data[0] = 1;

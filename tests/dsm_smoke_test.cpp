@@ -19,7 +19,7 @@ dsm::DsmConfig small_dsm_config() {
 }
 
 TEST(DsmSmoke, MasterWritesOthersRead) {
-  dsm::DsmCluster cluster(3, small_dsm_config());
+  dsm::DsmCluster cluster(Topology::cluster(3), small_dsm_config());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<std::int64_t*>(
         cluster.node(rank).shmalloc(1024 * sizeof(std::int64_t)));
@@ -36,7 +36,7 @@ TEST(DsmSmoke, MasterWritesOthersRead) {
 }
 
 TEST(DsmSmoke, NonMasterWritesPropagate) {
-  dsm::DsmCluster cluster(2, small_dsm_config());
+  dsm::DsmCluster cluster(Topology::cluster(2), small_dsm_config());
   cluster.run([&](NodeId rank) {
     auto* data = static_cast<double*>(
         cluster.node(rank).shmalloc(512 * sizeof(double)));
@@ -54,7 +54,7 @@ TEST(DsmSmoke, NonMasterWritesPropagate) {
 }
 
 TEST(DsmSmoke, HomeMigratesToSoleModifier) {
-  dsm::DsmCluster cluster(2, small_dsm_config());
+  dsm::DsmCluster cluster(Topology::cluster(2), small_dsm_config());
   cluster.run([&](NodeId rank) {
     auto* data =
         static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
@@ -74,7 +74,7 @@ TEST(DsmSmoke, HomeMigratesToSoleModifier) {
 TEST(DsmSmoke, InterleavedWritersMergeAtHome) {
   // Two nodes write disjoint halves of the same page between barriers; HLRC
   // must merge both diffs.
-  dsm::DsmCluster cluster(2, small_dsm_config());
+  dsm::DsmCluster cluster(Topology::cluster(2), small_dsm_config());
   cluster.run([&](NodeId rank) {
     auto* data =
         static_cast<std::int32_t*>(cluster.node(rank).shmalloc(4096, 4096));
@@ -95,7 +95,7 @@ TEST(DsmSmoke, InterleavedWritersMergeAtHome) {
 }
 
 TEST(DsmSmoke, LockProtectedCounter) {
-  dsm::DsmCluster cluster(4, small_dsm_config());
+  dsm::DsmCluster cluster(Topology::cluster(4), small_dsm_config());
   constexpr int kIncrementsPerNode = 10;
   cluster.run([&](NodeId rank) {
     auto* counter =

@@ -142,30 +142,95 @@ TEST(PageTable, InitialHome) {
 // ---------------------------------------------------------------------------
 // Protocol wire round-trips
 
+/// Encodes `msg` and decodes it back through the soft-fail decoder the
+/// runtime runs on wire bytes.
+template <typename T>
+T round_trip(T msg) {
+  auto decoded = codec<T>::try_decode(codec<T>::encode(std::move(msg)));
+  EXPECT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  return decoded.is_ok() ? std::move(decoded).value() : T{};
+}
+
 TEST(Protocol, PageMessages) {
   PageReplyMsg reply{42, {1, 2, 3, 4, 5}};
-  const auto decoded = codec<PageReplyMsg>::decode(codec<PageReplyMsg>::encode(reply));
+  const auto decoded = round_trip(reply);
   EXPECT_EQ(decoded.page, 42);
   EXPECT_EQ(decoded.data, reply.data);
 
-  const auto request =
-      codec<PageRequestMsg>::decode(codec<PageRequestMsg>::encode({7}));
-  EXPECT_EQ(request.page, 7);
+  EXPECT_EQ(round_trip(PageRequestMsg{7}).page, 7);
 }
 
 TEST(Protocol, DiffMessages) {
   DiffMsg diff{9, {0xA, 0xB}};
-  const auto decoded = codec<DiffMsg>::decode(codec<DiffMsg>::encode(diff));
+  const auto decoded = round_trip(diff);
   EXPECT_EQ(decoded.page, 9);
   EXPECT_EQ(decoded.diff, diff.diff);
-  EXPECT_EQ(codec<DiffAckMsg>::decode(codec<DiffAckMsg>::encode({9})).page, 9);
+  EXPECT_EQ(round_trip(DiffAckMsg{9}).page, 9);
+}
+
+// Layout pin for the two bulk frames. The runtime never runs codec<T> on
+// them: serve_page_request and flush_pages write the fields straight into a
+// WireBuffer, and receivers decode through PageReplyView / DiffView. The
+// wire_fields layout is the reference both sides must agree with.
+TEST(Protocol, PageReplyCodecMatchesServeEncodingAndView) {
+  std::vector<std::uint8_t> data(256);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const PageReplyMsg reply{42, data, /*seq=*/7, /*version=*/3};
+  const auto bytes = codec<PageReplyMsg>::encode(reply);
+
+  // The serve path's field-by-field encoding (node.cpp).
+  WireBuffer serve;
+  serve.put(reply.page);
+  serve.put(reply.seq);
+  serve.put(reply.version);
+  serve.put(static_cast<std::uint32_t>(data.size()));
+  serve.put_bytes(data.data(), data.size());
+  EXPECT_EQ(std::move(serve).take(), bytes);
+
+  auto view = PageReplyView::from(bytes);
+  ASSERT_TRUE(view.is_ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().page, reply.page);
+  EXPECT_EQ(view.value().seq, reply.seq);
+  EXPECT_EQ(view.value().version, reply.version);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.value().data.begin(),
+                                      view.value().data.end()),
+            data);
+  // The view borrows the frame instead of copying it.
+  EXPECT_EQ(view.value().data.data(), bytes.data() + bytes.size() - 256);
+}
+
+TEST(Protocol, DiffCodecMatchesFlushEncodingAndView) {
+  std::vector<std::uint8_t> twin(4096, 0), page(4096, 0);
+  for (std::size_t i = 64; i < 96; ++i) page[i] = 0x5A;
+  page[4000] = 1;
+  const DiffMsg diff{9, encode_diff(page.data(), twin.data(), 4096),
+                     /*seq=*/11};
+  ASSERT_FALSE(diff.diff.empty());
+  const auto bytes = codec<DiffMsg>::encode(diff);
+
+  // The flush path's streamed encoding (node.cpp).
+  WireBuffer flush;
+  flush.put(diff.page);
+  flush.put(diff.seq);
+  EXPECT_EQ(append_diff(flush, page.data(), twin.data(), 4096),
+            diff.diff.size());
+  EXPECT_EQ(std::move(flush).take(), bytes);
+
+  auto view = DiffView::from(bytes);
+  ASSERT_TRUE(view.is_ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().page, diff.page);
+  EXPECT_EQ(view.value().seq, diff.seq);
+  EXPECT_EQ(std::vector<std::uint8_t>(view.value().diff.begin(),
+                                      view.value().diff.end()),
+            diff.diff);
 }
 
 TEST(Protocol, BarrierMessages) {
   // Notice stream for pages {1, 2, 30} dirtied by this subtree's node 3.
   BarrierArriveMsg arrive{5, notice::pack_notices({{3, {1, 2, 30}}})};
-  const auto a =
-      codec<BarrierArriveMsg>::decode(codec<BarrierArriveMsg>::encode(arrive));
+  const auto a = round_trip(arrive);
   EXPECT_EQ(a.epoch, 5);
   EXPECT_EQ(a.notice_stream, arrive.notice_stream);
   const auto blocks = notice::try_unpack_notices(a.notice_stream, 8, 64);
@@ -178,8 +243,7 @@ TEST(Protocol, BarrierMessages) {
   depart.epoch = 5;
   depart.departure_vtime = 123.5;
   depart.entries = {{1, 2, 2}, {30, 0, kAnyNode}};
-  const auto d =
-      codec<BarrierDepartMsg>::decode(codec<BarrierDepartMsg>::encode(depart));
+  const auto d = round_trip(depart);
   EXPECT_EQ(d.epoch, 5);
   EXPECT_DOUBLE_EQ(d.departure_vtime, 123.5);
   ASSERT_EQ(d.entries.size(), 2u);
@@ -190,21 +254,17 @@ TEST(Protocol, BarrierMessages) {
 }
 
 TEST(Protocol, LockMessages) {
-  const auto acq =
-      codec<LockAcquireMsg>::decode(codec<LockAcquireMsg>::encode({3}));
-  EXPECT_EQ(acq.lock_id, 3);
+  EXPECT_EQ(round_trip(LockAcquireMsg{3}).lock_id, 3);
 
   LockGrantMsg grant{3, {{10, 1}, {11, 2}}};
-  const auto g = codec<LockGrantMsg>::decode(codec<LockGrantMsg>::encode(grant));
+  const auto g = round_trip(grant);
   EXPECT_EQ(g.lock_id, 3);
   ASSERT_EQ(g.notices.size(), 2u);
   EXPECT_EQ(g.notices[1].page, 11);
   EXPECT_EQ(g.notices[1].modifier, 2);
 
   LockReleaseMsg release{3, {10, 11}};
-  const auto r =
-      codec<LockReleaseMsg>::decode(codec<LockReleaseMsg>::encode(release));
-  EXPECT_EQ(r.dirtied_pages, release.dirtied_pages);
+  EXPECT_EQ(round_trip(release).dirtied_pages, release.dirtied_pages);
 }
 
 // The codec is generic over wire_fields(); a wire-format pin: vector element
@@ -238,8 +298,8 @@ TEST(Protocol, CommThreadTagPartition) {
 // ---------------------------------------------------------------------------
 // TwinRegistry (zero-copy CoW twins)
 //
-// The cluster-level equivalence suite (dsm_zerocopy_test.cpp) proves the
-// end-to-end memory is bit-identical; these tests pin the registry's own
+// The cluster-level suite (dsm_zerocopy_test.cpp) checks the end-to-end
+// memory against a golden image; these tests pin the registry's own
 // contract deterministically — privatization in particular only fires on
 // genuinely concurrent frame mutations in a live cluster, so it is forced
 // here directly.
@@ -280,7 +340,7 @@ class TwinRegistryTest : public ::testing::Test {
 
 TEST_F(TwinRegistryTest, AttachSharesWhenVersionsMatch) {
   const std::uint32_t v = twins_->frame_version(0);
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, v, /*allow_share=*/true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, v));
   EXPECT_TRUE(twins_->has_twin(1, 0));
   // The pristine source is the home's live frame, not a copy.
   bool saw = twins_->with_twin(1, 0, [&](const std::byte* src) {
@@ -293,21 +353,17 @@ TEST_F(TwinRegistryTest, AttachSharesWhenVersionsMatch) {
 
 TEST_F(TwinRegistryTest, AttachPrivatizesOnVersionMismatchOrSentinel) {
   const std::uint32_t v = twins_->frame_version(0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v + 1, true));
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v + 1));
   twins_->release_twin(1, 0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, TwinRegistry::kNeverFetched,
-                                   true));
-  twins_->release_twin(1, 0);
-  // allow_share=false is the legacy pipeline: always an eager copy.
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v, false));
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, TwinRegistry::kNeverFetched));
   twins_->release_twin(1, 0);
   // A node is never given an alias of its own frame.
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 1, v, true));
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 1, v));
   twins_->release_twin(1, 0);
 }
 
 TEST_F(TwinRegistryTest, HomeMutationPrivatizesLiveAliases) {
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
   const std::uint32_t before = twins_->frame_version(0);
 
   // The home is about to merge a diff: the alias must be snapshotted first.
@@ -331,19 +387,19 @@ TEST_F(TwinRegistryTest, UnstableWindowBlocksSharing) {
   // Home write upgrade: any live alias privatizes, and the frame is marked
   // unstable until the flush downgrade.
   EXPECT_EQ(twins_->mark_unstable(0, 0), 0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true))
+  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)))
       << "attach shared against an unstable frame";
   twins_->release_twin(1, 0);
 
   twins_->mark_stable(0, 0);
   EXPECT_GT(twins_->frame_version(0), v0);
   // Stable again: a copy installed from a fresh serve may share.
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
   twins_->release_twin(1, 0);
 }
 
 TEST_F(TwinRegistryTest, UnregisterPrivatizesAliasesIntoSurvivors) {
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0), true));
+  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
   // The home's pool goes away (node shutdown): the alias must be copied out
   // before the frames unmap.
   twins_->unregister_pool(0);

@@ -1,14 +1,13 @@
 // Zero-copy tier: CoW twin aliasing plus span-decoded page serves and diffs
-// (config.zero_copy, the default) must be a pure performance shape — the
-// memory every node observes has to be bit-identical to the legacy
-// eager-copy pipeline (zero_copy = false, the seed behavior: twins copied at
-// the write fault, serves staged through a reply vector). The workload leans
-// on every path the zero-copy rewrite touched: multi-writer pages (diff
-// merges privatize shared twins), a sole-writer page (home migration, kept
-// copies stamped kNeverFetched), and home-side writes (frame instability
-// windows). The chaos case reruns the zero-copy configuration under seeded
-// fault injection; with PARADE_CHECKED the run must finish with
-// dsm.invariant.violations == 0 on every node.
+// must leave exactly the memory the program wrote. The workload leans on
+// every path the segment pool's zero-copy design touches: multi-writer pages
+// (diff merges privatize shared twins), a sole-writer page (home migration,
+// kept copies stamped kNeverFetched), and home-side writes (frame
+// instability windows). Every live word is checked against stamp() after
+// each barrier, and node 0's final pool is compared with a closed-form
+// golden image that also pins every word nobody wrote. The chaos case reruns
+// the workload under seeded fault injection; with PARADE_CHECKED the run
+// must finish with dsm.invariant.violations == 0 on every node.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,10 +39,27 @@ struct ZeroCopyResult {
   std::int64_t violations = 0;        ///< sum of dsm.invariant.violations
   std::int64_t injected = 0;          ///< sum of net.fault.injected
   std::int64_t twins_shared = 0;      ///< sum of dsm.twins_shared
-  std::int64_t twins_created = 0;     ///< sum of dsm.twins_created
-  std::int64_t privatizations = 0;    ///< sum of dsm.twin_privatizations
   std::int64_t migrations = 0;        ///< sum of dsm.home_migrations
 };
+
+/// Node 0's final pool image, derived from the workload's write pattern
+/// alone: each data page holds the last epoch's stamp in the words of the
+/// ranks that write it, the hot page holds the last sole writer's 16 words,
+/// and every other word is still zero.
+std::vector<std::uint64_t> golden_memory(int nodes) {
+  constexpr int kLast = kEpochs - 1;
+  std::vector<std::uint64_t> memory((kDataPages + 1) * kWordsPerPage, 0);
+  for (NodeId writer = 0; writer < nodes; ++writer) {
+    const int page = static_cast<int>(writer) % kDataPages;
+    memory[static_cast<std::size_t>(page) * kWordsPerPage + writer] =
+        stamp(kLast, writer, page);
+  }
+  const NodeId sole = static_cast<NodeId>(kLast % nodes);
+  for (std::size_t w = 0; w < 16; ++w) {
+    memory[kDataPages * kWordsPerPage + w] = stamp(kLast, sole, kDataPages) + w;
+  }
+  return memory;
+}
 
 /// SPMD workload: every node writes its own word of page rank % kDataPages
 /// (multi-modifier pages — concurrent CoW twins of the same home frame, and
@@ -52,15 +68,13 @@ struct ZeroCopyResult {
 /// and the home of page 0 rewrites its own word too (unstable-frame window
 /// while remote fetches are in flight). After each barrier every node
 /// verifies the entire pool against the golden function.
-ZeroCopyResult run_workload(int nodes, bool zero_copy,
-                            std::optional<net::FaultPlan> faults) {
+ZeroCopyResult run_workload(int nodes, std::optional<net::FaultPlan> faults) {
   DsmConfig config;
   config.pool_bytes = (kDataPages + 2) * kPageBytes;
-  config.zero_copy = zero_copy;
   config.retry.timeout_ms = 50;
   config.retry.max_attempts = 400;
 
-  const Topology topology = Topology::cluster(nodes, config.barrier_fanout);
+  const Topology topology = Topology::cluster(nodes);
   auto cluster = faults.has_value()
                      ? std::make_unique<DsmCluster>(topology, config, *faults)
                      : std::make_unique<DsmCluster>(topology, config);
@@ -111,26 +125,15 @@ ZeroCopyResult run_workload(int nodes, bool zero_copy,
     result.violations += reg.counter(n, "dsm.invariant.violations").value();
     result.injected += reg.counter(n, "net.fault.injected").value();
     result.twins_shared += reg.counter(n, "dsm.twins_shared").value();
-    result.twins_created += reg.counter(n, "dsm.twins_created").value();
-    result.privatizations +=
-        reg.counter(n, "dsm.twin_privatizations").value();
     result.migrations += reg.counter(n, "dsm.home_migrations").value();
   }
   cluster->shutdown();
   return result;
 }
 
-TEST(ZeroCopy, BitIdenticalToLegacyEagerCopy) {
-  const ZeroCopyResult legacy = run_workload(4, false, std::nullopt);
-  ASSERT_FALSE(legacy.memory.empty());
-  EXPECT_EQ(legacy.violations, 0);
-  // Legacy mode must never alias: every twin is an eager private copy.
-  EXPECT_EQ(legacy.twins_shared, 0);
-  EXPECT_GT(legacy.twins_created, 0);
-
-  const ZeroCopyResult zc = run_workload(4, true, std::nullopt);
-  EXPECT_EQ(zc.memory, legacy.memory)
-      << "zero-copy run diverged from the eager-copy pipeline";
+TEST(ZeroCopy, FinalMemoryMatchesGolden) {
+  const ZeroCopyResult zc = run_workload(4, std::nullopt);
+  EXPECT_EQ(zc.memory, golden_memory(4));
   EXPECT_EQ(zc.violations, 0);
   EXPECT_GT(zc.migrations, 0) << "the sole-writer page never migrated";
   // The CoW machinery must actually engage: some twins alias the home frame.
@@ -141,12 +144,11 @@ TEST(ZeroCopy, BitIdenticalToLegacyEagerCopy) {
   EXPECT_GT(zc.twins_shared, 0) << "no twin ever shared the home frame";
 }
 
-TEST(ZeroCopy, LargerClusterMatchesLegacy) {
-  const ZeroCopyResult legacy = run_workload(8, false, std::nullopt);
-  ASSERT_FALSE(legacy.memory.empty());
-  const ZeroCopyResult zc = run_workload(8, true, std::nullopt);
-  EXPECT_EQ(zc.memory, legacy.memory);
+TEST(ZeroCopy, LargerClusterMatchesGolden) {
+  const ZeroCopyResult zc = run_workload(8, std::nullopt);
+  EXPECT_EQ(zc.memory, golden_memory(8));
   EXPECT_EQ(zc.violations, 0);
+  EXPECT_GT(zc.migrations, 0);
   EXPECT_GT(zc.twins_shared, 0);
 }
 
@@ -154,16 +156,11 @@ TEST(ZeroCopy, LargerClusterMatchesLegacy) {
 // the zero-copy pipeline under seeded message drops, duplicates, delays and
 // reorders. Retransmitted serves carry frame versions from different
 // moments; the version gate must keep every stale alias out, converging to
-// the fault-free memory with zero invariant violations.
+// the golden memory with zero invariant violations.
 TEST(ZeroCopyChaos, CheckedZeroCopyRunSurvivesFaults) {
-  const ZeroCopyResult baseline = run_workload(4, true, std::nullopt);
-  ASSERT_FALSE(baseline.memory.empty());
-  EXPECT_EQ(baseline.injected, 0);
-
-  const ZeroCopyResult chaotic =
-      run_workload(4, true, net::default_chaos_plan(7));
-  EXPECT_EQ(chaotic.memory, baseline.memory)
-      << "chaos run diverged from the fault-free run";
+  const ZeroCopyResult chaotic = run_workload(4, net::default_chaos_plan(7));
+  EXPECT_EQ(chaotic.memory, golden_memory(4))
+      << "chaos run diverged from the golden memory";
   EXPECT_GT(chaotic.injected, 0) << "the fault plan never fired";
   EXPECT_EQ(chaotic.violations, 0)
       << "rules re-validation fired during the chaos run";

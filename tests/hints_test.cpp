@@ -165,7 +165,9 @@ TEST(Hints, PromotionRevertedWhenSymbolIsPinnedToDsm) {
   EXPECT_EQ(a.globals.at("acc").placement, Placement::kDsmScalar);
   for (const auto& [line, dec] : a.sync_sites) {
     (void)line;
-    if (dec.var == "acc") EXPECT_FALSE(dec.collective) << dec.reason;
+    if (dec.var == "acc") {
+      EXPECT_FALSE(dec.collective) << dec.reason;
+    }
   }
 }
 

@@ -35,7 +35,8 @@ void run_ranks(int n, const net::FaultPlan& plan, Reliability rel,
   net::FaultyFabric fabric(n, plan);
   std::vector<std::unique_ptr<Comm>> comms;
   for (NodeId r = 0; r < n; ++r) {
-    comms.push_back(std::make_unique<Comm>(fabric.channel(r),
+    comms.push_back(std::make_unique<Comm>(Topology::flat(r, n),
+                                           fabric.channel(r),
                                            vtime::NetworkModel{}, rel));
   }
   std::vector<std::thread> threads;

@@ -20,7 +20,8 @@ void run_ranks(int n, const std::function<void(Comm&)>& body) {
   net::InProcFabric fabric(n);
   std::vector<std::unique_ptr<Comm>> comms;
   for (int r = 0; r < n; ++r) {
-    comms.push_back(std::make_unique<Comm>(fabric.channel(r), test_model()));
+    comms.push_back(std::make_unique<Comm>(Topology::flat(r, n),
+                                           fabric.channel(r), test_model()));
   }
   std::vector<std::thread> threads;
   for (int r = 0; r < n; ++r) {
@@ -242,8 +243,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesAtSize,
 
 TEST(Vtime, MessageCarriesCausality) {
   net::InProcFabric fabric(2);
-  Comm c0(fabric.channel(0), vtime::clan_via());
-  Comm c1(fabric.channel(1), vtime::clan_via());
+  Comm c0(Topology::flat(0, 2), fabric.channel(0), vtime::clan_via());
+  Comm c1(Topology::flat(1, 2), fabric.channel(1), vtime::clan_via());
 
   vtime::ThreadClock receiver_clock;
 

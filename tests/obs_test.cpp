@@ -482,7 +482,7 @@ TEST(SpanPropagation, RemoteFetchLinksRequesterAndServer) {
 
   dsm::DsmConfig config;
   config.pool_bytes = 4 << 20;
-  dsm::DsmCluster cluster(4, config);
+  dsm::DsmCluster cluster(Topology::cluster(4), config);
   run_span_workload(cluster);
 
   const auto events = reg.trace_events();
@@ -512,7 +512,8 @@ TEST(SpanPropagation, SurvivesDropAndReorderFaults) {
 
   dsm::DsmConfig config;
   config.pool_bytes = 4 << 20;
-  dsm::DsmCluster cluster(4, config, net::default_chaos_plan(11));
+  dsm::DsmCluster cluster(Topology::cluster(4), config,
+                          net::default_chaos_plan(11));
   run_span_workload(cluster);
 
   const auto events = reg.trace_events();
@@ -523,7 +524,9 @@ TEST(SpanPropagation, SurvivesDropAndReorderFaults) {
   // fetch still links, and no span ends before it begins.
   EXPECT_TRUE(has_cross_node_fetch_link(events));
   for (const TraceEvent& e : events) {
-    if (e.end_wall_ns != 0) EXPECT_GE(e.end_wall_ns, e.wall_ns);
+    if (e.end_wall_ns != 0) {
+      EXPECT_GE(e.end_wall_ns, e.wall_ns);
+    }
   }
 }
 

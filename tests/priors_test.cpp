@@ -85,7 +85,7 @@ TEST(PriorsSeed, PagesMarkedAndCounted) {
       PagePrior{0, 2 * 4096, false, /*migration_friendly=*/false, 2});
   config.page_priors.push_back(
       PagePrior{2 * 4096, 8, /*prefer_update=*/true, true, 1});
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);
     EXPECT_FALSE(node.prior_allows_migration(0));
@@ -103,7 +103,7 @@ TEST(PriorsSeed, PagesMarkedAndCounted) {
 TEST(PriorsSeed, NoPriorsChangesNothing) {
   DsmConfig config;
   config.pool_bytes = 4 << 20;
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     DsmNode& node = cluster.node(rank);
     EXPECT_TRUE(node.prior_allows_migration(0));
@@ -120,7 +120,7 @@ TEST(PriorsMigration, PinnedPageKeepsHomeSoleWriterWouldTake) {
   {
     DsmConfig config;
     config.pool_bytes = 4 << 20;
-    DsmCluster cluster(2, config);
+    DsmCluster cluster(Topology::cluster(2), config);
     cluster.run([&](NodeId rank) {
       auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
       const PageId page =
@@ -141,7 +141,7 @@ TEST(PriorsMigration, PinnedPageKeepsHomeSoleWriterWouldTake) {
     config.pool_bytes = 4 << 20;
     config.page_priors.push_back(
         PagePrior{0, 4096, false, /*migration_friendly=*/false, 1});
-    DsmCluster cluster(2, config);
+    DsmCluster cluster(Topology::cluster(2), config);
     cluster.run([&](NodeId rank) {
       auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
       const PageId page =
@@ -165,7 +165,7 @@ TEST(PriorsMigration, UncoveredPagesStillMigrate) {
   // Prior covers page 0 only; the second allocation's page is uncovered.
   config.page_priors.push_back(
       PagePrior{0, 4096, false, /*migration_friendly=*/false, 1});
-  DsmCluster cluster(2, config);
+  DsmCluster cluster(Topology::cluster(2), config);
   cluster.run([&](NodeId rank) {
     auto* pinned = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
     auto* free_page =
@@ -233,12 +233,12 @@ std::int64_t run_phased_scenario(std::optional<std::uint64_t> fault_seed) {
   relaxed.phase = 2;
   config.page_priors.push_back(pinned);
   config.page_priors.push_back(relaxed);
-  const int nodes = 2;
+  const Topology topology = Topology::cluster(2);
   auto cluster =
       fault_seed.has_value()
-          ? std::make_unique<DsmCluster>(nodes, config,
+          ? std::make_unique<DsmCluster>(topology, config,
                                          net::default_chaos_plan(*fault_seed))
-          : std::make_unique<DsmCluster>(nodes, config);
+          : std::make_unique<DsmCluster>(topology, config);
   cluster->run([&](NodeId rank) {
     DsmNode& node = cluster->node(rank);
     auto* data = static_cast<int*>(node.shmalloc(4096, 4096));
@@ -252,7 +252,9 @@ std::int64_t run_phased_scenario(std::optional<std::uint64_t> fault_seed) {
     EXPECT_EQ(node.home_of(page), 0);  // sole writer vetoed
     // Only the writer re-reads here: other ranks checking the value would
     // race with the epoch-2 write below.
-    if (rank == 1) EXPECT_EQ(*data, 7);
+    if (rank == 1) {
+      EXPECT_EQ(*data, 7);
+    }
     // Epoch 2: the phase prior overrides (relaxes) the whole-program pin.
     EXPECT_TRUE(node.prior_allows_migration(page));
     if (rank == 1) *data = 8;
@@ -268,7 +270,7 @@ std::int64_t run_phased_scenario(std::optional<std::uint64_t> fault_seed) {
   });
   std::int64_t violations = 0;
   auto& reg = obs::Registry::instance();
-  for (NodeId n = 0; n < nodes; ++n) {
+  for (NodeId n = 0; n < topology.nodes; ++n) {
     violations += reg.counter(n, "dsm.invariant.violations").value();
   }
   cluster->shutdown();

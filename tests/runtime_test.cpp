@@ -231,6 +231,50 @@ TEST(Runtime, SingleConventionalExecutesOncePerGeneration) {
   EXPECT_EQ(runs.load(), 4);
 }
 
+// Regression: a fault-path waiter must not sleep through a fetch that
+// completed. install_page wakes the waiters with the page READ_ONLY, but a
+// sibling thread's lock grant notice can invalidate it again before they
+// run. Waiters that insisted on READ_ONLY kept waiting, every retransmitted
+// reply was dropped (no fetch outstanding any more), and the node aborted
+// with "page fetch timed out after max retries". The EPCC single loop over
+// the conventional (KDSM) single construct hit this within a few hundred
+// iterations.
+TEST(Runtime, FetchWaitersSeeInvalidationAfterInstall) {
+  constexpr int kRounds = 8;
+  constexpr long kIterations = 700;
+  constexpr int kLock = 3;
+  RuntimeConfig config = config_of(2, 2);
+  config.cpu_scale = 0.0;
+  config.dsm.retry.timeout_ms = 300;
+  config.dsm.retry.max_attempts = 5;
+  VirtualCluster cluster(config);
+  std::atomic<long> wrong{0};
+  cluster.exec([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      auto* flag = shmalloc_array<std::int64_t>(1);
+      auto* values = shmalloc_array<double>(kIterations);
+      if (node_id() == 0) {
+        *flag = 0;
+        for (long i = 0; i < kIterations; ++i) values[i] = 0.0;
+      }
+      barrier();
+      parallel([&] {
+        // EPCC's delay(): a dab of work between calls.
+        double sink = 1.0;
+        for (long i = 0; i < kIterations; ++i) {
+          for (int k = 0; k < 64; ++k) sink = sink + 1e-9 * k;
+          single_conventional(kLock, flag, i + 1,
+                              [&] { values[i] = i + 1.0; });
+          if (values[i] != i + 1.0) wrong.fetch_add(1);
+        }
+        EXPECT_GT(sink, 1.0);
+      });
+    }
+  });
+  cluster.shutdown();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(Runtime, MasterOnlyOnGlobalMaster) {
   VirtualCluster cluster(config_of(2, 2));
   std::atomic<int> master_runs{0};

@@ -49,7 +49,6 @@ ScaleResult run_scale_workload(int nodes, int fanout, bool sharded,
                                std::optional<net::FaultPlan> faults) {
   DsmConfig config;
   config.pool_bytes = (kDataPages + 2) * kPageBytes;
-  config.barrier_fanout = fanout;
   config.sharded_homes = sharded;
   config.retry.timeout_ms = 50;
   config.retry.max_attempts = 400;

@@ -59,7 +59,7 @@ TEST(ThreadClock, SyncCpuAdvances) {
   ThreadClock clock(/*cpu_scale=*/1.0);
   // Burn some CPU.
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i * 0.5;
   clock.sync_cpu();
   EXPECT_GT(clock.now(), 0.0);
 }
@@ -70,7 +70,7 @@ TEST(ThreadClock, ScaleMultipliesCpuTime) {
   volatile double sink = 0;
   fast.sync_cpu();
   slow.sync_cpu();
-  for (int i = 0; i < 3000000; ++i) sink += i;
+  for (int i = 0; i < 3000000; ++i) sink = sink + i;
   // Lap both over (approximately) the same work.
   fast.sync_cpu();
   const double fast_t = fast.now();
@@ -82,7 +82,7 @@ TEST(ThreadClock, ScaleMultipliesCpuTime) {
 TEST(ThreadClock, DiscardCpuDropsWork) {
   ThreadClock clock(1.0);
   volatile double sink = 0;
-  for (int i = 0; i < 2000000; ++i) sink += i;
+  for (int i = 0; i < 2000000; ++i) sink = sink + i;
   clock.discard_cpu();
   const double before = clock.now();
   clock.sync_cpu();  // almost no CPU since discard
