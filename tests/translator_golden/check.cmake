@@ -1,0 +1,60 @@
+# Byte-for-byte check of the translator's outputs on every shipped OpenMP
+# input: generated code, the analyzer and hint reports, SARIF and the static
+# cost estimate. Each output is compared with the committed file of the same
+# name in this directory.
+#
+#   cmake -DOMCC=<parade_omcc> -DLINT=<parade_lint> -DSOURCE_DIR=<repo root>
+#         -DOUT_DIR=<scratch dir> [-DUPDATE=ON] -P check.cmake
+#
+# With -DUPDATE=ON the committed files are rewritten instead of compared.
+# Inputs are passed by their path relative to the repo root, so the file
+# names embedded in the reports do not depend on where the tree is checked
+# out.
+set(INPUTS
+  examples/openmp_pi.c
+  tests/translator_inputs/pi.c
+  tests/translator_inputs/helmholtz.c
+  tests/translator_inputs/cost_pingpong.c
+  tests/translator_inputs/cost_prodcons.c)
+set(GOLDEN_DIR ${SOURCE_DIR}/tests/translator_golden)
+file(MAKE_DIRECTORY ${OUT_DIR})
+
+set(failures "")
+foreach(input ${INPUTS})
+  get_filename_component(stem ${input} NAME_WE)
+  set(runs
+    "translate.cpp|${OMCC}|${input}"
+    "analyze.json|${OMCC}|${input}|--analyze=json"
+    "hints.json|${OMCC}|${input}|--hints=json"
+    "sarif|${LINT}|--sarif|${input}"
+    "cost.txt|${LINT}|--cost=4|${input}")
+  foreach(run ${runs})
+    string(REPLACE "|" ";" parts "${run}")
+    list(GET parts 0 suffix)
+    list(SUBLIST parts 1 -1 command)
+    set(name ${stem}.${suffix})
+    execute_process(COMMAND ${command}
+      WORKING_DIRECTORY ${SOURCE_DIR}
+      OUTPUT_FILE ${OUT_DIR}/${name}
+      RESULT_VARIABLE code)
+    if(NOT code EQUAL 0)
+      list(APPEND failures "${name}: exit ${code}")
+      continue()
+    endif()
+    if(UPDATE)
+      configure_file(${OUT_DIR}/${name} ${GOLDEN_DIR}/${name} COPYONLY)
+      continue()
+    endif()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+      ${OUT_DIR}/${name} ${GOLDEN_DIR}/${name}
+      RESULT_VARIABLE differs)
+    if(NOT differs EQUAL 0)
+      list(APPEND failures "${name}: differs from ${GOLDEN_DIR}/${name}")
+    endif()
+  endforeach()
+endforeach()
+
+if(failures)
+  string(REPLACE ";" "\n  " report "${failures}")
+  message(FATAL_ERROR "translator golden mismatch:\n  ${report}")
+endif()
