@@ -31,18 +31,17 @@ const std::unordered_map<std::string, std::size_t>& typedef_sizes() {
 }
 
 /// Size of the base type text ("static unsigned long" -> 8); 0 if unknown.
+/// A declared type's text is its tokens joined by single spaces, so its
+/// words are its tokens.
 std::size_t base_type_size(const std::string& decl_type) {
-  auto tokens_result = lex(decl_type);
-  if (!tokens_result.is_ok()) return 0;
-  const auto tokens = std::move(tokens_result).value();
   std::vector<std::string> words;
-  for (const Token& t : tokens) {
-    if (t.kind == TokKind::kEof) break;
-    if (t.text == "static" || t.text == "extern" || t.text == "register" ||
-        t.text == "auto" || t.text == "const" || t.text == "volatile") {
+  std::istringstream in(decl_type);
+  for (std::string w; in >> w;) {
+    if (w == "static" || w == "extern" || w == "register" || w == "auto" ||
+        w == "const" || w == "volatile") {
       continue;
     }
-    words.push_back(t.text);
+    words.push_back(std::move(w));
   }
   if (words.empty()) return 0;
   int longs = 0;
@@ -93,8 +92,7 @@ bool parse_dim(const std::string& text, std::size_t* out) {
 }
 
 // ---------------------------------------------------------------------------
-// The analyzer (token-level access scanning now lives in translator/cfg.cpp
-// as scan_accesses, shared with the CFG builder and the footprint pass)
+// The analyzer
 
 enum class Sharing {
   kShared,
@@ -172,10 +170,10 @@ class Analyzer {
   Sharing sharing_of(const std::string& name, std::size_t depth,
                      const SymbolInfo& sym, const Env& env, int line);
 
-  void process_text(const std::string& text, int line, const Env& env);
+  void process_text(const Expr& expr, int line, const Env& env);
   void process_read(const std::string& name, int line, const Env& env);
-  void process_write(const AccessScan::Write& w, const std::string& text,
-                     int line, const Env& env);
+  void process_write(const AccessScan::Write& w, const Expr& expr, int line,
+                     const Env& env);
 
   /// A DSM-placement mark; sync_line records which critical/atomic body the
   /// write sat in (the mark dissolves if hint synthesis later promotes that
@@ -204,7 +202,7 @@ class Analyzer {
   void collect_writes_rec(const Stmt& stmt, std::set<std::string>* out) const;
   void collect_reads_rec(const Stmt& stmt, std::set<std::string>* out) const;
 
-  void register_params(const std::string& params);
+  void register_params(const std::vector<Param>& params);
 
   // --- flow-sensitive pass (CFG/dataflow over each parallel region) ---
   /// One parallel region recorded during the walk; the CFG is built over the
@@ -288,9 +286,8 @@ void Analyzer::process_read(const std::string& name, int line, const Env& env) {
   }
 }
 
-void Analyzer::process_write(const AccessScan::Write& w,
-                             const std::string& text, int line,
-                             const Env& env) {
+void Analyzer::process_write(const AccessScan::Write& w, const Expr& expr,
+                             int line, const Env& env) {
   std::size_t depth = 0;
   const SymbolInfo* sym = lookup(w.name, &depth);
   if (sym == nullptr) return;
@@ -304,7 +301,7 @@ void Analyzer::process_write(const AccessScan::Write& w,
   if (sh == Sharing::kReduction) {
     const std::string& op = env.red_ops.at(w.name);
     if (op != "&&" && op != "||") {  // logical forms aren't update-shaped
-      auto m = match_scalar_update(text);
+      auto m = match_scalar_update(unit_->tokens, expr.span);
       const bool compatible =
           m.has_value() && m->var == w.name &&
           (m->apply_op == op || (op == "+" && m->apply_op == "-"));
@@ -345,11 +342,11 @@ void Analyzer::process_write(const AccessScan::Write& w,
   }
 }
 
-void Analyzer::process_text(const std::string& text, int line, const Env& env) {
-  const AccessScan acc = scan_accesses(text);
+void Analyzer::process_text(const Expr& expr, int line, const Env& env) {
+  const AccessScan& acc = expr.access();
   // Reads first: in `x = x + 1` the right-hand read happens before the store.
   for (const std::string& name : acc.reads) process_read(name, line, env);
-  for (const auto& w : acc.writes) process_write(w, text, line, env);
+  for (const auto& w : acc.writes) process_write(w, expr, line, env);
 }
 
 std::vector<std::string> Analyzer::add_clause_attrs(const Clauses& c,
@@ -375,18 +372,20 @@ std::vector<std::string> Analyzer::add_clause_attrs(const Clauses& c,
 void Analyzer::register_decl(const Stmt& decl, const Env& env,
                              bool file_scope) {
   for (const Declarator& d : decl.declarators) {
-    if (!d.init.empty()) process_text(d.init, decl.line, env);
-    for (const std::string& dim : d.array_dims) {
+    process_text(d.init, decl.line, env);
+    std::vector<std::string> dims;
+    for (const Expr& dim : d.array_dims) {
       process_text(dim, decl.line, env);
+      dims.push_back(dim.text);
     }
     if (d.is_function) continue;
     SymbolInfo info;
-    info.type = decl.decl_type;
+    info.type = decl.decl_type.text;
     info.pointer_depth = d.pointer_depth;
     info.is_array = !d.array_dims.empty();
     info.file_scope = file_scope;
     info.byte_size =
-        sizeof_declared(decl.decl_type, d.pointer_depth, d.array_dims);
+        sizeof_declared(decl.decl_type.text, d.pointer_depth, dims);
     info.line = decl.line;
     declare(d.name, info);
   }
@@ -396,16 +395,16 @@ void Analyzer::collect_writes_rec(const Stmt& stmt,
                                   std::set<std::string>* out) const {
   switch (stmt.kind) {
     case StmtKind::kRaw: {
-      for (const auto& w : scan_accesses(stmt.text).writes) {
+      for (const auto& w : stmt.text.access().writes) {
         if (!w.deref) out->insert(w.name);
       }
       return;
     }
     case StmtKind::kFor:
-      for (const auto& w : scan_accesses(stmt.for_header.init_text).writes) {
+      for (const auto& w : stmt.for_header.init_text.access().writes) {
         out->insert(w.name);
       }
-      for (const auto& w : scan_accesses(stmt.for_header.incr_text).writes) {
+      for (const auto& w : stmt.for_header.incr_text.access().writes) {
         out->insert(w.name);
       }
       break;
@@ -419,8 +418,8 @@ void Analyzer::collect_writes_rec(const Stmt& stmt,
 
 void Analyzer::collect_reads_rec(const Stmt& stmt,
                                  std::set<std::string>* out) const {
-  auto add_text = [&](const std::string& text) {
-    for (const std::string& r : scan_accesses(text).reads) out->insert(r);
+  auto add_text = [&](const Expr& expr) {
+    for (const std::string& r : expr.access().reads) out->insert(r);
   };
   switch (stmt.kind) {
     case StmtKind::kRaw:
@@ -638,8 +637,8 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
   std::optional<UpdateShape> shape;
   if (inner == nullptr || inner->kind != StmtKind::kRaw) {
     reason = "body is not a single expression statement";
-  } else if (!(shape = match_scalar_update(inner->text))) {
-    reason = scan_accesses(inner->text).has_call
+  } else if (!(shape = match_scalar_update(unit_->tokens, inner->text.span))) {
+    reason = inner->text.access().has_call
                  ? "update expression calls a function"
                  : "statement is not a scalar update "
                    "(x op= expr, x++, x = x op expr)";
@@ -875,36 +874,15 @@ void Analyzer::walk_stmt(const Stmt& stmt, Env& env) {
   }
 }
 
-void Analyzer::register_params(const std::string& params) {
-  if (params.empty() || params == "void") return;
-  auto tokens_result = lex(params + " ,");
-  if (!tokens_result.is_ok()) return;
-  const auto tokens = std::move(tokens_result).value();
-  std::vector<Token> current;
-  for (const Token& t : tokens) {
-    if (t.is_punct(",") || t.kind == TokKind::kEof) {
-      for (std::size_t i = current.size(); i-- > 0;) {
-        if (current[i].kind == TokKind::kIdent) {
-          SymbolInfo info;
-          std::vector<Token> type_run(current.begin(),
-                                      current.begin() + static_cast<long>(i));
-          info.type = render_tokens(type_run, 0, type_run.size());
-          for (const Token& tr : type_run) {
-            if (tr.is_punct("*")) ++info.pointer_depth;
-          }
-          info.is_array =
-              i + 1 < current.size() && current[i + 1].is_punct("[");
-          info.byte_size = info.pointer_depth > 0 || info.is_array
-                               ? sizeof(void*)
-                               : base_type_size(info.type);
-          declare(current[i].text, info);
-          break;
-        }
-      }
-      current.clear();
-    } else {
-      current.push_back(t);
-    }
+void Analyzer::register_params(const std::vector<Param>& params) {
+  for (const Param& p : params) {
+    SymbolInfo info;
+    info.type = p.type;
+    info.pointer_depth = p.pointer_depth;
+    info.is_array = p.is_array;
+    info.byte_size = p.pointer_depth > 0 || p.is_array ? sizeof(void*)
+                                                       : base_type_size(p.type);
+    declare(p.name, info);
   }
 }
 
@@ -933,7 +911,7 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
       SymbolInfo& info = scopes_.front()[d.name];
       info.threadprivate = threadprivate_names.count(d.name) > 0;
       VarClass vc;
-      vc.type = decl.decl_type;
+      vc.type = decl.decl_type.text;
       vc.byte_size = info.byte_size;
       vc.line = decl.line;
       if (info.threadprivate) {
@@ -955,7 +933,7 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
   for (const TopItem& item : unit.items) {
     if (item.kind != TopItem::Kind::kFunction) continue;
     scopes_.emplace_back();
-    register_params(item.function.params);
+    register_params(item.function.param_list);
     Env env;
     if (item.function.body) walk_stmt(*item.function.body, env);
     scopes_.resize(1);
@@ -1051,7 +1029,7 @@ void Analyzer::run_flow_pass() {
   std::set<std::pair<int, std::string>> stale_reported;
   for (std::size_t ri = 0; ri < regions_.size(); ++ri) {
     const RegionRec& rec = regions_[ri];
-    const Cfg cfg = build_cfg(*rec.construct);
+    const Cfg cfg = build_cfg(*rec.construct, unit_->tokens);
     RegionSummary rs;
     rs.line = rec.line;
     rs.blocks = cfg.blocks.size();
@@ -1385,60 +1363,60 @@ void Analyzer::assign_pool_offsets() {
 // Shared update-shape matcher (the decision layer lives in the analyzer; this
 // is only the syntax).
 
-std::optional<UpdateShape> match_scalar_update(const std::string& text) {
-  auto tokens_result = lex(text);
-  if (!tokens_result.is_ok()) return std::nullopt;
-  const auto tokens = std::move(tokens_result).value();
-  std::size_t n = tokens.size();
-  while (n > 0 && (tokens[n - 1].kind == TokKind::kEof ||
-                   tokens[n - 1].is_punct(";"))) {
-    --n;
-  }
-  if (n < 2 || tokens[0].kind != TokKind::kIdent) return std::nullopt;
-  const std::string var = tokens[0].text;
+std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
+                                               TokenSpan span) {
+  std::size_t n = span.end - span.begin;
+  auto at = [&](std::size_t k) -> const Token& {
+    return tokens[span.begin + k];
+  };
+  while (n > 0 && at(n - 1).is_punct(";")) --n;
+  if (n < 2 || at(0).kind != TokKind::kIdent) return std::nullopt;
+  const std::string var = at(0).text;
 
-  auto expr_from = [&](std::size_t begin) -> std::optional<std::string> {
-    std::string expr;
+  // The contribution: tokens [begin, n), spelled joined by single spaces.
+  auto expr_from = [&](std::size_t begin) -> std::optional<Expr> {
+    Expr expr;
+    expr.span = {span.begin + begin, span.begin + n};
     for (std::size_t i = begin; i < n; ++i) {
       // Function calls in the contribution are not analyzable (paper §7).
-      if (tokens[i].kind == TokKind::kIdent && i + 1 < n &&
-          tokens[i + 1].is_punct("(")) {
+      if (at(i).kind == TokKind::kIdent && i + 1 < n &&
+          at(i + 1).is_punct("(")) {
         return std::nullopt;
       }
-      expr += (expr.empty() ? "" : " ") + tokens[i].text;
+      expr.text += (expr.text.empty() ? "" : " ") + at(i).text;
     }
-    if (expr.empty()) return std::nullopt;
+    if (expr.text.empty()) return std::nullopt;
     return expr;
   };
 
   UpdateShape p;
   p.var = var;
-  if (n == 2 && (tokens[1].is_punct("++") || tokens[1].is_punct("--"))) {
+  if (n == 2 && (at(1).is_punct("++") || at(1).is_punct("--"))) {
     p.combine_op = "+";
-    p.apply_op = tokens[1].text == "++" ? "+" : "-";
-    p.expr = "1";
+    p.apply_op = at(1).text == "++" ? "+" : "-";
+    p.expr.text = "1";
     return p;
   }
-  const std::string& op = tokens[1].text;
+  const std::string& op = at(1).text;
   if (op == "+=" || op == "-=" || op == "*=" || op == "&=" || op == "|=" ||
       op == "^=") {
     auto expr = expr_from(2);
     if (!expr) return std::nullopt;
     p.apply_op = op.substr(0, 1);
     p.combine_op = op == "-=" ? "+" : p.apply_op;
-    p.expr = *expr;
+    p.expr = std::move(*expr);
     return p;
   }
-  if (op == "=" && n >= 5 && tokens[2].text == var &&
-      tokens[3].kind == TokKind::kPunct) {
-    const std::string& binop = tokens[3].text;
+  if (op == "=" && n >= 5 && at(2).text == var &&
+      at(3).kind == TokKind::kPunct) {
+    const std::string& binop = at(3).text;
     if (binop == "+" || binop == "-" || binop == "*" || binop == "&" ||
         binop == "|" || binop == "^") {
       auto expr = expr_from(4);
       if (!expr) return std::nullopt;
       p.apply_op = binop;
       p.combine_op = binop == "-" ? "+" : binop;
-      p.expr = *expr;
+      p.expr = std::move(*expr);
       return p;
     }
   }
@@ -1512,21 +1490,24 @@ std::size_t Analysis::vars_dsm() const {
 
 void resolve_diag_columns(const TranslationUnit& unit, Diagnostic* d) {
   if (d->line <= 0) return;
-  auto it = unit.line_positions.find(d->line);
-  if (it == unit.line_positions.end()) return;
-  const LinePositions& lp = it->second;
-  if (!d->var.empty()) {
-    for (const auto& [text, column] : lp.idents) {
-      if (text == d->var) {
-        d->column = column;
-        d->end_column = column + static_cast<int>(text.size());
-        return;
-      }
+  // The lexer emits tokens in source order, so a line's tokens are one run.
+  const std::vector<Token>& tokens = unit.tokens;
+  auto first = std::lower_bound(
+      tokens.begin(), tokens.end(), d->line,
+      [](const Token& t, int line) { return t.line < line; });
+  const Token* lead = nullptr;
+  for (auto it = first; it != tokens.end() && it->line == d->line; ++it) {
+    if (it->kind == TokKind::kEof || it->column <= 0) continue;
+    if (lead == nullptr) lead = &*it;
+    if (!d->var.empty() && it->kind == TokKind::kIdent && it->text == d->var) {
+      d->column = it->column;
+      d->end_column = it->column + static_cast<int>(it->text.size());
+      return;
     }
   }
-  if (lp.first_column > 0) {
-    d->column = lp.first_column;
-    d->end_column = lp.first_column + 1;
+  if (lead != nullptr) {
+    d->column = lead->column;
+    d->end_column = lead->column + 1;
   }
 }
 

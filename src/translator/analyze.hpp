@@ -116,12 +116,14 @@ struct UpdateShape {
   std::string var;
   std::string combine_op;  // operator combining per-thread contributions
   std::string apply_op;    // operator applying the combined value to var
-  std::string expr;        // contribution expression text
+  Expr expr;               // contribution expression (text "1" for x++/x--)
 };
 
-/// Purely syntactic matcher for UpdateShape (no symbol information; the
-/// analyzer layers type/size/sharing checks on top of it).
-std::optional<UpdateShape> match_scalar_update(const std::string& text);
+/// Purely syntactic matcher for UpdateShape over the statement tokens
+/// [span.begin, span.end) of `tokens` (no symbol information; the analyzer
+/// layers type/size/sharing checks on top of it).
+std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
+                                               TokenSpan span);
 
 /// Per-parallel-region CFG/dataflow summary (surfaced by `--dataflow`).
 struct RegionSummary {
@@ -158,10 +160,10 @@ struct Analysis {
   std::string dataflow_report(const std::string& file) const;
 };
 
-/// Fills Diagnostic::column/end_column from the unit's per-line token index
-/// (TranslationUnit::line_positions): the first occurrence of `d->var` on
-/// the line when it names one, else the line's first token. Leaves 0
-/// (unknown) when the line carries no tokens. Shared by the analyzer and the
+/// Fills Diagnostic::column/end_column from the unit's tokens on the
+/// diagnostic's line: the first identifier equal to `d->var` when it names
+/// one, else the line's first token. Leaves 0 (unknown) when the line
+/// carries no tokens. Shared by the analyzer and the
 /// interference pass so every emission path agrees on column semantics.
 void resolve_diag_columns(const TranslationUnit& unit, Diagnostic* d);
 

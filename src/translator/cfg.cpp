@@ -2,146 +2,7 @@
 
 #include <utility>
 
-#include "translator/token.hpp"
-
 namespace parade::translator {
-
-namespace {
-
-bool is_assign_op(const std::string& t) {
-  return t == "=" || t == "+=" || t == "-=" || t == "*=" || t == "/=" ||
-         t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
-         t == ">>=";
-}
-
-}  // namespace
-
-AccessScan scan_accesses(const std::string& text) {
-  AccessScan out;
-  auto tokens_result = lex(text);
-  if (!tokens_result.is_ok()) return out;
-  const auto tokens = std::move(tokens_result).value();
-  std::size_t n = tokens.size();
-  while (n > 0 && tokens[n - 1].kind == TokKind::kEof) --n;
-  std::vector<bool> skip_read(n, false);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const Token& t = tokens[i];
-    if (t.kind == TokKind::kIdent && i + 1 < n && tokens[i + 1].is_punct("(")) {
-      out.has_call = true;
-      skip_read[i] = true;  // call target, not a data read
-      continue;
-    }
-    const bool next_assign = i + 1 < n && tokens[i + 1].kind == TokKind::kPunct &&
-                             is_assign_op(tokens[i + 1].text);
-    const bool next_incdec = i + 1 < n && (tokens[i + 1].is_punct("++") ||
-                                           tokens[i + 1].is_punct("--"));
-    if (t.kind == TokKind::kIdent && (next_assign || next_incdec)) {
-      const bool after_member =
-          i > 0 && (tokens[i - 1].is_punct(".") || tokens[i - 1].is_punct("->"));
-      const bool after_deref =
-          i > 0 && tokens[i - 1].is_punct("*") &&
-          (i == 1 || tokens[i - 2].kind == TokKind::kPunct);
-      if (after_member) {
-        // s.f = v: a store into a member of `s` (only the simple one-level
-        // form is attributed; deeper chains are left to page consistency).
-        if (i >= 2 && tokens[i - 1].is_punct(".") &&
-            tokens[i - 2].kind == TokKind::kIdent) {
-          out.writes.push_back({tokens[i - 2].text, false, true, false});
-        }
-        skip_read[i] = true;
-        continue;
-      }
-      if (after_deref) {
-        out.writes.push_back({t.text, false, false, true});
-        continue;
-      }
-      out.writes.push_back({t.text, false, false, false});
-      if (next_assign && tokens[i + 1].text == "=") skip_read[i] = true;
-      continue;
-    }
-    // Prefix ++x / --x.
-    if ((t.is_punct("++") || t.is_punct("--")) && i + 1 < n &&
-        tokens[i + 1].kind == TokKind::kIdent) {
-      const bool postfix_of_prev =
-          i > 0 && (tokens[i - 1].kind == TokKind::kIdent ||
-                    tokens[i - 1].is_punct(")") || tokens[i - 1].is_punct("]"));
-      if (!postfix_of_prev) {
-        out.writes.push_back({tokens[i + 1].text, false, false, false});
-      }
-      continue;
-    }
-    // a[...] = / a[...] op= / a[...]++ : subscript store, attribute the base.
-    if (t.is_punct("]") && i + 1 < n &&
-        ((tokens[i + 1].kind == TokKind::kPunct &&
-          is_assign_op(tokens[i + 1].text)) ||
-         tokens[i + 1].is_punct("++") || tokens[i + 1].is_punct("--"))) {
-      int depth = 0;
-      std::size_t j = i;
-      for (;;) {
-        if (tokens[j].is_punct("]")) ++depth;
-        else if (tokens[j].is_punct("[")) {
-          --depth;
-          if (depth == 0) break;
-        }
-        if (j == 0) break;
-        --j;
-      }
-      // Chained subscripts (a[i][j] = ...) unwind group by group to the base.
-      while (depth == 0 && j > 0 && tokens[j - 1].is_punct("]")) {
-        --j;
-        ++depth;
-        while (j > 0) {
-          --j;
-          if (tokens[j].is_punct("]")) ++depth;
-          else if (tokens[j].is_punct("[") && --depth == 0) break;
-        }
-      }
-      if (depth == 0 && j > 0 && tokens[j - 1].kind == TokKind::kIdent) {
-        out.writes.push_back({tokens[j - 1].text, true, false, false});
-      }
-      continue;
-    }
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    if (tokens[i].kind != TokKind::kIdent || skip_read[i]) continue;
-    if (i > 0 && (tokens[i - 1].is_punct(".") || tokens[i - 1].is_punct("->"))) {
-      continue;  // member name, the base identifier is the read
-    }
-    out.reads.push_back(tokens[i].text);
-  }
-  return out;
-}
-
-std::set<std::string> subscript_idents(const std::string& text,
-                                       const std::string& name) {
-  std::set<std::string> idents;
-  auto tokens_result = lex(text);
-  if (!tokens_result.is_ok()) return idents;
-  const auto tokens = std::move(tokens_result).value();
-  for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-    if (tokens[i].kind != TokKind::kIdent || tokens[i].text != name ||
-        !tokens[i + 1].is_punct("[")) {
-      continue;
-    }
-    // Consecutive groups chain: grid[i][j] contributes both i and j.
-    int depth = 0;
-    for (std::size_t j = i + 1; j < tokens.size(); ++j) {
-      if (tokens[j].is_punct("[")) {
-        ++depth;
-      } else if (tokens[j].is_punct("]")) {
-        if (--depth == 0 &&
-            (j + 1 >= tokens.size() || !tokens[j + 1].is_punct("["))) {
-          break;
-        }
-      } else if (depth > 0 && tokens[j].kind == TokKind::kIdent) {
-        idents.insert(tokens[j].text);
-      }
-    }
-  }
-  return idents;
-}
 
 std::size_t Cfg::edge_count() const {
   std::size_t edges = 0;
@@ -177,24 +38,10 @@ bool Cfg::block_in_loop(int block, int loop) const {
 
 namespace {
 
-/// First identifier-ish token of a raw statement ("return", "break", ...).
-std::string leading_keyword(const std::string& text) {
-  std::size_t i = 0;
-  while (i < text.size() &&
-         (text[i] == ' ' || text[i] == '\t' || text[i] == '\n')) {
-    ++i;
-  }
-  std::size_t j = i;
-  while (j < text.size() &&
-         ((text[j] >= 'a' && text[j] <= 'z') || text[j] == '_')) {
-    ++j;
-  }
-  return text.substr(i, j - i);
-}
-
 class CfgBuilder {
  public:
-  explicit CfgBuilder(Cfg* cfg) : cfg_(cfg) {
+  CfgBuilder(Cfg* cfg, const std::vector<Token>& tokens)
+      : cfg_(cfg), tokens_(tokens) {
     cfg_->blocks.resize(2);  // entry, exit
   }
 
@@ -243,10 +90,8 @@ class CfgBuilder {
     ++explicit_barriers_;
   }
 
-  void add_text_events(const std::string& text, int line,
-                       bool loop_cond = false) {
-    if (text.empty()) return;
-    const AccessScan acc = scan_accesses(text);
+  void add_text_events(const Expr& expr, int line, bool loop_cond = false) {
+    const AccessScan& acc = expr.access();
     for (const std::string& name : acc.reads) {
       add_event({CfgEventKind::kRead, name, line, -1, false, loop_cond});
     }
@@ -259,10 +104,8 @@ class CfgBuilder {
   void walk_decl(const Stmt& stmt) {
     ensure_open(stmt.line);
     for (const Declarator& d : stmt.declarators) {
-      for (const std::string& dim : d.array_dims) {
-        add_text_events(dim, stmt.line);
-      }
-      if (!d.init.empty()) add_text_events(d.init, stmt.line);
+      for (const Expr& dim : d.array_dims) add_text_events(dim, stmt.line);
+      add_text_events(d.init, stmt.line);
       if (d.is_function) continue;
       cfg_->locals.insert(d.name);
       add_event({CfgEventKind::kDecl, d.name, stmt.line, -1, false, false});
@@ -274,7 +117,9 @@ class CfgBuilder {
 
   void walk_raw(const Stmt& stmt) {
     ensure_open(stmt.line);
-    const std::string kw = leading_keyword(stmt.text);
+    // The first token tells jumps ("return", "break", ...) apart.
+    const TokenSpan span = stmt.text.span;
+    const std::string kw = span.empty() ? "" : tokens_[span.begin].text;
     if (kw == "return") {
       add_text_events(stmt.text, stmt.line);
       edge(cur_, Cfg::kExit);
@@ -652,6 +497,7 @@ class CfgBuilder {
   }
 
   Cfg* cfg_;
+  const std::vector<Token>& tokens_;
   int cur_ = Cfg::kEntry;
   bool terminated_ = false;
   int critical_depth_ = 0;
@@ -662,9 +508,9 @@ class CfgBuilder {
 
 }  // namespace
 
-Cfg build_cfg(const Stmt& body) {
+Cfg build_cfg(const Stmt& body, const std::vector<Token>& tokens) {
   Cfg cfg;
-  CfgBuilder builder(&cfg);
+  CfgBuilder builder(&cfg, tokens);
   builder.build(body);
   return cfg;
 }

@@ -87,31 +87,8 @@ struct Cfg {
   bool block_in_loop(int block, int loop) const;
 };
 
-/// Builds the CFG for a statement subtree (typically a parallel-region body).
-Cfg build_cfg(const Stmt& body);
-
-/// Token-level access scan of one statement text: identifiers read, names
-/// written (with the store shape), and whether a call appears. Shared by the
-/// analyzer's def-use walk, the CFG builder, and the footprint analysis so
-/// all three agree on what constitutes an access.
-struct AccessScan {
-  struct Write {
-    std::string name;
-    bool array = false;   // a[i] = ...
-    bool member = false;  // s.f = ...
-    bool deref = false;   // *p = ...
-  };
-  std::vector<std::string> reads;  // in token order
-  std::vector<Write> writes;
-  bool has_call = false;
-};
-
-AccessScan scan_accesses(const std::string& text);
-
-/// Identifiers appearing inside `name [ ... ]` subscripts within `text`
-/// (chained groups such as grid[i][j] contribute both i and j). Shared by the
-/// footprint analysis and the interference pass.
-std::set<std::string> subscript_idents(const std::string& text,
-                                       const std::string& name);
+/// Builds the CFG for a statement subtree (typically a parallel-region body)
+/// of the unit whose token stream is `tokens`.
+Cfg build_cfg(const Stmt& body, const std::vector<Token>& tokens);
 
 }  // namespace parade::translator

@@ -25,23 +25,21 @@ const std::unordered_set<std::string>& omp_api_names() {
 }
 
 /// Strips storage-class and cv qualifiers so the remainder can be used as a
-/// template argument / cast target ("static long" -> "long").
+/// template argument / cast target ("static long" -> "long"). A declared
+/// type's text is its tokens joined by single spaces, so its words are its
+/// tokens.
 std::string value_type_of(const std::string& decl_type) {
-  auto tokens_result = lex(decl_type);
-  if (!tokens_result.is_ok()) return decl_type;
-  const auto tokens = std::move(tokens_result).value();
+  std::istringstream in(decl_type);
   std::string out;
-  for (const Token& t : tokens) {
-    if (t.kind == TokKind::kEof) break;
-    if (t.text == "static" || t.text == "extern" || t.text == "register" ||
-        t.text == "auto" || t.text == "const" || t.text == "volatile") {
+  for (std::string word; in >> word;) {
+    if (word == "static" || word == "extern" || word == "register" ||
+        word == "auto" || word == "const" || word == "volatile") {
       continue;
     }
-    std::string text = t.text;
-    if (text == "omp_lock_t" || text == "omp_nest_lock_t") {
-      text = "parade::ompshim::" + text;
+    if (word == "omp_lock_t" || word == "omp_nest_lock_t") {
+      word = "parade::ompshim::" + word;
     }
-    out += (out.empty() ? "" : " ") + text;
+    out += (out.empty() ? "" : " ") + word;
   }
   return out.empty() ? decl_type : out;
 }
@@ -100,9 +98,24 @@ class CodeGen {
     scopes_.back()[name] = std::move(symbol);
   }
 
-  /// Re-lexes `text` and rewrites identifiers: replicated globals and
-  /// omp_*/printf calls. `extra_shadow` names are treated as locally bound.
-  std::string rewrite(const std::string& text) const;
+  /// Spelling of identifier `name` in the generated code: replicated and
+  /// DSM globals go through their handles, omp_*/printf calls to the shims.
+  std::string spell(const std::string& name) const;
+  /// Renders tokens [span.begin, span.end) of `tokens` with every
+  /// identifier respelled.
+  std::string rewrite(const std::vector<Token>& tokens, TokenSpan span) const;
+  /// The same over an expression of the unit; values the parser made up
+  /// (the implicit step `1`) have no tokens and come back as they are.
+  std::string rewrite(const Expr& expr) const {
+    return expr.span.empty() ? expr.text : rewrite(*tokens_, expr.span);
+  }
+  /// The same over a schedule chunk, whose text comes from the pragma line
+  /// and so is lexed here.
+  std::string rewrite_chunk(const std::string& text) const {
+    auto tokens = lex(text);
+    if (!tokens.is_ok()) return text;  // emit verbatim if it does not tokenize
+    return rewrite(tokens.value(), {0, tokens.value().size() - 1});  // no EOF
+  }
 
   // --- statements ---
   Status emit_stmt(const Stmt& stmt);
@@ -122,7 +135,7 @@ class CodeGen {
   Status emit_data_env_prologue(const Clauses& c,
                                 std::vector<std::string>* fp_tmp_names);
   void emit_reduction_epilogue(const Clauses& c);
-  std::optional<UpdateShape> match_update(const std::string& text) const;
+  std::optional<UpdateShape> match_update(const Stmt& raw) const;
   std::string type_of(const std::string& var) const;
   void collect_written_scalars(const Stmt& stmt,
                                std::set<std::string>* names) const;
@@ -135,6 +148,7 @@ class CodeGen {
 
   TranslateOptions options_;
   const Analysis& analysis_;
+  const std::vector<Token>* tokens_ = nullptr;  // the unit's, set by run()
   std::ostringstream out_;
   int indent_ = 0;
   int counter_ = 0;
@@ -145,28 +159,27 @@ class CodeGen {
   bool saw_main_ = false;
 };
 
-std::string CodeGen::rewrite(const std::string& text) const {
-  auto tokens_result = lex(text);
-  if (!tokens_result.is_ok()) return text;  // emit verbatim on lex trouble
-  auto tokens = std::move(tokens_result).value();
-  for (Token& t : tokens) {
-    if (t.kind != TokKind::kIdent) continue;
-    if (t.text == "printf") {
-      t.text = "parade::xlat::master_printf";
-      continue;
-    }
-    if (omp_api_names().count(t.text) > 0) {
-      t.text = "parade::ompshim::" + t.text;
-      continue;
-    }
-    const Symbol* symbol = lookup(t.text);
-    if (symbol != nullptr && symbol->replicated_global) {
-      t.text = "__prep_" + t.text + ".get()";
-    } else if (symbol != nullptr && symbol->dsm_scalar) {
-      t.text = "(*__pdsm_" + t.text + ".get())";
-    }
+std::string CodeGen::spell(const std::string& name) const {
+  if (name == "printf") return "parade::xlat::master_printf";
+  if (omp_api_names().count(name) > 0) return "parade::ompshim::" + name;
+  const Symbol* symbol = lookup(name);
+  if (symbol != nullptr && symbol->replicated_global) {
+    return "__prep_" + name + ".get()";
   }
-  return render_tokens(tokens, 0, tokens.size() - 1);  // drop EOF
+  if (symbol != nullptr && symbol->dsm_scalar) {
+    return "(*__pdsm_" + name + ".get())";
+  }
+  return name;
+}
+
+std::string CodeGen::rewrite(const std::vector<Token>& tokens,
+                             TokenSpan span) const {
+  std::vector<Token> run(tokens.begin() + static_cast<long>(span.begin),
+                         tokens.begin() + static_cast<long>(span.end));
+  for (Token& t : run) {
+    if (t.kind == TokKind::kIdent) t.text = spell(t.text);
+  }
+  return render_tokens(run, 0, run.size());
 }
 
 std::string CodeGen::type_of(const std::string& var) const {
@@ -185,9 +198,8 @@ int CodeGen::critical_lock_id(const std::string& name) {
   return it->second;
 }
 
-std::optional<UpdateShape> CodeGen::match_update(
-    const std::string& text) const {
-  auto shape = match_scalar_update(text);
+std::optional<UpdateShape> CodeGen::match_update(const Stmt& raw) const {
+  auto shape = match_scalar_update(*tokens_, raw.text.span);
   if (!shape) return std::nullopt;
   const Symbol* symbol = lookup(shape->var);
   if (symbol == nullptr || symbol->is_array || symbol->pointer_depth > 0) {
@@ -199,30 +211,14 @@ std::optional<UpdateShape> CodeGen::match_update(
 void CodeGen::collect_written_scalars(const Stmt& stmt,
                                       std::set<std::string>* names) const {
   if (stmt.kind == StmtKind::kRaw) {
-    auto tokens_result = lex(stmt.text);
-    if (!tokens_result.is_ok()) return;
-    const auto tokens = std::move(tokens_result).value();
-    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
-      const bool write_next =
-          tokens[i + 1].is_punct("=") || tokens[i + 1].is_punct("+=") ||
-          tokens[i + 1].is_punct("-=") || tokens[i + 1].is_punct("*=") ||
-          tokens[i + 1].is_punct("/=") || tokens[i + 1].is_punct("++") ||
-          tokens[i + 1].is_punct("--");
-      const bool inc_prev = tokens[i].is_punct("++") || tokens[i].is_punct("--");
-      const Token& candidate = write_next ? tokens[i] : tokens[i + 1];
-      if ((write_next || inc_prev) && candidate.kind == TokKind::kIdent) {
-        // Writes through subscripts/members are array/pointer stores, not
-        // scalar updates: x[i] = ..., p->f = ...
-        if (write_next && i > 0 &&
-            (tokens[i - 1].is_punct("]") || tokens[i - 1].is_punct(".") ||
-             tokens[i - 1].is_punct("->"))) {
-          continue;
-        }
-        const Symbol* symbol = lookup(candidate.text);
-        if (symbol != nullptr && !symbol->is_array &&
-            symbol->pointer_depth == 0) {
-          names->insert(candidate.text);
-        }
+    for (const AccessScan::Write& w : stmt.text.access().writes) {
+      // Stores through subscripts, members or pointers are not scalar
+      // updates: x[i] = ..., s.f = ..., *p = ...
+      if (w.array || w.member || w.deref) continue;
+      const Symbol* symbol = lookup(w.name);
+      if (symbol != nullptr && !symbol->is_array &&
+          symbol->pointer_depth == 0) {
+        names->insert(w.name);
       }
     }
     return;
@@ -234,15 +230,15 @@ void CodeGen::collect_written_scalars(const Stmt& stmt,
 
 Status CodeGen::emit_decl(const Stmt& decl) {
   // Register symbols, emit the (rewritten) declaration.
-  std::string text = decl.decl_type;
+  std::string text = decl.decl_type.text;
   if (text.find("omp_lock_t") != std::string::npos ||
       text.find("omp_nest_lock_t") != std::string::npos) {
-    text = rewrite(text);  // qualifies the omp type names
+    text = rewrite(decl.decl_type);  // qualifies the omp type names
   }
   bool first = true;
   for (const Declarator& d : decl.declarators) {
     Symbol symbol;
-    symbol.type = decl.decl_type;
+    symbol.type = decl.decl_type.text;
     symbol.pointer_depth = d.pointer_depth;
     symbol.is_array = !d.array_dims.empty();
     declare(d.name, symbol);
@@ -251,9 +247,7 @@ Status CodeGen::emit_decl(const Stmt& decl) {
     first = false;
     for (int i = 0; i < d.pointer_depth; ++i) text += "*";
     text += d.name;
-    for (const std::string& dim : d.array_dims) {
-      text += "[" + rewrite(dim) + "]";
-    }
+    for (const Expr& dim : d.array_dims) text += "[" + rewrite(dim) + "]";
     if (d.is_function) text += "()";  // prototypes inside functions are rare
     if (!d.init.empty()) text += " = " + rewrite(d.init);
   }
@@ -266,7 +260,7 @@ Status CodeGen::emit_data_env_prologue(const Clauses& c,
   // firstprivate: snapshot outer values before shadowing.
   for (const std::string& var : c.firstprivate) {
     const std::string tmp = unique("fp_");
-    line("auto " + tmp + " = " + rewrite(var) + ";");
+    line("auto " + tmp + " = " + spell(var) + ";");
     fp_tmps->push_back(tmp);
   }
   return Status::ok();
@@ -299,7 +293,7 @@ Status CodeGen::emit_parallel(const Directive& d, const Stmt& body) {
   for (const auto& [op, var] : c.reductions) {
     (void)op;
     const std::string ptr = unique("redptr_");
-    line("auto* " + ptr + " = &(" + rewrite(var) + ");");
+    line("auto* " + ptr + " = &(" + spell(var) + ");");
     red_ptrs.push_back(ptr);
   }
 
@@ -372,7 +366,7 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
   for (const auto& [op, var] : c.reductions) {
     (void)op;
     const std::string ptr = unique("redptr_");
-    line("auto* " + ptr + " = &(" + rewrite(var) + ");");
+    line("auto* " + ptr + " = &(" + spell(var) + ");");
     red_ptrs.push_back(ptr);
   }
 
@@ -392,13 +386,15 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
         schedule = c.schedule_chunk.empty()
                        ? "parade::Schedule{parade::ScheduleKind::kStatic, 0}"
                        : "parade::Schedule{parade::ScheduleKind::kStaticChunk, "
-                         "(long)(" + rewrite(c.schedule_chunk) + ")}";
+                         "(long)(" + rewrite_chunk(c.schedule_chunk) + ")}";
         break;
       case OmpSchedule::kDynamic:
-        schedule = "parade::Schedule{parade::ScheduleKind::kDynamic, " +
-                   (c.schedule_chunk.empty()
-                        ? std::string("1")
-                        : "(long)(" + rewrite(c.schedule_chunk) + ")") + "}";
+        schedule =
+            "parade::Schedule{parade::ScheduleKind::kDynamic, " +
+            (c.schedule_chunk.empty()
+                 ? std::string("1")
+                 : "(long)(" + rewrite_chunk(c.schedule_chunk) + ")") +
+            "}";
         break;
       case OmpSchedule::kGuided:
         schedule = "parade::Schedule{parade::ScheduleKind::kGuided, 0}";
@@ -500,7 +496,7 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
          "static_cast<__Sel*>(__a); const auto* __y = static_cast<const "
          "__Sel*>(__b); if (__y->has) *__x = *__y; });");
     open("if (parade::local_thread_id() == 0 && __sel.has) {");
-    line(rewrite(lp.var) + " = __sel.v;");
+    line(spell(lp.var) + " = __sel.v;");
     close();
     line("parade::barrier(parade::BarrierScope::kNode);");
     close();
@@ -566,14 +562,14 @@ Status CodeGen::emit_single(const Directive& d, const Stmt& body) {
   push_scope();
   if (Status s = emit_stmt(body); !s) return s;
   for (std::size_t i = 0; i < names.size(); ++i) {
-    line("__sgl.v" + std::to_string(i) + " = " + rewrite(names[i]) + ";");
+    line("__sgl.v" + std::to_string(i) + " = " + spell(names[i]) + ";");
   }
   pop_scope();
   close("});");
   if (!names.empty()) {
     open("if (parade::local_thread_id() == 0) {");
     for (std::size_t i = 0; i < names.size(); ++i) {
-      line(rewrite(names[i]) + " = __sgl.v" + std::to_string(i) + ";");
+      line(spell(names[i]) + " = __sgl.v" + std::to_string(i) + ";");
     }
     close();
     line("parade::barrier(parade::BarrierScope::kNode);");
@@ -601,7 +597,7 @@ Status CodeGen::emit_critical(const Directive& d, const Stmt& body) {
   const bool want_collective =
       site != analysis_.sync_sites.end() ? site->second.collective : true;
   if (want_collective && stmt->kind == StmtKind::kRaw) {
-    if (auto pattern = match_update(stmt->text)) {
+    if (auto pattern = match_update(*stmt)) {
       const std::string type = type_of(pattern->var);
       open("{");
       line(type + " __contrib = (" + rewrite(pattern->expr) + ");");
@@ -611,7 +607,7 @@ Status CodeGen::emit_critical(const Directive& d, const Stmt& body) {
            pattern->combine_op + " *static_cast<const " + type +
            "*>(__b); });");
       open("if (parade::local_thread_id() == 0) {");
-      line(rewrite(pattern->var) + " = " + rewrite(pattern->var) + " " +
+      line(spell(pattern->var) + " = " + spell(pattern->var) + " " +
            pattern->apply_op + " __contrib;");
       close();
       line("parade::barrier(parade::BarrierScope::kNode);");
@@ -638,7 +634,7 @@ Status CodeGen::emit_atomic(const Directive& d, const Stmt& body) {
   if (stmt->kind != StmtKind::kRaw) {
     return err(d.line, "omp atomic requires an expression statement");
   }
-  auto pattern = match_update(stmt->text);
+  auto pattern = match_update(*stmt);
   if (!pattern) {
     return err(d.line, "omp atomic statement is not a supported update "
                        "(x op= expr, x++, x = x op expr)");
@@ -726,7 +722,7 @@ Status CodeGen::emit_stmt(const Stmt& stmt) {
       return Status::ok();
     }
     case StmtKind::kRaw:
-      line(rewrite(stmt.text));
+      line(rewrite(*tokens_, stmt.text.span) + ";");
       return Status::ok();
     case StmtKind::kDecl:
       return emit_decl(stmt);
@@ -768,7 +764,7 @@ Status CodeGen::emit_stmt(const Stmt& stmt) {
     case StmtKind::kPragma:
       return emit_pragma(stmt);
     case StmtKind::kHashLine:
-      line(stmt.text);
+      line(stmt.text.text);
       return Status::ok();
     case StmtKind::kEmpty:
       line(";");
@@ -797,6 +793,7 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
     }
   }
 
+  tokens_ = &unit.tokens;
   push_scope();  // file scope
   line("// Generated by parade_omcc (ParADE OpenMP translator). Do not edit.");
   line("#include \"" + options_.support_include + "\"");
@@ -808,7 +805,7 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
         line(item.text);
         break;
       case TopItem::Kind::kRaw:
-        line(rewrite(item.stmt->text));
+        line(rewrite(*tokens_, item.stmt->text.span) + ";");
         break;
       case TopItem::Kind::kPragma: {
         if (item.stmt->directive.kind == DirectiveKind::kThreadprivate) {
@@ -826,11 +823,11 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
         for (const Declarator& d : decl.declarators) {
           if (d.is_function) {
             // Prototype: emit verbatim-ish.
-            line(decl.decl_type + " " + d.name + "();");
+            line(decl.decl_type.text + " " + d.name + "();");
             continue;
           }
           Symbol symbol;
-          symbol.type = decl.decl_type;
+          symbol.type = decl.decl_type.text;
           symbol.pointer_depth = d.pointer_depth;
           if (!d.array_dims.empty()) {
             if (!d.init.empty()) {
@@ -842,12 +839,12 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             symbol.pointer_depth = 1;
             symbol.replicated_global = true;
             declare(d.name, symbol);
-            std::string elem_type = value_type_of(decl.decl_type);
+            std::string elem_type = value_type_of(decl.decl_type.text);
             for (int i = 0; i < d.pointer_depth; ++i) elem_type += "*";
             std::string ptr_type = elem_type + " (*)";
             std::string suffix;
             for (std::size_t dim = 1; dim < d.array_dims.size(); ++dim) {
-              suffix += "[" + d.array_dims[dim] + "]";
+              suffix += "[" + d.array_dims[dim].text + "]";
             }
             ptr_type = elem_type + " (*" + std::string(")") + suffix;
             const std::string full_type =
@@ -856,8 +853,8 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             line("static parade::xlat::Replicated<" + full_type + "> __prep_" +
                  d.name + ";");
             std::string size_expr = "sizeof(" + elem_type + ")";
-            for (const std::string& dim : d.array_dims) {
-              size_expr += " * (" + dim + ")";
+            for (const Expr& dim : d.array_dims) {
+              size_expr += " * (" + dim.text + ")";
             }
             shared_init_lines_.push_back(
                 "__prep_" + d.name + ".get() = reinterpret_cast<" + elem_type +
@@ -866,19 +863,17 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             // OpenMP threadprivate: one instance per thread, no rewriting.
             symbol.threadprivate = true;
             declare(d.name, symbol);
-            std::string full_type = value_type_of(decl.decl_type);
+            std::string full_type = value_type_of(decl.decl_type.text);
             for (int i = 0; i < d.pointer_depth; ++i) full_type += "*";
             std::string dims;
-            for (const std::string& dim : d.array_dims) {
-              dims += "[" + dim + "]";
-            }
+            for (const Expr& dim : d.array_dims) dims += "[" + dim.text + "]";
             line("static thread_local " + full_type + " " + d.name + dims +
-                 (d.init.empty() ? "" : " = " + d.init) + ";");
+                 (d.init.empty() ? "" : " = " + d.init.text) + ";");
           } else if (d.pointer_depth == 0 && dsm_scalars.count(d.name) > 0) {
             // Written by unmanaged parallel code: place in the DSM pool.
             symbol.dsm_scalar = true;
             declare(d.name, symbol);
-            const std::string vt = value_type_of(decl.decl_type);
+            const std::string vt = value_type_of(decl.decl_type.text);
             line("static parade::xlat::Replicated<" + vt + "*> __pdsm_" +
                  d.name + ";");
             shared_init_lines_.push_back(
@@ -887,12 +882,12 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             if (!d.init.empty()) {
               shared_init_lines_.push_back(
                   "if (parade::node_id() == 0) { *__pdsm_" + d.name +
-                  ".get() = " + d.init + "; }");
+                  ".get() = " + d.init.text + "; }");
             }
           } else {
             symbol.replicated_global = true;
             declare(d.name, symbol);
-            std::string full_type = value_type_of(decl.decl_type);
+            std::string full_type = value_type_of(decl.decl_type.text);
             for (int i = 0; i < d.pointer_depth; ++i) full_type += "*";
             if (d.init.empty()) {
               line("static parade::xlat::Replicated<" + full_type +
@@ -900,7 +895,7 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             } else {
               line("static parade::xlat::Replicated<" + full_type +
                    "> __prep_" + d.name + "{static_cast<" + full_type + ">(" +
-                   d.init + ")};");
+                   d.init.text + ")};");
             }
           }
         }
@@ -911,42 +906,20 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
         const bool is_main = fn.name == "main";
         if (is_main) {
           saw_main_ = true;
-          user_main_params_ = fn.params;
+          user_main_params_ = fn.params.text;
         }
         const std::string name = is_main ? "__parade_user_main" : fn.name;
         std::string ret =
             fn.ret_type.empty() ? std::string("int") : fn.ret_type;
         if (is_main) ret = "static int";
-        line(ret + " " + name + "(" + fn.params + ")");
+        line(ret + " " + name + "(" + fn.params.text + ")");
         push_scope();
-        // Register parameters: "type name" comma-separated (approximate).
-        if (fn.params != "void" && !fn.params.empty()) {
-          auto tokens_result = lex(fn.params + " ,");
-          if (tokens_result.is_ok()) {
-            const auto tokens = std::move(tokens_result).value();
-            std::vector<Token> current;
-            for (const Token& t : tokens) {
-              if (t.is_punct(",") || t.kind == TokKind::kEof) {
-                // Last identifier is the name; the rest is its type.
-                for (std::size_t i = current.size(); i-- > 0;) {
-                  if (current[i].kind == TokKind::kIdent) {
-                    Symbol symbol;
-                    std::vector<Token> type_run(current.begin(),
-                                                current.begin() +
-                                                    static_cast<long>(i));
-                    symbol.type = render_tokens(type_run, 0, type_run.size());
-                    symbol.is_array =
-                        i + 1 < current.size() && current[i + 1].is_punct("[");
-                    declare(current[i].text, symbol);
-                    break;
-                  }
-                }
-                current.clear();
-              } else {
-                current.push_back(t);
-              }
-            }
-          }
+        for (const Param& p : fn.param_list) {
+          // The '*'s stay in the type text, which type_of spells as is.
+          Symbol symbol;
+          symbol.type = p.type;
+          symbol.is_array = p.is_array;
+          declare(p.name, symbol);
         }
         if (Status s = emit_stmt(*fn.body); !s) return s;
         pop_scope();
@@ -1003,15 +976,6 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
 }
 
 }  // namespace
-
-Result<std::string> generate(const TranslationUnit& unit,
-                             const TranslateOptions& options) {
-  AnalyzeOptions analyze_options;
-  analyze_options.mp_threshold_bytes = options.mp_threshold_bytes;
-  analyze_options.protocol_hints = options.protocol_hints;
-  const Analysis analysis = analyze(unit, analyze_options);
-  return generate(unit, options, analysis);
-}
 
 Result<std::string> generate(const TranslationUnit& unit,
                              const TranslateOptions& options,

@@ -25,10 +25,6 @@ struct TranslateOptions {
   bool protocol_hints = true;
 };
 
-/// Runs the semantic analysis pass internally, then emits code from it.
-Result<std::string> generate(const TranslationUnit& unit,
-                             const TranslateOptions& options);
-
 /// Emits code from an analysis the caller already ran (the placement and
 /// critical/atomic collective-vs-lock decisions are read from `analysis`,
 /// which must come from the same unit and threshold).

@@ -6,7 +6,6 @@
 
 #include "obs/json.hpp"
 #include "translator/analyze.hpp"
-#include "translator/cfg.hpp"
 
 namespace parade::translator {
 
@@ -177,8 +176,8 @@ class FootprintWalker {
     long long lo = 0;
     long long hi = 0;
     long long step = 1;
-    if (!resolve(h.lower, &lo) || !resolve(h.upper, &hi) ||
-        !resolve(h.step, &step) || step == 0) {
+    if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
+        !resolve(h.step.text, &step) || step == 0) {
       return 0;
     }
     long long span = h.increasing ? hi - lo : lo - hi;
@@ -188,10 +187,9 @@ class FootprintWalker {
     return static_cast<std::size_t>((span + abs_step - 1) / abs_step);
   }
 
-  void account_text(const std::string& text, int line) {
-    (void)line;
-    if (region_line_ == 0 || text.empty()) return;
-    const AccessScan acc = scan_accesses(text);
+  void account_text(const Expr& expr) {
+    if (region_line_ == 0) return;
+    const AccessScan& acc = expr.access();
     std::set<std::string> touched;
     for (const std::string& r : acc.reads) {
       auto g = analysis_.globals.find(r);
@@ -215,11 +213,10 @@ class FootprintWalker {
       if (vc.placement == Placement::kDsmArray) {
         const std::size_t elem = sizeof_declared(vc.type, 0, {});
         if (elem > 0) {
-          const std::set<std::string> subs = subscript_idents(text, name);
           std::size_t trips = 1;
-          bool affine = !subs.empty();
+          bool affine = acc.subscripted(name);
           for (const LoopCtx& l : loops_) {
-            if (subs.count(l.var) == 0) continue;
+            if (!acc.subscripted_by(name, l.var)) continue;
             if (l.trips == 0) {
               affine = false;
               break;
@@ -240,18 +237,16 @@ class FootprintWalker {
   void visit(const Stmt& stmt) {
     switch (stmt.kind) {
       case StmtKind::kRaw:
-        account_text(stmt.text, stmt.line);
+        account_text(stmt.text);
         return;
       case StmtKind::kDecl:
-        for (const Declarator& d : stmt.declarators) {
-          if (!d.init.empty()) account_text(d.init, stmt.line);
-        }
+        for (const Declarator& d : stmt.declarators) account_text(d.init);
         return;
       case StmtKind::kFor: {
         const ForHeader& h = stmt.for_header;
-        account_text(h.init_text, stmt.line);
-        account_text(h.cond_text, stmt.line);
-        account_text(h.incr_text, stmt.line);
+        account_text(h.init_text);
+        account_text(h.cond_text);
+        account_text(h.incr_text);
         loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "",
                                  trip_count(h)});
         for (const StmtPtr& child : stmt.children) {
@@ -264,7 +259,7 @@ class FootprintWalker {
       case StmtKind::kWhile:
       case StmtKind::kDoWhile:
       case StmtKind::kSwitch:
-        account_text(stmt.cond, stmt.line);
+        account_text(stmt.cond);
         break;
       case StmtKind::kPragma: {
         const Directive& d = stmt.directive;
@@ -314,7 +309,7 @@ void synthesize_hints(const TranslationUnit& unit,
     for (const Declarator& d : item.stmt->declarators) {
       long long v = 0;
       if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
-          parse_literal(d.init, &v)) {
+          parse_literal(d.init.text, &v)) {
         literals[d.name] = v;
       }
     }

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "obs/json.hpp"
-#include "translator/cfg.hpp"
 
 namespace parade::translator {
 namespace {
@@ -39,12 +38,12 @@ bool parse_literal(const std::string& text, long long* out) {
 /// step, which is the MHP granule).
 class SeqWalker {
  public:
-  SeqWalker(const Analysis& analysis,
+  SeqWalker(const TranslationUnit& unit, const Analysis& analysis,
             std::map<std::string, long long> literals)
-      : analysis_(analysis), literals_(std::move(literals)) {}
+      : unit_(unit), analysis_(analysis), literals_(std::move(literals)) {}
 
-  RegionSequence run(const TranslationUnit& unit) {
-    for (const TopItem& item : unit.items) {
+  RegionSequence run() {
+    for (const TopItem& item : unit_.items) {
       if (item.kind != TopItem::Kind::kFunction) continue;
       scopes_.emplace_back();
       if (item.function.body) visit(*item.function.body);
@@ -91,8 +90,8 @@ class SeqWalker {
     long long lo = 0;
     long long hi = 0;
     long long step = 1;
-    if (!resolve(h.lower, &lo) || !resolve(h.upper, &hi) ||
-        !resolve(h.step, &step) || step == 0) {
+    if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
+        !resolve(h.step.text, &step) || step == 0) {
       return 0;
     }
     long long span = h.increasing ? hi - lo : lo - hi;
@@ -143,9 +142,8 @@ class SeqWalker {
     return c.id;
   }
 
-  void record_accesses(const std::string& text, int line) {
-    if (text.empty()) return;
-    const AccessScan acc = scan_accesses(text);
+  void record_accesses(const Expr& expr, int line) {
+    const AccessScan& acc = expr.access();
     auto record = [&](const std::string& name, bool write) {
       if (shadowed(name)) return;
       if (analysis_.globals.find(name) == analysis_.globals.end()) return;
@@ -168,14 +166,11 @@ class SeqWalker {
       if (write) {
         // Partitioned: the subscript runs over a worksharing loop variable,
         // so team members write disjoint affine slices.
-        for (const std::string& sub : subscript_idents(text, name)) {
-          for (const LoopCtx& l : loops_) {
-            if (l.worksharing && l.var == sub) {
-              a.partitioned = true;
-              break;
-            }
+        for (const LoopCtx& l : loops_) {
+          if (l.worksharing && acc.subscripted_by(name, l.var)) {
+            a.partitioned = true;
+            break;
           }
-          if (a.partitioned) break;
         }
       }
       seq_.accesses.push_back(std::move(a));
@@ -352,7 +347,7 @@ class SeqWalker {
         // only; model it as a per-variable lock.
         std::string target;
         if (body != nullptr && body->kind == StmtKind::kRaw) {
-          if (auto shape = match_scalar_update(body->text)) {
+          if (auto shape = match_scalar_update(unit_.tokens, body->text.span)) {
             target = shape->var;
           }
         }
@@ -391,7 +386,7 @@ class SeqWalker {
         return;
       case StmtKind::kDecl:
         for (const Declarator& d : stmt.declarators) {
-          if (!d.init.empty()) record_accesses(d.init, stmt.line);
+          record_accesses(d.init, stmt.line);
           scopes_.back().insert(d.name);
         }
         return;
@@ -437,6 +432,7 @@ class SeqWalker {
     }
   }
 
+  const TranslationUnit& unit_;
   const Analysis& analysis_;
   std::map<std::string, long long> literals_;
   RegionSequence seq_;
@@ -460,7 +456,7 @@ std::map<std::string, long long> collect_literals(const TranslationUnit& unit) {
     for (const Declarator& d : item.stmt->declarators) {
       long long v = 0;
       if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
-          parse_literal(d.init, &v)) {
+          parse_literal(d.init.text, &v)) {
         literals[d.name] = v;
       }
     }
@@ -583,8 +579,8 @@ Timeline build_timeline(const RegionSequence& seq, const Analysis& analysis) {
 
 RegionSequence build_region_sequence(const TranslationUnit& unit,
                                      const Analysis& analysis) {
-  SeqWalker walker(analysis, collect_literals(unit));
-  return walker.run(unit);
+  SeqWalker walker(unit, analysis, collect_literals(unit));
+  return walker.run();
 }
 
 bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b) {

@@ -15,6 +15,127 @@ bool no_space_after(const std::string& t) {
          t == "~";
 }
 
+bool is_assign_op(const std::string& t) {
+  return t == "=" || t == "+=" || t == "-=" || t == "*=" || t == "/=" ||
+         t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
+         t == ">>=";
+}
+
+/// Token-level access scan of one expression: identifiers read, names
+/// written (with the store shape), whether a call appears, and the
+/// identifiers inside each name's subscripts.
+AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
+  AccessScan out;
+  const std::size_t n = span.end - span.begin;
+  auto at = [&](std::size_t k) -> const Token& {
+    return tokens[span.begin + k];
+  };
+  std::vector<bool> skip_read(n, false);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const Token& t = at(i);
+    if (t.kind == TokKind::kIdent && i + 1 < n && at(i + 1).is_punct("(")) {
+      out.has_call = true;
+      skip_read[i] = true;  // call target, not a data read
+      continue;
+    }
+    const bool next_assign = i + 1 < n && at(i + 1).kind == TokKind::kPunct &&
+                             is_assign_op(at(i + 1).text);
+    const bool next_incdec =
+        i + 1 < n && (at(i + 1).is_punct("++") || at(i + 1).is_punct("--"));
+    if (t.kind == TokKind::kIdent && (next_assign || next_incdec)) {
+      const bool after_member =
+          i > 0 && (at(i - 1).is_punct(".") || at(i - 1).is_punct("->"));
+      const bool after_deref =
+          i > 0 && at(i - 1).is_punct("*") &&
+          (i == 1 || at(i - 2).kind == TokKind::kPunct);
+      if (after_member) {
+        // s.f = v: a store into a member of `s` (only the simple one-level
+        // form is attributed; deeper chains are left to page consistency).
+        if (i >= 2 && at(i - 1).is_punct(".") &&
+            at(i - 2).kind == TokKind::kIdent) {
+          out.writes.push_back({at(i - 2).text, false, true, false});
+        }
+        skip_read[i] = true;
+        continue;
+      }
+      if (after_deref) {
+        out.writes.push_back({t.text, false, false, true});
+        continue;
+      }
+      out.writes.push_back({t.text, false, false, false});
+      if (next_assign && at(i + 1).text == "=") skip_read[i] = true;
+      continue;
+    }
+    // Prefix ++x / --x.
+    if ((t.is_punct("++") || t.is_punct("--")) && i + 1 < n &&
+        at(i + 1).kind == TokKind::kIdent) {
+      const bool postfix_of_prev =
+          i > 0 && (at(i - 1).kind == TokKind::kIdent ||
+                    at(i - 1).is_punct(")") || at(i - 1).is_punct("]"));
+      if (!postfix_of_prev) {
+        out.writes.push_back({at(i + 1).text, false, false, false});
+      }
+      continue;
+    }
+    // a[...] = / a[...] op= / a[...]++ : subscript store, attribute the base.
+    if (t.is_punct("]") && i + 1 < n &&
+        ((at(i + 1).kind == TokKind::kPunct && is_assign_op(at(i + 1).text)) ||
+         at(i + 1).is_punct("++") || at(i + 1).is_punct("--"))) {
+      int depth = 0;
+      std::size_t j = i;
+      for (;;) {
+        if (at(j).is_punct("]")) ++depth;
+        else if (at(j).is_punct("[")) {
+          --depth;
+          if (depth == 0) break;
+        }
+        if (j == 0) break;
+        --j;
+      }
+      // Chained subscripts (a[i][j] = ...) unwind group by group to the base.
+      while (depth == 0 && j > 0 && at(j - 1).is_punct("]")) {
+        --j;
+        ++depth;
+        while (j > 0) {
+          --j;
+          if (at(j).is_punct("]")) ++depth;
+          else if (at(j).is_punct("[") && --depth == 0) break;
+        }
+      }
+      if (depth == 0 && j > 0 && at(j - 1).kind == TokKind::kIdent) {
+        out.writes.push_back({at(j - 1).text, true, false, false});
+      }
+      continue;
+    }
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    if (at(i).kind != TokKind::kIdent || skip_read[i]) continue;
+    if (i > 0 && (at(i - 1).is_punct(".") || at(i - 1).is_punct("->"))) {
+      continue;  // member name, the base identifier is the read
+    }
+    out.reads.push_back(at(i).text);
+  }
+
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (at(i).kind != TokKind::kIdent || !at(i + 1).is_punct("[")) continue;
+    // Consecutive groups chain: grid[i][j] contributes both i and j.
+    int depth = 0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (at(j).is_punct("[")) {
+        ++depth;
+      } else if (at(j).is_punct("]")) {
+        if (--depth == 0 && (j + 1 >= n || !at(j + 1).is_punct("["))) break;
+      } else if (depth > 0 && at(j).kind == TokKind::kIdent &&
+                 !out.subscripted_by(at(i).text, at(j).text)) {
+        out.subscripts.emplace_back(at(i).text, at(j).text);
+      }
+    }
+  }
+  return out;
+}
+
 class Parser {
  public:
   explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
@@ -37,16 +158,36 @@ class Parser {
                       message + " at line " + std::to_string(cur().line));
   }
 
-  /// Renders and consumes tokens until `stop` punct at paren/bracket depth 0
-  /// (stop not consumed unless consume_stop).
-  std::string consume_until(const char* stop, bool consume_stop);
+  /// Consumes tokens until `stop` punct at paren/bracket depth 0 and returns
+  /// their span (stop not consumed unless consume_stop, never in the span).
+  TokenSpan consume_until(const char* stop, bool consume_stop);
+
+  /// An expression over `span` with its rendered text; expr() also runs the
+  /// access scan, text_of() (types, parameter lists) does not.
+  Expr text_of(TokenSpan span) const {
+    Expr e;
+    e.text = render_tokens(tokens_, span.begin, span.end);
+    e.span = span;
+    return e;
+  }
+  Expr expr(TokenSpan span) const { return scanned(text_of(span)); }
+  /// `e` with the access scan of its span attached.
+  Expr scanned(Expr e) const {
+    AccessScan acc = scan_accesses(tokens_, e.span);
+    if (!acc.reads.empty() || !acc.writes.empty() || acc.has_call ||
+        !acc.subscripts.empty()) {
+      e.scan = std::make_unique<const AccessScan>(std::move(acc));
+    }
+    return e;
+  }
 
   Result<StmtPtr> parse_statement();
   Result<StmtPtr> parse_block();
   Result<StmtPtr> parse_declaration();
   Result<StmtPtr> parse_for();
   Result<StmtPtr> parse_pragma_stmt();
-  void canonicalize_for(ForHeader& header);
+  void canonicalize_for(ForHeader& header) const;
+  std::vector<Param> split_params(const Expr& params) const;
 
   bool looks_like_declaration() const;
 
@@ -54,8 +195,8 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-std::string Parser::consume_until(const char* stop, bool consume_stop) {
-  std::vector<Token> run;
+TokenSpan Parser::consume_until(const char* stop, bool consume_stop) {
+  const std::size_t begin = pos_;
   int depth = 0;
   while (!at_eof()) {
     const Token& t = cur();
@@ -73,11 +214,11 @@ std::string Parser::consume_until(const char* stop, bool consume_stop) {
         break;
       }
     }
-    run.push_back(t);
     advance();
   }
+  const TokenSpan span{begin, pos_};
   if (consume_stop && !at_eof()) advance();
-  return render_tokens(run, 0, run.size());
+  return span;
 }
 
 bool Parser::looks_like_declaration() const {
@@ -112,19 +253,15 @@ Result<StmtPtr> Parser::parse_declaration() {
 
   // Base type: leading keywords (+ struct/union/enum tag, + one identifier
   // for typedef names when followed by a declarator-ish token).
-  std::vector<Token> type_tokens;
+  const std::size_t type_begin = pos_;
   while (!at_eof()) {
     const Token& t = cur();
     if (t.kind == TokKind::kKeyword && is_decl_start_keyword(t.text)) {
-      type_tokens.push_back(t);
+      const bool tagged =
+          t.text == "struct" || t.text == "union" || t.text == "enum";
       advance();
-      if (type_tokens.back().text == "struct" ||
-          type_tokens.back().text == "union" ||
-          type_tokens.back().text == "enum") {
-        if (cur().kind == TokKind::kIdent) {
-          type_tokens.push_back(cur());
-          advance();
-        }
+      if (tagged) {
+        if (cur().kind == TokKind::kIdent) advance();
         if (cur().is_punct("{")) {
           return error("struct definitions in declarations are unsupported");
         }
@@ -133,17 +270,16 @@ Result<StmtPtr> Parser::parse_declaration() {
     }
     break;
   }
-  if (type_tokens.empty() ||
-      (type_tokens.size() == 1 && (type_tokens[0].text == "static" ||
-                                   type_tokens[0].text == "const"))) {
+  if (pos_ == type_begin ||
+      (pos_ == type_begin + 1 && (tokens_[type_begin].text == "static" ||
+                                  tokens_[type_begin].text == "const"))) {
     // typedef-name base type: "Type x" pattern.
     if (cur().kind == TokKind::kIdent && ahead(1).kind == TokKind::kIdent) {
-      type_tokens.push_back(cur());
       advance();
     }
   }
-  if (type_tokens.empty()) return error("expected declaration");
-  decl->decl_type = render_tokens(type_tokens, 0, type_tokens.size());
+  if (pos_ == type_begin) return error("expected declaration");
+  decl->decl_type = text_of({type_begin, pos_});
 
   // Declarators separated by commas, terminated by ';'.
   for (;;) {
@@ -153,7 +289,8 @@ Result<StmtPtr> Parser::parse_declaration() {
       advance();
     }
     if (cur().kind != TokKind::kIdent) {
-      return error("expected declarator name after '" + decl->decl_type + "'");
+      return error("expected declarator name after '" + decl->decl_type.text +
+                   "'");
     }
     d.name = cur().text;
     advance();
@@ -165,12 +302,12 @@ Result<StmtPtr> Parser::parse_declaration() {
     }
     while (cur().is_punct("[")) {
       advance();
-      d.array_dims.push_back(consume_until("]", /*consume_stop=*/true));
+      d.array_dims.push_back(expr(consume_until("]", /*consume_stop=*/true)));
     }
     if (cur().is_punct("=")) {
       advance();
       // Initializer up to ',' or ';' at depth 0 (brace initializers kept raw).
-      std::vector<Token> run;
+      const std::size_t init_begin = pos_;
       int depth = 0;
       while (!at_eof()) {
         const Token& t = cur();
@@ -179,10 +316,9 @@ Result<StmtPtr> Parser::parse_declaration() {
           if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
           if (depth == 0 && (t.text == "," || t.text == ";")) break;
         }
-        run.push_back(t);
         advance();
       }
-      d.init = render_tokens(run, 0, run.size());
+      d.init = expr({init_begin, pos_});
     }
     decl->declarators.push_back(std::move(d));
     if (cur().is_punct(",")) {
@@ -198,76 +334,73 @@ Result<StmtPtr> Parser::parse_declaration() {
   return StmtPtr(std::move(decl));
 }
 
-void Parser::canonicalize_for(ForHeader& h) {
-  // init: [type] var = lower
-  auto init_tokens_result = lex(h.init_text + " ;");
-  auto cond_tokens_result = lex(h.cond_text + " ;");
-  auto incr_tokens_result = lex(h.incr_text + " ;");
-  if (!init_tokens_result.is_ok() || !cond_tokens_result.is_ok() ||
-      !incr_tokens_result.is_ok()) {
-    return;
-  }
-  const auto init = std::move(init_tokens_result).value();
-  const auto cond = std::move(cond_tokens_result).value();
-  const auto incr = std::move(incr_tokens_result).value();
+void Parser::canonicalize_for(ForHeader& h) const {
+  // Reads past the end of a header part see the ';' that ended it.
+  static const Token kEnd{TokKind::kPunct, ";", 0, 0};
+  auto tok = [&](const Expr& part, std::size_t k) -> const Token& {
+    const std::size_t at = part.span.begin + k;
+    return at < part.span.end ? tokens_[at] : kEnd;
+  };
+  // The rest of `part` from token k on, its tokens joined by single spaces.
+  auto tail = [&](const Expr& part, std::size_t k) {
+    Expr e;
+    e.span = {part.span.begin + k, part.span.end};
+    for (std::size_t at = e.span.begin; at < e.span.end; ++at) {
+      e.text += (e.text.empty() ? "" : " ") + tokens_[at].text;
+    }
+    return scanned(std::move(e));
+  };
+  const Expr& init = h.init_text;
+  const Expr& cond = h.cond_text;
+  const Expr& incr = h.incr_text;
 
+  // init: [type] var = lower
   std::size_t i = 0;
   std::string decl_type;
-  while (init[i].kind == TokKind::kKeyword &&
-         is_decl_start_keyword(init[i].text)) {
-    decl_type += (decl_type.empty() ? "" : " ") + init[i].text;
+  while (tok(init, i).kind == TokKind::kKeyword &&
+         is_decl_start_keyword(tok(init, i).text)) {
+    decl_type += (decl_type.empty() ? "" : " ") + tok(init, i).text;
     ++i;
   }
-  if (init[i].kind != TokKind::kIdent) return;
-  const std::string var = init[i].text;
+  if (tok(init, i).kind != TokKind::kIdent) return;
+  const std::string var = tok(init, i).text;
   ++i;
-  if (!init[i].is_punct("=")) return;
+  if (!tok(init, i).is_punct("=")) return;
   ++i;
-  std::string lower;
   int paren_depth = 0;
-  for (; i < init.size() && !init[i].is_punct(";"); ++i) {
-    if (init[i].is_punct("(")) ++paren_depth;
-    if (init[i].is_punct(")")) --paren_depth;
+  for (std::size_t k = i; init.span.begin + k < init.span.end; ++k) {
+    if (tok(init, k).is_punct("(")) ++paren_depth;
+    if (tok(init, k).is_punct(")")) --paren_depth;
     // A top-level comma means a multi-clause init (i = 0, j = 1): not
     // canonical.
-    if (paren_depth == 0 && init[i].is_punct(",")) return;
-    lower += (lower.empty() ? "" : " ") + init[i].text;
+    if (paren_depth == 0 && tok(init, k).is_punct(",")) return;
   }
+  const std::size_t lower_at = i;
 
   // cond: var < / <= / > / >= bound
-  if (cond.size() < 3 || cond[0].text != var) return;
-  const std::string rel = cond[1].text;
+  if (tok(cond, 0).text != var) return;
+  const std::string rel = tok(cond, 1).text;
   if (rel != "<" && rel != "<=" && rel != ">" && rel != ">=") return;
-  std::string upper;
-  for (std::size_t k = 2; k < cond.size() && !cond[k].is_punct(";"); ++k) {
-    upper += (upper.empty() ? "" : " ") + cond[k].text;
-  }
 
   // incr: var++ / ++var / var-- / --var / var += s / var -= s /
   //       var = var + s / var = var - s
-  std::string step = "1";
+  std::size_t step_at = 0;  // 0: implicit step 1
   bool increasing = true;
-  if (incr.size() >= 2 && incr[0].text == var && incr[1].is_punct("++")) {
-  } else if (incr.size() >= 2 && incr[0].is_punct("++") && incr[1].text == var) {
-  } else if (incr.size() >= 2 && incr[0].text == var && incr[1].is_punct("--")) {
+  if (tok(incr, 0).text == var && tok(incr, 1).is_punct("++")) {
+  } else if (tok(incr, 0).is_punct("++") && tok(incr, 1).text == var) {
+  } else if (tok(incr, 0).text == var && tok(incr, 1).is_punct("--")) {
     increasing = false;
-  } else if (incr.size() >= 2 && incr[0].is_punct("--") && incr[1].text == var) {
+  } else if (tok(incr, 0).is_punct("--") && tok(incr, 1).text == var) {
     increasing = false;
-  } else if (incr.size() >= 3 && incr[0].text == var &&
-             (incr[1].is_punct("+=") || incr[1].is_punct("-="))) {
-    increasing = incr[1].text == "+=";
-    step.clear();
-    for (std::size_t k = 2; k < incr.size() && !incr[k].is_punct(";"); ++k) {
-      step += (step.empty() ? "" : " ") + incr[k].text;
-    }
-  } else if (incr.size() >= 5 && incr[0].text == var && incr[1].is_punct("=") &&
-             incr[2].text == var &&
-             (incr[3].is_punct("+") || incr[3].is_punct("-"))) {
-    increasing = incr[3].text == "+";
-    step.clear();
-    for (std::size_t k = 4; k < incr.size() && !incr[k].is_punct(";"); ++k) {
-      step += (step.empty() ? "" : " ") + incr[k].text;
-    }
+  } else if (tok(incr, 0).text == var &&
+             (tok(incr, 1).is_punct("+=") || tok(incr, 1).is_punct("-="))) {
+    increasing = tok(incr, 1).text == "+=";
+    step_at = 2;
+  } else if (tok(incr, 0).text == var && tok(incr, 1).is_punct("=") &&
+             tok(incr, 2).text == var &&
+             (tok(incr, 3).is_punct("+") || tok(incr, 3).is_punct("-"))) {
+    increasing = tok(incr, 3).text == "+";
+    step_at = 4;
   } else {
     return;
   }
@@ -278,11 +411,39 @@ void Parser::canonicalize_for(ForHeader& h) {
   h.canonical = true;
   h.loop_var = var;
   h.var_decl_type = decl_type;
-  h.lower = lower;
-  h.upper = upper;
+  h.lower = tail(init, lower_at);
+  h.upper = tail(cond, 2);
   h.inclusive = rel == "<=" || rel == ">=";
   h.increasing = increasing;
-  h.step = step;
+  if (step_at == 0) {
+    h.step.text = "1";
+  } else {
+    h.step = tail(incr, step_at);
+  }
+}
+
+std::vector<Param> Parser::split_params(const Expr& params) const {
+  std::vector<Param> out;
+  if (params.text.empty() || params.text == "void") return out;
+  std::size_t group = params.span.begin;
+  for (std::size_t k = group; k <= params.span.end; ++k) {
+    if (k < params.span.end && !tokens_[k].is_punct(",")) continue;
+    // Tokens [group, k) are one parameter; its last identifier is the name.
+    for (std::size_t i = k; i-- > group;) {
+      if (tokens_[i].kind != TokKind::kIdent) continue;
+      Param p;
+      p.name = tokens_[i].text;
+      p.type = render_tokens(tokens_, group, i);
+      for (std::size_t t = group; t < i; ++t) {
+        if (tokens_[t].is_punct("*")) ++p.pointer_depth;
+      }
+      p.is_array = i + 1 < k && tokens_[i + 1].is_punct("[");
+      out.push_back(std::move(p));
+      break;
+    }
+    group = k + 1;
+  }
+  return out;
 }
 
 Result<StmtPtr> Parser::parse_for() {
@@ -292,9 +453,9 @@ Result<StmtPtr> Parser::parse_for() {
   advance();  // 'for'
   if (!cur().is_punct("(")) return error("expected '(' after for");
   advance();
-  stmt->for_header.init_text = consume_until(";", /*consume_stop=*/true);
-  stmt->for_header.cond_text = consume_until(";", /*consume_stop=*/true);
-  stmt->for_header.incr_text = consume_until(")", /*consume_stop=*/true);
+  stmt->for_header.init_text = expr(consume_until(";", /*consume_stop=*/true));
+  stmt->for_header.cond_text = expr(consume_until(";", /*consume_stop=*/true));
+  stmt->for_header.incr_text = expr(consume_until(")", /*consume_stop=*/true));
   canonicalize_for(stmt->for_header);
   auto body = parse_statement();
   if (!body.is_ok()) return body.status();
@@ -336,7 +497,7 @@ Result<StmtPtr> Parser::parse_statement() {
     case TokKind::kHashLine: {
       auto stmt = std::make_unique<Stmt>();
       stmt->kind = StmtKind::kHashLine;
-      stmt->text = t.text;
+      stmt->text.text = t.text;
       stmt->line = t.line;
       advance();
       return StmtPtr(std::move(stmt));
@@ -360,7 +521,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after if");
     advance();
-    stmt->cond = consume_until(")", /*consume_stop=*/true);
+    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
     auto then_branch = parse_statement();
     if (!then_branch.is_ok()) return then_branch.status();
     stmt->children.push_back(std::move(then_branch).value());
@@ -380,7 +541,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after while");
     advance();
-    stmt->cond = consume_until(")", /*consume_stop=*/true);
+    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
     stmt->children.push_back(std::move(body).value());
@@ -398,7 +559,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after do..while");
     advance();
-    stmt->cond = consume_until(")", /*consume_stop=*/true);
+    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
     if (cur().is_punct(";")) advance();
     return StmtPtr(std::move(stmt));
   }
@@ -409,7 +570,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after switch");
     advance();
-    stmt->cond = consume_until(")", /*consume_stop=*/true);
+    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
     stmt->children.push_back(std::move(body).value());
@@ -422,7 +583,8 @@ Result<StmtPtr> Parser::parse_statement() {
   auto stmt = std::make_unique<Stmt>();
   stmt->kind = StmtKind::kRaw;
   stmt->line = t.line;
-  stmt->text = consume_until(";", /*consume_stop=*/true) + ";";
+  stmt->text = expr(consume_until(";", /*consume_stop=*/true));
+  stmt->text.text += ";";
   return StmtPtr(std::move(stmt));
 }
 
@@ -483,13 +645,12 @@ Result<TranslationUnit> Parser::parse_unit() {
     if (is_function) {
       FunctionDef fn;
       fn.line = t.line;
-      std::vector<Token> ret_run(tokens_.begin() + static_cast<long>(pos_),
-                                 tokens_.begin() + static_cast<long>(name_at));
-      fn.ret_type = render_tokens(ret_run, 0, ret_run.size());
+      fn.ret_type = render_tokens(tokens_, pos_, name_at);
       fn.name = tokens_[name_at].text;
       pos_ = name_at + 1;  // at '('
       advance();           // past '('
-      fn.params = consume_until(")", /*consume_stop=*/true);
+      fn.params = text_of(consume_until(")", /*consume_stop=*/true));
+      fn.param_list = split_params(fn.params);
       if (!cur().is_punct("{")) return error("expected function body");
       auto body = parse_block();
       if (!body.is_ok()) return body.status();
@@ -517,7 +678,8 @@ Result<TranslationUnit> Parser::parse_unit() {
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::kRaw;
     stmt->line = t.line;
-    stmt->text = consume_until(";", /*consume_stop=*/true) + ";";
+    stmt->text = expr(consume_until(";", /*consume_stop=*/true));
+    stmt->text.text += ";";
     item.stmt = std::move(stmt);
     unit.items.push_back(std::move(item));
   }
@@ -543,13 +705,7 @@ std::string render_tokens(const std::vector<Token>& tokens, std::size_t begin,
 Result<TranslationUnit> parse(const std::vector<Token>& tokens) {
   Parser parser(tokens);
   auto unit = parser.parse_unit();
-  if (!unit.is_ok()) return unit;
-  for (const Token& t : tokens) {
-    if (t.kind == TokKind::kEof || t.column <= 0) continue;
-    LinePositions& lp = unit.value().line_positions[t.line];
-    if (lp.first_column == 0) lp.first_column = t.column;
-    if (t.kind == TokKind::kIdent) lp.idents.emplace_back(t.text, t.column);
-  }
+  if (unit.is_ok()) unit.value().tokens = tokens;
   return unit;
 }
 

@@ -10,7 +10,7 @@ namespace parade::translator {
 Result<TranslationUnit> parse(const std::vector<Token>& tokens);
 
 /// Reconstructs source text from a token run [begin, end). Used by the parser
-/// for raw statements and by tests.
+/// for expression texts and by CodeGen for respelled expressions.
 std::string render_tokens(const std::vector<Token>& tokens, std::size_t begin,
                           std::size_t end);
 

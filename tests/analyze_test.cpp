@@ -491,26 +491,32 @@ TEST(AnalyzeRegression, DivisionUpdateNoLongerSplitsDecision) {
 // ---------------------------------------------------------------------------
 // Update-shape matcher
 
+/// match_scalar_update over the tokens of `text` (without the EOF token).
+std::optional<UpdateShape> match_text(const std::string& text) {
+  const std::vector<Token> tokens = lex(text).value_or_die();
+  return match_scalar_update(tokens, {0, tokens.size() - 1});
+}
+
 TEST(MatchScalarUpdate, Shapes) {
-  auto m = match_scalar_update("sum += x * 2;");
+  auto m = match_text("sum += x * 2;");
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->var, "sum");
   EXPECT_EQ(m->combine_op, "+");
 
-  m = match_scalar_update("n++;");
+  m = match_text("n++;");
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->apply_op, "+");
-  EXPECT_EQ(m->expr, "1");
+  EXPECT_EQ(m->expr.text, "1");
 
-  m = match_scalar_update("v = v - 3;");
+  m = match_text("v = v - 3;");
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->combine_op, "+");  // subtraction combines additively
   EXPECT_EQ(m->apply_op, "-");
 
-  EXPECT_FALSE(match_scalar_update("v = w + 3;").has_value());
-  EXPECT_FALSE(match_scalar_update("v = v / 3;").has_value());
-  EXPECT_FALSE(match_scalar_update("v += f(3);").has_value());
-  EXPECT_FALSE(match_scalar_update("if (v) v++;").has_value());
+  EXPECT_FALSE(match_text("v = w + 3;").has_value());
+  EXPECT_FALSE(match_text("v = v / 3;").has_value());
+  EXPECT_FALSE(match_text("v += f(3);").has_value());
+  EXPECT_FALSE(match_text("if (v) v++;").has_value());
 }
 
 // ---------------------------------------------------------------------------

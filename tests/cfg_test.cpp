@@ -42,7 +42,7 @@ Cfg cfg_of(const std::string& source) {
       continue;
     }
     if (const Stmt* pragma = find_pragma(*item.function.body)) {
-      return build_cfg(*pragma);
+      return build_cfg(*pragma, unit.value().tokens);
     }
   }
   ADD_FAILURE() << "no OpenMP construct found in source";

@@ -180,7 +180,7 @@ TEST_P(CanonicalLoop, Recognition) {
   ASSERT_EQ(loop.kind, StmtKind::kFor);
   EXPECT_EQ(loop.for_header.canonical, c.canonical) << c.source;
   if (c.canonical) {
-    EXPECT_EQ(loop.for_header.step, c.step);
+    EXPECT_EQ(loop.for_header.step.text, c.step);
     EXPECT_EQ(loop.for_header.increasing, c.increasing);
     EXPECT_EQ(loop.for_header.inclusive, c.inclusive);
   }
@@ -337,6 +337,24 @@ int main() {
 )");
   EXPECT_NE(out.find("parade::single_small"), std::string::npos);
   EXPECT_NE(out.find("__sgl.v0"), std::string::npos);
+
+  // Every compound assignment is a write: `flags |= 4` travels in the
+  // broadcast next to `count += 1`.
+  const std::string compound = must_translate(R"(
+int flags;
+int count;
+int main() {
+#pragma omp parallel
+  {
+#pragma omp single
+    { flags |= 4; count += 1; }
+  }
+  return 0;
+}
+)");
+  EXPECT_NE(compound.find("struct __ParadeSingle { int v0; int v1; }"),
+            std::string::npos);
+  EXPECT_NE(compound.find("__sgl.v1 = __prep_flags.get();"), std::string::npos);
 }
 
 TEST(Codegen, MasterGuardsOnGlobalMaster) {
