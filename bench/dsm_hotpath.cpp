@@ -15,10 +15,13 @@
 // actual nanoseconds through serve/install and grant, not modeled time.
 //
 // Absolute nanoseconds vary across machines and are never gated. The
-// regression gate (--baseline) instead requires the remote node's protocol
-// counts to match the committed baseline exactly: `fetches` (one per page
-// per epoch) and `twins_shared` (every twin a CoW alias of the home frame).
-// A drop in twins_shared means copy-on-write aliasing silently switched off.
+// regression gate (--baseline) instead requires the protocol counts to match
+// the committed baseline exactly: the remote node's `fetches` (one per page
+// per epoch) and `twins_shared` (every twin a CoW alias of the home frame),
+// and `protect_calls` (application-view mprotect calls on both nodes). A
+// drop in twins_shared means copy-on-write aliasing silently switched off;
+// a rise in protect_calls means barrier-time protection changes stopped
+// going out one call per contiguous run of pages.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -41,6 +44,7 @@ struct HotpathRow {
   double lock_grant_p50_ns = 0.0;
   std::int64_t fetches = 0;
   std::int64_t twins_shared = 0;
+  std::int64_t protect_calls = 0;
 };
 
 /// One measured cluster run. Resets the per-node registry slices first so
@@ -106,6 +110,9 @@ HotpathRow run_once(int pages, std::size_t page_bytes, int epochs, int locks) {
       reg.hist(1, "dsm.lock_grant_ns").percentile_ns(0.50));
   row.fetches = cluster.node(1).stats().snapshot().page_fetches;
   row.twins_shared = cluster.node(1).stats().snapshot().twins_shared;
+  for (NodeId n = 0; n < 2; ++n) {
+    row.protect_calls += cluster.node(n).stats().snapshot().protect_calls;
+  }
   cluster.shutdown();
   return row;
 }
@@ -135,6 +142,8 @@ bool write_json(const std::string& path, int pages, long page_kb,
   w.value(row.fetches);
   w.key("twins_shared");
   w.value(row.twins_shared);
+  w.key("protect_calls");
+  w.value(row.protect_calls);
   w.end_object();
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
@@ -156,7 +165,8 @@ int check_baseline(const std::string& path, int pages, long page_kb,
   text << in.rdbuf();
   auto parsed = obs::parse_json(text.str());
   if (!parsed.is_ok() || !parsed.value().is_object() ||
-      !parsed.value().has("fetches") || !parsed.value().has("twins_shared")) {
+      !parsed.value().has("fetches") || !parsed.value().has("twins_shared") ||
+      !parsed.value().has("protect_calls")) {
     std::fprintf(stderr, "dsm_hotpath: baseline %s is not a hotpath table\n",
                  path.c_str());
     return 1;
@@ -180,6 +190,7 @@ int check_baseline(const std::string& path, int pages, long page_kb,
   } gates[] = {
       {"fetches", row.fetches},
       {"twins_shared", row.twins_shared},
+      {"protect_calls", row.protect_calls},
   };
   for (const auto& gate : gates) {
     const std::int64_t want = number(gate.key);
@@ -242,10 +253,12 @@ int main(int argc, char** argv) {
       pages, page_kb, epochs);
   std::printf(
       "  fetch p50 %9.0f ns  mean %9.0f ns  p95 %9.0f ns  "
-      "grant p50 %9.0f ns  (%lld fetches, %lld shared twins)\n",
+      "grant p50 %9.0f ns  (%lld fetches, %lld shared twins, "
+      "%lld mprotect calls)\n",
       row.fetch_p50_ns, row.fetch_mean_ns, row.fetch_p95_ns,
       row.lock_grant_p50_ns, static_cast<long long>(row.fetches),
-      static_cast<long long>(row.twins_shared));
+      static_cast<long long>(row.twins_shared),
+      static_cast<long long>(row.protect_calls));
 
   if (!out_path.empty() &&
       !write_json(out_path, pages, page_kb, epochs, row)) {

@@ -130,8 +130,7 @@ Status DsmNode::start() {
     if (rank() == 0) {
       // The master starts as home of every page with a zero-filled, readable
       // copy; everyone else faults pages in on first access.
-      if (Status s = mapping_->protect_app(0, config_.pool_bytes, PROT_READ);
-          !s) {
+      if (Status s = protect_span(0, config_.pool_bytes, PROT_READ); !s) {
         return s;
       }
       for (std::size_t p = 0; p < config_.num_pages(); ++p) {
@@ -147,8 +146,8 @@ Status DsmNode::start() {
       PageEntry& entry = pages_->entry(page);
       entry.home = rules::default_home(page, size(), /*sharded=*/true);
       if (entry.home != rank()) continue;
-      if (Status s = mapping_->protect_app(p * config_.page_bytes,
-                                           config_.page_bytes, PROT_READ);
+      if (Status s = protect_span(p * config_.page_bytes, config_.page_bytes,
+                                  PROT_READ);
           !s) {
         return s;
       }
@@ -266,11 +265,29 @@ std::byte* DsmNode::sys_page(PageId page) const {
   return mapping_->real_address(View::kSys, page, 0);
 }
 
+Status DsmNode::protect_span(std::size_t offset, std::size_t bytes,
+                             int prot) {
+  stats_.inc_protect_calls();
+  return mapping_->protect_app(offset, bytes, prot);
+}
+
 void DsmNode::protect(PageId page, int prot) {
-  Status s = mapping_->protect_app(
-      static_cast<std::size_t>(page) * config_.page_bytes, config_.page_bytes,
-      prot);
+  Status s = protect_span(static_cast<std::size_t>(page) * config_.page_bytes,
+                          config_.page_bytes, prot);
   PARADE_CHECK_MSG(s.is_ok(), s.message());
+}
+
+void DsmNode::protect_runs(std::vector<PageId> pages, int prot) {
+  std::sort(pages.begin(), pages.end());
+  for (std::size_t i = 0; i < pages.size();) {
+    std::size_t j = i + 1;
+    while (j < pages.size() && pages[j] == pages[j - 1] + 1) ++j;
+    Status s = protect_span(
+        static_cast<std::size_t>(pages[i]) * config_.page_bytes,
+        (j - i) * config_.page_bytes, prot);
+    PARADE_CHECK_MSG(s.is_ok(), s.message());
+    i = j;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -415,10 +432,23 @@ std::vector<PageId> DsmNode::drain_dirty_now() {
   return pages;
 }
 
-void DsmNode::flush_pages(const std::vector<PageId>& pages) {
+void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
   if (pages.empty()) return;
   std::lock_guard flush_lock(flush_mutex_);
   auto* clock = vtime::thread_clock();
+  // At a barrier no application thread of this node runs, so downgrades
+  // wait for one mprotect per run after the loop. A lock release runs next
+  // to computing threads: it write-protects each page before scanning its
+  // diff, so a store by another thread either lands before the scan or
+  // faults and starts a new twin.
+  std::vector<PageId> downgraded;
+  const auto downgrade = [&](PageId page) {
+    if (at_barrier) {
+      downgraded.push_back(page);
+    } else {
+      protect(page, PROT_READ);
+    }
+  };
 
   struct PendingDiff {
     NodeId home;
@@ -432,15 +462,30 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages) {
     if (entry.state != PageState::kDirty) continue;  // already flushed
 
     if (entry.home == rank()) {
+      const rules::HomeFlush decision =
+          rules::home_flush(entry.remote_copy, at_barrier);
+      entry.remote_copy = decision.remote_copy;
+      if (decision.keep_exclusive) {
+        // No peer holds a copy: the page stays DIRTY and writable, and no
+        // write notice goes out. The next serve ends exclusivity.
+        entry.exclusive = true;
+        check_invariant(
+            rules::exclusive_unshared(entry.exclusive, entry.remote_copy),
+            "home.exclusive_unshared", page);
+        std::lock_guard dirty_lock(dirty_mutex_);
+        interval_dirty_.erase(page);
+        continue;
+      }
       // Dirty window over: re-stabilize the frame so future serves can be
       // shared again (bumps the frame version past the unstable epoch).
       twins_->mark_stable(rank(), page);
-      protect(page, PROT_READ);
+      downgrade(page);
       set_state(entry, page, PageState::kReadOnly);
       continue;
     }
 
     const std::uint32_t seq = next_seq();
+    downgrade(page);
     std::size_t diff_bytes = 0;
     std::vector<std::uint8_t> payload;
     // Diff runs stream from the sys view straight into the wire buffer
@@ -460,7 +505,6 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages) {
     check_invariant(had_twin, "twin.present", page);
     if (had_twin && diff_bytes > 0) payload = std::move(buffer).take();
     entry.release_twin(*twins_, rank(), page);
-    protect(page, PROT_READ);
     set_state(entry, page, PageState::kReadOnly);
     const NodeId home = entry.home;
     lock.unlock();
@@ -477,6 +521,7 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages) {
     post(home, kTagDiff, payload, stamp);
     pending.emplace(seq, PendingDiff{home, std::move(payload), stamp});
   }
+  protect_runs(std::move(downgraded), PROT_READ);
 
   int attempts = 1;
   while (!pending.empty()) {
@@ -534,7 +579,7 @@ void DsmNode::barrier() {
                        obs::SpanContext{obs::epoch_trace_id(epoch_), 0});
   obs::ScopedHistTimer wait_scope(barrier_wait_hist_);
 
-  flush_pages(drain_dirty_now());
+  flush_pages(drain_dirty_now(), /*at_barrier=*/true);
 
   // This node's own write notices for the closing interval.
   std::vector<PageId> own_pages;
@@ -792,11 +837,16 @@ void DsmNode::handle_barrier_arrive(const net::Message& message) {
 }
 
 void DsmNode::process_departure(const BarrierDepartMsg& msg) {
+  std::vector<PageId> invalidated;
   for (const DepartEntry& e : msg.entries) {
     PageEntry& entry = pages_->entry(e.page);
     std::lock_guard lock(entry.mutex);
     const NodeId old_home = entry.home;
     entry.home = e.new_home;
+    // The home records copies that survive this departure elsewhere; it
+    // never clears the flag here (see rules::remote_copy_after_departure).
+    entry.remote_copy = rules::remote_copy_after_departure(
+        entry.remote_copy, rank(), e.new_home, old_home, e.sole_modifier);
 
     // Keep the copy when it is provably current: we are the new home, we
     // were the old home (all diffs merged into us), or we were the interval's
@@ -811,11 +861,14 @@ void DsmNode::process_departure(const BarrierDepartMsg& msg) {
     }
     if (rules::invalidate_applies(entry.state)) {
       entry.release_twin(*twins_, rank(), e.page);
-      protect(e.page, PROT_NONE);
       set_state(entry, e.page, PageState::kInvalid);
+      invalidated.push_back(e.page);
       stats_.inc_invalidations();
     }
   }
+  // The barrier caller is this node's only running application thread, so
+  // nothing can touch an invalidated page before its run is protected.
+  protect_runs(std::move(invalidated), PROT_NONE);
 }
 
 // ---------------------------------------------------------------------------
@@ -901,7 +954,7 @@ void DsmNode::lock_release(int lock_id) {
   std::sort(cs_pages.begin(), cs_pages.end());
   cs_pages.erase(std::unique(cs_pages.begin(), cs_pages.end()),
                  cs_pages.end());
-  flush_pages(cs_pages);
+  flush_pages(cs_pages, /*at_barrier=*/false);
 
   const NodeId home = static_cast<NodeId>(lock_id % size());
   auto* clock = vtime::thread_clock();
@@ -1041,6 +1094,18 @@ void DsmNode::serve_page_request(const net::Message& message) {
       check_invariant(entry.state == PageState::kReadOnly ||
                           entry.state == PageState::kDirty,
                       "home.holds_copy", request.page);
+      check_invariant(
+          rules::exclusive_unshared(entry.exclusive, entry.remote_copy),
+          "home.exclusive_unshared", request.page);
+      if (entry.exclusive) {
+        // The copy served below carries every untracked home write. Write-
+        // protect first, so each later home write faults and is noticed.
+        twins_->mark_stable(rank(), request.page);
+        protect(request.page, PROT_READ);
+        set_state(entry, request.page, PageState::kReadOnly);
+        entry.exclusive = false;
+      }
+      entry.remote_copy = true;
     }
     // Version first, frame bytes second, both under the entry lock every
     // home-side frame mutation also takes: an interleaved bump can only

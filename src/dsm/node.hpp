@@ -12,7 +12,8 @@
 //
 // Threading contract: any number of application threads may fault and
 // acquire locks; barrier() must be called by exactly one thread per node at
-// a time (the runtime's hierarchical barrier guarantees this).
+// a time, while the node's other application threads wait (the runtime's
+// hierarchical barrier guarantees both).
 #pragma once
 
 #include <array>
@@ -122,8 +123,12 @@ class DsmNode {
 
   // --- flush (barrier / lock release) ---
   /// Sends diffs for the given DIRTY pages to their homes and downgrades them
-  /// to READ_ONLY. Waits for all acks. Serialized by flush_mutex_.
-  void flush_pages(const std::vector<PageId>& pages);
+  /// to READ_ONLY; home pages no peer holds stay DIRTY instead (exclusive).
+  /// Waits for all acks. Serialized by flush_mutex_. `at_barrier`: the
+  /// node's application threads are quiesced, so the downgrades go out in
+  /// runs after the scan, and the write notices about to be sent invalidate
+  /// every peer copy of the home's pages.
+  void flush_pages(const std::vector<PageId>& pages, bool at_barrier);
   std::vector<PageId> drain_dirty_now();
 
   // --- barrier internals (k-ary gather/scatter tree; flat == degenerate
@@ -156,7 +161,13 @@ class DsmNode {
   void post(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
             VirtualUs vtime);
 
+  /// Every application-view mprotect goes through protect_span, which
+  /// counts it in `dsm.protect_calls`.
+  Status protect_span(std::size_t offset, std::size_t bytes, int prot);
   void protect(PageId page, int prot);
+  /// Protects `pages` (any order) with one call per contiguous run. Only for
+  /// points where the node's application threads are quiesced.
+  void protect_runs(std::vector<PageId> pages, int prot);
   std::byte* sys_page(PageId page) const;
 
   /// The single funnel for page-state changes: asserts the change is a legal

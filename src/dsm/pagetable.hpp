@@ -65,6 +65,12 @@ struct PageEntry {
   /// carrying any other value are stale retransmission artifacts and are
   /// dropped instead of installed.
   std::uint32_t fetch_seq = 0;
+  /// Home-side sharing state (guarded by `mutex`, meaningful only while this
+  /// node is the page's home; see rules::home_flush). `remote_copy`: some
+  /// peer may hold a copy. `exclusive`: the page is DIRTY and stays writable
+  /// across barriers because no peer holds a copy; the next serve ends it.
+  bool remote_copy = false;
+  bool exclusive = false;
 
   /// Drops this node's twin for `page`, shared or private — the single
   /// release path used by both flush and the departure downgrade.

@@ -61,6 +61,9 @@ enum class Mutation : std::uint8_t {
   kSkipReplySeqCheck,
   /// Barrier departure keeps every cached copy (skips invalidation).
   kKeepStaleCopy,
+  /// The home forgets its peers' copies of a write-noticed page when it
+  /// processes the departure, so a peer that refetched first goes unseen.
+  kClearCopiesAtDeparture,
 };
 
 struct MutationInfo {
@@ -80,6 +83,8 @@ inline constexpr MutationInfo kMutations[] = {
      "stale page replies install over a newer fetch"},
     {Mutation::kKeepStaleCopy, "keep-stale-copy",
      "departure processing never invalidates cached copies"},
+    {Mutation::kClearCopiesAtDeparture, "clear-copies-at-departure",
+     "the home clears its remote-copy flag when it processes a departure"},
 };
 
 inline const char* to_string(Mutation m) {
@@ -321,6 +326,54 @@ constexpr bool keep_copy_on_departure(NodeId self, NodeId new_home,
                                       Mutation m = Mutation::kNone) {
   if (m == Mutation::kKeepStaleCopy) return true;
   return new_home == self || old_home == self || sole_modifier == self;
+}
+
+// ---------------------------------------------------------------------------
+// Exclusive home pages.
+//
+// The home tracks, per page, whether some peer may hold a copy
+// (`remote_copy`). A home DIRTY page no peer can hold stays DIRTY and
+// writable across barriers (`exclusive`): its writes need no write fault, no
+// flush downgrade and no write notice, because nobody has a copy to
+// invalidate. The first serve ends exclusivity: the home downgrades the page
+// to READ_ONLY before reading the bytes it serves, so every later home write
+// faults and is noticed again. The serve itself sets `remote_copy`.
+
+struct HomeFlush {
+  bool keep_exclusive = false;  ///< stay DIRTY and writable, send no notice
+  bool remote_copy = false;     ///< the flag's value after the flush
+};
+
+/// Flush of a DIRTY page at its home. Without a remote copy the page stays
+/// exclusive. Otherwise it is downgraded and noticed; at a barrier that
+/// notice invalidates every other copy (the home is a modifier, so it stays
+/// home and no peer is a sole modifier), so the flag clears. A lock-release
+/// flush sends no invalidating departure and keeps the flag.
+constexpr HomeFlush home_flush(bool remote_copy, bool at_barrier) {
+  if (!remote_copy) return {true, false};
+  return {false, !at_barrier};
+}
+
+/// The home's remote_copy flag after it processes a departure entry for a
+/// write-noticed page. It is set when a peer keeps a copy through the
+/// departure: the old home when this node became home by migration, or a
+/// remote sole modifier whose migration was vetoed. It is never cleared
+/// here: a peer that processed this departure earlier may already have
+/// fetched the page again, and that serve set the flag.
+constexpr bool remote_copy_after_departure(bool remote_copy, NodeId self,
+                                           NodeId new_home, NodeId old_home,
+                                           NodeId sole_modifier,
+                                           Mutation m = Mutation::kNone) {
+  if (new_home != self) return remote_copy;  // only the home tracks copies
+  const bool peer_keeps =
+      old_home != self || (sole_modifier != kAnyNode && sole_modifier != self);
+  if (peer_keeps) return true;
+  return m == Mutation::kClearCopiesAtDeparture ? false : remote_copy;
+}
+
+/// The home.exclusive_unshared invariant: an exclusive page has no peer copy.
+constexpr bool exclusive_unshared(bool exclusive, bool remote_copy) {
+  return !exclusive || !remote_copy;
 }
 
 /// Departure invalidation only applies to states that hold application data;

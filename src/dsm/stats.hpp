@@ -33,7 +33,8 @@ namespace parade::dsm {
   X(home_migrations) /* counted at the master */      \
   X(prior_seeded_pages) /* pages covered by static protocol priors */ \
   X(lock_acquires)             \
-  X(lock_remote_grants)
+  X(lock_remote_grants)        \
+  X(protect_calls)   /* mprotect calls on the application view */
 
 struct DsmStatsSnapshot {
 #define PARADE_DSM_FIELD(name) std::int64_t name = 0;

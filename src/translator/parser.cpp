@@ -15,6 +15,18 @@ bool no_space_after(const std::string& t) {
          t == "~";
 }
 
+/// A prefix ++/-- right after an operator keeps a space before it:
+/// `a + ++b` glued would read `a +++ b`, which C lexes as `a++ + b`. After
+/// `)` or `]` the token is postfix and glues to its operand.
+bool prefix_after_operator(const std::vector<Token>& tokens, std::size_t begin,
+                           std::size_t i) {
+  if (i == begin || (tokens[i].text != "++" && tokens[i].text != "--")) {
+    return false;
+  }
+  const Token& prev = tokens[i - 1];
+  return prev.kind == TokKind::kPunct && prev.text != ")" && prev.text != "]";
+}
+
 bool is_assign_op(const std::string& t) {
   return t == "=" || t == "+=" || t == "-=" || t == "*=" || t == "/=" ||
          t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
@@ -693,7 +705,8 @@ std::string render_tokens(const std::vector<Token>& tokens, std::size_t begin,
   std::string out;
   for (std::size_t i = begin; i < end; ++i) {
     const std::string& text = tokens[i].text;
-    if (!out.empty() && !no_space_before(text) &&
+    if (!out.empty() &&
+        (!no_space_before(text) || prefix_after_operator(tokens, begin, i)) &&
         !(i > begin && no_space_after(tokens[i - 1].text))) {
       out += ' ';
     }

@@ -624,7 +624,18 @@ std::optional<Violation> Model::start_flush(State& state, NodeId node) const {
   for (PageId p = 0; p < static_cast<PageId>(nm.pages.size()); ++p) {
     if ((nm.dirty & bit(p)) == 0) continue;
     PageView& v = nm.pages[p];
-    if (v.home != node) {
+    if (v.home == node) {
+      const rules::HomeFlush decision =
+          rules::home_flush(v.remote_copy, /*at_barrier=*/true);
+      v.remote_copy = decision.remote_copy;
+      if (decision.keep_exclusive) {
+        // No peer holds a copy: the page stays DIRTY and its writes go
+        // unnoticed until a serve ends exclusivity.
+        v.exclusive = true;
+        nm.interval_dirty &= static_cast<std::uint8_t>(~bit(p));
+        continue;
+      }
+    } else {
       nm.next_seq += 1;
       PendingDiff d;
       d.page = p;
@@ -716,31 +727,38 @@ std::optional<Violation> Model::master_depart(State& state) const {
   std::vector<DepartEntryM> entries;
   std::optional<Violation> viol;
   for (PageId p = 0; p < static_cast<PageId>(scenario_.pages); ++p) {
-    if (modifiers[p].empty()) continue;
-    const NodeId cur_home = master.pages[p].home;
-    const PageView& hv = state.nodes[cur_home].pages[p];
     std::uint8_t mask = 0;
     for (NodeId n : modifiers[p]) mask |= bit(n);
-    // Invariant: by the time every node has arrived, every diff for a
-    // write-noticed page has been flushed into (and acked by) the
-    // pre-migration home — nothing may be lost to the coming invalidations.
+    // The interval's writers: the noticed ones plus an exclusive home, whose
+    // writes carry no notice.
+    const std::uint8_t written = mask | state.wrote[p];
+    if (written == 0) continue;
+    const NodeId cur_home = master.pages[p].home;
+    const PageView& hv = state.nodes[cur_home].pages[p];
+    // Invariant: by the time every node has arrived, every write of the
+    // interval has been flushed into (and acked by) the pre-migration home
+    // — nothing may be lost to the coming invalidations.
     if (!viol && (hv.base != state.stable_ver[p] ||
-                  (hv.contribs & mask) != mask || !holds_copy(hv.state))) {
+                  (hv.contribs & written) != written ||
+                  !holds_copy(hv.state))) {
       std::ostringstream os;
       os << "page " << p << " home " << cur_home << " misses contributions "
-         << int(mask & ~hv.contribs) << " at barrier " << int(closed_epoch);
+         << int(written & ~hv.contribs) << " at barrier "
+         << int(closed_epoch);
       viol = Violation{"diff.flushed", os.str()};
     }
-    const rules::HomeDecision decision = rules::choose_home(
-        cur_home, modifiers[p], scenario_.home_migration, mutation_);
-    DepartEntryM e;
-    e.page = p;
-    e.new_home = decision.new_home;
-    e.sole_modifier = decision.sole_modifier;
-    e.modifiers = mask;
-    entries.push_back(e);
+    if (mask != 0) {
+      const rules::HomeDecision decision = rules::choose_home(
+          cur_home, modifiers[p], scenario_.home_migration, mutation_);
+      DepartEntryM e;
+      e.page = p;
+      e.new_home = decision.new_home;
+      e.sole_modifier = decision.sole_modifier;
+      e.modifiers = mask;
+      entries.push_back(e);
+    }
     state.stable_ver[p] += 1;
-    state.last_wrote[p] = mask;
+    state.last_wrote[p] = written;
     state.wrote[p] = 0;
   }
 
@@ -773,6 +791,8 @@ std::optional<Violation> Model::process_depart(
     PageView& v = nm.pages[e.page];
     const NodeId old_home = v.home;
     v.home = e.new_home;
+    v.remote_copy = rules::remote_copy_after_departure(
+        v.remote_copy, node, e.new_home, old_home, e.sole_modifier, mutation_);
     const bool keep = rules::keep_copy_on_departure(
         node, e.new_home, old_home, e.sole_modifier, mutation_);
     if (!keep && rules::invalidate_applies(v.state)) {
@@ -782,13 +802,14 @@ std::optional<Violation> Model::process_depart(
       }
       v.base = 0;
       v.contribs = 0;
-      continue;
     }
-    // Kept copies that carry every contribution of the closed interval are
-    // rebased to the new stable version; incomplete kept copies (only
-    // reachable under rule mutations) stay behind and trip the staleness
-    // checks when touched.
-    normalize(state, v, e.page);
+  }
+  // Copies that carry every write of the closed interval — kept copies and
+  // the exclusive home's — are rebased to the new stable version;
+  // incomplete copies (only reachable under rule mutations) stay behind and
+  // trip the staleness checks when touched.
+  for (PageId p = 0; p < static_cast<PageId>(nm.pages.size()); ++p) {
+    normalize(state, nm.pages[p], p);
   }
   nm.interval_dirty = 0;
   nm.epoch = closed_epoch + 1;
@@ -843,6 +864,15 @@ std::optional<Violation> Model::interval_boundary_checks(
          << int(closed_epoch);
       return Violation{"home.current", os.str()};
     }
+    if (!hv.exclusive) continue;
+    for (NodeId n = 0; n < static_cast<NodeId>(scenario_.nodes); ++n) {
+      if (n != home && holds_copy(state.nodes[n].pages[p].state)) {
+        std::ostringstream os;
+        os << "page " << p << " exclusive at home " << home << " while node "
+           << n << " holds a copy after barrier " << int(closed_epoch);
+        return Violation{"home.exclusive_unshared", os.str()};
+      }
+    }
   }
   return std::nullopt;
 }
@@ -867,6 +897,24 @@ std::optional<Violation> Model::deliver(State& state, const Msg& msg) const {
            << parade::dsm::to_string(v.state) << ", base " << v.base
            << ", stable " << state.stable_ver[msg.page] << ")";
         return Violation{"home.serves_current", os.str()};
+      }
+      if (v.home == msg.dst) {
+        if (!rules::exclusive_unshared(v.exclusive, v.remote_copy)) {
+          std::ostringstream os;
+          os << "node " << msg.dst << " page " << msg.page
+             << " is exclusive with a remote copy";
+          return Violation{"home.exclusive_unshared", os.str()};
+        }
+        // The served copy carries the exclusive home's unnoticed writes;
+        // the downgrade makes its later writes fault and be noticed.
+        if (v.exclusive) {
+          if (auto viol =
+                  set_state(v, msg.dst, msg.page, PageState::kReadOnly)) {
+            return viol;
+          }
+          v.exclusive = false;
+        }
+        v.remote_copy = true;
       }
       Msg reply;
       reply.kind = MsgKind::kPageReply;
@@ -1028,6 +1076,8 @@ std::string Model::encode(const State& state) const {
       sink.u16(v.fetch_seq);
       sink.u16(v.base);
       sink.u8(v.contribs);
+      sink.u8(static_cast<std::uint8_t>((v.remote_copy ? 1 : 0) |
+                                        (v.exclusive ? 2 : 0)));
     }
     for (const ThreadM& tm : nm.threads) {
       sink.u8(tm.pc);
@@ -1263,6 +1313,28 @@ std::vector<Scenario> make_standard_scenarios() {
         {ThreadProgram{Intervals{{W(1)}, {R(0)}}}},
         {ThreadProgram{Intervals{{}, {R(1)}}}},
         {ThreadProgram{Intervals{{W(0)}, {}}}},
+    };
+    out.push_back(std::move(s));
+  }
+  {
+    // Exclusive home pages: node 1 homes page 1 (sharded) and writes it in
+    // every interval; node 0 reads it from interval 1 on. Interval 0's
+    // writes stay exclusive and unnoticed, node 0's first fetch ends that,
+    // and the noticed writes that follow must invalidate node 0's copy. The
+    // home is not the barrier root, so node 0 can process a departure and
+    // refetch before the home processes it (clear-copies-at-departure).
+    Scenario s;
+    s.name = "exclusive-home";
+    s.description = "2 nodes: a home writer every interval, a reader from 1";
+    s.nodes = 2;
+    s.pages = 2;
+    s.intervals = 4;
+    s.sharded_homes = true;
+    s.drop_budget = 1;
+    s.dup_budget = 1;
+    s.programs = {
+        {ThreadProgram{Intervals{{}, {R(1)}, {R(1)}, {R(1)}}}},
+        {ThreadProgram{Intervals{{W(1)}, {W(1)}, {W(1)}, {W(1)}}}},
     };
     out.push_back(std::move(s));
   }

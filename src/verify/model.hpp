@@ -35,6 +35,9 @@
 //                        barrier-stable version
 //   write.stale_base     no write upgrades a stale base copy
 //   barrier.epoch        arrivals/departures only for plausible epochs
+//   home.exclusive_unshared
+//                        an exclusive home page has no remote-copy flag, and
+//                        at interval boundaries no other node holds a copy
 //   deadlock             every non-final state has an enabled action
 #pragma once
 
@@ -153,6 +156,10 @@ struct PageView {
   std::uint16_t fetch_seq = 0;
   std::uint16_t base = 0;     ///< stable version this copy derives from
   std::uint8_t contribs = 0;  ///< current-interval writes merged in (mask)
+  /// Home-side sharing state (rules::home_flush): some peer may hold a copy;
+  /// the page is DIRTY and stays writable across barriers.
+  bool remote_copy = false;
+  bool exclusive = false;
 
   auto operator<=>(const PageView&) const = default;
 };
@@ -208,7 +215,10 @@ struct State {
   std::vector<NodeM> nodes;
   std::vector<Msg> net;  ///< in-flight multiset, kept sorted
   std::vector<std::uint16_t> stable_ver;  ///< per page: closed-barrier version
-  std::vector<std::uint8_t> wrote;        ///< per page: open-interval writers
+  /// per page: open-interval writers. Ground truth, set by every write op
+  /// whether or not a write notice will announce it (exclusive home pages
+  /// write unnoticed); the stable version advances on it.
+  std::vector<std::uint8_t> wrote;
   std::vector<std::uint8_t> last_wrote;   ///< per page: last closed interval's
                                           ///< writers (for lazy rebase)
   std::uint8_t drops_left = 0;

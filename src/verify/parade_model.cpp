@@ -260,19 +260,19 @@ int cmd_mutants(const std::vector<std::string>& args) {
     Model model(scenario, rules::Mutation::kNone);
     ExploreResult result = parade::verify::explore(model, budget);
     if (result.clean_fixed_point()) {
-      std::printf("clean %-12s ok (%llu states)\n", scenario.name.c_str(),
+      std::printf("clean %-14s ok (%llu states)\n", scenario.name.c_str(),
                   static_cast<unsigned long long>(result.states));
       continue;
     }
     all_ok = false;
     if (result.violation) {
-      std::printf("clean %-12s FAILED: %s\n", scenario.name.c_str(),
+      std::printf("clean %-14s FAILED: %s\n", scenario.name.c_str(),
                   result.violation->invariant.c_str());
       std::vector<Action> trace =
           parade::verify::minimize(model, result.trace);
       print_violation(*result.violation, trace);
     } else {
-      std::printf("clean %-12s FAILED: budget exhausted\n",
+      std::printf("clean %-14s FAILED: budget exhausted\n",
                   scenario.name.c_str());
     }
   }
@@ -292,10 +292,10 @@ int cmd_mutants(const std::vector<std::string>& args) {
       }
     }
     if (detected) {
-      std::printf("mutant %-22s detected in %s (%s)\n", info.name,
+      std::printf("mutant %-25s detected in %s (%s)\n", info.name,
                   where.c_str(), invariant.c_str());
     } else {
-      std::printf("mutant %-22s NOT DETECTED\n", info.name);
+      std::printf("mutant %-25s NOT DETECTED\n", info.name);
       all_ok = false;
     }
   }

@@ -280,6 +280,119 @@ TEST(DsmProtocol, SoleModifierKeepsCopyWithoutMigration) {
   cluster.shutdown();
 }
 
+// Exclusive home pages (rules::home_flush): a home page no peer holds stays
+// DIRTY and writable across barriers, so its writes cost one fault in total
+// and no write notice.
+TEST(DsmProtocol, HomeOnlyWriterStaysExclusive) {
+  constexpr int kBarriers = 8;
+  DsmCluster cluster(Topology::cluster(2), config_mb());
+  cluster.run([&](NodeId rank) {
+    auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
+    cluster.node(rank).barrier();
+    for (int i = 1; i <= kBarriers; ++i) {
+      if (rank == 0) data[0] = i;
+      cluster.node(rank).barrier();
+    }
+    if (rank == 1) {
+      EXPECT_EQ(data[0], kBarriers);
+    }
+    cluster.node(rank).barrier();
+  });
+  const auto n0 = cluster.node(0).stats().snapshot();
+  const auto n1 = cluster.node(1).stats().snapshot();
+  EXPECT_EQ(n0.write_faults, 1);
+  EXPECT_EQ(n0.write_notices_sent, 0);
+  EXPECT_EQ(n1.page_fetches, 1);
+  EXPECT_EQ(n1.invalidations, 0);
+  cluster.shutdown();
+}
+
+// A peer's fetch ends exclusivity: the home's next write faults again and
+// its notice invalidates the peer's copy at the barrier.
+TEST(DsmProtocol, PeerReadEndsExclusiveHomePage) {
+  DsmCluster cluster(Topology::cluster(2), config_mb());
+  cluster.run([&](NodeId rank) {
+    auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
+    cluster.node(rank).barrier();
+    if (rank == 0) data[0] = 1;  // stays exclusive across the barrier
+    cluster.node(rank).barrier();
+    if (rank == 1) {
+      EXPECT_EQ(data[0], 1);
+    }
+    cluster.node(rank).barrier();
+    if (rank == 0) data[0] = 2;
+    cluster.node(rank).barrier();
+    EXPECT_EQ(data[0], 2);
+    cluster.node(rank).barrier();
+  });
+  const auto n0 = cluster.node(0).stats().snapshot();
+  const auto n1 = cluster.node(1).stats().snapshot();
+  EXPECT_EQ(n0.write_faults, 2);
+  EXPECT_EQ(n0.write_notices_sent, 1);
+  EXPECT_EQ(n1.invalidations, 1);
+  EXPECT_EQ(n1.page_fetches, 2);
+  cluster.shutdown();
+}
+
+// A page that migrates keeps a copy at its old home. The new home must
+// count that copy, or its next write would stay exclusive and unnoticed
+// while the old home reads a stale page.
+TEST(DsmProtocol, MigratedHomeCountsOldHomeCopy) {
+  DsmCluster cluster(Topology::cluster(2), config_mb());
+  cluster.run([&](NodeId rank) {
+    auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
+    const PageId page =
+        static_cast<PageId>(cluster.node(rank).offset_of(data) / 4096);
+    cluster.node(rank).barrier();
+    if (rank == 1) data[0] = 1;
+    cluster.node(rank).barrier();
+    EXPECT_EQ(cluster.node(rank).home_of(page), 1);
+    EXPECT_EQ(data[0], 1);  // node 0 reads the copy it kept as old home
+    cluster.node(rank).barrier();
+    if (rank == 1) data[0] = 2;
+    cluster.node(rank).barrier();
+    EXPECT_EQ(data[0], 2);
+    cluster.node(rank).barrier();
+  });
+  const auto n0 = cluster.node(0).stats().snapshot();
+  const auto n1 = cluster.node(1).stats().snapshot();
+  EXPECT_EQ(n0.home_migrations, 1);
+  EXPECT_EQ(n1.write_notices_sent, 2);
+  EXPECT_EQ(n0.invalidations, 1);
+  EXPECT_EQ(n0.page_fetches, 1);
+  cluster.shutdown();
+}
+
+// With migration vetoed, a remote sole modifier keeps its copy through the
+// departure. The home must count that copy, or its next write would stay
+// exclusive and unnoticed while the peer reads a stale page.
+TEST(DsmProtocol, VetoedSoleModifierCopyIsInvalidatedByHomeWrite) {
+  DsmConfig config = config_mb();
+  config.home_migration = false;
+  DsmCluster cluster(Topology::cluster(2), config);
+  cluster.run([&](NodeId rank) {
+    auto* data = static_cast<int*>(cluster.node(rank).shmalloc(4096, 4096));
+    cluster.node(rank).barrier();
+    if (rank == 1) data[0] = 5;
+    cluster.node(rank).barrier();
+    EXPECT_EQ(data[0], 5);  // node 1 reads its kept copy
+    cluster.node(rank).barrier();
+    if (rank == 0) data[1] = 6;
+    cluster.node(rank).barrier();
+    EXPECT_EQ(data[0], 5);
+    EXPECT_EQ(data[1], 6);
+    cluster.node(rank).barrier();
+  });
+  const auto n0 = cluster.node(0).stats().snapshot();
+  const auto n1 = cluster.node(1).stats().snapshot();
+  EXPECT_EQ(n0.home_migrations, 0);
+  EXPECT_EQ(n0.write_faults, 1);
+  EXPECT_EQ(n0.write_notices_sent, 1);
+  EXPECT_EQ(n1.invalidations, 1);
+  EXPECT_EQ(n1.page_fetches, 2);
+  cluster.shutdown();
+}
+
 TEST(DsmProtocol, AllocatorAlignmentAndDeterminism) {
   DsmCluster cluster(Topology::cluster(2), config_mb());
   std::size_t offsets[2][3];

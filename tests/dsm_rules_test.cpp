@@ -204,6 +204,48 @@ TEST(KeepCopyOnDeparture, KeepStaleCopyMutationNeverInvalidates) {
       rules::keep_copy_on_departure(3, 1, 0, 2, Mutation::kKeepStaleCopy));
 }
 
+TEST(HomeFlush, UnsharedPagesStayExclusive) {
+  EXPECT_TRUE(rules::home_flush(/*remote_copy=*/false, true).keep_exclusive);
+  EXPECT_TRUE(rules::home_flush(false, false).keep_exclusive);
+  // A shared page is downgraded and noticed; only the barrier's notice
+  // invalidates every peer copy, so only the barrier clears the flag.
+  EXPECT_FALSE(rules::home_flush(true, true).keep_exclusive);
+  EXPECT_FALSE(rules::home_flush(true, true).remote_copy);
+  EXPECT_FALSE(rules::home_flush(true, false).keep_exclusive);
+  EXPECT_TRUE(rules::home_flush(true, false).remote_copy);
+}
+
+TEST(RemoteCopyAfterDeparture, SetWhenAPeerKeepsACopyNeverCleared) {
+  // Migrated to us: the old home keeps its copy.
+  EXPECT_TRUE(rules::remote_copy_after_departure(false, /*self=*/1,
+                                                 /*new_home=*/1,
+                                                 /*old_home=*/0,
+                                                 /*sole_modifier=*/1));
+  // Migration vetoed: the remote sole modifier keeps its copy.
+  EXPECT_TRUE(rules::remote_copy_after_departure(false, 0, 0, 0, 1));
+  // The home was a modifier: nobody keeps a copy, but the flag is left as
+  // it is — a peer may already have refetched.
+  EXPECT_TRUE(rules::remote_copy_after_departure(true, 0, 0, 0, 0));
+  EXPECT_TRUE(rules::remote_copy_after_departure(true, 0, 0, 0, kAnyNode));
+  EXPECT_FALSE(rules::remote_copy_after_departure(false, 0, 0, 0, 0));
+  // Not the home: the flag is not ours to track.
+  EXPECT_TRUE(rules::remote_copy_after_departure(true, 2, 1, 0, 1));
+}
+
+TEST(RemoteCopyAfterDeparture, ClearCopiesMutationForgetsRefetches) {
+  EXPECT_FALSE(rules::remote_copy_after_departure(
+      true, 0, 0, 0, 0, Mutation::kClearCopiesAtDeparture));
+  EXPECT_TRUE(rules::remote_copy_after_departure(
+      false, 0, 0, 0, 1, Mutation::kClearCopiesAtDeparture));
+}
+
+TEST(ExclusiveUnshared, ExclusiveImpliesNoRemoteCopy) {
+  EXPECT_TRUE(rules::exclusive_unshared(false, false));
+  EXPECT_TRUE(rules::exclusive_unshared(false, true));
+  EXPECT_TRUE(rules::exclusive_unshared(true, false));
+  EXPECT_FALSE(rules::exclusive_unshared(true, true));
+}
+
 TEST(InvalidateApplies, OnlyDataBearingStates) {
   EXPECT_TRUE(rules::invalidate_applies(PageState::kReadOnly));
   EXPECT_TRUE(rules::invalidate_applies(PageState::kDirty));

@@ -355,6 +355,36 @@ int main() {
   EXPECT_NE(compound.find("struct __ParadeSingle { int v0; int v1; }"),
             std::string::npos);
   EXPECT_NE(compound.find("__sgl.v1 = __prep_flags.get();"), std::string::npos);
+
+  // A prefix increment after an operator keeps its own token: glued, `+++`
+  // would increment `a` instead of `b`.
+  const std::string incdec = must_translate(R"(
+int a;
+int b;
+int c;
+int main() {
+#pragma omp parallel
+  {
+#pragma omp single
+    { c = a + ++b; c = c - --a; }
+  }
+  return 0;
+}
+)");
+  EXPECT_NE(incdec.find("__prep_a.get() + ++ __prep_b.get();"),
+            std::string::npos);
+  EXPECT_NE(incdec.find("__prep_c.get() - -- __prep_a.get();"),
+            std::string::npos);
+  EXPECT_EQ(incdec.find("+++"), std::string::npos);
+  EXPECT_EQ(incdec.find("---"), std::string::npos);
+}
+
+TEST(Parser, RenderedPrefixIncrementKeepsOperandsApart) {
+  const auto toks =
+      lex("x = a + ++b - --c + d++ + (e)++ + f[0]--;").value_or_die();
+  // Drop the end-of-file token; render the whole statement.
+  EXPECT_EQ(render_tokens(toks, 0, toks.size() - 1),
+            "x = a + ++ b - -- c + d++ +(e)++ + f[0]--;");
 }
 
 TEST(Codegen, MasterGuardsOnGlobalMaster) {
