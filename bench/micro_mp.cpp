@@ -48,6 +48,58 @@ void BM_PingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_PingPong)->Arg(8)->Arg(4096)->Arg(65536);
 
+// 8-byte ping-pong between two blocking ranks while `range(0)` other threads
+// per node sit blocked in the same mailboxes on a tag nobody sends. The CPU
+// column is the whole process's, so wakeups the bystanders take on every
+// delivery show up as CPU per round trip.
+void BM_PingPongBesideBlockedReceivers(benchmark::State& state) {
+  const int bystanders = static_cast<int>(state.range(0));
+  constexpr Tag kPing = 5, kPong = 6;
+  constexpr Tag kNobodySends = net::kMpTagBase + 999;
+  net::InProcFabric fabric(2);
+  Comm comm0(Topology::flat(0, 2), fabric.channel(0), vtime::ideal());
+  Comm comm1(Topology::flat(1, 2), fabric.channel(1), vtime::ideal());
+
+  std::vector<std::thread> blocked;
+  for (int node = 0; node < 2; ++node) {
+    for (int i = 0; i < bystanders; ++i) {
+      blocked.emplace_back([&fabric, node] {
+        // Returns only when shutdown closes the mailbox.
+        auto none = fabric.channel(node).inbox().recv_match(
+            [](const net::MessageHeader& h) { return h.tag == kNobodySends; });
+        benchmark::DoNotOptimize(none);
+      });
+    }
+  }
+  // An empty ping stops the echo.
+  std::thread echo([&] {
+    for (;;) {
+      auto data = comm1.recv_bytes(0, kPing);
+      if (data.empty()) return;
+      comm1.send(0, kPong, data.data(), data.size());
+    }
+  });
+
+  std::uint64_t ping = 0;
+  std::uint64_t pong = 0;
+  for (auto _ : state) {
+    ++ping;
+    comm0.send(1, kPing, &ping, sizeof(ping));
+    comm0.recv(1, kPong, &pong, sizeof(pong));
+    benchmark::DoNotOptimize(pong);
+  }
+  comm0.send(1, kPing, nullptr, 0);
+  echo.join();
+  fabric.shutdown();
+  for (auto& t : blocked) t.join();
+}
+BENCHMARK(BM_PingPongBesideBlockedReceivers)
+    ->Arg(0)
+    ->Arg(2)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+
 template <typename Body>
 void run_ranks(int n, const Body& body) {
   net::InProcFabric fabric(n);

@@ -1,22 +1,33 @@
 // A node's incoming-message queue with predicate matching.
 //
-// Multiple consumer threads may block in recv_match() concurrently with
+// Multiple consumer threads may block in a receive concurrently with
 // different predicates (e.g. the DSM communication thread matching protocol
-// tags while application threads match collective tags); a delivery wakes all
-// waiters and each re-scans for its own match. The queue preserves arrival
-// order between messages matched by the same predicate, which is all the MP
-// layer requires for (src, tag) ordering.
+// tags while application threads match collective tags). A blocking receive
+// that finds no queued match registers itself as a waiter. deliver() hands
+// each message straight to the oldest waiter whose matcher accepts it and
+// wakes that one thread; a message no waiter accepts is queued. A delivery
+// therefore wakes at most one receiver, and a woken receiver never rescans.
+// Arrival order is preserved between messages matched by the same
+// predicate, which is all the MP layer requires for (src, tag) ordering.
+//
+// Matcher contract: a matcher runs on the delivering thread while the
+// mailbox lock is held, so it must be a pure, non-blocking function of the
+// header. It may read state the receiver fixed before the call, but must not
+// lock, block, or touch the mailbox.
 //
 // Fault awareness: transports that learn a peer is gone (e.g. a SocketFabric
 // reader hitting EOF) call mark_peer_down(); receivers waiting specifically
 // on that peer wake immediately and observe kUnavailable instead of blocking
-// forever. Timed receives (recv_match_for) underpin the DSM/MP retry loops.
+// forever. close() and mark_peer_down() are the only calls that wake every
+// waiter. Timed receives (recv_match_for) underpin the DSM/MP retry loops; a
+// handoff that races the timeout is returned, never dropped.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <optional>
 #include <unordered_set>
@@ -37,8 +48,9 @@ class Mailbox {
     Status status;
   };
 
-  /// Enqueues a message (called by the fabric / reader threads). Returns
-  /// false — and drops the message — once the mailbox is closed.
+  /// Hands the message to a waiting receiver or enqueues it (called by the
+  /// fabric / reader threads). Returns false — and drops the message — once
+  /// the mailbox is closed.
   bool deliver(Message message);
 
   /// Blocks until a message whose header satisfies `match` is available and
@@ -74,11 +86,21 @@ class Mailbox {
   std::size_t pending() const;
 
  private:
+  /// A blocked receiver's registration. Nodes belong to the mailbox and are
+  /// recycled through idle_, never freed while it lives, so deliver() may
+  /// notify a waiter's cv after dropping the lock.
+  struct Waiter {
+    const Matcher* match = nullptr;
+    std::condition_variable cv;
+    std::optional<Message> slot;  // filled by deliver(), at most once
+  };
+
   std::optional<Message> take_locked(const Matcher& match);
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::deque<Message> queue_;
+  std::list<Waiter> waiters_;  // registered receivers, oldest first
+  std::list<Waiter> idle_;     // unregistered nodes kept for reuse
   std::unordered_set<NodeId> down_peers_;
   bool closed_ = false;
 };

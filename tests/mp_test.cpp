@@ -99,13 +99,16 @@ TEST(PointToPoint, Wildcards) {
 
 TEST(PointToPoint, TryRecv) {
   run_ranks(2, [](Comm& comm) {
+    // Rank 1 sends only after the first barrier, which rank 0 enters after
+    // its empty probe; the second barrier orders the send before the spin.
     if (comm.rank() == 0) {
       EXPECT_FALSE(comm.try_recv_bytes(1, 3).has_value());
       comm.barrier();
-      // After the barrier the message must have been sent.
+      comm.barrier();
       while (!comm.try_recv_bytes(1, 3).has_value()) {
       }
     } else {
+      comm.barrier();
       const int v = 5;
       comm.send(0, 3, &v, sizeof(v));
       comm.barrier();

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <numeric>
 #include <set>
 #include <thread>
 
@@ -118,6 +120,88 @@ TEST(Mailbox, PeerDownLeavesOtherPeersAlone) {
       std::chrono::milliseconds(10));
   EXPECT_FALSE(outcome.message.has_value());
   EXPECT_EQ(outcome.status.code(), ErrorCode::kTimeout);
+}
+
+TEST(Mailbox, DeliveryRunsOnlyTheWaitersMatcher) {
+  // A blocked receiver's matcher runs once per queued message at its scan
+  // and once per later delivery; being woken never triggers a rescan.
+  Mailbox box;
+  box.deliver(make_msg(0, 1, 1));  // queued before the receiver arrives
+  std::atomic<int> calls{0};
+  std::thread receiver([&] {
+    auto m = box.recv_match([&](const MessageHeader& h) {
+      calls.fetch_add(1);
+      return h.tag == 2;
+    });
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->header.tag, 2);
+  });
+  // The first call is the scan; the receiver registers under the same lock.
+  while (calls.load() < 1) std::this_thread::yield();
+  for (int i = 0; i < 100; ++i) box.deliver(make_msg(0, 1, 1));
+  box.deliver(make_msg(0, 1, 2));
+  receiver.join();
+  EXPECT_EQ(calls.load(), 102);
+  EXPECT_EQ(box.pending(), 101u);
+}
+
+TEST(Mailbox, TimedReceiveNeverLosesARacingDelivery) {
+  // Each delivery races a 1 ms receive: it is either returned by that
+  // receive or still queued afterwards, never both and never neither.
+  Mailbox box;
+  const auto is_ours = [](const MessageHeader& h) { return h.tag == 4; };
+  for (int round = 0; round < 1000; ++round) {
+    std::thread producer([&] {
+      std::this_thread::sleep_for(std::chrono::microseconds(round * 7 % 1500));
+      box.deliver(make_msg(0, 1, 4));
+    });
+    auto got = box.recv_match_for(is_ours, std::chrono::milliseconds(1));
+    producer.join();
+    auto queued = box.try_recv_match(is_ours);
+    ASSERT_NE(got.has_value(), queued.has_value()) << "round " << round;
+  }
+  EXPECT_EQ(box.pending(), 0u);
+}
+
+TEST(Mailbox, OverlappingMatchersSplitMessagesInOrder) {
+  // Receiver A takes tags {1, 2}, receiver B tags {2, 3}; tag 2 may go to
+  // either. Each message reaches exactly one receiver, and each receiver
+  // sees its messages in arrival order. `src` carries a sequence number;
+  // tags 10 and 11 stop A and B.
+  constexpr int kMessages = 3000;
+  Mailbox box;
+  const auto receive_until = [&box](Tag first, Tag second, Tag stop) {
+    std::vector<int> seqs;
+    for (;;) {
+      auto m = box.recv_match([&](const MessageHeader& h) {
+        return h.tag == first || h.tag == second || h.tag == stop;
+      });
+      if (!m || m->header.tag == stop) return seqs;
+      seqs.push_back(m->header.src);
+    }
+  };
+  std::vector<int> a_seqs, b_seqs;
+  std::thread a([&] { a_seqs = receive_until(1, 2, 10); });
+  std::thread b([&] { b_seqs = receive_until(2, 3, 11); });
+  for (int seq = 0; seq < kMessages; ++seq) {
+    box.deliver(make_msg(seq, 0, 1 + seq % 3));
+  }
+  box.deliver(make_msg(0, 0, 10));
+  box.deliver(make_msg(0, 0, 11));
+  a.join();
+  b.join();
+
+  EXPECT_TRUE(std::is_sorted(a_seqs.begin(), a_seqs.end()));
+  EXPECT_TRUE(std::is_sorted(b_seqs.begin(), b_seqs.end()));
+  for (int seq : a_seqs) EXPECT_NE(seq % 3, 2) << seq;  // never a tag 3
+  for (int seq : b_seqs) EXPECT_NE(seq % 3, 0) << seq;  // never a tag 1
+  std::vector<int> all = a_seqs;
+  all.insert(all.end(), b_seqs.begin(), b_seqs.end());
+  std::sort(all.begin(), all.end());
+  std::vector<int> expected(kMessages);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(all, expected);
+  EXPECT_EQ(box.pending(), 0u);
 }
 
 TEST(InProc, DeliversAcrossChannels) {
