@@ -2,32 +2,12 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/types.hpp"
 #include "net/fault.hpp"
 #include "vtime/cost_model.hpp"
 
 namespace parade::dsm {
-
-/// Static protocol prior for one pool byte range, synthesized by the
-/// translator's footprint analysis and shipped in the hints sidecar
-/// (docs/ANALYZER.md "Protocol hints"). DsmNode::start() projects the ranges
-/// onto pages: a range whose symbol is not migration-friendly pins the pages'
-/// homes (the §5.2.2 barrier migration is vetoed for them), and the
-/// prefer_update bias is exposed to the runtime's collective-vs-lock paths.
-struct PagePrior {
-  std::size_t offset = 0;  ///< pool byte offset (from the SPMD allocator)
-  std::size_t bytes = 0;
-  bool prefer_update = false;
-  bool migration_friendly = true;
-  std::size_t expected_touches = 1;  ///< static page-touch estimate
-  /// DSM epoch this prior applies to (v2 phased sidecars: the translator's
-  /// phase index folded with its epoch_base). -1 = every epoch (v1 priors
-  /// and the whole-program records of a v2 sidecar). Epochs past the last
-  /// phased prior keep the last phase's projection (sticky tail).
-  int phase = -1;
-};
 
 /// How the pool's second (always-writable) mapping is created — the paper's
 /// §5.1 solutions to the atomic page update problem.
@@ -73,10 +53,6 @@ struct DsmConfig {
   /// everything at node 0 (rules::default_home). Off by default: single-home
   /// start matches the paper's setup and many tests pin home 0.
   bool sharded_homes = false;
-  /// Static per-range protocol priors from the translator's hint sidecar
-  /// (PARADE_HINTS or the blob embedded in generated programs). Empty = no
-  /// priors; every page behaves as before.
-  std::vector<PagePrior> page_priors;
 
   vtime::NetworkModel net{};
   vtime::MachineModel machine{};

@@ -155,79 +155,11 @@ Status DsmNode::start() {
     }
   }
 
-  // Project the translator's static protocol priors onto pages before the
-  // first fault. Phased (epoch-ranged) priors are re-projected at each
-  // barrier epoch (see project_priors / barrier()).
-  for (const PagePrior& prior : config_.page_priors) {
-    if (prior.phase < 0) continue;
-    has_phased_priors_ = true;
-    if (prior.phase > max_prior_phase_) max_prior_phase_ = prior.phase;
-  }
-  project_priors(epoch_);
-
   sigsegv::ensure_installed();
   sigsegv::register_range(mapping_->app_view(), config_.pool_bytes, this);
   comm_thread_ = std::thread([this] { comm_loop(); });
   started_ = true;
   return Status::ok();
-}
-
-void DsmNode::project_priors(Epoch epoch) {
-  // Effective phase: epochs past the last phased prior keep the final
-  // phase's projection (the translator's timeline ended; the tail of the
-  // program keeps behaving like its last phase).
-  const int effective =
-      has_phased_priors_
-          ? static_cast<int>(std::min<Epoch>(epoch, max_prior_phase_))
-          : -1;
-  if (effective == projected_phase_ && !prior_pin_home_.empty()) return;
-
-  const std::size_t npages = config_.num_pages();
-  prior_pin_home_.assign(npages, false);
-  prior_update_.assign(npages, false);
-  std::vector<bool> covered(npages, false);
-  std::vector<bool> phased(npages, false);
-  auto for_each_page = [&](const PagePrior& prior, auto&& fn) {
-    const std::size_t first = prior.offset / config_.page_bytes;
-    const std::size_t last =
-        (prior.offset + prior.bytes - 1) / config_.page_bytes;
-    for (std::size_t p = first; p <= last && p < npages; ++p) fn(p);
-  };
-  // Pass 1: whole-program priors (v1 sidecars and the per-symbol records of
-  // a v2 sidecar) apply at every epoch.
-  for (const PagePrior& prior : config_.page_priors) {
-    if (prior.bytes == 0 || prior.phase >= 0) continue;
-    for_each_page(prior, [&](std::size_t p) {
-      covered[p] = true;
-      if (!prior.migration_friendly) prior_pin_home_[p] = true;
-      if (prior.prefer_update) prior_update_[p] = true;
-    });
-  }
-  // Pass 2: priors of the current effective phase override. A page covered
-  // by at least one current-phase prior takes its flags from the phase
-  // projection only — a phase record may relax a whole-program pin (e.g. a
-  // symbol that ping-pongs overall but has a sole writer this phase).
-  for (const PagePrior& prior : config_.page_priors) {
-    if (prior.bytes == 0 || prior.phase < 0 || prior.phase != effective) {
-      continue;
-    }
-    for_each_page(prior, [&](std::size_t p) {
-      if (!phased[p]) {
-        phased[p] = true;
-        prior_pin_home_[p] = false;
-        prior_update_[p] = false;
-      }
-      covered[p] = true;
-      if (!prior.migration_friendly) prior_pin_home_[p] = true;
-      if (prior.prefer_update) prior_update_[p] = true;
-    });
-  }
-  std::size_t seeded = 0;
-  for (std::size_t p = 0; p < npages; ++p) {
-    if (covered[p]) ++seeded;
-  }
-  stats_.inc_prior_seeded_pages(seeded);
-  projected_phase_ = effective;
 }
 
 void DsmNode::shutdown() {
@@ -642,10 +574,8 @@ void DsmNode::barrier() {
       DepartEntry entry;
       entry.page = page;
       const NodeId home = pages_->home_of(page);
-      // A static prior that marked the page's symbol multi-writer pins the
-      // home: migrating it would thrash between the writers' nodes.
-      const rules::HomeDecision decision = rules::choose_home(
-          home, mods, config_.home_migration && prior_allows_migration(page));
+      const rules::HomeDecision decision =
+          rules::choose_home(home, mods, config_.home_migration);
       entry.sole_modifier = decision.sole_modifier;
       entry.new_home = decision.new_home;
       if (entry.new_home != home) stats_.inc_home_migrations();
@@ -725,10 +655,6 @@ void DsmNode::barrier() {
   stats_.inc_barriers();
   obs::Registry::instance().close_epoch(rank(), epoch_);
   ++epoch_;
-  // Phased priors track the program's barrier timeline: re-project when the
-  // effective phase advances. Runs with app threads quiesced in the barrier,
-  // so the bitmaps can be rewritten without a page-table lock.
-  if (has_phased_priors_) project_priors(epoch_);
   if (clock != nullptr) clock->discard_cpu();
 }
 

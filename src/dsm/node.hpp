@@ -102,19 +102,6 @@ class DsmNode {
   /// Current home of `page` as this node believes it (tests/benches).
   NodeId home_of(PageId page) const { return pages_->home_of(page); }
 
-  /// Static-prior queries (config_.page_priors projected onto pages at
-  /// start(), and re-projected at each barrier epoch when the sidecar
-  /// carries epoch-ranged phase priors). A page outside every prior range
-  /// behaves as before: migration allowed, no update bias.
-  bool prior_allows_migration(PageId page) const {
-    const auto p = static_cast<std::size_t>(page);
-    return p >= prior_pin_home_.size() || !prior_pin_home_[p];
-  }
-  bool prior_prefers_update(PageId page) const {
-    const auto p = static_cast<std::size_t>(page);
-    return p < prior_update_.size() && prior_update_[p];
-  }
-
  private:
   // --- fault path helpers (application threads) ---
   void fetch_page(PageId page, std::unique_lock<std::mutex>& entry_lock,
@@ -214,24 +201,6 @@ class DsmNode {
   std::mutex flush_mutex_;
   std::mutex alloc_mutex_;
   std::size_t alloc_offset_ = 0;
-
-  /// Projects config_.page_priors onto the page bitmaps for `epoch`.
-  /// Whole-program priors (phase == -1) apply everywhere; a page covered by
-  /// at least one prior of the current phase takes its flags from the
-  /// current-phase priors *only* (a phase projection may relax a
-  /// whole-program pin). Epochs past the last phased prior keep the last
-  /// phase's projection.
-  void project_priors(Epoch epoch);
-
-  // Static protocol priors by page, seeded from config_.page_priors in
-  // start() and re-projected in barrier() right after the epoch advances
-  // (the one point where no application thread is inside a fault handler),
-  // read-only everywhere else.
-  std::vector<bool> prior_pin_home_;  ///< barrier home migration vetoed
-  std::vector<bool> prior_update_;    ///< update-path bias
-  bool has_phased_priors_ = false;
-  int max_prior_phase_ = -1;   ///< highest phased-prior epoch (sticky tail)
-  int projected_phase_ = -2;   ///< effective phase currently projected
 
   Epoch epoch_ = 0;
 

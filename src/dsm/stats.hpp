@@ -31,7 +31,6 @@ namespace parade::dsm {
   X(write_notices_sent)        \
   X(invalidations)             \
   X(home_migrations) /* counted at the master */      \
-  X(prior_seeded_pages) /* pages covered by static protocol priors */ \
   X(lock_acquires)             \
   X(lock_remote_grants)        \
   X(protect_calls)   /* mprotect calls on the application view */

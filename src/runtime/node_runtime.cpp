@@ -2,7 +2,6 @@
 
 #include "common/env.hpp"
 #include "common/log.hpp"
-#include "dsm/priors.hpp"
 
 namespace parade {
 
@@ -42,26 +41,6 @@ RuntimeConfig runtime_config_from_env() {
   } else {
     PLOG_WARN("ignoring unparsable PARADE_MAP_METHOD='"
               << map_spec << "' (want memfd|sysv|mdup|child-process)");
-  }
-  // Static protocol priors: PARADE_HINTS=<sidecar.json> overrides the blob a
-  // generated program embedded; PARADE_HINTS=none disables priors entirely.
-  // A bad sidecar degrades to no priors (warn) rather than aborting launch.
-  const auto hints_path = env::get_string("PARADE_HINTS");
-  if (hints_path.has_value()) {
-    if (*hints_path != "none") {
-      if (Status s = dsm::load_page_priors(*hints_path, &config.dsm); !s) {
-        PLOG_WARN("ignoring PARADE_HINTS='" << *hints_path
-                                            << "': " << s.to_string());
-      }
-    }
-  } else if (dsm::embedded_hints_json() != nullptr) {
-    auto priors = dsm::parse_page_priors(dsm::embedded_hints_json());
-    if (priors.is_ok()) {
-      config.dsm.page_priors = std::move(priors).value();
-    } else {
-      PLOG_WARN("ignoring embedded protocol hints: "
-                << priors.status().to_string());
-    }
   }
   return config;
 }

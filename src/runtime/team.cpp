@@ -186,6 +186,7 @@ void Team::single_mark_done(long seq, VirtualUs vtime, const void* payload,
     slot.done_vtime = vtime;
     slot.payload.assign(static_cast<const std::uint8_t*>(payload),
                         static_cast<const std::uint8_t*>(payload) + bytes);
+    slot.source = payload;
   }
   single_cv_.notify_all();
 }
@@ -195,7 +196,9 @@ VirtualUs Team::single_wait_done(long seq, void* out, std::size_t bytes) {
   single_cv_.wait(lock, [&] { return singles_[seq].done; });
   SingleSlot& slot = singles_[seq];
   PARADE_CHECK_MSG(slot.payload.size() == bytes, "single payload mismatch");
-  if (bytes > 0) std::memcpy(out, slot.payload.data(), bytes);
+  if (bytes > 0 && out != slot.source) {
+    std::memcpy(out, slot.payload.data(), bytes);
+  }
   return slot.done_vtime;
 }
 

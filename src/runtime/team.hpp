@@ -80,13 +80,17 @@ class Team {
     /// Broadcast payload, so every thread of the node (not just the claimer)
     /// observes the construct's small-data result.
     std::vector<std::uint8_t> payload;
+    /// The claimer's buffer the payload was copied from. A waiter passing
+    /// the same (node-shared) buffer already sees the value there.
+    const void* source = nullptr;
   };
   /// Claims construct instance `seq` for the calling thread; returns true for
   /// the executing thread.
   bool single_try_claim(long seq);
   void single_mark_done(long seq, VirtualUs vtime, const void* payload,
                         std::size_t bytes);
-  /// Blocks until done; copies the payload into `out` (size `bytes`).
+  /// Blocks until done; copies the payload into `out` (size `bytes`) unless
+  /// `out` is the claimer's own buffer, which the claimer may be reading.
   VirtualUs single_wait_done(long seq, void* out, std::size_t bytes);
 
   // --- worksharing-loop state (dynamic/guided scheduling) ---

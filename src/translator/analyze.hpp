@@ -32,7 +32,7 @@ struct AnalyzeOptions {
   bool flow_sensitive = true;
   /// Run footprint analysis + protocol-hint synthesis: per-symbol
   /// update-vs-invalidate priors that refine the raw threshold comparison
-  /// and seed the runtime's pages (ProtocolHints, translator/hints.hpp).
+  /// (ProtocolHints, translator/hints.hpp).
   bool protocol_hints = true;
   /// DSM page size used for expected-page-touch estimates.
   std::size_t page_bytes = 4096;
@@ -182,6 +182,24 @@ Analysis analyze(const TranslationUnit& unit, const AnalyzeOptions& options = {}
 /// prefers the update path. Called by analyze(); exposed for tests.
 void synthesize_hints(const TranslationUnit& unit,
                       const AnalyzeOptions& options, Analysis* analysis);
+
+/// File-scope `name = integer-literal` initializers of a unit (e.g.
+/// `static long num_steps = 1000000;`), which double as symbolic loop bounds
+/// for the static trip counts of the footprint and interference passes
+/// (translator/hints.cpp).
+class LiteralBounds {
+ public:
+  explicit LiteralBounds(const TranslationUnit& unit);
+  /// Trip count of a canonical loop whose bounds resolve; 0 = unknown.
+  long long trip_count(const ForHeader& h) const;
+
+ private:
+  /// `text` as an integer literal or as the name of a literal-initialized
+  /// file-scope symbol; false otherwise.
+  bool resolve(const std::string& text, long long* out) const;
+
+  std::map<std::string, long long> literals_;
+};
 
 /// Convenience wrapper: lex + parse + analyze. Fails only when the source
 /// does not lex/parse.

@@ -943,30 +943,12 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
 
   if (options_.emit_main_wrapper && saw_main_) {
     const bool wants_args = user_main_params_.find("argc") != std::string::npos;
-    // Static protocol hints ride along as a JSON sidecar; the launcher seeds
-    // DsmConfig::page_priors from it before the first fault (cold-start half
-    // of the adaptive protocol, docs/ANALYZER.md).
-    const bool with_hints =
-        options_.protocol_hints && !analysis_.hints.empty();
-    if (with_hints) {
-      line("static const char __parade_hints_json[] =");
-      line("    R\"__parade_hints(" + analysis_.hints.to_json() +
-           ")__parade_hints\";");
-    }
-    const std::string launch_open =
-        with_hints ? "return parade::xlat::launch(__parade_hints_json, "
-                   : "return parade::xlat::launch(";
     line("int main(int argc, char** argv) {");
     ++indent_;
     line("(void)argc; (void)argv;");
-    if (wants_args) {
-      line(launch_open + "[&]() -> int { "
-           "__parade_shared_init(); return __parade_user_main(argc, argv); "
-           "});");
-    } else {
-      line(launch_open + "[&]() -> int { "
-           "__parade_shared_init(); return __parade_user_main(); });");
-    }
+    line(std::string("return parade::xlat::launch([&]() -> int { "
+                     "__parade_shared_init(); return __parade_user_main(") +
+         (wants_args ? "argc, argv" : "") + "); });");
     --indent_;
     line("}");
   }

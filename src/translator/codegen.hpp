@@ -19,9 +19,9 @@ struct TranslateOptions {
   /// Emit a main() wrapper that launches the cluster (off for golden tests
   /// translating fragments).
   bool emit_main_wrapper = true;
-  /// Run protocol-hint synthesis and embed the per-symbol priors as a JSON
-  /// sidecar in the generated code (the launch wrapper seeds DsmConfig with
-  /// them); --no-hints reverts lowering to the raw threshold comparison.
+  /// Run protocol-hint synthesis, whose update-path priors may promote a
+  /// threshold-fallback critical/atomic to a collective; --no-hints reverts
+  /// lowering to the raw threshold comparison.
   bool protocol_hints = true;
 };
 

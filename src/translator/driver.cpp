@@ -11,9 +11,8 @@
 // report (docs/ANALYZER.md) goes to stdout and the exit code is 1 when any
 // error-severity finding exists. With --hints=json it prints the protocol-
 // hint sidecar (per-symbol update-vs-invalidate priors, page-touch counts,
-// pool offsets) that the generated launch wrapper would embed; --no-hints
-// disables hint synthesis so collective-vs-DSM lowering falls back to the
-// raw size-threshold comparison.
+// pool offsets); --no-hints disables hint synthesis so collective-vs-DSM
+// lowering falls back to the raw size-threshold comparison.
 #include <cstdio>
 #include <fstream>
 #include <sstream>

@@ -125,6 +125,53 @@ bool parse_literal(const std::string& text, long long* out) {
   return true;
 }
 
+}  // namespace
+
+LiteralBounds::LiteralBounds(const TranslationUnit& unit) {
+  for (const TopItem& item : unit.items) {
+    if (item.kind != TopItem::Kind::kDecl) continue;
+    for (const Declarator& d : item.stmt->declarators) {
+      long long v = 0;
+      if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
+          parse_literal(d.init.text, &v)) {
+        literals_[d.name] = v;
+      }
+    }
+  }
+}
+
+bool LiteralBounds::resolve(const std::string& text, long long* out) const {
+  if (parse_literal(text, out)) return true;
+  std::string trimmed;
+  for (char c : text) {
+    if (c != ' ') trimmed += c;
+  }
+  auto it = literals_.find(trimmed);
+  if (it != literals_.end()) {
+    *out = it->second;
+    return true;
+  }
+  return false;
+}
+
+long long LiteralBounds::trip_count(const ForHeader& h) const {
+  if (!h.canonical) return 0;
+  long long lo = 0;
+  long long hi = 0;
+  long long step = 1;
+  if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
+      !resolve(h.step.text, &step) || step == 0) {
+    return 0;
+  }
+  long long span = h.increasing ? hi - lo : lo - hi;
+  if (h.inclusive) ++span;
+  if (span <= 0) return 0;
+  const long long abs_step = step < 0 ? -step : step;
+  return (span + abs_step - 1) / abs_step;
+}
+
+namespace {
+
 /// Affine per-construct access accounting for one file-scope symbol.
 struct FootprintAcc {
   std::size_t reads = 0;   // syntactic occurrences inside parallel constructs
@@ -138,9 +185,8 @@ struct FootprintAcc {
 /// and attributing each global access to its enclosing parallel construct.
 class FootprintWalker {
  public:
-  FootprintWalker(const Analysis& analysis,
-                  std::map<std::string, long long> literals)
-      : analysis_(analysis), literals_(std::move(literals)) {}
+  FootprintWalker(const Analysis& analysis, const TranslationUnit& unit)
+      : analysis_(analysis), bounds_(unit) {}
 
   void run(const TranslationUnit& unit) {
     for (const TopItem& item : unit.items) {
@@ -156,36 +202,6 @@ class FootprintWalker {
     std::string var;
     std::size_t trips = 0;  // 0 = statically unknown
   };
-
-  bool resolve(const std::string& text, long long* out) const {
-    if (parse_literal(text, out)) return true;
-    std::string trimmed;
-    for (char c : text) {
-      if (c != ' ') trimmed += c;
-    }
-    auto it = literals_.find(trimmed);
-    if (it != literals_.end()) {
-      *out = it->second;
-      return true;
-    }
-    return false;
-  }
-
-  std::size_t trip_count(const ForHeader& h) const {
-    if (!h.canonical) return 0;
-    long long lo = 0;
-    long long hi = 0;
-    long long step = 1;
-    if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
-        !resolve(h.step.text, &step) || step == 0) {
-      return 0;
-    }
-    long long span = h.increasing ? hi - lo : lo - hi;
-    if (h.inclusive) ++span;
-    if (span <= 0) return 0;
-    const long long abs_step = step < 0 ? -step : step;
-    return static_cast<std::size_t>((span + abs_step - 1) / abs_step);
-  }
 
   void account_text(const Expr& expr) {
     if (region_line_ == 0) return;
@@ -247,8 +263,9 @@ class FootprintWalker {
         account_text(h.init_text);
         account_text(h.cond_text);
         account_text(h.incr_text);
-        loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "",
-                                 trip_count(h)});
+        loops_.push_back(
+            LoopCtx{h.canonical ? h.loop_var : "",
+                    static_cast<std::size_t>(bounds_.trip_count(h))});
         for (const StmtPtr& child : stmt.children) {
           if (child) visit(*child);
         }
@@ -286,7 +303,7 @@ class FootprintWalker {
   }
 
   const Analysis& analysis_;
-  std::map<std::string, long long> literals_;
+  LiteralBounds bounds_;
   std::map<std::string, FootprintAcc> accs_;
   std::vector<LoopCtx> loops_;
   int region_line_ = 0;  // 0 = serial code (no protocol traffic accounted)
@@ -300,22 +317,7 @@ void synthesize_hints(const TranslationUnit& unit,
   hints.page_bytes = options.page_bytes;
   hints.threshold_bytes = options.mp_threshold_bytes;
 
-  // File-scope `name = integer-literal` initializers double as symbolic
-  // bounds for the affine trip counts (e.g. `for (i = 0; i < num_steps; ...)`
-  // with `static long num_steps = 1000000;`).
-  std::map<std::string, long long> literals;
-  for (const TopItem& item : unit.items) {
-    if (item.kind != TopItem::Kind::kDecl) continue;
-    for (const Declarator& d : item.stmt->declarators) {
-      long long v = 0;
-      if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
-          parse_literal(d.init.text, &v)) {
-        literals[d.name] = v;
-      }
-    }
-  }
-
-  FootprintWalker walker(*analysis, std::move(literals));
+  FootprintWalker walker(*analysis, unit);
   walker.run(unit);
 
   for (const auto& [name, acc] : walker.accs()) {

@@ -1,14 +1,13 @@
-// Static protocol hints: the translation-time half of the adaptive hybrid
-// protocol (ROADMAP item 4, docs/ANALYZER.md "ProtocolHints hand-off").
+// Static protocol hints (docs/ANALYZER.md "Protocol hints").
 //
 // The affine footprint analysis estimates, per file-scope symbol, how much
 // of it each parallel construct touches and at what read/write ratio. Hint
 // synthesis lowers those footprints into per-symbol priors — prefer the
 // update (collective) path or the invalidate (page) path, expected
 // page-touch count, whether home migration is likely to help — which (a)
-// refine codegen's raw mp_threshold_bytes comparison and (b) ship as a JSON
-// sidecar the runtime loads to seed DsmConfig::page_priors before the first
-// fault (src/dsm/priors.hpp).
+// refine codegen's raw mp_threshold_bytes comparison and (b) print as the
+// `parade_omcc --hints=json` sidecar. The runtime does not read them: home
+// migration is decided at each barrier from the write notices alone.
 #pragma once
 
 #include <cstddef>
@@ -56,7 +55,7 @@ struct PhaseRange {
 };
 
 /// All ranges active during one phase (phases are numbered from 0 in program
-/// order; the runtime maps phase p to DSM epoch p + epoch_base).
+/// order; phase p runs in DSM epoch p + epoch_base).
 struct PhaseHint {
   int index = 0;
   std::vector<PhaseRange> ranges;
@@ -78,7 +77,7 @@ struct ProtocolHints {
   bool empty() const { return symbols.empty(); }
   const SymbolHint* find(const std::string& name) const;
   SymbolHint* find(const std::string& name);
-  /// JSON sidecar consumed by dsm::load_page_priors (schema in
+  /// JSON sidecar printed by `parade_omcc --hints=json` (schema in
   /// docs/ANALYZER.md). Version 2: adds `epoch_base` and a `phases` array on
   /// top of the v1 per-symbol records.
   std::string to_json() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -17,20 +16,6 @@ namespace {
 const char* const kDefaultCriticalLock = "\x01critical";
 const char* const kOrderedLock = "\x01ordered";
 
-/// Strict integer-literal parse; false on anything else (mirrors hints.cpp).
-bool parse_literal(const std::string& text, long long* out) {
-  std::string trimmed;
-  for (char c : text) {
-    if (c != ' ') trimmed += c;
-  }
-  if (trimmed.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(trimmed.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 /// Walks the unit in program order building the region-sequence graph:
 /// phase/step counters advance at the barrier points codegen actually emits
 /// (global barriers bump both — they bump the DSM epoch at runtime — while
@@ -38,9 +23,8 @@ bool parse_literal(const std::string& text, long long* out) {
 /// step, which is the MHP granule).
 class SeqWalker {
  public:
-  SeqWalker(const TranslationUnit& unit, const Analysis& analysis,
-            std::map<std::string, long long> literals)
-      : unit_(unit), analysis_(analysis), literals_(std::move(literals)) {}
+  SeqWalker(const TranslationUnit& unit, const Analysis& analysis)
+      : unit_(unit), analysis_(analysis), bounds_(unit) {}
 
   RegionSequence run() {
     for (const TopItem& item : unit_.items) {
@@ -70,36 +54,6 @@ class SeqWalker {
     long long trips = 0;  // 0 = statically unknown
     bool worksharing = false;
   };
-
-  bool resolve(const std::string& text, long long* out) const {
-    if (parse_literal(text, out)) return true;
-    std::string trimmed;
-    for (char c : text) {
-      if (c != ' ') trimmed += c;
-    }
-    auto it = literals_.find(trimmed);
-    if (it != literals_.end()) {
-      *out = it->second;
-      return true;
-    }
-    return false;
-  }
-
-  long long trip_count(const ForHeader& h) const {
-    if (!h.canonical) return 0;
-    long long lo = 0;
-    long long hi = 0;
-    long long step = 1;
-    if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
-        !resolve(h.step.text, &step) || step == 0) {
-      return 0;
-    }
-    long long span = h.increasing ? hi - lo : lo - hi;
-    if (h.inclusive) ++span;
-    if (span <= 0) return 0;
-    const long long abs_step = step < 0 ? -step : step;
-    return (span + abs_step - 1) / abs_step;
-  }
 
   /// Product of enclosing known loop trips (unknown loops count as 1: the
   /// estimate is a lower bound, absorbed by the cost-model tolerance).
@@ -190,16 +144,16 @@ class SeqWalker {
   void visit_worksharing_for(const Directive& d, const Stmt& for_stmt) {
     const ForHeader& h = for_stmt.for_header;
     const int id = open_construct("for", d.line, d.clauses.nowait, -1);
-    seq_.constructs[id].trips = trip_multiplier() * std::max(
-        1LL, trip_count(h));
+    seq_.constructs[id].trips =
+        trip_multiplier() * std::max(1LL, bounds_.trip_count(h));
     scopes_.emplace_back();
     shadow_clause_vars(d.clauses);
     if (h.canonical) scopes_.back().insert(h.loop_var);
     record_accesses(h.init_text, for_stmt.line);
     record_accesses(h.cond_text, for_stmt.line);
     record_accesses(h.incr_text, for_stmt.line);
-    loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "", trip_count(h),
-                             /*worksharing=*/true});
+    loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "",
+                             bounds_.trip_count(h), /*worksharing=*/true});
     const int saved_construct = construct_;
     const bool saved_per_thread = per_thread_;
     construct_ = id;
@@ -405,7 +359,8 @@ class SeqWalker {
           scopes_.back().insert(h.loop_var);
         }
         loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "",
-                                 trip_count(h), /*worksharing=*/false});
+                                 bounds_.trip_count(h),
+                                 /*worksharing=*/false});
         visit_children(stmt);
         loops_.pop_back();
         scopes_.pop_back();
@@ -434,7 +389,7 @@ class SeqWalker {
 
   const TranslationUnit& unit_;
   const Analysis& analysis_;
-  std::map<std::string, long long> literals_;
+  LiteralBounds bounds_;
   RegionSequence seq_;
   int phase_ = 0;
   int step_ = 0;
@@ -448,21 +403,6 @@ class SeqWalker {
   std::vector<int> serial_guards_;
   std::vector<std::set<std::string>> scopes_;  // shadowed (non-global) names
 };
-
-std::map<std::string, long long> collect_literals(const TranslationUnit& unit) {
-  std::map<std::string, long long> literals;
-  for (const TopItem& item : unit.items) {
-    if (item.kind != TopItem::Kind::kDecl) continue;
-    for (const Declarator& d : item.stmt->declarators) {
-      long long v = 0;
-      if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
-          parse_literal(d.init.text, &v)) {
-        literals[d.name] = v;
-      }
-    }
-  }
-  return literals;
-}
 
 bool dsm_placed(const Analysis& analysis, const std::string& symbol) {
   auto it = analysis.globals.find(symbol);
@@ -579,7 +519,7 @@ Timeline build_timeline(const RegionSequence& seq, const Analysis& analysis) {
 
 RegionSequence build_region_sequence(const TranslationUnit& unit,
                                      const Analysis& analysis) {
-  SeqWalker walker(unit, analysis, collect_literals(unit));
+  SeqWalker walker(unit, analysis);
   return walker.run();
 }
 

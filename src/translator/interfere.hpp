@@ -15,8 +15,7 @@
 //     never overlap each other),
 //  3. classifies each DSM symbol's page footprint per phase as read-mostly /
 //     producer-consumer / migratory / ping-pong and lowers the result into
-//     the `phases` array of the ProtocolHints sidecar (epoch-ranged priors,
-//     src/dsm/priors.hpp),
+//     the `phases` array of the ProtocolHints sidecar,
 //  4. emits the cross-region diagnostics race.cross_region,
 //     nowait.cross_region_read, and hint.pingpong_update_demotion, and
 //  5. prices the timeline: a static message-cost estimate per construct

@@ -9,7 +9,6 @@
 #include <functional>
 
 #include "common/env.hpp"
-#include "dsm/priors.hpp"
 #include "runtime/api.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/omp_shim.hpp"
@@ -93,17 +92,6 @@ inline int launch(const std::function<int()>& user_main) {
   });
   cluster.shutdown();
   return rc;
-}
-
-/// launch() variant for programs carrying an embedded protocol-hint sidecar
-/// (the translator emits this call when hint synthesis is on). The blob is
-/// registered before the runtime builds its config, so every node's
-/// DsmConfig::page_priors is seeded from it; PARADE_HINTS still overrides
-/// (a file path replaces the blob, "none" disables priors).
-inline int launch(const char* hints_json,
-                  const std::function<int()>& user_main) {
-  dsm::set_embedded_hints_json(hints_json);
-  return launch(user_main);
 }
 
 }  // namespace parade::xlat

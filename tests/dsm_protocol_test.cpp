@@ -252,6 +252,7 @@ TEST(DsmProtocol, SysVMappingCluster) {
     if (rank == 0) *data = 31;
     cluster.node(rank).barrier();
     EXPECT_EQ(*data, 31);
+    cluster.node(rank).barrier();  // every read of 31 precedes the write
     if (rank == 1) *data = 32;
     cluster.node(rank).barrier();
     EXPECT_EQ(*data, 32);

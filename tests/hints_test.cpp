@@ -288,20 +288,6 @@ TEST(Hints, SidecarV2CarriesPhasedRanges) {
   EXPECT_TRUE(saw_read_mostly);
 }
 
-TEST(Hints, GeneratedProgramEmbedsSidecar) {
-  TranslateOptions options;
-  const std::string with =
-      translate_source(kFlipProgram, options).value_or_die();
-  EXPECT_NE(with.find("__parade_hints_json"), std::string::npos);
-  EXPECT_NE(with.find("parade::xlat::launch(__parade_hints_json"),
-            std::string::npos);
-
-  options.protocol_hints = false;
-  const std::string without =
-      translate_source(kFlipProgram, options).value_or_die();
-  EXPECT_EQ(without.find("__parade_hints_json"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // parade_omcc --hints=json CLI
 
