@@ -231,7 +231,6 @@ class Analyzer {
   bool shared_in_region(const std::string& name, const RegionRec& rec,
                         const Cfg& cfg) const;
   void report_lock_cycles();
-  void assign_pool_offsets();
 
   AnalyzeOptions options_;
   Analysis out_;
@@ -995,15 +994,11 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
     }
   }
 
-  if (options_.protocol_hints) {
-    assign_pool_offsets();
-  }
-
-  // Whole-program interference pass (translator/interfere.cpp): phase-aware
-  // hint synthesis plus the cross-region diagnostics. Needs both the final
-  // placements (above) and the footprint hints, so it runs last.
-  if (options_.flow_sensitive && options_.protocol_hints) {
-    run_interference(unit, options_, &out_);
+  // Whole-program interference pass (translator/interfere.cpp): the
+  // cross-region diagnostics plus the ping-pong demotion of the footprint
+  // hints. Needs the final placements (above), so it runs last.
+  if (options_.flow_sensitive) {
+    run_interference(unit, &out_);
   }
 
   // Deterministic output order: the walk emits in traversal order, which is
@@ -1313,50 +1308,6 @@ void Analyzer::report_lock_cycles() {
   }
 }
 
-void Analyzer::assign_pool_offsets() {
-  // Mirror codegen's shared-init sequence: one shmalloc per DSM-placed
-  // global in declaration order, each 64-byte aligned (DsmNode::shmalloc's
-  // default), so the static offsets match the runtime pool layout exactly.
-  std::vector<std::pair<int, std::string>> order;
-  for (const auto& [name, vc] : out_.globals) {
-    if (vc.placement == Placement::kDsmScalar ||
-        vc.placement == Placement::kDsmArray) {
-      order.push_back({vc.line, name});
-    }
-  }
-  std::sort(order.begin(), order.end());
-  std::size_t offset = 0;
-  bool known = true;
-  for (const auto& [line, name] : order) {
-    (void)line;
-    const VarClass& vc = out_.globals.at(name);
-    SymbolHint* h = out_.hints.find(name);
-    if (h == nullptr) {
-      SymbolHint fresh;
-      fresh.name = name;
-      fresh.byte_size = vc.byte_size;
-      out_.hints.symbols.push_back(std::move(fresh));
-      h = &out_.hints.symbols.back();
-    }
-    h->dsm = true;
-    if (known && vc.byte_size > 0) {
-      offset = (offset + 63) & ~static_cast<std::size_t>(63);
-      h->offset_known = true;
-      h->pool_offset = offset;
-      offset += vc.byte_size;
-    } else {
-      // A symbolically-sized allocation precedes everything after it: no
-      // static offsets from here on.
-      known = false;
-      h->offset_known = false;
-    }
-    if (h->expected_page_touches == 0 && vc.byte_size > 0) {
-      h->expected_page_touches =
-          (vc.byte_size + options_.page_bytes - 1) / options_.page_bytes;
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1638,10 +1589,14 @@ std::string Analysis::to_json(const std::string& file) const {
     w.begin_object();
     w.key("name");
     w.value(h.name);
+    w.key("reads");
+    w.value(static_cast<std::int64_t>(h.reads));
+    w.key("writes");
+    w.value(static_cast<std::int64_t>(h.writes));
+    w.key("footprint_bytes");
+    w.value(static_cast<std::int64_t>(h.footprint_bytes));
     w.key("prefer_update");
     w.value(h.prefer_update);
-    w.key("dsm");
-    w.value(h.dsm);
     w.end_object();
   }
   w.end_array();

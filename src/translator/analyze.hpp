@@ -34,7 +34,8 @@ struct AnalyzeOptions {
   /// update-vs-invalidate priors that refine the raw threshold comparison
   /// (ProtocolHints, translator/hints.hpp).
   bool protocol_hints = true;
-  /// DSM page size used for expected-page-touch estimates.
+  /// DSM page size; only the static cost model reads it (page counts per
+  /// symbol span, estimate_message_costs in translator/interfere.hpp).
   std::size_t page_bytes = 4096;
 };
 

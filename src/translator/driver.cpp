@@ -2,17 +2,16 @@
 //
 //   parade_omcc input.c [-o output.cpp] [--threshold=BYTES] [--no-main]
 //               [--no-hints]
-//   parade_omcc input.c --analyze[=json] [--threshold=BYTES]
-//   parade_omcc input.c --hints=json [--threshold=BYTES]
+//   parade_omcc input.c --analyze[=json] [--threshold=BYTES] [--no-hints]
 //
 // Translates an OpenMP C program into a ParADE C++ program. Compile the
 // output against the ParADE runtime (see README "Translator" section).
 // With --analyze the translator runs diagnose-only: the semantic analysis
 // report (docs/ANALYZER.md) goes to stdout and the exit code is 1 when any
-// error-severity finding exists. With --hints=json it prints the protocol-
-// hint sidecar (per-symbol update-vs-invalidate priors, page-touch counts,
-// pool offsets); --no-hints disables hint synthesis so collective-vs-DSM
-// lowering falls back to the raw size-threshold comparison.
+// error-severity finding exists; the JSON form also carries the protocol
+// hints (per-symbol access counts, footprint and update-vs-invalidate
+// prior). --no-hints disables hint synthesis so collective-vs-DSM lowering
+// falls back to the raw size-threshold comparison.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -27,7 +26,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: parade_omcc <input.c> [-o <output.cpp>] "
                "[--threshold=BYTES] [--no-main] [--no-hints] "
-               "[--analyze[=json]] [--hints=json]\n");
+               "[--analyze[=json]]\n");
   return 2;
 }
 
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   std::string output;
   bool analyze_only = false;
   bool analyze_json = false;
-  bool hints_json = false;
   parade::translator::TranslateOptions options;
 
   for (int i = 1; i < argc; ++i) {
@@ -60,8 +58,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--analyze=json") {
       analyze_only = true;
       analyze_json = true;
-    } else if (arg == "--hints=json") {
-      hints_json = true;
     } else if (arg == "--no-main") {
       options.emit_main_wrapper = false;
     } else if (arg == "--no-hints") {
@@ -73,7 +69,7 @@ int main(int argc, char** argv) {
       input = arg;
     }
   }
-  if (input.empty() || (analyze_only && hints_json)) return usage();
+  if (input.empty()) return usage();
 
   std::ifstream in(input);
   if (!in) {
@@ -83,20 +79,16 @@ int main(int argc, char** argv) {
   std::ostringstream source;
   source << in.rdbuf();
 
-  if (analyze_only || hints_json) {
+  if (analyze_only) {
     parade::translator::AnalyzeOptions analyze_options;
     analyze_options.mp_threshold_bytes = options.mp_threshold_bytes;
-    analyze_options.protocol_hints = options.protocol_hints || hints_json;
+    analyze_options.protocol_hints = options.protocol_hints;
     auto analysis =
         parade::translator::analyze_source(source.str(), analyze_options);
     if (!analysis.is_ok()) {
       std::fprintf(stderr, "parade_omcc: %s: %s\n", input.c_str(),
                    analysis.status().to_string().c_str());
       return 1;
-    }
-    if (hints_json) {
-      std::fputs((analysis.value().hints.to_json() + "\n").c_str(), stdout);
-      return 0;
     }
     const std::string report = analyze_json
                                    ? analysis.value().to_json(input)

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "obs/json.hpp"
 #include "translator/analyze.hpp"
 
 namespace parade::translator {
@@ -31,82 +30,6 @@ SymbolHint* ProtocolHints::find(const std::string& name) {
     if (h.name == name) return &h;
   }
   return nullptr;
-}
-
-std::string ProtocolHints::to_json() const {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("version");
-  w.value(std::int64_t{2});
-  w.key("epoch_base");
-  w.value(static_cast<std::int64_t>(epoch_base));
-  w.key("phase_count");
-  w.value(static_cast<std::int64_t>(phase_count));
-  w.key("page_bytes");
-  w.value(static_cast<std::int64_t>(page_bytes));
-  w.key("threshold_bytes");
-  w.value(static_cast<std::int64_t>(threshold_bytes));
-  w.key("symbols");
-  w.begin_array();
-  for (const SymbolHint& h : symbols) {
-    w.begin_object();
-    w.key("name");
-    w.value(h.name);
-    w.key("bytes");
-    w.value(static_cast<std::int64_t>(h.byte_size));
-    w.key("reads");
-    w.value(static_cast<std::int64_t>(h.reads));
-    w.key("writes");
-    w.value(static_cast<std::int64_t>(h.writes));
-    w.key("footprint_bytes");
-    w.value(static_cast<std::int64_t>(h.footprint_bytes));
-    w.key("writer_constructs");
-    w.value(static_cast<std::int64_t>(h.writer_constructs));
-    w.key("dsm");
-    w.value(h.dsm);
-    w.key("offset_known");
-    w.value(h.offset_known);
-    w.key("pool_offset");
-    w.value(static_cast<std::int64_t>(h.pool_offset));
-    w.key("prefer_update");
-    w.value(h.prefer_update);
-    w.key("migration_friendly");
-    w.value(h.migration_friendly);
-    w.key("expected_page_touches");
-    w.value(static_cast<std::int64_t>(h.expected_page_touches));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("phases");
-  w.begin_array();
-  for (const PhaseHint& phase : phases) {
-    w.begin_object();
-    w.key("index");
-    w.value(static_cast<std::int64_t>(phase.index));
-    w.key("ranges");
-    w.begin_array();
-    for (const PhaseRange& r : phase.ranges) {
-      w.begin_object();
-      w.key("symbol");
-      w.value(r.symbol);
-      w.key("offset");
-      w.value(static_cast<std::int64_t>(r.offset));
-      w.key("bytes");
-      w.value(static_cast<std::int64_t>(r.bytes));
-      w.key("pattern");
-      w.value(to_string(r.pattern));
-      w.key("prefer_update");
-      w.value(r.prefer_update);
-      w.key("migration_friendly");
-      w.value(r.migration_friendly);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
 }
 
 namespace {
@@ -177,7 +100,6 @@ struct FootprintAcc {
   std::size_t reads = 0;   // syntactic occurrences inside parallel constructs
   std::size_t writes = 0;
   std::size_t footprint = 0;  // largest per-construct affine byte estimate
-  std::set<int> writer_constructs;  // parallel construct lines writing it
 };
 
 /// Walks the unit once, resolving loop trip counts from literal bounds
@@ -217,9 +139,7 @@ class FootprintWalker {
       if (wr.deref) continue;
       auto g = analysis_.globals.find(wr.name);
       if (g == analysis_.globals.end()) continue;
-      FootprintAcc& a = accs_[wr.name];
-      a.writes += 1;
-      a.writer_constructs.insert(region_line_);
+      accs_[wr.name].writes += 1;
       touched.insert(wr.name);
     }
     for (const std::string& name : touched) {
@@ -314,9 +234,6 @@ class FootprintWalker {
 void synthesize_hints(const TranslationUnit& unit,
                       const AnalyzeOptions& options, Analysis* analysis) {
   ProtocolHints hints;
-  hints.page_bytes = options.page_bytes;
-  hints.threshold_bytes = options.mp_threshold_bytes;
-
   FootprintWalker walker(*analysis, unit);
   walker.run(unit);
 
@@ -328,21 +245,11 @@ void synthesize_hints(const TranslationUnit& unit,
     h.reads = acc.reads;
     h.writes = acc.writes;
     h.footprint_bytes = acc.footprint;
-    h.writer_constructs = static_cast<int>(acc.writer_constructs.size());
-    // Single-writer symbols benefit from home migration (the home chases
-    // the writer, paper §5.2.2); multi-writer data would thrash.
-    h.migration_friendly = h.writer_constructs <= 1;
     // Update-vs-invalidate prior: read-dominated small data amortizes the
     // eager update; write-dominated or large data is cheaper invalidated.
     h.prefer_update = vc.byte_size > 0 &&
                       vc.byte_size <= 4 * options.mp_threshold_bytes &&
                       acc.writes > 0 && acc.reads >= 2 * acc.writes;
-    const std::size_t span =
-        h.footprint_bytes > 0 ? h.footprint_bytes : h.byte_size;
-    if (span > 0) {
-      h.expected_page_touches =
-          (span + options.page_bytes - 1) / options.page_bytes;
-    }
     hints.symbols.push_back(std::move(h));
   }
   analysis->hints = std::move(hints);

@@ -34,17 +34,6 @@ class SeqWalker {
       scopes_.pop_back();
     }
     seq_.phase_count = phase_ + 1;
-    seq_.step_count = step_ + 1;
-    for (const auto& [name, vc] : analysis_.globals) {
-      (void)name;
-      if (vc.placement == Placement::kDsmScalar ||
-          vc.placement == Placement::kDsmArray) {
-        // Codegen allocates the DSM pool in __parade_shared_init(), which
-        // ends with a global barrier: user phase 0 starts at epoch 1.
-        seq_.epoch_base = 1;
-        break;
-      }
-    }
     return std::move(seq_);
   }
 
@@ -75,9 +64,6 @@ class SeqWalker {
   void bump_phase() {
     ++phase_;
     ++step_;
-    // A global barrier inside a loop makes the phase timeline data-dependent
-    // (it fires once per iteration): phase-aware hints are withheld.
-    if (!loops_.empty()) seq_.phases_static = false;
   }
 
   int open_construct(const char* kind, int line, bool nowait, int sync_line) {
@@ -428,7 +414,6 @@ bool collective_managed(const Analysis& analysis, const RegionSequence& seq,
 struct PhaseAcc {
   std::size_t reads = 0;   // syntactic occurrences (PR-8 counting discipline)
   std::size_t writes = 0;
-  std::set<int> writer_constructs;
   std::vector<const SeqAccess*> write_accesses;
   std::vector<const SeqAccess*> read_accesses;
   bool ping_pong = false;
@@ -447,7 +432,6 @@ Timeline build_timeline(const RegionSequence& seq, const Analysis& analysis) {
     PhaseAcc& acc = timeline[a.symbol][a.phase];
     if (a.write) {
       acc.writes += 1;
-      acc.writer_constructs.insert(a.construct_id);
       acc.write_accesses.push_back(&a);
     } else {
       acc.reads += 1;
@@ -538,52 +522,17 @@ bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b) {
   return true;
 }
 
-void run_interference(const TranslationUnit& unit,
-                      const AnalyzeOptions& options, Analysis* analysis) {
+void run_interference(const TranslationUnit& unit, Analysis* analysis) {
   const RegionSequence seq = build_region_sequence(unit, *analysis);
-  ProtocolHints& hints = analysis->hints;
-  hints.phase_count = seq.phase_count;
-  hints.epoch_base = seq.epoch_base;
-
   const Timeline timeline = build_timeline(seq, *analysis);
-
-  // --- Phase-aware hint lowering -----------------------------------------
-  // Per-phase ranges reuse PR 8's flag formulas over the phase-restricted
-  // access counts, so a single-phase program degrades to exactly the
-  // whole-program hints (asserted as a property test).
-  if (seq.phases_static) {
-    std::map<int, PhaseHint> by_phase;
-    for (const auto& [symbol, phases] : timeline) {
-      const SymbolHint* h = hints.find(symbol);
-      if (h == nullptr || !h->dsm || !h->offset_known) continue;
-      std::size_t span = h->byte_size > 0 ? h->byte_size : h->footprint_bytes;
-      if (span == 0) span = options.page_bytes;
-      for (const auto& [phase, acc] : phases) {
-        PhaseRange r;
-        r.symbol = symbol;
-        r.offset = h->pool_offset;
-        r.bytes = span;
-        r.pattern = acc.pattern;
-        r.prefer_update = h->byte_size > 0 &&
-                          h->byte_size <= 4 * options.mp_threshold_bytes &&
-                          acc.writes > 0 && acc.reads >= 2 * acc.writes;
-        r.migration_friendly = acc.writer_constructs.size() <= 1;
-        by_phase[phase].ranges.push_back(std::move(r));
-      }
-    }
-    for (auto& [phase, ph] : by_phase) {
-      ph.index = phase;
-      hints.phases.push_back(std::move(ph));
-    }
-  }
 
   // --- hint.pingpong_update_demotion -------------------------------------
   // A symbol that ping-pongs in every phase that writes it never amortizes
   // the eager update broadcast: every node's copy is dirtied again before
   // being read enough times to pay off. Demote the whole-program
-  // prefer_update flag (and its per-phase projections) and tell the user.
+  // prefer_update flag and tell the user.
   for (const auto& [symbol, phases] : timeline) {
-    SymbolHint* h = hints.find(symbol);
+    SymbolHint* h = analysis->hints.find(symbol);
     if (h == nullptr || !h->prefer_update) continue;
     bool any_writes = false;
     bool all_pingpong = true;
@@ -595,11 +544,6 @@ void run_interference(const TranslationUnit& unit,
     }
     if (!any_writes || !all_pingpong) continue;
     h->prefer_update = false;
-    for (PhaseHint& ph : hints.phases) {
-      for (PhaseRange& r : ph.ranges) {
-        if (r.symbol == symbol) r.prefer_update = false;
-      }
-    }
     Diagnostic d;
     d.code = kDiagHintPingpongDemotion;
     d.severity = Severity::kNote;
@@ -810,11 +754,11 @@ CostReport estimate_message_costs(const TranslationUnit& unit,
   //  - partitioned / sole-writer: the writer diffs each touched page once
   //    per phase; later readers (or neighbors) fetch them.
   for (const auto& [symbol, phases] : timeline) {
+    // The declared size, narrowed to the affine footprint when the hint
+    // pass measured one.
+    std::size_t span = analysis.globals.at(symbol).byte_size;
     const SymbolHint* h = analysis.hints.find(symbol);
-    std::size_t span = 0;
-    if (h != nullptr) {
-      span = h->footprint_bytes > 0 ? h->footprint_bytes : h->byte_size;
-    }
+    if (h != nullptr && h->footprint_bytes > 0) span = h->footprint_bytes;
     if (span == 0) span = options.page_bytes;
     const double pages = std::ceil(static_cast<double>(span) /
                                    static_cast<double>(options.page_bytes));

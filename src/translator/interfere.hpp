@@ -14,8 +14,9 @@
 //     single/master instance (master is global thread 0, so master bodies
 //     never overlap each other),
 //  3. classifies each DSM symbol's page footprint per phase as read-mostly /
-//     producer-consumer / migratory / ping-pong and lowers the result into
-//     the `phases` array of the ProtocolHints sidecar,
+//     producer-consumer / migratory / ping-pong, which prices the cost
+//     model (point 5) and demotes the update prior of a symbol that
+//     ping-pongs in every writing phase,
 //  4. emits the cross-region diagnostics race.cross_region,
 //     nowait.cross_region_read, and hint.pingpong_update_demotion, and
 //  5. prices the timeline: a static message-cost estimate per construct
@@ -79,14 +80,6 @@ struct RegionSequence {
   std::vector<SeqConstruct> constructs;
   std::vector<SeqAccess> accesses;
   int phase_count = 1;
-  int step_count = 1;
-  /// False when a global barrier sits inside a loop: the phase timeline is
-  /// then not statically enumerable, so phase-aware hints are withheld
-  /// (diagnostics and cost estimates still apply).
-  bool phases_static = true;
-  /// DSM epoch of phase 0 (1 when codegen emits the shared-init barrier,
-  /// i.e. when any symbol lives in the DSM pool).
-  int epoch_base = 0;
 };
 
 /// Builds the region-sequence graph for `unit`. `analysis` supplies symbol
@@ -98,12 +91,10 @@ RegionSequence build_region_sequence(const TranslationUnit& unit,
 /// MHP over the region-sequence graph (rule 2 in the header comment).
 bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b);
 
-/// Runs the interference pass: fills analysis->hints.{phases, phase_count,
-/// epoch_base}, demotes prefer_update for symbols that ping-pong in every
-/// writing phase, and appends the cross-region diagnostics. Called from
-/// analyze() when both flow_sensitive and protocol_hints are on.
-void run_interference(const TranslationUnit& unit,
-                      const AnalyzeOptions& options, Analysis* analysis);
+/// Runs the interference pass: demotes prefer_update for symbols that
+/// ping-pong in every writing phase and appends the cross-region
+/// diagnostics. Called from analyze() when flow_sensitive is on.
+void run_interference(const TranslationUnit& unit, Analysis* analysis);
 
 /// Static message-cost prediction for one construct (totals across all
 /// nodes; see docs/ANALYZER.md "Message-cost model" for the formulas).

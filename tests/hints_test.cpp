@@ -1,10 +1,8 @@
 // Protocol-hint synthesis tests (docs/ANALYZER.md "Protocol hints"): affine
 // footprints from literal loop bounds, the update-vs-invalidate prior rule,
-// SPMD pool offsets mirroring codegen's allocation order, the hint-driven
-// promotion that replaces the raw threshold comparison in collective-vs-DSM
-// lowering (including the revert when the symbol is pinned to the DSM pool),
-// the embedded sidecar in generated programs, and the parade_omcc
-// --hints=json CLI surface.
+// the hint-driven promotion that replaces the raw threshold comparison in
+// collective-vs-DSM lowering (including the revert when the symbol is pinned
+// to the DSM pool), and the `hints` array of parade_omcc --analyze=json.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -61,9 +59,7 @@ TEST(Hints, AffineArrayFootprintFromLiteralBounds) {
   // far below the declared 64*64*8 bytes.
   EXPECT_EQ(h->footprint_bytes, 16u * 8u * 8u);
   EXPECT_EQ(h->byte_size, 64u * 64u * 8u);
-  EXPECT_EQ(h->writer_constructs, 1);
-  EXPECT_TRUE(h->migration_friendly);
-  EXPECT_EQ(h->expected_page_touches, (16u * 8u * 8u + 4095u) / 4096u);
+  EXPECT_EQ(h->writes, 1u);
 }
 
 TEST(Hints, SymbolicBoundResolvedFromFileScopeLiteral) {
@@ -197,99 +193,8 @@ TEST(Hints, DefaultThresholdCorpusLoweringUnchanged) {
   }
 }
 
-TEST(Hints, PoolOffsetsFollowDeclarationOrderAligned) {
-  const Analysis a = analyze_ok(
-      "double u[100];\n"
-      "double f[100];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 100; i++) {\n"
-      "    u[i] = f[i];\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
-  const SymbolHint* u = a.hints.find("u");
-  const SymbolHint* f = a.hints.find("f");
-  ASSERT_NE(u, nullptr);
-  ASSERT_NE(f, nullptr);
-  EXPECT_TRUE(u->dsm);
-  EXPECT_TRUE(f->dsm);
-  ASSERT_TRUE(u->offset_known);
-  ASSERT_TRUE(f->offset_known);
-  // `u` is declared first: offset 0; `f` follows at the next 64-byte slot.
-  EXPECT_EQ(u->pool_offset, 0u);
-  EXPECT_EQ(f->pool_offset, (100u * 8u + 63u) & ~std::size_t{63});
-}
-
-TEST(Hints, SidecarJsonRoundTrips) {
-  const Analysis a = analyze_ok(
-      "double u[100];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 100; i++) { u[i] = 1.0; }\n"
-      "  return 0;\n"
-      "}\n");
-  auto doc = obs::parse_json(a.hints.to_json());
-  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
-  ASSERT_TRUE(doc.value().is_object());
-  EXPECT_EQ(doc.value().at("version").as_int(), 2);
-  EXPECT_EQ(doc.value().at("page_bytes").as_int(), 4096);
-  ASSERT_TRUE(doc.value().at("symbols").is_array());
-  bool found_u = false;
-  for (const auto& symbol : doc.value().at("symbols").array) {
-    if (symbol.at("name").string != "u") continue;
-    found_u = true;
-    EXPECT_TRUE(symbol.at("dsm").boolean);
-    EXPECT_TRUE(symbol.at("offset_known").boolean);
-  }
-  EXPECT_TRUE(found_u);
-}
-
-TEST(Hints, SidecarV2CarriesPhasedRanges) {
-  // Two worksharing phases over one array: the v2 sidecar must expose the
-  // interference pass's phase records with sharing patterns and the
-  // epoch_base the runtime folds phase indices with.
-  const Analysis a = analyze_ok(
-      "double u[1024];\n"
-      "double v[1024];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  int j;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 1024; i++) { u[i] = 1.0; }\n"
-      "  #pragma omp parallel for\n"
-      "  for (j = 0; j < 1024; j++) { v[j] = u[j] * 2.0; }\n"
-      "  return 0;\n"
-      "}\n");
-  EXPECT_EQ(a.hints.epoch_base, 1);
-  EXPECT_GT(a.hints.phase_count, 1);
-  ASSERT_FALSE(a.hints.phases.empty());
-  auto doc = obs::parse_json(a.hints.to_json());
-  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
-  EXPECT_EQ(doc.value().at("epoch_base").as_int(), 1);
-  EXPECT_GT(doc.value().at("phase_count").as_int(), 1);
-  ASSERT_TRUE(doc.value().at("phases").is_array());
-  bool saw_producer = false;
-  bool saw_read_mostly = false;
-  for (const auto& phase : doc.value().at("phases").array) {
-    ASSERT_TRUE(phase.has("index"));
-    ASSERT_TRUE(phase.at("ranges").is_array());
-    for (const auto& range : phase.at("ranges").array) {
-      if (range.at("symbol").string != "u") continue;
-      const std::string& pattern = range.at("pattern").string;
-      if (pattern == "producer_consumer") saw_producer = true;
-      if (pattern == "read_mostly") saw_read_mostly = true;
-      EXPECT_GT(range.at("bytes").as_int(), 0);
-    }
-  }
-  EXPECT_TRUE(saw_producer);
-  EXPECT_TRUE(saw_read_mostly);
-}
-
 // ---------------------------------------------------------------------------
-// parade_omcc --hints=json CLI
+// parade_omcc CLI
 
 std::string run_omcc(const std::string& args, int* exit_code) {
   const std::string command =
@@ -304,26 +209,36 @@ std::string run_omcc(const std::string& args, int* exit_code) {
   return output;
 }
 
-TEST(OmccCli, HintsJsonEmitsParsableSidecar) {
+TEST(OmccCli, AnalyzeJsonHintsCarryThePromotionInputs) {
   int exit_code = -1;
   const std::string output = run_omcc(
       std::string(PARADE_SOURCE_DIR) +
-          "/tests/translator_inputs/helmholtz.c --hints=json",
+          "/tests/translator_inputs/helmholtz.c --analyze=json",
       &exit_code);
   EXPECT_EQ(exit_code, 0) << output;
   auto doc = obs::parse_json(output);
   ASSERT_TRUE(doc.is_ok()) << output;
-  EXPECT_EQ(doc.value().at("version").as_int(), 2);
-  bool found_dsm_symbol = false;
-  for (const auto& symbol : doc.value().at("symbols").array) {
-    if (symbol.at("dsm").boolean) found_dsm_symbol = true;
+  ASSERT_TRUE(doc.value().at("hints").is_array()) << output;
+  bool found_u = false;
+  for (const auto& hint : doc.value().at("hints").array) {
+    ASSERT_TRUE(hint.has("name")) << output;
+    EXPECT_TRUE(hint.has("reads")) << output;
+    EXPECT_TRUE(hint.has("writes")) << output;
+    EXPECT_TRUE(hint.has("footprint_bytes")) << output;
+    EXPECT_TRUE(hint.has("prefer_update")) << output;
+    if (hint.at("name").string != "u") continue;
+    found_u = true;
+    EXPECT_GT(hint.at("reads").as_int(), 0) << output;
+    EXPECT_GT(hint.at("writes").as_int(), 0) << output;
   }
-  EXPECT_TRUE(found_dsm_symbol) << output;
+  EXPECT_TRUE(found_u) << output;
 }
 
-TEST(OmccCli, HintsJsonAndAnalyzeAreMutuallyExclusive) {
+TEST(OmccCli, HintsJsonIsAnUnknownFlag) {
   int exit_code = -1;
-  run_omcc("--analyze --hints=json nope.c", &exit_code);
+  run_omcc(std::string(PARADE_SOURCE_DIR) +
+               "/tests/translator_inputs/helmholtz.c --hints=json",
+           &exit_code);
   EXPECT_EQ(exit_code, 2);
 }
 

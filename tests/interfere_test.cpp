@@ -2,12 +2,13 @@
 // "Region-sequence graph"): phase/step decomposition of the program into
 // barrier-delimited intervals, the May-Happen-in-Parallel rules, the
 // per-phase sharing-pattern classification (read-mostly / producer-consumer
-// / migratory / ping-pong), the phase-aware hint lowering with its
-// single-phase degeneracy property, the three cross-region diagnostics in
-// both golden directions, and the static message-cost report shape.
+// / migratory / ping-pong) as the cost model prices it, the three
+// cross-region diagnostics in both golden directions, and the static
+// message-cost report shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,15 +45,23 @@ const Diagnostic* find_diag(const Analysis& analysis, const char* code) {
   return nullptr;
 }
 
-const PhaseRange* find_range(const ProtocolHints& hints, int phase,
-                             const std::string& symbol) {
-  for (const PhaseHint& ph : hints.phases) {
-    if (ph.index != phase) continue;
-    for (const PhaseRange& r : ph.ranges) {
-      if (r.symbol == symbol) return &r;
+/// The cost model's per-phase page entries for `symbol`, one
+/// `ConstructCost::detail` ("<symbol> [<pattern>]") per phase that touches
+/// it, keyed by phase index.
+std::map<int, std::string> phase_patterns(const Analyzed& p,
+                                          const std::string& symbol) {
+  const CostReport report =
+      estimate_message_costs(p.unit, {}, p.analysis, /*nodes=*/2);
+  std::map<int, std::string> out;
+  const std::string prefix = symbol + " [";
+  for (const ConstructCost& c : report.constructs) {
+    if (c.kind.rfind("phase ", 0) != 0 || c.detail.rfind(prefix, 0) != 0) {
+      continue;
     }
+    out[std::stoi(c.kind.substr(6))] =
+        c.detail.substr(prefix.size(), c.detail.size() - prefix.size() - 1);
   }
-  return nullptr;
+  return out;
 }
 
 // Two worksharing phases: u is produced in the first and consumed in the
@@ -73,14 +82,9 @@ const char* kTwoPhaseProgram =
 // ---------------------------------------------------------------------------
 // Region-sequence graph shape
 
-TEST(RegionSeq, PhasesSplitAtBarriersAndEpochBaseTracksSharedInit) {
+TEST(RegionSeq, PhasesSplitAtBarriersInProgramOrder) {
   const Analyzed p = analyze_program(kTwoPhaseProgram);
   const RegionSequence seq = build_region_sequence(p.unit, p.analysis);
-
-  // DSM arrays exist, so codegen emits the shared-init barrier: the first
-  // phase the translator sees runs during DSM epoch 1.
-  EXPECT_EQ(seq.epoch_base, 1);
-  EXPECT_TRUE(seq.phases_static);
   EXPECT_GE(seq.phase_count, 2);
 
   // The write to u and the read of u sit in different phases (a combined
@@ -103,25 +107,6 @@ TEST(RegionSeq, PhasesSplitAtBarriersAndEpochBaseTracksSharedInit) {
       EXPECT_TRUE(a.partitioned);
     }
   }
-}
-
-TEST(RegionSeq, BarrierInsideSerialLoopWithholdsPhaseHints) {
-  const Analyzed p = analyze_program(
-      "double u[1024];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  int t;\n"
-      "  for (t = 0; t < 10; t++) {\n"
-      "    #pragma omp parallel for\n"
-      "    for (i = 0; i < 1024; i++) { u[i] = u[i] + 1.0; }\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
-  const RegionSequence seq = build_region_sequence(p.unit, p.analysis);
-  // The phase counter advances inside a serial loop, so the phase timeline
-  // is not statically enumerable: hints are withheld entirely.
-  EXPECT_FALSE(seq.phases_static);
-  EXPECT_TRUE(p.analysis.hints.phases.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -173,14 +158,10 @@ TEST(Mhp, MasterAndSameSingleInstanceSerialize) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharing-pattern classification, lowered into the phases sidecar
+// Sharing-pattern classification, as the cost model attributes it
 
 TEST(Classify, ProducerConsumerAndReadMostlyAcrossPhases) {
   const Analyzed p = analyze_program(kTwoPhaseProgram);
-  const ProtocolHints& hints = p.analysis.hints;
-  ASSERT_FALSE(hints.phases.empty());
-  EXPECT_EQ(hints.epoch_base, 1);
-
   const RegionSequence seq = build_region_sequence(p.unit, p.analysis);
   int u_write_phase = -1;
   int u_read_phase = -1;
@@ -188,12 +169,12 @@ TEST(Classify, ProducerConsumerAndReadMostlyAcrossPhases) {
     if (a.symbol != "u") continue;
     (a.write ? u_write_phase : u_read_phase) = a.phase;
   }
-  const PhaseRange* produced = find_range(hints, u_write_phase, "u");
-  ASSERT_NE(produced, nullptr);
-  EXPECT_EQ(produced->pattern, SharingPattern::kProducerConsumer);
-  const PhaseRange* consumed = find_range(hints, u_read_phase, "u");
-  ASSERT_NE(consumed, nullptr);
-  EXPECT_EQ(consumed->pattern, SharingPattern::kReadMostly);
+  const std::map<int, std::string> patterns = phase_patterns(p, "u");
+  ASSERT_EQ(patterns.count(u_write_phase), 1u);
+  EXPECT_EQ(patterns.at(u_write_phase),
+            to_string(SharingPattern::kProducerConsumer));
+  ASSERT_EQ(patterns.count(u_read_phase), 1u);
+  EXPECT_EQ(patterns.at(u_read_phase), to_string(SharingPattern::kReadMostly));
 }
 
 TEST(Classify, LockConvoyedUnpartitionedWritesArePingPong) {
@@ -213,13 +194,9 @@ TEST(Classify, LockConvoyedUnpartitionedWritesArePingPong) {
       "  return 0;\n"
       "}\n");
   bool found = false;
-  for (const PhaseHint& ph : p.analysis.hints.phases) {
-    for (const PhaseRange& r : ph.ranges) {
-      if (r.symbol != "acc" || r.pattern != SharingPattern::kPingPong) {
-        continue;
-      }
-      found = true;
-    }
+  for (const auto& [phase, pattern] : phase_patterns(p, "acc")) {
+    (void)phase;
+    if (pattern == to_string(SharingPattern::kPingPong)) found = true;
   }
   EXPECT_TRUE(found);
 }
@@ -242,80 +219,54 @@ TEST(Classify, SoleWriterAcrossMultiplePhasesIsMigratory) {
       "  return 0;\n"
       "}\n");
   std::size_t migratory = 0;
-  for (const PhaseHint& ph : p.analysis.hints.phases) {
-    for (const PhaseRange& r : ph.ranges) {
-      if (r.symbol == "state" && r.pattern == SharingPattern::kMigratory) {
-        ++migratory;
-      }
-    }
+  for (const auto& [phase, pattern] : phase_patterns(p, "state")) {
+    (void)phase;
+    if (pattern == to_string(SharingPattern::kMigratory)) ++migratory;
   }
   EXPECT_GE(migratory, 2u);
 }
 
 // ---------------------------------------------------------------------------
-// Degeneracy property: a single-phase program's phase hints equal the
-// whole-program symbol hints (flags are computed by the same formulas over
-// the same counts when all accesses share one phase).
-
-TEST(Degeneracy, SinglePhaseHintsMatchWholeProgramHints) {
-  const char* const programs[] = {
-      // Read-dominated small array: prefer_update stays set.
-      "double small[16];\n"
-      "double out[1024];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 1024; i++) { out[i] = small[0] + small[1]; }\n"
-      "  return 0;\n"
-      "}\n",
-      // Partitioned producer, no consumer.
-      "double u[4096];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 4096; i++) { u[i] = 1.0; }\n"
-      "  return 0;\n"
-      "}\n",
-  };
-  for (const char* source : programs) {
-    const Analyzed p = analyze_program(source);
-    const ProtocolHints& hints = p.analysis.hints;
-    // All accesses sit in the first phase: exactly one phase record.
-    ASSERT_EQ(hints.phases.size(), 1u) << source;
-    for (const PhaseRange& r : hints.phases[0].ranges) {
-      const SymbolHint* h = hints.find(r.symbol);
-      ASSERT_NE(h, nullptr) << r.symbol;
-      EXPECT_EQ(r.prefer_update, h->prefer_update) << r.symbol;
-      EXPECT_EQ(r.migration_friendly, h->migration_friendly) << r.symbol;
-      EXPECT_EQ(r.offset, h->pool_offset) << r.symbol;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Cross-region diagnostics, golden in both directions
 
+// Two critical sections with different names write the same array: their
+// locks do not compose, so the writes may overlap.
+const char* kNonComposingCriticals =
+    "double buf[1024];\n"
+    "int main(void) {\n"
+    "  int i;\n"
+    "  int j;\n"
+    "  #pragma omp parallel\n"
+    "  {\n"
+    "    #pragma omp critical (alpha)\n"
+    "    { for (i = 0; i < 1024; i++) { buf[i] = buf[i] + 1.0; } }\n"
+    "    #pragma omp critical (beta)\n"
+    "    { for (j = 0; j < 1024; j++) { buf[j] = buf[j] * 2.0; } }\n"
+    "  }\n"
+    "  return 0;\n"
+    "}\n";
+
 TEST(CrossRegion, NonComposingCriticalNamesAreFlagged) {
-  const Analyzed p = analyze_program(
-      "double buf[1024];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  int j;\n"
-      "  #pragma omp parallel\n"
-      "  {\n"
-      "    #pragma omp critical (alpha)\n"
-      "    { for (i = 0; i < 1024; i++) { buf[i] = buf[i] + 1.0; } }\n"
-      "    #pragma omp critical (beta)\n"
-      "    { for (j = 0; j < 1024; j++) { buf[j] = buf[j] * 2.0; } }\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
+  const Analyzed p = analyze_program(kNonComposingCriticals);
   const Diagnostic* d = find_diag(p.analysis, kDiagRaceCrossRegion);
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->severity, Severity::kWarning);
   EXPECT_EQ(d->var, "buf");
   EXPECT_EQ(d->line, 10);
   EXPECT_GT(d->column, 0);
+}
+
+TEST(CrossRegion, RaceFindingsDoNotDependOnProtocolHints) {
+  // The interference pass is gated on the flow pass alone: switching hint
+  // synthesis off (parade_omcc --no-hints) must not hide the race.
+  AnalyzeOptions options;
+  options.protocol_hints = false;
+  const Analyzed p = analyze_program(kNonComposingCriticals, options);
+  EXPECT_TRUE(p.analysis.hints.symbols.empty());
+  const Diagnostic* d = find_diag(p.analysis, kDiagRaceCrossRegion);
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->var, "buf");
+  EXPECT_EQ(d->line, 10);
 }
 
 TEST(CrossRegion, SharedCriticalNameComposesAndIsClean) {
@@ -395,13 +346,6 @@ TEST(CrossRegion, AllPingPongPhasesDemotePreferUpdate) {
   const SymbolHint* h = p.analysis.hints.find("pair");
   ASSERT_NE(h, nullptr);
   EXPECT_FALSE(h->prefer_update);
-  for (const PhaseHint& ph : p.analysis.hints.phases) {
-    for (const PhaseRange& r : ph.ranges) {
-      if (r.symbol == "pair") {
-        EXPECT_FALSE(r.prefer_update);
-      }
-    }
-  }
 }
 
 TEST(CrossRegion, PartitionedProducerIsNotDemoted) {

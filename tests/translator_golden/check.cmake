@@ -1,7 +1,8 @@
 # Byte-for-byte check of the translator's outputs on every shipped OpenMP
-# input: generated code, the analyzer and hint reports, SARIF and the static
-# cost estimate. Each output is compared with the committed file of the same
-# name in this directory.
+# input: generated code, the analyzer report, SARIF and the static cost
+# estimate. Each output is compared with the committed file of the same name
+# in this directory, and every other file here (except this script) fails
+# the check as an orphan that no run produces any more.
 #
 #   cmake -DOMCC=<parade_omcc> -DLINT=<parade_lint> -DSOURCE_DIR=<repo root>
 #         -DOUT_DIR=<scratch dir> [-DUPDATE=ON] -P check.cmake
@@ -20,12 +21,12 @@ set(GOLDEN_DIR ${SOURCE_DIR}/tests/translator_golden)
 file(MAKE_DIRECTORY ${OUT_DIR})
 
 set(failures "")
+set(produced check.cmake)
 foreach(input ${INPUTS})
   get_filename_component(stem ${input} NAME_WE)
   set(runs
     "translate.cpp|${OMCC}|${input}"
     "analyze.json|${OMCC}|${input}|--analyze=json"
-    "hints.json|${OMCC}|${input}|--hints=json"
     "sarif|${LINT}|--sarif|${input}"
     "cost.txt|${LINT}|--cost=4|${input}")
   foreach(run ${runs})
@@ -33,6 +34,7 @@ foreach(input ${INPUTS})
     list(GET parts 0 suffix)
     list(SUBLIST parts 1 -1 command)
     set(name ${stem}.${suffix})
+    list(APPEND produced ${name})
     execute_process(COMMAND ${command}
       WORKING_DIRECTORY ${SOURCE_DIR}
       OUTPUT_FILE ${OUT_DIR}/${name}
@@ -52,6 +54,14 @@ foreach(input ${INPUTS})
       list(APPEND failures "${name}: differs from ${GOLDEN_DIR}/${name}")
     endif()
   endforeach()
+endforeach()
+
+file(GLOB committed RELATIVE ${GOLDEN_DIR} ${GOLDEN_DIR}/*)
+foreach(name ${committed})
+  list(FIND produced ${name} index)
+  if(index EQUAL -1)
+    list(APPEND failures "${name}: orphan golden, produced by no run")
+  endif()
 endforeach()
 
 if(failures)
