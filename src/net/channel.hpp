@@ -41,6 +41,11 @@ class Channel {
   /// Stops delivery and wakes blocked receivers.
   virtual void shutdown() { inbox_.close(); }
 
+  /// True when the channel may drop, duplicate or reorder messages (an
+  /// active fault plan). mp::Comm reads it once to pick its wire: plain on a
+  /// lossless channel, seq+ack framed on a lossy one.
+  virtual bool lossy() const { return false; }
+
  protected:
   Channel(NodeId rank, int size)
       : rank_(rank), size_(size), metrics_(rank, size) {}

@@ -56,6 +56,7 @@ class FaultyChannel final : public Channel {
 
   Mailbox& inbox() override { return inner_.inbox(); }
   void shutdown() override { inner_.shutdown(); }
+  bool lossy() const override { return plan_.active(); }
 
   /// Barrier epochs observed from traffic (departure messages forwarded on
   /// the master→rank-1 link); drives epoch-keyed partitions.

@@ -52,7 +52,8 @@ NodeRuntime::NodeRuntime(net::Channel& channel, const RuntimeConfig& config)
   const Topology topology{channel.rank(), channel.size(),
                           config_.barrier_fanout};
   dsm_ = std::make_unique<dsm::DsmNode>(topology, channel, config_.dsm);
-  comm_ = std::make_unique<mp::Comm>(topology, channel, config_.dsm.net);
+  comm_ = std::make_unique<mp::Comm>(topology, channel, config_.dsm.net,
+                                     config_.dsm.retry);
   team_ = std::make_unique<Team>(*this, topology, config_.threads_per_node);
 }
 
@@ -79,6 +80,11 @@ void NodeRuntime::main_entry(const std::function<void()>& program) {
   program();
   ctx.clock.sync_cpu();
   final_vtime_ = ctx.clock.now();
+  // Linger before teardown stops this node's MP acks: a peer whose last ack
+  // was lost retries until it gets one. Running here, after the clock is
+  // read, keeps the linger out of virtual time and lets all nodes linger at
+  // once.
+  comm_->quiesce();
   detail::set_current_ctx(nullptr);
 }
 

@@ -2,9 +2,13 @@
 // lock-protected counter increments + barriers) runs once fault-free and once
 // under a deterministic FaultPlan; the final pool contents must be identical
 // byte-for-byte, with nonzero injected-fault and retry counters proving the
-// faults actually happened and the retry machinery absorbed them.
+// faults actually happened and the retry machinery absorbed them. The
+// runtime's MP collectives run under the same seeded plans and must give
+// exact results.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -15,6 +19,8 @@
 #include "dsm/cluster.hpp"
 #include "net/fault.hpp"
 #include "obs/registry.hpp"
+#include "runtime/api.hpp"
+#include "runtime/cluster.hpp"
 
 namespace parade::dsm {
 namespace {
@@ -213,6 +219,71 @@ TEST(Chaos, HealingPartitionRecovers) {
   EXPECT_GT(partition_dropped, 0) << "the partition window never engaged";
   EXPECT_GT(retries, 0);
 }
+
+// The runtime's collectives under the same plans: team_update, single_small
+// and team_allreduce ride the node's MP communicator, and every round ends in
+// a global barrier as OpenMP's implied barriers do. A node therefore sits in
+// the DSM barrier while a peer may still wait for the ack of the round's last
+// collective message.
+class RuntimeChaosAtSeed : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RuntimeChaosAtSeed, CollectivesGiveExactResults) {
+  constexpr int kRuntimeNodes = 4;
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 50;
+  constexpr long kThreadIdSum =
+      kRuntimeNodes * kThreads * (kRuntimeNodes * kThreads + 1) / 2;
+  auto& reg = obs::Registry::instance();
+  for (NodeId n = 0; n < kRuntimeNodes; ++n) reg.reset_node(n);
+
+  RuntimeConfig config;
+  config.nodes = kRuntimeNodes;
+  config.threads_per_node = kThreads;
+  config.dsm.pool_bytes = 1 << 20;
+  config.dsm.retry.timeout_ms = 30;
+  config.dsm.retry.max_attempts = 400;
+  // VirtualCluster takes its fault plan from the environment: the seed alone
+  // selects default_chaos_plan(seed).
+  setenv("PARADE_FAULT_SEED", std::to_string(GetParam()).c_str(), 1);
+  VirtualCluster cluster(config);
+  unsetenv("PARADE_FAULT_SEED");
+
+  std::atomic<int> wrong{0};
+  cluster.exec([&] {
+    double updated = 0.0;  // node-shared replica
+    parallel([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        team_update(&updated, 1.0, mp::Op::kSum);
+        if (updated != kRuntimeNodes * kThreads * (round + 1.0)) ++wrong;
+        double picked = -1.0;
+        single_small(&picked, sizeof(picked), [&] { picked = round + 0.5; });
+        if (picked != round + 0.5) ++wrong;
+        if (team_reduce<long>(thread_id() + 1, mp::Op::kSum) != kThreadIdSum) {
+          ++wrong;
+        }
+        barrier();
+      }
+    });
+  });
+
+  std::int64_t injected = 0;
+  std::int64_t mp_retries = 0;
+  for (NodeId n = 0; n < kRuntimeNodes; ++n) {
+    injected += reg.counter(n, "net.fault.injected").value();
+    mp_retries += reg.counter(n, "mp.retry.count").value();
+  }
+  cluster.shutdown();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(injected, 0) << "the fault plan never fired";
+  EXPECT_GT(mp_retries, 0) << "no collective message was ever retransmitted";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeChaosAtSeed,
+                         ::testing::Values(1u, 2u, 3u),
+                         [](const auto& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace parade::dsm

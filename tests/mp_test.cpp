@@ -1,35 +1,16 @@
 // Message-passing library: point-to-point matching semantics, typed
-// reductions, and the collective algorithms at every node count 1..8
-// (parameterized, exercising the binomial trees' edge cases at non-powers
-// of two).
+// reductions, and the collective algorithms at every node count 1..8 over
+// the plain wire (mp_collectives.cpp; mp_fault_test runs them under chaos).
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <thread>
 
 #include "mp/comm.hpp"
+#include "mp_collectives.hpp"
 #include "net/inproc.hpp"
 
 namespace parade::mp {
 namespace {
-
-vtime::NetworkModel test_model() { return vtime::ideal(); }
-
-/// Runs `body(comm)` on one thread per rank.
-void run_ranks(int n, const std::function<void(Comm&)>& body) {
-  net::InProcFabric fabric(n);
-  std::vector<std::unique_ptr<Comm>> comms;
-  for (int r = 0; r < n; ++r) {
-    comms.push_back(std::make_unique<Comm>(Topology::flat(r, n),
-                                           fabric.channel(r), test_model()));
-  }
-  std::vector<std::thread> threads;
-  for (int r = 0; r < n; ++r) {
-    threads.emplace_back([&, r] { body(*comms[static_cast<std::size_t>(r)]); });
-  }
-  for (auto& t : threads) t.join();
-  fabric.shutdown();
-}
 
 TEST(Datatypes, SizesAndNames) {
   EXPECT_EQ(dtype_size(DType::kInt32), 4u);
@@ -62,7 +43,7 @@ TEST(Datatypes, ReduceVectorized) {
 }
 
 TEST(PointToPoint, TagMatching) {
-  run_ranks(2, [](Comm& comm) {
+  run_ranks(2, net::FaultPlan{}, [](Comm& comm) {
     if (comm.rank() == 0) {
       const int a = 1, b = 2;
       comm.send(1, /*tag=*/10, &a, sizeof(a));
@@ -79,7 +60,7 @@ TEST(PointToPoint, TagMatching) {
 }
 
 TEST(PointToPoint, Wildcards) {
-  run_ranks(3, [](Comm& comm) {
+  run_ranks(3, net::FaultPlan{}, [](Comm& comm) {
     if (comm.rank() != 0) {
       const int v = comm.rank() * 100;
       comm.send(0, 7, &v, sizeof(v));
@@ -98,7 +79,7 @@ TEST(PointToPoint, Wildcards) {
 }
 
 TEST(PointToPoint, TryRecv) {
-  run_ranks(2, [](Comm& comm) {
+  run_ranks(2, net::FaultPlan{}, [](Comm& comm) {
     // Rank 1 sends only after the first barrier, which rank 0 enters after
     // its empty probe; the second barrier orders the send before the spin.
     if (comm.rank() == 0) {
@@ -116,133 +97,16 @@ TEST(PointToPoint, TryRecv) {
   });
 }
 
-class CollectivesAtSize : public ::testing::TestWithParam<int> {};
-
-TEST_P(CollectivesAtSize, Barrier) {
-  const int n = GetParam();
-  std::atomic<int> arrived{0};
-  run_ranks(n, [&](Comm& comm) {
-    arrived.fetch_add(1);
-    comm.barrier();
-    // After the barrier every rank must have arrived.
-    EXPECT_EQ(arrived.load(), n);
-    comm.barrier();
-  });
+CollectiveCase plain_case(int nodes) {
+  return CollectiveCase{nodes, net::FaultPlan{}};
 }
 
-TEST_P(CollectivesAtSize, BcastFromEveryRoot) {
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    for (int root = 0; root < n; ++root) {
-      double payload[3] = {0, 0, 0};
-      if (comm.rank() == root) {
-        payload[0] = root + 0.5;
-        payload[1] = 2.0 * root;
-        payload[2] = -1.0;
-      }
-      comm.bcast(payload, sizeof(payload), root);
-      EXPECT_DOUBLE_EQ(payload[0], root + 0.5);
-      EXPECT_DOUBLE_EQ(payload[1], 2.0 * root);
-      EXPECT_DOUBLE_EQ(payload[2], -1.0);
-    }
-  });
-}
-
-TEST_P(CollectivesAtSize, ReduceSumToEveryRoot) {
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    for (int root = 0; root < n; ++root) {
-      std::int64_t value = comm.rank() + 1;
-      comm.reduce(&value, 1, DType::kInt64, Op::kSum, root);
-      if (comm.rank() == root) {
-        EXPECT_EQ(value, static_cast<std::int64_t>(n) * (n + 1) / 2);
-      }
-    }
-  });
-}
-
-TEST_P(CollectivesAtSize, AllreduceMinMax) {
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    double lo = comm.rank() * 1.5;
-    comm.allreduce(&lo, 1, DType::kDouble, Op::kMin);
-    EXPECT_DOUBLE_EQ(lo, 0.0);
-    double hi = comm.rank() * 1.5;
-    comm.allreduce(&hi, 1, DType::kDouble, Op::kMax);
-    EXPECT_DOUBLE_EQ(hi, (n - 1) * 1.5);
-  });
-}
-
-TEST_P(CollectivesAtSize, AllreduceVector) {
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    std::vector<std::int32_t> values(16);
-    for (int i = 0; i < 16; ++i) values[static_cast<std::size_t>(i)] = i;
-    comm.allreduce(values.data(), values.size(), DType::kInt32, Op::kSum);
-    for (int i = 0; i < 16; ++i) {
-      EXPECT_EQ(values[static_cast<std::size_t>(i)], i * n);
-    }
-  });
-}
-
-TEST_P(CollectivesAtSize, AllreduceUserStruct) {
-  // The paper's merged multi-variable reduction (§4.2).
-  struct Multi {
-    double sum;
-    double max;
-    std::int64_t count;
-  };
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    Multi m{static_cast<double>(comm.rank()), static_cast<double>(comm.rank()),
-            1};
-    comm.allreduce_user(&m, sizeof(m),
-                        [](void* inout, const void* in, std::size_t) {
-                          auto* a = static_cast<Multi*>(inout);
-                          const auto* b = static_cast<const Multi*>(in);
-                          a->sum += b->sum;
-                          a->max = std::max(a->max, b->max);
-                          a->count += b->count;
-                        });
-    EXPECT_DOUBLE_EQ(m.sum, n * (n - 1) / 2.0);
-    EXPECT_DOUBLE_EQ(m.max, n - 1.0);
-    EXPECT_EQ(m.count, n);
-  });
-}
-
-TEST_P(CollectivesAtSize, GatherAndAllgather) {
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    const std::int32_t mine = 10 * comm.rank() + 3;
-    std::vector<std::int32_t> all(static_cast<std::size_t>(n), -1);
-    comm.gather(&mine, sizeof(mine), comm.rank() == 0 ? all.data() : nullptr,
-                0);
-    if (comm.rank() == 0) {
-      for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(all[static_cast<std::size_t>(r)], 10 * r + 3);
-      }
-    }
-    std::vector<std::int32_t> everywhere(static_cast<std::size_t>(n), -1);
-    comm.allgather(&mine, sizeof(mine), everywhere.data());
-    for (int r = 0; r < n; ++r) {
-      EXPECT_EQ(everywhere[static_cast<std::size_t>(r)], 10 * r + 3);
-    }
-  });
-}
-
-TEST_P(CollectivesAtSize, BackToBackCollectivesDoNotCross) {
-  const int n = GetParam();
-  run_ranks(n, [&](Comm& comm) {
-    for (int round = 0; round < 20; ++round) {
-      std::int64_t v = round * n + comm.rank();
-      comm.allreduce(&v, 1, DType::kInt64, Op::kMax);
-      EXPECT_EQ(v, static_cast<std::int64_t>(round) * n + (n - 1));
-    }
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesAtSize,
-                         ::testing::Values(1, 2, 3, 4, 5, 7, 8));
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, CollectivesAtSize,
+    ::testing::Values(plain_case(1), plain_case(2), plain_case(3),
+                      plain_case(4), plain_case(5), plain_case(7),
+                      plain_case(8)),
+    collective_case_name);
 
 TEST(Vtime, MessageCarriesCausality) {
   net::InProcFabric fabric(2);
