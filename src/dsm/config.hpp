@@ -63,9 +63,6 @@ struct DsmConfig {
   net::RetryPolicy retry{};
 
   std::size_t num_pages() const { return pool_bytes / page_bytes; }
-  /// Total virtual reservation per node: app + sys + twin views of the pool
-  /// (SegmentPool layout, dsm/mapping.hpp).
-  std::size_t segment_bytes() const { return 3 * pool_bytes; }
 };
 
 /// Maximum DSM lock ids (grant tags are lock-indexed, see protocol.hpp).

@@ -84,8 +84,6 @@ class SegmentPool {
   std::byte* app_view() const { return view_base(View::kApp); }
   /// Always-writable system view of the same physical memory.
   std::byte* sys_view() const { return view_base(View::kSys); }
-  /// Twin frame area (always writable, distinct frames).
-  std::byte* twin_view() const { return view_base(View::kTwin); }
 
   std::size_t pool_bytes() const { return pool_bytes_; }
   std::size_t page_bytes() const { return page_bytes_; }

@@ -16,6 +16,30 @@
 #include "obs/span.hpp"
 
 namespace parade::dsm {
+namespace {
+
+constexpr const char* kRetryExhausted = "dsm.retry_exhausted";  // flight record
+
+/// The DSM half of a retry-exhaustion diagnosis.
+std::string missing(const std::string& reply, const std::string& from,
+                    Epoch epoch) {
+  return "no " + reply + " from " + from + " at epoch " + std::to_string(epoch);
+}
+
+/// Decodes into `out`, or logs and drops (false) a malformed frame.
+template <typename Msg>
+bool decode(const net::Message& message, Msg& out) {
+  auto decoded = codec<Msg>::try_decode(message.payload);
+  if (!decoded.is_ok()) {
+    PLOG_WARN("dropping malformed tag " << message.header.tag << " frame: "
+                                        << decoded.status().to_string());
+    return false;
+  }
+  out = std::move(decoded).value();
+  return true;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Runtime invariant checking (PARADE_CHECKED): the protocol rules consulted
@@ -223,6 +247,52 @@ void DsmNode::protect_runs(std::vector<PageId> pages, int prot) {
 }
 
 // ---------------------------------------------------------------------------
+// Requester side: an application thread sends one request and waits for its
+// reply (page fetch, diff acks, barrier departure, lock grant, release ack).
+
+void DsmNode::repost(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
+                     VirtualUs vtime) {
+  stats_.inc_retries();
+  post(dst, tag, std::move(payload), vtime);
+}
+
+VirtualUs DsmNode::send_stamp() {
+  auto* clock = vtime::thread_clock();
+  if (clock == nullptr) return 0.0;
+  clock->sync_cpu();
+  clock->add(config_.net.send_overhead_us);
+  return clock->now();
+}
+
+void DsmNode::merge_reply(const net::Message& reply, bool charge_cpu) {
+  auto* clock = vtime::thread_clock();
+  if (clock == nullptr) return;
+  if (charge_cpu) clock->sync_cpu();
+  clock->merge(reply.header.vtime +
+               config_.net.transfer_us(reply.payload.size()));
+}
+
+template <typename Reply, typename What, typename OnReply, typename Resend>
+void DsmNode::await_reply(Tag reply_tag, const What& what,
+                          const OnReply& on_reply, const Resend& resend) {
+  net::RetryBudget budget{config_.retry, rank(), kRetryExhausted};
+  for (;;) {
+    auto msg = channel_.inbox().recv_match_for(
+        [reply_tag](const net::MessageHeader& h) { return h.tag == reply_tag; },
+        config_.retry.timeout());
+    if (!msg.has_value()) {
+      PARADE_CHECK_MSG(!channel_.inbox().closed(), "channel closed: " + what());
+      const Status s = budget.spend(what);
+      PARADE_CHECK_MSG(s.is_ok(), s.message());
+      resend();
+      continue;
+    }
+    Reply reply;
+    if (decode(*msg, reply) && on_reply(reply, *msg)) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Fault path
 
 bool DsmNode::handle_fault(void* addr, bool is_write) {
@@ -247,21 +317,16 @@ bool DsmNode::handle_fault(void* addr, bool is_write) {
     switch (rules::fault_action(entry.state, is_write)) {
       case rules::FaultAction::kStartFetch:
         fetch_page(page, lock, entry);
-        continue;  // re-dispatch (a write fault still needs the upgrade)
+        break;
 
       case rules::FaultAction::kJoinWaiters:
         set_state(entry, page, PageState::kBlocked);
         [[fallthrough]];
       case rules::FaultAction::kWaitForFetch:
-        // Wait for the fetch to end, whatever state it left: a copy
-        // invalidated again before we woke re-dispatches to a fresh fetch.
+        // Wait for the fetch to end, whatever state it left.
         entry.cv.wait(lock,
                       [&] { return !rules::fetch_in_flight(entry.state); });
-        if (auto* clock = vtime::thread_clock()) {
-          clock->sync_cpu();
-          clock->merge(entry.ready_vtime);
-        }
-        continue;
+        break;
 
       case rules::FaultAction::kUpgradeToDirty:
         upgrade_to_dirty(page, entry);
@@ -269,6 +334,12 @@ bool DsmNode::handle_fault(void* addr, bool is_write) {
 
       case rules::FaultAction::kDone:
         return true;
+    }
+    // The fetch ended: charge the stall, then re-dispatch (a write fault
+    // still needs the upgrade; a copy invalidated since starts a new fetch).
+    if (auto* clock = vtime::thread_clock()) {
+      clock->sync_cpu();
+      clock->merge(entry.ready_vtime);
     }
   }
 }
@@ -288,13 +359,7 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
   obs::ScopedSpan span(obs::TraceKind::kPageFault, rank(),
                        static_cast<Tag>(page));
   obs::ScopedHistTimer fetch_scope(fetch_hist_);
-  VirtualUs stamp = 0.0;
-  auto* clock = vtime::thread_clock();
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->add(config_.net.send_overhead_us);
-    stamp = clock->now();
-  }
+  const VirtualUs stamp = send_stamp();
   const auto payload = codec<PageRequestMsg>::encode({page, seq});
   post(home, kTagPageRequest, payload, stamp);
 
@@ -306,19 +371,16 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
   // before this thread woke: every later reply would be dropped, so waiting
   // for READ_ONLY here could only time out. handle_fault re-fetches.
   const auto ready = [&] { return !rules::fetch_in_flight(entry.state); };
-  int attempts = 1;
+  net::RetryBudget budget{config_.retry, rank(), kRetryExhausted};
   while (!entry.cv.wait_for(lock, config_.retry.timeout(), ready)) {
-    PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                     "page fetch timed out after max retries");
-    ++attempts;
-    stats_.inc_retries();
+    const Status s = budget.spend([&] {
+      return missing("page " + std::to_string(page) + " reply",
+                     "home node " + std::to_string(home), epoch_);
+    });
+    PARADE_CHECK_MSG(s.is_ok(), s.message());
     lock.unlock();
-    post(home, kTagPageRequest, payload, stamp);
+    repost(home, kTagPageRequest, payload, stamp);
     lock.lock();
-  }
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->merge(entry.ready_vtime);
   }
 }
 
@@ -367,7 +429,6 @@ std::vector<PageId> DsmNode::drain_dirty_now() {
 void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
   if (pages.empty()) return;
   std::lock_guard flush_lock(flush_mutex_);
-  auto* clock = vtime::thread_clock();
   // At a barrier no application thread of this node runs, so downgrades
   // wait for one mprotect per run after the loop. A lock release runs next
   // to computing threads: it write-protects each page before scanning its
@@ -384,6 +445,7 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
 
   struct PendingDiff {
     NodeId home;
+    PageId page;
     std::vector<std::uint8_t> payload;  // kept for retransmission
     VirtualUs stamp;
   };
@@ -444,46 +506,34 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
     if (diff_bytes == 0) continue;  // page written but unchanged
     stats_.inc_diffs_created();
     stats_.inc_diff_bytes_sent(static_cast<std::int64_t>(diff_bytes));
-    VirtualUs stamp = 0.0;
-    if (clock != nullptr) {
-      clock->sync_cpu();
-      clock->add(config_.net.send_overhead_us);
-      stamp = clock->now();
-    }
+    const VirtualUs stamp = send_stamp();
     post(home, kTagDiff, payload, stamp);
-    pending.emplace(seq, PendingDiff{home, std::move(payload), stamp});
+    pending.emplace(seq, PendingDiff{home, page, std::move(payload), stamp});
   }
   protect_runs(std::move(downgraded), PROT_READ);
-
-  int attempts = 1;
-  while (!pending.empty()) {
-    auto ack = channel_.inbox().recv_match_for(
-        [](const net::MessageHeader& h) { return h.tag == kTagDiffAck; },
-        config_.retry.timeout());
-    if (!ack.has_value()) {
-      PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                       "channel closed waiting for diff ack");
-      PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                       "diff ack timed out after max retries");
-      ++attempts;
-      for (const auto& [seq, diff] : pending) {
-        stats_.inc_retries();
-        post(diff.home, kTagDiff, diff.payload, diff.stamp);
-      }
-      continue;
+  if (pending.empty()) return;
+  const auto what = [&] {
+    std::string who;
+    for (const auto& [seq, diff] : pending) {
+      who += (who.empty() ? "node " : ", node ") + std::to_string(diff.home) +
+             " for page " + std::to_string(diff.page);
     }
-    auto acked_r = codec<DiffAckMsg>::try_decode(ack->payload);
-    if (!acked_r.is_ok()) continue;  // malformed frame off the wire
-    const DiffAckMsg acked = std::move(acked_r).value();
-    // Unknown seq: a duplicate ack, or one for a diff a previous flush
-    // retransmitted right before its original ack arrived. Ignore.
-    if (pending.erase(acked.seq) == 0) continue;
-    if (clock != nullptr) {
-      clock->sync_cpu();
-      clock->merge(ack->header.vtime +
-                   config_.net.transfer_us(ack->payload.size()));
-    }
-  }
+    return missing("diff ack", who, epoch_);
+  };
+  await_reply<DiffAckMsg>(
+      kTagDiffAck, what,
+      [&](const DiffAckMsg& acked, const net::Message& msg) {
+        // Unknown seq: a duplicate ack, or one for a diff a previous flush
+        // retransmitted right before its original ack arrived. Ignore.
+        if (pending.erase(acked.seq) == 0) return false;
+        merge_reply(msg);
+        return pending.empty();
+      },
+      [&] {
+        for (const auto& [seq, diff] : pending) {
+          repost(diff.home, kTagDiff, diff.payload, diff.stamp);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -531,7 +581,7 @@ void DsmNode::barrier() {
   }
 
   const std::vector<NodeId> children = topo_.children();
-  auto gathered = gather_children(children.size());
+  auto gathered = gather_children(children);
 
   // Merge the children's streams with our own notices. Subtrees are
   // disjoint, so each modifier appears in at most one source; the map keeps
@@ -556,6 +606,7 @@ void DsmNode::barrier() {
   // flat root this is the O(nodes) term the tree caps at O(fanout).
   latest +=
       static_cast<double>(children.size()) * config_.net.recv_overhead_us;
+  if (clock != nullptr) clock->merge(latest);
 
   BarrierDepartMsg depart;
   if (topo_.is_root()) {
@@ -582,7 +633,6 @@ void DsmNode::barrier() {
       depart.entries.push_back(entry);
     }
     depart.departure_vtime = latest;
-    if (clock != nullptr) clock->merge(latest);
   } else {
     // Interior node or leaf: forward one coalesced subtree arrival to the
     // parent, then wait for the departure to come back down this edge.
@@ -597,47 +647,32 @@ void DsmNode::barrier() {
 
     VirtualUs stamp = latest;
     if (clock != nullptr) {
-      clock->merge(latest);
       clock->add(config_.net.send_overhead_us);
       stamp = clock->now();
     }
     const NodeId parent = topo_.parent();
     const auto payload = codec<BarrierArriveMsg>::encode(std::move(arrive));
     post(parent, kTagBarrierArrive, payload, stamp);
-    int attempts = 1;
-    for (;;) {
-      auto msg = channel_.inbox().recv_match_for(
-          [](const net::MessageHeader& h) {
-            return h.tag == kTagBarrierDepart;
-          },
-          config_.retry.timeout());
-      if (!msg.has_value()) {
-        PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                         "channel closed during barrier");
-        PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                         "barrier departure timed out after max retries");
+    await_reply<BarrierDepartMsg>(
+        kTagBarrierDepart,
+        [&] {
+          return missing("barrier departure",
+                         "parent node " + std::to_string(parent), epoch_);
+        },
+        [&](BarrierDepartMsg& got, const net::Message& msg) {
+          const auto action = rules::classify_barrier_depart(got.epoch, epoch_);
+          if (action == rules::DepartAction::kIgnoreStale) return false;
+          PARADE_CHECK_MSG(action == rules::DepartAction::kProcess,
+                           "barrier departure from a future epoch");
+          // The barrier's own CPU is discarded, not charged.
+          merge_reply(msg, /*charge_cpu=*/false);
+          depart = std::move(got);
+          return true;
+        },
         // Either our arrival or the parent's departure was lost; resending
         // the arrival recovers both (every gather node re-answers closed
         // epochs on its child edges).
-        ++attempts;
-        stats_.inc_retries();
-        post(parent, kTagBarrierArrive, payload, stamp);
-        continue;
-      }
-      auto depart_r = codec<BarrierDepartMsg>::try_decode(msg->payload);
-      if (!depart_r.is_ok()) continue;  // malformed frame off the wire
-      BarrierDepartMsg got = std::move(depart_r).value();
-      const auto action = rules::classify_barrier_depart(got.epoch, epoch_);
-      if (action == rules::DepartAction::kIgnoreStale) continue;
-      PARADE_CHECK_MSG(action == rules::DepartAction::kProcess,
-                       "barrier departure from a future epoch");
-      if (clock != nullptr) {
-        clock->merge(got.departure_vtime +
-                     config_.net.transfer_us(msg->payload.size()));
-      }
-      depart = std::move(got);
-      break;
-    }
+        [&] { repost(parent, kTagBarrierArrive, payload, stamp); });
   }
 
   // Scatter the departure to our direct children, then apply it locally.
@@ -659,32 +694,33 @@ void DsmNode::barrier() {
 }
 
 std::unordered_map<NodeId, std::pair<BarrierArriveMsg, VirtualUs>>
-DsmNode::gather_children(std::size_t needed) {
-  std::unordered_map<NodeId, std::pair<BarrierArriveMsg, VirtualUs>> gathered;
-  if (needed == 0) return gathered;
+DsmNode::gather_children(const std::vector<NodeId>& children) {
+  if (children.empty()) return {};
   // The comm thread records arrivals (handle_barrier_arrive); wait for the
-  // current epoch's set to complete. Children drive retransmission, so a
-  // timeout here only bounds how long we tolerate a silent fabric.
+  // current epoch's set to complete. Children drive retransmission, so the
+  // budget here only bounds how long a missing child is tolerated.
   std::unique_lock lock(barrier_gather_.mutex);
-  int attempts = 1;
-  for (;;) {
-    auto it = barrier_gather_.arrivals.find(epoch_);
-    const std::size_t have =
-        it == barrier_gather_.arrivals.end() ? 0 : it->second.size();
-    if (have == needed) {
-      gathered = std::move(it->second);
-      barrier_gather_.arrivals.erase(it);
-      break;
+  auto& arrived = barrier_gather_.arrivals[epoch_];  // node-stable reference
+  const auto what = [&] {  // under the lock, and only on the way to abort
+    std::string who;
+    for (const NodeId child : children) {
+      if (arrived.count(child) > 0) continue;
+      who += (who.empty() ? "child node " : ", node ") + std::to_string(child);
     }
-    PARADE_CHECK_MSG(!barrier_gather_.closed,
-                     "channel closed during barrier gather");
-    if (barrier_gather_.cv.wait_for(lock, config_.retry.timeout()) ==
-        std::cv_status::timeout) {
-      PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                       "barrier gather timed out after max retries");
-      ++attempts;
-    }
+    return missing("barrier arrival", who, epoch_);
+  };
+  net::RetryBudget budget{config_.retry, rank(), kRetryExhausted};
+  const auto done = [&] {
+    return arrived.size() == children.size() || barrier_gather_.closed;
+  };
+  while (!barrier_gather_.cv.wait_for(lock, config_.retry.timeout(), done)) {
+    const Status s = budget.spend(what);
+    PARADE_CHECK_MSG(s.is_ok(), s.message());
   }
+  PARADE_CHECK_MSG(arrived.size() == children.size(),
+                   "channel closed: " + what());
+  auto gathered = std::move(arrived);
+  barrier_gather_.arrivals.erase(epoch_);
   return gathered;
 }
 
@@ -714,13 +750,8 @@ void DsmNode::forward_departure(const BarrierDepartMsg& depart,
 }
 
 void DsmNode::handle_barrier_arrive(const net::Message& message) {
-  auto arrive_r = codec<BarrierArriveMsg>::try_decode(message.payload);
-  if (!arrive_r.is_ok()) {
-    PLOG_WARN("dropping malformed barrier arrival: "
-              << arrive_r.status().to_string());
-    return;
-  }
-  BarrierArriveMsg arrive = std::move(arrive_r).value();
+  BarrierArriveMsg arrive;
+  if (!decode(message, arrive)) return;
   // Semantic validation of the coalesced notice stream happens here, off the
   // wire, so the barrier caller can trust every recorded arrival (its own
   // re-unpack is a hard check, not a soft-fail).
@@ -739,10 +770,9 @@ void DsmNode::handle_barrier_arrive(const net::Message& message) {
       // The child never saw our departure and is retransmitting its
       // arrival. A child lags its parent by at most one epoch, so the
       // cached payload always matches.
-      stats_.inc_retries();
-      post(message.header.src, kTagBarrierDepart,
-           barrier_gather_.last_depart_payload,
-           barrier_gather_.last_depart_vtime);
+      repost(message.header.src, kTagBarrierDepart,
+             barrier_gather_.last_depart_payload,
+             barrier_gather_.last_depart_vtime);
       return;
     case rules::ArrivalAction::kIgnoreStale:
       return;
@@ -807,13 +837,7 @@ void DsmNode::lock_acquire(int lock_id) {
   lock_gate_[static_cast<std::size_t>(lock_id)].lock();
   stats_.inc_lock_acquires();
   const NodeId home = static_cast<NodeId>(lock_id % size());
-  auto* clock = vtime::thread_clock();
-  VirtualUs stamp = 0.0;
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->add(config_.net.send_overhead_us);
-    stamp = clock->now();
-  }
+  const VirtualUs stamp = send_stamp();
   const std::uint32_t seq = next_seq();
   const auto payload = codec<LockAcquireMsg>::encode({lock_id, seq});
   LockGrantMsg grant;
@@ -824,36 +848,20 @@ void DsmNode::lock_acquire(int lock_id) {
     obs::ScopedSpan span(obs::TraceKind::kLock, rank(), lock_id);
     obs::ScopedHistTimer grant_scope(lock_grant_hist_);
     post(home, kTagLockAcquire, payload, stamp);
-
-    int attempts = 1;
-    for (;;) {
-      auto msg = channel_.inbox().recv_match_for(
-          [&](const net::MessageHeader& h) {
-            return h.tag == kTagLockGrantBase + lock_id;
-          },
-          config_.retry.timeout());
-      if (!msg.has_value()) {
-        PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                         "channel closed during lock acquire");
-        PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                         "lock grant timed out after max retries");
-        ++attempts;
-        stats_.inc_retries();
-        post(home, kTagLockAcquire, payload, stamp);
-        continue;
-      }
-      auto grant_r = codec<LockGrantMsg>::try_decode(msg->payload);
-      if (!grant_r.is_ok()) continue;  // malformed frame off the wire
-      grant = std::move(grant_r).value();
-      // Duplicate grant of an older acquire: drop and keep waiting.
-      if (!rules::accept_response_seq(seq, grant.seq)) continue;
-      if (clock != nullptr) {
-        clock->sync_cpu();
-        clock->merge(msg->header.vtime +
-                     config_.net.transfer_us(msg->payload.size()));
-      }
-      break;
-    }
+    await_reply<LockGrantMsg>(
+        kTagLockGrantBase + lock_id,
+        [&] {
+          return missing("grant of lock " + std::to_string(lock_id),
+                         "manager node " + std::to_string(home), epoch_);
+        },
+        [&](LockGrantMsg& got, const net::Message& msg) {
+          // Duplicate grant of an older acquire: drop and keep waiting.
+          if (!rules::accept_response_seq(seq, got.seq)) return false;
+          grant = std::move(got);
+          merge_reply(msg);
+          return true;
+        },
+        [&] { repost(home, kTagLockAcquire, payload, stamp); });
   }
 
   // Lazy-release consistency, conservatively: invalidate every cached page
@@ -883,13 +891,7 @@ void DsmNode::lock_release(int lock_id) {
   flush_pages(cs_pages, /*at_barrier=*/false);
 
   const NodeId home = static_cast<NodeId>(lock_id % size());
-  auto* clock = vtime::thread_clock();
-  VirtualUs stamp = 0.0;
-  if (clock != nullptr) {
-    clock->sync_cpu();
-    clock->add(config_.net.send_overhead_us);
-    stamp = clock->now();
-  }
+  const VirtualUs stamp = send_stamp();
   const std::uint32_t seq = next_seq();
   const auto payload =
       codec<LockReleaseMsg>::encode({lock_id, std::move(cs_pages), seq});
@@ -900,30 +902,17 @@ void DsmNode::lock_release(int lock_id) {
   // Wait for the manager's ack so a lost release cannot strand the lock.
   // The ack is a reliability artifact, not part of the HLRC cost model
   // (release is asynchronous in the paper), so its vtime is not merged.
-  int attempts = 1;
-  for (;;) {
-    auto msg = channel_.inbox().recv_match_for(
-        [&](const net::MessageHeader& h) {
-          return h.tag == kTagLockReleaseAckBase + lock_id;
-        },
-        config_.retry.timeout());
-    if (!msg.has_value()) {
-      PARADE_CHECK_MSG(!channel_.inbox().closed(),
-                       "channel closed during lock release");
-      PARADE_CHECK_MSG(attempts < config_.retry.max_attempts,
-                       "lock release ack timed out after max retries");
-      ++attempts;
-      stats_.inc_retries();
-      post(home, kTagLockRelease, payload, stamp);
-      continue;
-    }
-    auto relack_r = codec<LockReleaseAckMsg>::try_decode(msg->payload);
-    if (!relack_r.is_ok()) continue;  // malformed frame off the wire
-    const LockReleaseAckMsg acked = std::move(relack_r).value();
-    // Duplicate ack of an older release: drop and keep waiting.
-    if (!rules::accept_response_seq(seq, acked.seq)) continue;
-    break;
-  }
+  await_reply<LockReleaseAckMsg>(
+      kTagLockReleaseAckBase + lock_id,
+      [&] {
+        return missing("release ack of lock " + std::to_string(lock_id),
+                       "manager node " + std::to_string(home), epoch_);
+      },
+      // Duplicate ack of an older release: drop and keep waiting.
+      [&](const LockReleaseAckMsg& acked, const net::Message&) {
+        return rules::accept_response_seq(seq, acked.seq);
+      },
+      [&] { repost(home, kTagLockRelease, payload, stamp); });
   lock_gate_[static_cast<std::size_t>(lock_id)].unlock();
 }
 
@@ -984,13 +973,8 @@ void DsmNode::comm_loop() {
 }
 
 void DsmNode::serve_page_request(const net::Message& message) {
-  auto request_r = codec<PageRequestMsg>::try_decode(message.payload);
-  if (!request_r.is_ok()) {
-    PLOG_WARN("dropping malformed page request: "
-              << request_r.status().to_string());
-    return;
-  }
-  const PageRequestMsg request = std::move(request_r).value();
+  PageRequestMsg request;
+  if (!decode(message, request)) return;
   // Child of the requester's page_fault span (context off the wire); the
   // reply posted below inherits this span, closing the causal loop.
   obs::ScopedSpan span(
@@ -1120,13 +1104,8 @@ void DsmNode::send_grant(NodeId to, std::int32_t lock_id) {
 }
 
 void DsmNode::lock_manager_acquire(const net::Message& message) {
-  auto acquire_r = codec<LockAcquireMsg>::try_decode(message.payload);
-  if (!acquire_r.is_ok()) {
-    PLOG_WARN("dropping malformed lock acquire: "
-              << acquire_r.status().to_string());
-    return;
-  }
-  const LockAcquireMsg request = std::move(acquire_r).value();
+  LockAcquireMsg request;
+  if (!decode(message, request)) return;
   // Child of the requester's lock span; a grant sent here inherits it.
   obs::ScopedSpan span(
       obs::TraceKind::kLockServe, rank(), request.lock_id,
@@ -1155,13 +1134,8 @@ void DsmNode::lock_manager_acquire(const net::Message& message) {
 }
 
 void DsmNode::lock_manager_release(const net::Message& message) {
-  auto release_r = codec<LockReleaseMsg>::try_decode(message.payload);
-  if (!release_r.is_ok()) {
-    PLOG_WARN("dropping malformed lock release: "
-              << release_r.status().to_string());
-    return;
-  }
-  const LockReleaseMsg release = std::move(release_r).value();
+  LockReleaseMsg release;
+  if (!decode(message, release)) return;
   // Child of the releaser's lock span; a handed-off grant inherits it, so a
   // waiter's grant traces back to the release that unblocked it.
   obs::ScopedSpan span(

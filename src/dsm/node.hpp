@@ -74,7 +74,6 @@ class DsmNode {
   /// before start(); without one the node builds a solo registry, in which
   /// no peer pool is visible and every twin privatizes eagerly.
   void set_twin_registry(std::shared_ptr<TwinRegistry> twins);
-  TwinRegistry& twin_registry() { return *twins_; }
 
   /// SPMD bump allocator: every node must perform the identical allocation
   /// sequence; the same call index yields the same pool offset everywhere.
@@ -96,7 +95,6 @@ class DsmNode {
 
   DsmStats& stats() { return stats_; }
   vtime::CommLedger& comm_ledger() { return comm_ledger_; }
-  PageTable& page_table() { return *pages_; }
   Epoch epoch() const { return epoch_; }
 
   /// Current home of `page` as this node believes it (tests/benches).
@@ -121,9 +119,9 @@ class DsmNode {
   // --- barrier internals (k-ary gather/scatter tree; flat == degenerate
   // tree where the root parents everyone — see docs/SCALING.md) ---
   /// Waits until every direct child's arrival for epoch_ is gathered;
-  /// returns (and removes) the epoch's slot. `needed` == children count.
+  /// returns (and removes) the epoch's slot.
   std::unordered_map<NodeId, std::pair<BarrierArriveMsg, VirtualUs>>
-  gather_children(std::size_t needed);
+  gather_children(const std::vector<NodeId>& children);
   /// Forwards the closing departure to the direct children (re-stamped so
   /// each hop pays its own latency) and caches it for re-answering lost
   /// departures on any child edge.
@@ -142,11 +140,25 @@ class DsmNode {
   void lock_manager_release(const net::Message& message);
   void send_grant(NodeId to, std::int32_t lock_id);
 
+  // --- requester side (application threads) ---
+  /// The one wait for a reply: decodes `reply_tag` messages as Reply until
+  /// `on_reply(reply, message)` accepts one, calling `resend()` after each
+  /// silent retry window; an exhausted budget aborts naming `what()`.
+  template <typename Reply, typename What, typename OnReply, typename Resend>
+  void await_reply(Tag reply_tag, const What& what, const OnReply& on_reply,
+                   const Resend& resend);
+  /// sync_cpu + one send overhead; returns the request's stamp (0 untimed).
+  VirtualUs send_stamp();
+  /// Merges a reply's stamp + transfer time, after sync_cpu if `charge_cpu`.
+  void merge_reply(const net::Message& reply, bool charge_cpu = true);
   /// channel_.send + warn-on-failure. DSM protocol sends only fail when a
   /// peer is down, which the blocking receive paths surface as a check
   /// failure anyway; the log pinpoints which send was dropped.
   void post(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
             VirtualUs vtime);
+  /// post() of a retransmission, counted in `dsm.retry.count`.
+  void repost(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
+              VirtualUs vtime);
 
   /// Every application-view mprotect goes through protect_span, which
   /// counts it in `dsm.protect_calls`.

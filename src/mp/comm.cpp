@@ -451,7 +451,8 @@ Status Comm::rel_wait(std::unique_lock<std::mutex>& lock,
                       const std::function<bool()>& done,
                       const std::function<void()>& on_timeout,
                       const std::function<std::string()>& what) {
-  for (int attempt = 1;; ++attempt) {
+  net::RetryBudget budget{retry_, rank(), "mp.partition"};
+  for (;;) {
     bool met = false;
     if (rel_cv_.wait_for(lock, retry_.timeout(), [&] {
           met = done();
@@ -462,17 +463,7 @@ Status Comm::rel_wait(std::unique_lock<std::mutex>& lock,
                         "node " + std::to_string(rank()) + ": " + what() +
                             ": channel closed");
     }
-    if (attempt >= retry_.max_attempts) {
-      // Unhealed partition: dump the trace ring before reporting, so the
-      // message chain leading up to the silence is preserved.
-      obs::Registry::instance().flight_record("mp.partition");
-      return make_error(ErrorCode::kUnavailable,
-                        "node " + std::to_string(rank()) + ": " + what() +
-                            " within " + std::to_string(attempt) +
-                            " retry timeouts of " +
-                            std::to_string(retry_.timeout_ms) +
-                            " ms: peer unreachable");
-    }
+    if (Status s = budget.spend(what); !s.is_ok()) return s;
     lock.unlock();
     on_timeout();
     lock.lock();

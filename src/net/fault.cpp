@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/env.hpp"
+#include "obs/registry.hpp"
 
 namespace parade::net {
 namespace {
@@ -146,6 +147,15 @@ RetryPolicy RetryPolicy::from_env() {
   policy.max_attempts = static_cast<int>(
       env::get_int_or("PARADE_RETRY_MAX", policy.max_attempts));
   return policy;
+}
+
+Status RetryBudget::exhausted(const std::string& what) const {
+  obs::Registry::instance().flight_record(flight_reason);
+  return make_error(ErrorCode::kUnavailable,
+                    "node " + std::to_string(node) + ": " + what + " within " +
+                        std::to_string(attempts) + " retry timeouts of " +
+                        std::to_string(policy.timeout_ms) +
+                        " ms: peer unreachable");
 }
 
 }  // namespace parade::net

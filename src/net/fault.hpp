@@ -91,6 +91,26 @@ struct RetryPolicy {
   static RetryPolicy from_env();
 };
 
+/// One wait's share of a RetryPolicy: every DSM requester wait and MP's
+/// reliable wire run out of retries here, and only here.
+struct RetryBudget {
+  RetryPolicy policy;
+  NodeId node;
+  const char* flight_reason;  ///< flight-recorder reason on exhaustion
+  int attempts = 1;           ///< the first send is attempt 1
+
+  /// Spends one silent timeout: OK while an attempt is left, else writes the
+  /// flight record and returns kUnavailable "node N: <what()> within A retry
+  /// timeouts of T ms: peer unreachable". Only then does `what` run.
+  template <typename What>
+  Status spend(const What& what) {
+    if (attempts >= policy.max_attempts) return exhausted(what());
+    ++attempts;
+    return Status::ok();
+  }
+  Status exhausted(const std::string& what) const;
+};
+
 /// splitmix64: the counter-based generator behind every per-link stream.
 inline std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -137,8 +157,6 @@ class SeqWindow {
     }
     return false;
   }
-
-  bool contains(std::uint64_t key) const { return seen_.count(key) > 0; }
 
  private:
   std::size_t capacity_;

@@ -58,12 +58,6 @@ class FaultyChannel final : public Channel {
   void shutdown() override { inner_.shutdown(); }
   bool lossy() const override { return plan_.active(); }
 
-  /// Barrier epochs observed from traffic (departure messages forwarded on
-  /// the master→rank-1 link); drives epoch-keyed partitions.
-  std::int64_t observed_epoch() const {
-    return epoch_->load(std::memory_order_relaxed);
-  }
-
  private:
   struct LinkState {
     LinkRng rng;

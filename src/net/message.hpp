@@ -19,8 +19,6 @@ inline constexpr Tag kMpTagBase = 1000;      // user point-to-point: [1000, 1<<2
 inline constexpr Tag kCollTagBase = 1 << 20; // collective internals: [1<<20, 1<<29)
 inline constexpr Tag kAckTagBase = 1 << 29;  // reliability acks: >= 1<<29
 
-inline bool is_dsm_tag(Tag tag) { return tag >= kDsmTagBase && tag < kDsmTagLimit; }
-
 struct MessageHeader {
   NodeId src = 0;
   NodeId dst = 0;

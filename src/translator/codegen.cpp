@@ -841,12 +841,10 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
             declare(d.name, symbol);
             std::string elem_type = value_type_of(decl.decl_type.text);
             for (int i = 0; i < d.pointer_depth; ++i) elem_type += "*";
-            std::string ptr_type = elem_type + " (*)";
             std::string suffix;
             for (std::size_t dim = 1; dim < d.array_dims.size(); ++dim) {
               suffix += "[" + d.array_dims[dim].text + "]";
             }
-            ptr_type = elem_type + " (*" + std::string(")") + suffix;
             const std::string full_type =
                 "decltype(static_cast<" + elem_type + " (*)" + suffix +
                 ">(nullptr))";

@@ -4,13 +4,13 @@
 // byte-for-byte, with nonzero injected-fault and retry counters proving the
 // faults actually happened and the retry machinery absorbed them. The
 // runtime's MP collectives run under the same seeded plans and must give
-// exact results.
+// exact results. A partition that never heals must abort with a diagnosis
+// that names the silent exchange.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <random>
 #include <set>
@@ -32,10 +32,11 @@ constexpr int kIncrementsPerEpoch = 4;
 constexpr std::size_t kPageBytes = 4096;
 
 struct RunResult {
-  std::vector<std::uint64_t> memory;  ///< final data words + counter word
-  std::int64_t injected = 0;          ///< sum of net.fault.injected
-  std::int64_t dropped = 0;           ///< drops + partition drops
-  std::int64_t dsm_retries = 0;       ///< sum of dsm.retry.count
+  std::vector<std::uint64_t> memory;   ///< final data words + counter word
+  std::int64_t injected = 0;           ///< sum of net.fault.injected
+  std::int64_t dropped = 0;            ///< drops + partition drops
+  std::int64_t partition_dropped = 0;  ///< partition drops alone
+  std::int64_t dsm_retries = 0;        ///< sum of dsm.retry.count
 };
 
 struct Write {
@@ -62,28 +63,26 @@ std::vector<std::vector<Write>> make_plan(std::size_t words) {
   return plan;
 }
 
-RunResult run_workload(std::optional<std::uint64_t> fault_seed) {
-  const std::size_t words =
-      kDataPages * kPageBytes / sizeof(std::uint64_t);
-  const auto plan = make_plan(words);
-
+DsmConfig chaos_config() {
   DsmConfig config;
   config.pool_bytes = (kDataPages + 2) * kPageBytes;
   // Chaos-friendly retry knobs: short timeouts so dropped messages recover
   // quickly, a deep attempt budget so partitions can ride out their window.
   config.retry.timeout_ms = 50;
   config.retry.max_attempts = 400;
+  return config;
+}
 
-  const Topology topology = Topology::cluster(kNodes);
-  auto cluster = fault_seed.has_value()
-                     ? std::make_unique<DsmCluster>(
-                           topology, config,
-                           net::default_chaos_plan(*fault_seed))
-                     : std::make_unique<DsmCluster>(topology, config);
+// An inert `faults` plan runs the fault-free baseline.
+RunResult run_workload(const DsmConfig& config, const net::FaultPlan& faults) {
+  const std::size_t words =
+      kDataPages * kPageBytes / sizeof(std::uint64_t);
+  const auto plan = make_plan(words);
+  DsmCluster cluster(Topology::cluster(kNodes), config, faults);
 
   RunResult result;
-  cluster->run([&](NodeId rank) {
-    DsmNode& node = cluster->node(rank);
+  cluster.run([&](NodeId rank) {
+    DsmNode& node = cluster.node(rank);
     auto* data = static_cast<std::uint64_t*>(
         node.shmalloc(words * sizeof(std::uint64_t), kPageBytes));
     auto* counter = static_cast<std::uint64_t*>(
@@ -118,18 +117,20 @@ RunResult run_workload(std::optional<std::uint64_t> fault_seed) {
   auto& reg = obs::Registry::instance();
   for (NodeId n = 0; n < kNodes; ++n) {
     result.injected += reg.counter(n, "net.fault.injected").value();
-    result.dropped += reg.counter(n, "net.fault.dropped").value() +
-                      reg.counter(n, "net.fault.partition_dropped").value();
+    result.dropped += reg.counter(n, "net.fault.dropped").value();
+    result.partition_dropped +=
+        reg.counter(n, "net.fault.partition_dropped").value();
     result.dsm_retries += reg.counter(n, "dsm.retry.count").value();
   }
-  cluster->shutdown();
+  result.dropped += result.partition_dropped;
+  cluster.shutdown();
   return result;
 }
 
 class ChaosAtSeed : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChaosAtSeed, FinalMemoryMatchesFaultFreeRun) {
-  const RunResult baseline = run_workload(std::nullopt);
+  const RunResult baseline = run_workload(chaos_config(), net::FaultPlan{});
   ASSERT_FALSE(baseline.memory.empty());
   // Fault-free runs must be exact: no injector in the stack, no spurious
   // retransmissions (the retry counters are the proof).
@@ -139,7 +140,8 @@ TEST_P(ChaosAtSeed, FinalMemoryMatchesFaultFreeRun) {
       static_cast<std::uint64_t>(kNodes) * kEpochs * kIncrementsPerEpoch;
   EXPECT_EQ(baseline.memory.back(), expected_count);
 
-  const RunResult chaotic = run_workload(GetParam());
+  const RunResult chaotic =
+      run_workload(chaos_config(), net::default_chaos_plan(GetParam()));
   ASSERT_EQ(chaotic.memory.size(), baseline.memory.size());
   EXPECT_EQ(chaotic.memory, baseline.memory)
       << "chaos run diverged from the fault-free run";
@@ -161,63 +163,34 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosAtSeed,
 // mid-run: the retry loops must carry the protocol across the outage (each
 // retransmission advances the link counter toward the heal point).
 TEST(Chaos, HealingPartitionRecovers) {
-  const RunResult baseline = run_workload(std::nullopt);
-
-  const std::size_t words = kDataPages * kPageBytes / sizeof(std::uint64_t);
-  const auto plan = make_plan(words);
-  DsmConfig config;
-  config.pool_bytes = (kDataPages + 2) * kPageBytes;
-  config.retry.timeout_ms = 50;
-  config.retry.max_attempts = 400;
+  const RunResult baseline = run_workload(chaos_config(), net::FaultPlan{});
 
   net::FaultPlan faults;
   faults.seed = 99;
   faults.partitions.push_back(net::PartitionEvent{0, 1, 30, 90, false});
+  const RunResult healed = run_workload(chaos_config(), faults);
 
-  DsmCluster cluster(Topology::cluster(kNodes), config, faults);
-  std::vector<std::uint64_t> memory;
-  cluster.run([&](NodeId rank) {
-    DsmNode& node = cluster.node(rank);
-    auto* data = static_cast<std::uint64_t*>(
-        node.shmalloc(words * sizeof(std::uint64_t), kPageBytes));
-    auto* counter = static_cast<std::uint64_t*>(
-        node.shmalloc(sizeof(std::uint64_t), kPageBytes));
-    node.barrier();
-    std::vector<std::uint64_t> golden(words, 0);
-    for (const auto& epoch_writes : plan) {
-      for (const Write& w : epoch_writes) {
-        golden[w.word] = w.value;
-        if (w.writer == rank) data[w.word] = w.value;
-      }
-      for (int i = 0; i < kIncrementsPerEpoch; ++i) {
-        node.lock_acquire(1);
-        *counter = *counter + 1;
-        node.lock_release(1);
-      }
-      node.barrier();
-      for (std::size_t i = 0; i < words; ++i) {
-        ASSERT_EQ(data[i], golden[i]) << "rank " << rank << " word " << i;
-      }
-      node.barrier();
-    }
-    if (rank == 0) {
-      memory.assign(data, data + words);
-      memory.push_back(*counter);
-    }
-  });
+  EXPECT_EQ(healed.memory, baseline.memory);
+  EXPECT_GT(healed.partition_dropped, 0)
+      << "the partition window never engaged";
+  EXPECT_GT(healed.dsm_retries, 0);
+}
 
-  auto& reg = obs::Registry::instance();
-  std::int64_t partition_dropped = 0;
-  std::int64_t retries = 0;
-  for (NodeId n = 0; n < kNodes; ++n) {
-    partition_dropped += reg.counter(n, "net.fault.partition_dropped").value();
-    retries += reg.counter(n, "dsm.retry.count").value();
-  }
-  cluster.shutdown();
-
-  EXPECT_EQ(memory, baseline.memory);
-  EXPECT_GT(partition_dropped, 0) << "the partition window never engaged";
-  EXPECT_GT(retries, 0);
+// A partition that never heals spends the barrier's whole retry budget. The
+// abort must name the exchange that went silent, the peer and the epoch.
+TEST(ChaosDeathTest, PermanentPartitionAbortsWithDiagnosis) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DsmConfig config = chaos_config();
+  config.retry = net::RetryPolicy{10, 3};
+  net::FaultPlan faults;
+  faults.partitions.push_back(net::PartitionEvent{0, 1, 0, std::nullopt});
+  EXPECT_DEATH(
+      {
+        DsmCluster cluster(Topology::cluster(kNodes), config, faults);
+        cluster.run([&](NodeId rank) { cluster.node(rank).barrier(); });
+      },
+      "node [0-9]: no barrier [a-z]+ from [a-z]+ node [0-9][^:]* at epoch 0 "
+      "within 3 retry timeouts of 10 ms");
 }
 
 // The runtime's collectives under the same plans: team_update, single_small

@@ -236,7 +236,8 @@ TEST(Runtime, SingleConventionalExecutesOncePerGeneration) {
 // sibling thread's lock grant notice can invalidate it again before they
 // run. Waiters that insisted on READ_ONLY kept waiting, every retransmitted
 // reply was dropped (no fetch outstanding any more), and the node aborted
-// with "page fetch timed out after max retries". The EPCC single loop over
+// with "no page P reply from home node H at epoch E within N retry
+// timeouts". The EPCC single loop over
 // the conventional (KDSM) single construct hit this within a few hundred
 // iterations.
 TEST(Runtime, FetchWaitersSeeInvalidationAfterInstall) {
