@@ -133,7 +133,6 @@ class Analyzer {
     std::map<std::string, std::string> red_ops;  // reduction var -> C operator
     std::set<std::string>* race_sink = nullptr;  // sections: defer race checks
     int region_id = -1;   // index into regions_ (-1 outside parallel)
-    int sync_line = -1;   // enclosing critical/atomic site line (-1 if none)
   };
 
   // --- symbol table ---
@@ -175,17 +174,9 @@ class Analyzer {
   void process_write(const AccessScan::Write& w, const Expr& expr, int line,
                      const Env& env);
 
-  /// A DSM-placement mark; sync_line records which critical/atomic body the
-  /// write sat in (the mark dissolves if hint synthesis later promotes that
-  /// site to the collective path, which manages the propagation itself).
-  struct DsmMark {
-    int line = 0;
-    std::string why;
-    int sync_line = -1;
-  };
-  void mark_dsm(const std::string& name, int line, const std::string& why,
-                int sync_line) {
-    dsm_marks_[name].push_back(DsmMark{line, why, sync_line});
+  /// Pins `name` to the DSM pool; the first unmanaged write's reason wins.
+  void mark_dsm(const std::string& name, const std::string& why) {
+    dsm_marks_.try_emplace(name, why);
   }
 
   // --- walking ---
@@ -237,7 +228,7 @@ class Analyzer {
   const TranslationUnit* unit_ = nullptr;  // set for the duration of run()
   std::vector<std::map<std::string, SymbolInfo>> scopes_;
   std::set<std::string> uninit_;  // privates not yet written in the region
-  std::map<std::string, std::vector<DsmMark>> dsm_marks_;
+  std::map<std::string, std::string> dsm_marks_;  // name -> why pinned
   std::set<std::string> default_none_reported_;  // "line:name"
   std::vector<RegionRec> regions_;
   std::vector<FlowCandidate> candidates_;
@@ -333,11 +324,10 @@ void Analyzer::process_write(const AccessScan::Write& w, const Expr& expr,
   }
   if (!env.placement_managed && sym->file_scope && !w.member &&
       sym->pointer_depth == 0 && !sym->threadprivate) {
-    mark_dsm(w.name, line,
+    mark_dsm(w.name,
              "written by an unmanaged statement in a parallel context "
              "(line " + std::to_string(line) + "); HLRC page consistency "
-             "must propagate it",
-             env.sync_line);
+             "must propagate it");
   }
 }
 
@@ -664,7 +654,6 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
         reason = "declared size " + std::to_string(sym->byte_size) +
                  " B exceeds the update-collective threshold " +
                  std::to_string(options_.mp_threshold_bytes) + " B";
-        dec.threshold_fallback = true;  // hint synthesis may overturn this
       } else {
         dec.collective = true;
       }
@@ -690,7 +679,6 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
     benv.race_guarded = true;
     benv.placement_managed = dec.collective;
     benv.race_sink = nullptr;
-    benv.sync_line = d.line;
     if (!is_atomic) {
       // Lock-order graph: nesting critical(B) inside critical(A) orders the
       // DSM locks A -> B; a cycle across the TU is a deadlock candidate.
@@ -943,33 +931,16 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
     run_flow_pass();
     report_lock_cycles();
   }
-  if (options_.protocol_hints) {
-    synthesize_hints(unit, options_, &out_);
-  }
 
-  // Finalize scalar placements from the unmanaged-write marks. A mark made
-  // inside a critical/atomic body dissolves when that site ended up on the
-  // collective path (including hint promotion): the collective propagates
-  // the value itself, so the variable stays node-replicated.
+  // Finalize scalar placements from the unmanaged-write marks. Writes in a
+  // collective-path critical/atomic body leave no mark: the collective
+  // propagates the value itself, so the variable stays node-replicated.
   for (auto& [name, vc] : out_.globals) {
     if (vc.placement != Placement::kReplicated || !vc.reason.empty()) continue;
-    const DsmMark* surviving = nullptr;
     auto it = dsm_marks_.find(name);
     if (it != dsm_marks_.end()) {
-      for (const DsmMark& m : it->second) {
-        if (m.sync_line >= 0) {
-          auto site = out_.sync_sites.find(m.sync_line);
-          if (site != out_.sync_sites.end() && site->second.collective) {
-            continue;
-          }
-        }
-        surviving = &m;
-        break;
-      }
-    }
-    if (surviving != nullptr) {
       vc.placement = Placement::kDsmScalar;
-      vc.reason = surviving->why;
+      vc.reason = it->second;
     } else {
       vc.reason =
           "all parallel-context writes are synchronization-managed; "
@@ -977,26 +948,9 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
     }
   }
 
-  // A hint promotion is only sound while its target stays replicated; if an
-  // unguarded write elsewhere pinned the variable to the DSM pool, revert.
-  for (auto& [line, dec] : out_.sync_sites) {
-    (void)line;
-    if (!dec.collective || !dec.threshold_fallback || dec.var.empty()) {
-      continue;
-    }
-    auto g = out_.globals.find(dec.var);
-    if (g != out_.globals.end() &&
-        (g->second.placement == Placement::kDsmScalar ||
-         g->second.placement == Placement::kDsmArray)) {
-      dec.collective = false;
-      dec.reason = "hint promotion reverted: '" + dec.var +
-                   "' is pinned to the DSM pool by an unmanaged write";
-    }
-  }
-
   // Whole-program interference pass (translator/interfere.cpp): the
-  // cross-region diagnostics plus the ping-pong demotion of the footprint
-  // hints. Needs the final placements (above), so it runs last.
+  // cross-region diagnostics. Needs the final placements (above), so it
+  // runs last.
   if (options_.flow_sensitive) {
     run_interference(unit, &out_);
   }
@@ -1580,23 +1534,6 @@ std::string Analysis::to_json(const std::string& file) const {
     w.value(static_cast<std::int64_t>(r.loops));
     w.key("suppressed");
     w.value(static_cast<std::int64_t>(r.suppressed));
-    w.end_object();
-  }
-  w.end_array();
-  w.key("hints");
-  w.begin_array();
-  for (const SymbolHint& h : hints.symbols) {
-    w.begin_object();
-    w.key("name");
-    w.value(h.name);
-    w.key("reads");
-    w.value(static_cast<std::int64_t>(h.reads));
-    w.key("writes");
-    w.value(static_cast<std::int64_t>(h.writes));
-    w.key("footprint_bytes");
-    w.value(static_cast<std::int64_t>(h.footprint_bytes));
-    w.key("prefer_update");
-    w.value(h.prefer_update);
     w.end_object();
   }
   w.end_array();

@@ -4,7 +4,9 @@
 // (file/function/block scopes with declared types and byte sizes), infers
 // per-variable sharing attributes in every parallel context, and runs a
 // def-use walk that produces structured diagnostics plus the placement and
-// update-vs-invalidate decisions CodeGen consumes. See docs/ANALYZER.md.
+// update-vs-invalidate decisions CodeGen consumes. The update-vs-invalidate
+// choice for a synchronized scalar is the paper's §5.2.1 threshold rule
+// alone (handle_sync). See docs/ANALYZER.md.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +18,6 @@
 
 #include "common/status.hpp"
 #include "translator/ast.hpp"
-#include "translator/hints.hpp"
 
 namespace parade::translator {
 
@@ -30,9 +31,7 @@ struct AnalyzeOptions {
   /// path-aware diagnostics (barrier.unmatched, lock.order_cycle,
   /// dsm.stale_read_loop).
   bool flow_sensitive = true;
-  /// Run footprint analysis + protocol-hint synthesis: per-symbol
-  /// update-vs-invalidate priors that refine the raw threshold comparison
-  /// (ProtocolHints, translator/hints.hpp).
+  /// Unread: kept only because perfbench still assigns it.
   bool protocol_hints = true;
   /// DSM page size; only the static cost model reads it (page counts per
   /// symbol span, estimate_message_costs in translator/interfere.hpp).
@@ -75,8 +74,6 @@ inline constexpr const char* kDiagStaleReadLoop = "dsm.stale_read_loop";
 inline constexpr const char* kDiagRaceCrossRegion = "race.cross_region";
 inline constexpr const char* kDiagNowaitCrossRegionRead =
     "nowait.cross_region_read";
-inline constexpr const char* kDiagHintPingpongDemotion =
-    "hint.pingpong_update_demotion";
 
 /// Where a file-scope variable is placed by the hybrid protocol selection.
 enum class Placement {
@@ -104,10 +101,6 @@ struct SyncDecision {
   std::string var;     // update target when the pattern matched
   std::string reason;  // why the fallback was taken ("" when collective)
   int line = 0;
-  /// The fallback was taken *only* because the declared size exceeded
-  /// mp_threshold_bytes — the one case protocol-hint synthesis may overturn
-  /// when the access pattern prefers the update path.
-  bool threshold_fallback = false;
 };
 
 /// A scalar-update statement shape shared by the analyzer and CodeGen:
@@ -143,8 +136,6 @@ struct Analysis {
   /// --dataflow report; diagnostics ∪ suppressed == the flow-insensitive set).
   std::vector<Diagnostic> suppressed;
   std::vector<RegionSummary> regions;
-  /// Static protocol priors (empty when AnalyzeOptions::protocol_hints off).
-  ProtocolHints hints;
 
   std::size_t count(Severity severity) const;
   bool has_errors() const { return count(Severity::kError) > 0; }
@@ -176,31 +167,6 @@ std::string sarif_report(
 /// Analyzes a parsed unit. Total: diagnostics (including error severity) are
 /// reported in the result, never as a failed Status.
 Analysis analyze(const TranslationUnit& unit, const AnalyzeOptions& options = {});
-
-/// Footprint analysis + protocol-hint synthesis (translator/hints.cpp):
-/// fills analysis->hints from the affine per-construct footprints and
-/// promotes threshold-fallback sync sites whose target's access pattern
-/// prefers the update path. Called by analyze(); exposed for tests.
-void synthesize_hints(const TranslationUnit& unit,
-                      const AnalyzeOptions& options, Analysis* analysis);
-
-/// File-scope `name = integer-literal` initializers of a unit (e.g.
-/// `static long num_steps = 1000000;`), which double as symbolic loop bounds
-/// for the static trip counts of the footprint and interference passes
-/// (translator/hints.cpp).
-class LiteralBounds {
- public:
-  explicit LiteralBounds(const TranslationUnit& unit);
-  /// Trip count of a canonical loop whose bounds resolve; 0 = unknown.
-  long long trip_count(const ForHeader& h) const;
-
- private:
-  /// `text` as an integer literal or as the name of a literal-initialized
-  /// file-scope symbol; false otherwise.
-  bool resolve(const std::string& text, long long* out) const;
-
-  std::map<std::string, long long> literals_;
-};
 
 /// Convenience wrapper: lex + parse + analyze. Fails only when the source
 /// does not lex/parse.

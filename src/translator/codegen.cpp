@@ -587,16 +587,14 @@ Status CodeGen::emit_single(const Directive& d, const Stmt& body) {
 Status CodeGen::emit_critical(const Directive& d, const Stmt& body) {
   // Lexically analyzable single-update criticals map to collectives
   // (Figure 2 right); everything else falls back to the DSM lock. The
-  // analyzer already made the call per site (type-, sharing- and size-aware:
-  // declared size vs mp_threshold_bytes); follow its decision when present.
+  // analyzer made the call for every site (type-, sharing- and size-aware:
+  // declared size vs mp_threshold_bytes); follow it.
   const Stmt* stmt = &body;
   if (stmt->kind == StmtKind::kBlock && stmt->children.size() == 1) {
     stmt = stmt->children.front().get();
   }
-  auto site = analysis_.sync_sites.find(d.line);
-  const bool want_collective =
-      site != analysis_.sync_sites.end() ? site->second.collective : true;
-  if (want_collective && stmt->kind == StmtKind::kRaw) {
+  if (analysis_.sync_sites.at(d.line).collective &&
+      stmt->kind == StmtKind::kRaw) {
     if (auto pattern = match_update(*stmt)) {
       const std::string type = type_of(pattern->var);
       open("{");

@@ -19,15 +19,14 @@ struct TranslateOptions {
   /// Emit a main() wrapper that launches the cluster (off for golden tests
   /// translating fragments).
   bool emit_main_wrapper = true;
-  /// Run protocol-hint synthesis, whose update-path priors may promote a
-  /// threshold-fallback critical/atomic to a collective; --no-hints reverts
-  /// lowering to the raw threshold comparison.
+  /// Unread: kept only because perfbench still assigns it.
   bool protocol_hints = true;
 };
 
 /// Emits code from an analysis the caller already ran (the placement and
 /// critical/atomic collective-vs-lock decisions are read from `analysis`,
-/// which must come from the same unit and threshold).
+/// which must come from the same unit and threshold; CodeGen makes no
+/// lowering decision of its own).
 Result<std::string> generate(const TranslationUnit& unit,
                              const TranslateOptions& options,
                              const Analysis& analysis);

@@ -1,17 +1,15 @@
 // parade_omcc: the ParADE OpenMP translator CLI.
 //
 //   parade_omcc input.c [-o output.cpp] [--threshold=BYTES] [--no-main]
-//               [--no-hints]
-//   parade_omcc input.c --analyze[=json] [--threshold=BYTES] [--no-hints]
+//   parade_omcc input.c --analyze[=json] [--threshold=BYTES]
 //
 // Translates an OpenMP C program into a ParADE C++ program. Compile the
 // output against the ParADE runtime (see README "Translator" section).
 // With --analyze the translator runs diagnose-only: the semantic analysis
 // report (docs/ANALYZER.md) goes to stdout and the exit code is 1 when any
-// error-severity finding exists; the JSON form also carries the protocol
-// hints (per-symbol access counts, footprint and update-vs-invalidate
-// prior). --no-hints disables hint synthesis so collective-vs-DSM lowering
-// falls back to the raw size-threshold comparison.
+// error-severity finding exists. --threshold sets the paper §5.2.1
+// small-data threshold that alone decides collective vs DSM lock for each
+// critical/atomic.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -25,7 +23,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: parade_omcc <input.c> [-o <output.cpp>] "
-               "[--threshold=BYTES] [--no-main] [--no-hints] "
+               "[--threshold=BYTES] [--no-main] "
                "[--analyze[=json]]\n");
   return 2;
 }
@@ -60,8 +58,6 @@ int main(int argc, char** argv) {
       analyze_json = true;
     } else if (arg == "--no-main") {
       options.emit_main_wrapper = false;
-    } else if (arg == "--no-hints") {
-      options.protocol_hints = false;
     } else if (arg.rfind("-", 0) == 0) {
       return usage();
     } else {
@@ -82,7 +78,6 @@ int main(int argc, char** argv) {
   if (analyze_only) {
     parade::translator::AnalyzeOptions analyze_options;
     analyze_options.mp_threshold_bytes = options.mp_threshold_bytes;
-    analyze_options.protocol_hints = options.protocol_hints;
     auto analysis =
         parade::translator::analyze_source(source.str(), analyze_options);
     if (!analysis.is_ok()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -10,11 +11,89 @@
 #include "obs/json.hpp"
 
 namespace parade::translator {
+
+const char* to_string(SharingPattern pattern) {
+  switch (pattern) {
+    case SharingPattern::kReadMostly: return "read_mostly";
+    case SharingPattern::kProducerConsumer: return "producer_consumer";
+    case SharingPattern::kMigratory: return "migratory";
+    case SharingPattern::kPingPong: return "ping_pong";
+  }
+  return "unknown";
+}
+
 namespace {
 
 // Internal lock names that cannot collide with user critical(name) labels.
 const char* const kDefaultCriticalLock = "\x01critical";
 const char* const kOrderedLock = "\x01ordered";
+
+/// `text` without blanks, as an integer literal ("1000000", "0x40").
+bool parse_literal(const std::string& text, long long* out) {
+  std::string trimmed;
+  for (char c : text) {
+    if (c != ' ') trimmed += c;
+  }
+  if (trimmed.empty()) return false;
+  char* end = nullptr;
+  const long long v = std::strtoll(trimmed.c_str(), &end, 0);
+  if (end == nullptr || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+/// File-scope `name = integer-literal` initializers of a unit (e.g.
+/// `static long num_steps = 1000000;`), which double as symbolic loop bounds
+/// for static trip counts.
+class LiteralBounds {
+ public:
+  explicit LiteralBounds(const TranslationUnit& unit) {
+    for (const TopItem& item : unit.items) {
+      if (item.kind != TopItem::Kind::kDecl) continue;
+      for (const Declarator& d : item.stmt->declarators) {
+        long long v = 0;
+        if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
+            parse_literal(d.init.text, &v)) {
+          literals_[d.name] = v;
+        }
+      }
+    }
+  }
+
+  /// Trip count of a canonical loop whose bounds resolve; 0 = unknown.
+  long long trip_count(const ForHeader& h) const {
+    if (!h.canonical) return 0;
+    long long lo = 0;
+    long long hi = 0;
+    long long step = 1;
+    if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
+        !resolve(h.step.text, &step) || step == 0) {
+      return 0;
+    }
+    long long span = h.increasing ? hi - lo : lo - hi;
+    if (h.inclusive) ++span;
+    if (span <= 0) return 0;
+    const long long abs_step = step < 0 ? -step : step;
+    return (span + abs_step - 1) / abs_step;
+  }
+
+ private:
+  /// `text` as an integer literal or as the name of a literal-initialized
+  /// file-scope symbol; false otherwise.
+  bool resolve(const std::string& text, long long* out) const {
+    if (parse_literal(text, out)) return true;
+    std::string trimmed;
+    for (char c : text) {
+      if (c != ' ') trimmed += c;
+    }
+    auto it = literals_.find(trimmed);
+    if (it == literals_.end()) return false;
+    *out = it->second;
+    return true;
+  }
+
+  std::map<std::string, long long> literals_;
+};
 
 /// Walks the unit in program order building the region-sequence graph:
 /// phase/step counters advance at the barrier points codegen actually emits
@@ -524,37 +603,6 @@ bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b) {
 
 void run_interference(const TranslationUnit& unit, Analysis* analysis) {
   const RegionSequence seq = build_region_sequence(unit, *analysis);
-  const Timeline timeline = build_timeline(seq, *analysis);
-
-  // --- hint.pingpong_update_demotion -------------------------------------
-  // A symbol that ping-pongs in every phase that writes it never amortizes
-  // the eager update broadcast: every node's copy is dirtied again before
-  // being read enough times to pay off. Demote the whole-program
-  // prefer_update flag and tell the user.
-  for (const auto& [symbol, phases] : timeline) {
-    SymbolHint* h = analysis->hints.find(symbol);
-    if (h == nullptr || !h->prefer_update) continue;
-    bool any_writes = false;
-    bool all_pingpong = true;
-    for (const auto& [phase, acc] : phases) {
-      (void)phase;
-      if (acc.writes == 0) continue;
-      any_writes = true;
-      if (acc.pattern != SharingPattern::kPingPong) all_pingpong = false;
-    }
-    if (!any_writes || !all_pingpong) continue;
-    h->prefer_update = false;
-    Diagnostic d;
-    d.code = kDiagHintPingpongDemotion;
-    d.severity = Severity::kNote;
-    d.line = analysis->globals.at(symbol).line;
-    d.var = symbol;
-    d.message = "'" + symbol +
-                "' ping-pongs between nodes in every writing phase; "
-                "update-protocol prior demoted to invalidate";
-    resolve_diag_columns(unit, &d);
-    analysis->diagnostics.push_back(std::move(d));
-  }
 
   // --- race.cross_region -------------------------------------------------
   // Two guarded writes that may still overlap because their guards do not
@@ -642,6 +690,128 @@ void run_interference(const TranslationUnit& unit, Analysis* analysis) {
 // ---------------------------------------------------------------------------
 // Static message-cost model (docs/ANALYZER.md "Message-cost model").
 
+namespace {
+
+/// Largest per-construct affine byte footprint of each file-scope symbol
+/// accessed inside a parallel construct. A subscripted DSM array access whose
+/// subscripting loops all have static trip counts touches element size x
+/// trips bytes (capped at its declared size); any other access touches the
+/// whole object.
+class FootprintWalker {
+ public:
+  FootprintWalker(const TranslationUnit& unit, const Analysis& analysis)
+      : analysis_(analysis), bounds_(unit) {
+    for (const TopItem& item : unit.items) {
+      if (item.kind != TopItem::Kind::kFunction) continue;
+      if (item.function.body) visit(*item.function.body);
+    }
+  }
+
+  const std::map<std::string, std::size_t>& footprints() const {
+    return footprints_;
+  }
+
+ private:
+  struct LoopCtx {
+    std::string var;
+    std::size_t trips = 0;  // 0 = statically unknown
+  };
+
+  void account(const Expr& expr) {
+    if (!in_region_) return;
+    const AccessScan& acc = expr.access();
+    std::set<std::string> touched(acc.reads.begin(), acc.reads.end());
+    for (const AccessScan::Write& wr : acc.writes) {
+      if (!wr.deref) touched.insert(wr.name);
+    }
+    for (const std::string& name : touched) {
+      auto g = analysis_.globals.find(name);
+      if (g == analysis_.globals.end()) continue;
+      const VarClass& vc = g->second;
+      std::size_t bytes = vc.byte_size;  // default: the whole object
+      const std::size_t elem = vc.placement == Placement::kDsmArray
+                                   ? sizeof_declared(vc.type, 0, {})
+                                   : 0;
+      if (elem > 0 && acc.subscripted(name)) {
+        std::size_t trips = 1;
+        bool affine = true;
+        for (const LoopCtx& l : loops_) {
+          if (!acc.subscripted_by(name, l.var)) continue;
+          if (l.trips == 0) {
+            affine = false;
+            break;
+          }
+          trips *= l.trips;
+        }
+        if (affine) {
+          bytes = elem * trips;
+          if (vc.byte_size > 0) bytes = std::min(bytes, vc.byte_size);
+        }
+      }
+      std::size_t& max = footprints_[name];
+      max = std::max(max, bytes);
+    }
+  }
+
+  void visit(const Stmt& stmt) {
+    switch (stmt.kind) {
+      case StmtKind::kRaw:
+        account(stmt.text);
+        return;
+      case StmtKind::kDecl:
+        for (const Declarator& d : stmt.declarators) account(d.init);
+        return;
+      case StmtKind::kFor: {
+        const ForHeader& h = stmt.for_header;
+        account(h.init_text);
+        account(h.cond_text);
+        account(h.incr_text);
+        loops_.push_back(
+            LoopCtx{h.canonical ? h.loop_var : "",
+                    static_cast<std::size_t>(bounds_.trip_count(h))});
+        visit_children(stmt);
+        loops_.pop_back();
+        return;
+      }
+      case StmtKind::kIf:
+      case StmtKind::kWhile:
+      case StmtKind::kDoWhile:
+      case StmtKind::kSwitch:
+        account(stmt.cond);
+        break;
+      case StmtKind::kPragma: {
+        const DirectiveKind k = stmt.directive.kind;
+        if (k == DirectiveKind::kParallel || k == DirectiveKind::kParallelFor ||
+            k == DirectiveKind::kParallelSections) {
+          const bool saved = in_region_;
+          in_region_ = true;
+          visit_children(stmt);
+          in_region_ = saved;
+          return;
+        }
+        break;
+      }
+      default:
+        break;
+    }
+    visit_children(stmt);
+  }
+
+  void visit_children(const Stmt& stmt) {
+    for (const StmtPtr& child : stmt.children) {
+      if (child) visit(*child);
+    }
+  }
+
+  const Analysis& analysis_;
+  LiteralBounds bounds_;
+  std::map<std::string, std::size_t> footprints_;
+  std::vector<LoopCtx> loops_;
+  bool in_region_ = false;  // serial code carries no protocol traffic
+};
+
+}  // namespace
+
 double CostReport::total_lock_acquires() const {
   double total = 0;
   for (const ConstructCost& c : constructs) total += c.lock_acquires;
@@ -727,6 +897,7 @@ CostReport estimate_message_costs(const TranslationUnit& unit,
   report.nodes = nodes;
   const RegionSequence seq = build_region_sequence(unit, analysis);
   const Timeline timeline = build_timeline(seq, analysis);
+  const FootprintWalker footprint(unit, analysis);
   const double n = nodes;
   const double remote_frac = nodes > 1 ? (n - 1) / n : 0.0;
 
@@ -754,11 +925,13 @@ CostReport estimate_message_costs(const TranslationUnit& unit,
   //  - partitioned / sole-writer: the writer diffs each touched page once
   //    per phase; later readers (or neighbors) fetch them.
   for (const auto& [symbol, phases] : timeline) {
-    // The declared size, narrowed to the affine footprint when the hint
-    // pass measured one.
+    // The declared size, narrowed to the affine footprint when one was
+    // measured.
     std::size_t span = analysis.globals.at(symbol).byte_size;
-    const SymbolHint* h = analysis.hints.find(symbol);
-    if (h != nullptr && h->footprint_bytes > 0) span = h->footprint_bytes;
+    auto fp = footprint.footprints().find(symbol);
+    if (fp != footprint.footprints().end() && fp->second > 0) {
+      span = fp->second;
+    }
     if (span == 0) span = options.page_bytes;
     const double pages = std::ceil(static_cast<double>(span) /
                                    static_cast<double>(options.page_bytes));

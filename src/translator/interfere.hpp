@@ -1,8 +1,7 @@
 // Whole-program interference analysis (ROADMAP item 4, docs/ANALYZER.md
-// "Region-sequence graph"). PR 8's hints are per-construct; the sharing
-// pattern that decides page behavior (ping-pong, producer->consumer,
-// migratory, read-mostly) only emerges across the *sequence* of parallel
-// regions and barriers. This pass:
+// "Region-sequence graph"). The sharing pattern that decides page behavior
+// (ping-pong, producer->consumer, migratory, read-mostly) only emerges
+// across the *sequence* of parallel regions and barriers. This pass:
 //
 //  1. builds a program-level region-sequence graph: every parallel construct
 //     and serial gap in program order, cut into barrier-delimited *phases*
@@ -15,13 +14,13 @@
 //     never overlap each other),
 //  3. classifies each DSM symbol's page footprint per phase as read-mostly /
 //     producer-consumer / migratory / ping-pong, which prices the cost
-//     model (point 5) and demotes the update prior of a symbol that
-//     ping-pongs in every writing phase,
-//  4. emits the cross-region diagnostics race.cross_region,
-//     nowait.cross_region_read, and hint.pingpong_update_demotion, and
+//     model (point 5),
+//  4. emits the cross-region diagnostics race.cross_region and
+//     nowait.cross_region_read, and
 //  5. prices the timeline: a static message-cost estimate per construct
-//     (`parade_lint --cost`) checked end-to-end against observed dsm.*
-//     counters.
+//     (`parade_lint --cost`), whose page spans come from each symbol's
+//     affine per-construct footprint, checked end-to-end against observed
+//     dsm.* counters.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +31,17 @@
 #include "translator/ast.hpp"
 
 namespace parade::translator {
+
+/// Cross-phase sharing classification of one symbol's page footprint
+/// (docs/ANALYZER.md classification table).
+enum class SharingPattern {
+  kReadMostly,        // no writers in the phase
+  kProducerConsumer,  // one writing phase feeding later reading phases
+  kMigratory,         // sole writer per phase; writer may move across phases
+  kPingPong           // concurrent writers inside one phase
+};
+
+const char* to_string(SharingPattern pattern);
 
 /// One parallel construct (or serial gap) in the region-sequence graph,
 /// in program order.
@@ -91,9 +101,8 @@ RegionSequence build_region_sequence(const TranslationUnit& unit,
 /// MHP over the region-sequence graph (rule 2 in the header comment).
 bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b);
 
-/// Runs the interference pass: demotes prefer_update for symbols that
-/// ping-pong in every writing phase and appends the cross-region
-/// diagnostics. Called from analyze() when flow_sensitive is on.
+/// Runs the interference pass: appends the cross-region diagnostics.
+/// Called from analyze() when flow_sensitive is on.
 void run_interference(const TranslationUnit& unit, Analysis* analysis);
 
 /// Static message-cost prediction for one construct (totals across all

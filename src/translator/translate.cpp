@@ -13,7 +13,6 @@ Result<std::string> translate_source(const std::string& source,
   if (!unit.is_ok()) return unit.status();
   AnalyzeOptions analyze_options;
   analyze_options.mp_threshold_bytes = options.mp_threshold_bytes;
-  analyze_options.protocol_hints = options.protocol_hints;
   const Analysis analysis = analyze(unit.value(), analyze_options);
   return generate(unit.value(), options, analysis);
 }

@@ -1,15 +1,19 @@
 // Semantic-analyzer tests: golden diagnostics over a small OpenMP corpus
 // (racy, clean, shadowed, threadprivate, reduction-misuse, ...), the
-// size-aware hybrid collective-vs-DSM selection in both directions, the
-// strict --threshold parser, and a regression check that placement matches
-// the old syntactic classifier's decisions on representative programs.
+// size-aware hybrid collective-vs-DSM selection in both directions (with the
+// analyzer's decision, its sync.dsm_fallback note and the emitted lowering
+// agreeing at every site), the strict --threshold parser, a regression check
+// that placement matches the old syntactic classifier's decisions on
+// representative programs, and the parade_lint / parade_omcc CLI contracts.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "translator/analyze.hpp"
@@ -415,6 +419,103 @@ TEST(Analyze, UnknownSizeTypeFallsBackWithReason) {
 }
 
 // ---------------------------------------------------------------------------
+// One lowering rule: the §5.2.1 threshold alone picks collective or DSM lock,
+// and the decision, the note and the generated code say the same thing.
+
+// An 8-byte double under critical, read twice more per write elsewhere in
+// the region.
+const char* kReadDominatedDouble =
+    "double acc;\n"
+    "double probe;\n"
+    "int main(void) {\n"
+    "  int i;\n"
+    "  #pragma omp parallel for\n"
+    "  for (i = 0; i < 8; i++) {\n"
+    "    #pragma omp critical\n"
+    "    {\n"
+    "      acc = acc + 2.0;\n"
+    "    }\n"
+    "    probe = acc + acc;\n"
+    "  }\n"
+    "  return 0;\n"
+    "}\n";
+
+// A read-dominated 4-byte counter under critical and an 8-byte double under
+// atomic.
+const char* kReadDominatedCounter =
+    "int count;\n"
+    "double total;\n"
+    "int seen[64];\n"
+    "int main(void) {\n"
+    "  int i;\n"
+    "  #pragma omp parallel for\n"
+    "  for (i = 0; i < 64; i++) {\n"
+    "    #pragma omp critical\n"
+    "    count += 1;\n"
+    "    seen[i] = count + count;\n"
+    "    #pragma omp atomic\n"
+    "    total += 0.5;\n"
+    "  }\n"
+    "  return 0;\n"
+    "}\n";
+
+/// The critical/atomic lowerings of generated code in emission order: true
+/// for an update-by-collective, false for a DSM lock.
+std::vector<bool> emitted_lowerings(const std::string& code) {
+  std::vector<bool> out;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t coll = code.find("parade::team_allreduce_bytes(", pos);
+    const std::size_t lock = code.find("parade::dsm_lock(", pos);
+    if (coll == std::string::npos && lock == std::string::npos) break;
+    out.push_back(coll < lock);
+    pos = std::min(coll, lock) + 1;
+  }
+  return out;
+}
+
+/// Every critical/atomic site of `program` (one parallel region, no
+/// reduction clauses, so emission order is line order) lowers as
+/// `want_collective` says, and the analyzer's decision, its
+/// sync.dsm_fallback note and the emitted code agree.
+void expect_one_lowering_rule(const char* program, std::size_t threshold,
+                              bool want_collective) {
+  AnalyzeOptions aoptions;
+  aoptions.mp_threshold_bytes = threshold;
+  const Analysis a = analyze_ok(program, aoptions);
+  TranslateOptions toptions;
+  toptions.mp_threshold_bytes = threshold;
+  toptions.emit_main_wrapper = false;
+  const std::string code = translate_source(program, toptions).value_or_die();
+  const std::vector<bool> emitted = emitted_lowerings(code);
+  ASSERT_EQ(emitted.size(), a.sync_sites.size()) << code;
+  std::size_t i = 0;
+  for (const auto& [line, dec] : a.sync_sites) {
+    const bool noted = std::any_of(
+        a.diagnostics.begin(), a.diagnostics.end(), [&](const Diagnostic& d) {
+          return d.code == kDiagSyncDsmFallback && d.line == line;
+        });
+    SCOPED_TRACE("threshold " + std::to_string(threshold) + ", line " +
+                 std::to_string(line) + ": " + dec.reason);
+    EXPECT_EQ(dec.collective, want_collective);
+    EXPECT_EQ(noted, !dec.collective);
+    EXPECT_EQ(emitted[i++], dec.collective) << code;
+  }
+}
+
+TEST(Analyze, ThresholdAloneDecidesLoweringAndNoteAgrees) {
+  // Below the declared sizes every site takes the DSM lock, however
+  // read-dominated its target is; at the paper's 256 B every site is a
+  // collective.
+  expect_one_lowering_rule(kReadDominatedDouble, 4, /*want_collective=*/false);
+  expect_one_lowering_rule(kReadDominatedCounter, 1,
+                           /*want_collective=*/false);
+  expect_one_lowering_rule(kReadDominatedDouble, 256, /*want_collective=*/true);
+  expect_one_lowering_rule(kReadDominatedCounter, 256,
+                           /*want_collective=*/true);
+}
+
+// ---------------------------------------------------------------------------
 // Classification regression vs the old syntactic classifier
 
 TEST(AnalyzeRegression, MasterBlockWritesStayOnDsm) {
@@ -595,9 +696,10 @@ TEST(AnalyzeReport, TextFormatHasFileLineCode) {
 
 // parade_lint CLI contract (the binary the lint CI tier runs)
 
-std::string run_lint(const std::string& args, int* exit_code) {
-  const std::string command =
-      std::string(PARADE_BINARY_DIR) + "/src/translator/parade_lint " + args;
+std::string run_tool(const std::string& tool, const std::string& args,
+                     int* exit_code) {
+  const std::string command = std::string(PARADE_BINARY_DIR) +
+                              "/src/translator/" + tool + " " + args;
   std::string output;
   FILE* pipe = popen((command + " 2>&1").c_str(), "r");
   if (pipe == nullptr) {
@@ -609,6 +711,10 @@ std::string run_lint(const std::string& args, int* exit_code) {
   const int status = pclose(pipe);
   *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return output;
+}
+
+std::string run_lint(const std::string& args, int* exit_code) {
+  return run_tool("parade_lint", args, exit_code);
 }
 
 TEST(LintCli, NoInputFilesIsAUsageError) {
@@ -635,6 +741,18 @@ TEST(LintCli, JsonAndSarifAreMutuallyExclusive) {
   int exit_code = 0;
   run_lint("--json --sarif whatever.c", &exit_code);
   EXPECT_EQ(exit_code, 2);
+}
+
+TEST(OmccCli, HintsJsonIsAnUnknownFlag) {
+  // Both retired hint flags: the --hints=json sidecar and --no-hints, which
+  // switched off a promotion that no longer exists.
+  const std::string input =
+      std::string(PARADE_SOURCE_DIR) + "/tests/translator_inputs/helmholtz.c";
+  for (const char* flag : {"--hints=json", "--no-hints"}) {
+    int exit_code = -1;
+    run_tool("parade_omcc", input + " " + flag, &exit_code);
+    EXPECT_EQ(exit_code, 2) << flag;
+  }
 }
 
 std::string write_temp(const char* name, const char* content) {

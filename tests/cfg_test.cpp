@@ -416,10 +416,8 @@ std::multiset<DiagKey> legacy_keys(const std::vector<Diagnostic>& diags) {
 void check_subset_property(const std::string& source, const std::string& tag) {
   AnalyzeOptions insensitive;
   insensitive.flow_sensitive = false;
-  insensitive.protocol_hints = false;
   AnalyzeOptions sensitive;
   sensitive.flow_sensitive = true;
-  sensitive.protocol_hints = false;
 
   auto base = analyze_source(source, insensitive);
   auto flow = analyze_source(source, sensitive);

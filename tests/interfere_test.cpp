@@ -2,9 +2,9 @@
 // "Region-sequence graph"): phase/step decomposition of the program into
 // barrier-delimited intervals, the May-Happen-in-Parallel rules, the
 // per-phase sharing-pattern classification (read-mostly / producer-consumer
-// / migratory / ping-pong) as the cost model prices it, the three
+// / migratory / ping-pong) as the cost model prices it, the two
 // cross-region diagnostics in both golden directions, and the static
-// message-cost report shape.
+// message-cost report: its shape and the affine page spans it charges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 
 #include "obs/json.hpp"
 #include "translator/analyze.hpp"
-#include "translator/hints.hpp"
 #include "translator/interfere.hpp"
 #include "translator/parser.hpp"
 #include "translator/token.hpp"
@@ -256,19 +255,6 @@ TEST(CrossRegion, NonComposingCriticalNamesAreFlagged) {
   EXPECT_GT(d->column, 0);
 }
 
-TEST(CrossRegion, RaceFindingsDoNotDependOnProtocolHints) {
-  // The interference pass is gated on the flow pass alone: switching hint
-  // synthesis off (parade_omcc --no-hints) must not hide the race.
-  AnalyzeOptions options;
-  options.protocol_hints = false;
-  const Analyzed p = analyze_program(kNonComposingCriticals, options);
-  EXPECT_TRUE(p.analysis.hints.symbols.empty());
-  const Diagnostic* d = find_diag(p.analysis, kDiagRaceCrossRegion);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->var, "buf");
-  EXPECT_EQ(d->line, 10);
-}
-
 TEST(CrossRegion, SharedCriticalNameComposesAndIsClean) {
   const Analyzed p = analyze_program(
       "double buf[1024];\n"
@@ -328,31 +314,6 @@ TEST(CrossRegion, ImpliedBarrierPublishesTheWrite) {
   EXPECT_EQ(find_diag(p.analysis, kDiagNowaitCrossRegionRead), nullptr);
 }
 
-TEST(CrossRegion, AllPingPongPhasesDemotePreferUpdate) {
-  const Analyzed p = analyze_program(
-      "double pair[32];\n"
-      "int main(void) {\n"
-      "  int i;\n"
-      "  #pragma omp parallel for\n"
-      "  for (i = 0; i < 1024; i++) {\n"
-      "    pair[0] = pair[1] + pair[2];\n"
-      "  }\n"
-      "  return 0;\n"
-      "}\n");
-  const Diagnostic* d = find_diag(p.analysis, kDiagHintPingpongDemotion);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->severity, Severity::kNote);
-  EXPECT_EQ(d->var, "pair");
-  const SymbolHint* h = p.analysis.hints.find("pair");
-  ASSERT_NE(h, nullptr);
-  EXPECT_FALSE(h->prefer_update);
-}
-
-TEST(CrossRegion, PartitionedProducerIsNotDemoted) {
-  const Analyzed p = analyze_program(kTwoPhaseProgram);
-  EXPECT_EQ(find_diag(p.analysis, kDiagHintPingpongDemotion), nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // Static message-cost report
 
@@ -384,6 +345,56 @@ TEST(CostModel, ReportPricesConstructsAndSerializes) {
 
   const std::string text = report.to_text("two_phase.c");
   EXPECT_NE(text.find("static message-cost estimate"), std::string::npos);
+}
+
+/// Page span the cost model charges a symbol written by one partitioned
+/// worksharing phase: such a phase diffs pages x (N-1)/N, so with one-byte
+/// pages on two nodes the span in bytes is twice the predicted diffs.
+double partitioned_span_bytes(const Analyzed& p, const std::string& symbol) {
+  AnalyzeOptions options;
+  options.page_bytes = 1;
+  const CostReport report =
+      estimate_message_costs(p.unit, options, p.analysis, /*nodes=*/2);
+  const std::string detail = symbol + " [migratory]";
+  for (const ConstructCost& c : report.constructs) {
+    if (c.detail == detail) return 2 * c.diffs_created;
+  }
+  ADD_FAILURE() << "no partitioned phase entry for " << symbol;
+  return 0;
+}
+
+TEST(CostModel, AffineArrayFootprintFromLiteralBounds) {
+  const Analyzed p = analyze_program(
+      "double grid[64][64];\n"
+      "int main(void) {\n"
+      "  int i, j;\n"
+      "  #pragma omp parallel for\n"
+      "  for (i = 0; i < 16; i++) {\n"
+      "    for (j = 0; j < 8; j++) {\n"
+      "      grid[i][j] = 1.0;\n"
+      "    }\n"
+      "  }\n"
+      "  return 0;\n"
+      "}\n");
+  ASSERT_EQ(p.analysis.globals.at("grid").byte_size, 64u * 64u * 8u);
+  // 16 * 8 iterations touch one 8-byte element each; the affine footprint is
+  // far below the declared 64*64*8 bytes.
+  EXPECT_EQ(partitioned_span_bytes(p, "grid"), 16.0 * 8.0 * 8.0);
+}
+
+TEST(CostModel, SymbolicBoundResolvedFromFileScopeLiteral) {
+  const Analyzed p = analyze_program(
+      "static long n = 100;\n"
+      "double v[4096];\n"
+      "int main(void) {\n"
+      "  long i;\n"
+      "  #pragma omp parallel for\n"
+      "  for (i = 0; i < n; i++) {\n"
+      "    v[i] = 1.0;\n"
+      "  }\n"
+      "  return 0;\n"
+      "}\n");
+  EXPECT_EQ(partitioned_span_bytes(p, "v"), 100.0 * 8.0);
 }
 
 TEST(CostModel, LockBoundConstructsChargeAcquires) {

@@ -1,8 +1,11 @@
 # Byte-for-byte check of the translator's outputs on every shipped OpenMP
-# input: generated code, the analyzer report, SARIF and the static cost
-# estimate. Each output is compared with the committed file of the same name
-# in this directory, and every other file here (except this script) fails
-# the check as an orphan that no run produces any more.
+# input (examples/openmp_pi.c and every tests/translator_inputs/*.c):
+# generated code, the analyzer report, SARIF and the static cost estimate.
+# sync_scalars.c is also translated at --threshold=1, the conventional
+# translation that puts every critical/atomic on the DSM lock path. Each
+# output is compared with the committed file of the same name in this
+# directory, and every other file here (except this script) fails the check
+# as an orphan that no run produces any more.
 #
 #   cmake -DOMCC=<parade_omcc> -DLINT=<parade_lint> -DSOURCE_DIR=<repo root>
 #         -DOUT_DIR=<scratch dir> [-DUPDATE=ON] -P check.cmake
@@ -11,12 +14,9 @@
 # Inputs are passed by their path relative to the repo root, so the file
 # names embedded in the reports do not depend on where the tree is checked
 # out.
-set(INPUTS
-  examples/openmp_pi.c
-  tests/translator_inputs/pi.c
-  tests/translator_inputs/helmholtz.c
-  tests/translator_inputs/cost_pingpong.c
-  tests/translator_inputs/cost_prodcons.c)
+file(GLOB corpus RELATIVE ${SOURCE_DIR}
+  ${SOURCE_DIR}/tests/translator_inputs/*.c)
+set(INPUTS examples/openmp_pi.c ${corpus})
 set(GOLDEN_DIR ${SOURCE_DIR}/tests/translator_golden)
 file(MAKE_DIRECTORY ${OUT_DIR})
 
@@ -29,6 +29,9 @@ foreach(input ${INPUTS})
     "analyze.json|${OMCC}|${input}|--analyze=json"
     "sarif|${LINT}|--sarif|${input}"
     "cost.txt|${LINT}|--cost=4|${input}")
+  if(stem STREQUAL "sync_scalars")
+    list(APPEND runs "threshold1.translate.cpp|${OMCC}|${input}|--threshold=1")
+  endif()
   foreach(run ${runs})
     string(REPLACE "|" ";" parts "${run}")
     list(GET parts 0 suffix)
