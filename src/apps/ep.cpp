@@ -57,8 +57,8 @@ EpResult ep_serial(const EpParams& params) {
 
 EpResult ep_parade(const EpParams& params) {
   const std::int64_t batches = num_batches(params.m);
-  // Node-replicated accumulator shared by the node's threads; merged by one
-  // collective at the end (zero DSM traffic — the paper's point about EP).
+  // Each thread's private sums are merged by one collective at the end (zero
+  // DSM traffic — the paper's point about EP).
   EpResult reduced;
   parallel([&] {
     EpResult local;
@@ -73,27 +73,26 @@ EpResult ep_parade(const EpParams& params) {
       double sx, sy;
       std::int64_t q[10];
       std::int64_t pairs;
-    } contribution{};
-    contribution.sx = local.sx;
-    contribution.sy = local.sy;
-    for (int i = 0; i < 10; ++i) contribution.q[i] = local.q[static_cast<std::size_t>(i)];
-    contribution.pairs = local.gaussian_pairs;
+    } packed{};
+    packed.sx = local.sx;
+    packed.sy = local.sy;
+    for (int i = 0; i < 10; ++i) packed.q[i] = local.q[static_cast<std::size_t>(i)];
+    packed.pairs = local.gaussian_pairs;
 
-    Packed replica{};
-    team_update_bytes(&replica, &contribution, sizeof(Packed),
-                      [](void* inout, const void* in, std::size_t) {
-                        auto* a = static_cast<Packed*>(inout);
-                        const auto* b = static_cast<const Packed*>(in);
-                        a->sx += b->sx;
-                        a->sy += b->sy;
-                        for (int i = 0; i < 10; ++i) a->q[i] += b->q[i];
-                        a->pairs += b->pairs;
-                      });
+    team_allreduce_bytes(&packed, sizeof(Packed),
+                         [](void* inout, const void* in, std::size_t) {
+                           auto* a = static_cast<Packed*>(inout);
+                           const auto* b = static_cast<const Packed*>(in);
+                           a->sx += b->sx;
+                           a->sy += b->sy;
+                           for (int i = 0; i < 10; ++i) a->q[i] += b->q[i];
+                           a->pairs += b->pairs;
+                         });
     if (local_thread_id() == 0) {
-      reduced.sx = replica.sx;
-      reduced.sy = replica.sy;
-      for (int i = 0; i < 10; ++i) reduced.q[static_cast<std::size_t>(i)] = replica.q[i];
-      reduced.gaussian_pairs = replica.pairs;
+      reduced.sx = packed.sx;
+      reduced.sy = packed.sy;
+      for (int i = 0; i < 10; ++i) reduced.q[static_cast<std::size_t>(i)] = packed.q[i];
+      reduced.gaussian_pairs = packed.pairs;
     }
   });
   return reduced;

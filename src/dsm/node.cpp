@@ -71,31 +71,6 @@ void DsmNode::set_state(PageEntry& entry, PageId page, PageState to) {
 }
 
 // ---------------------------------------------------------------------------
-// Critical-section dirty tracking (thread-local; a thread belongs to exactly
-// one node, and page ids are node-relative).
-namespace cs_tracking {
-namespace {
-thread_local int t_depth = 0;
-thread_local std::vector<PageId> t_pages;
-}  // namespace
-
-void begin() { ++t_depth; }
-
-void note_page(PageId page) {
-  if (t_depth > 0) t_pages.push_back(page);
-}
-
-std::vector<PageId> end() {
-  if (t_depth > 0) --t_depth;
-  std::vector<PageId> pages;
-  pages.swap(t_pages);
-  return pages;
-}
-
-bool active() { return t_depth > 0; }
-}  // namespace cs_tracking
-
-// ---------------------------------------------------------------------------
 
 DsmNode::DsmNode(const Topology& topology, net::Channel& channel,
                  DsmConfig config)
@@ -312,6 +287,8 @@ bool DsmNode::handle_fault(void* addr, bool is_write) {
   } else {
     stats_.inc_read_faults();
   }
+  // A store to a page a flush has write-protected but not yet scanned.
+  entry.cv.wait(lock, [&] { return !entry.flushing; });
 
   for (;;) {
     switch (rules::fault_action(entry.state, is_write)) {
@@ -413,7 +390,6 @@ void DsmNode::upgrade_to_dirty(PageId page, PageEntry& entry) {
     dirty_now_.push_back(page);
     interval_dirty_.insert(page);
   }
-  cs_tracking::note_page(page);
 }
 
 // ---------------------------------------------------------------------------
@@ -429,32 +405,16 @@ std::vector<PageId> DsmNode::drain_dirty_now() {
 void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
   if (pages.empty()) return;
   std::lock_guard flush_lock(flush_mutex_);
-  // At a barrier no application thread of this node runs, so downgrades
-  // wait for one mprotect per run after the loop. A lock release runs next
-  // to computing threads: it write-protects each page before scanning its
-  // diff, so a store by another thread either lands before the scan or
-  // faults and starts a new twin.
+  // Pick the pages to downgrade and write-protect them in runs before any
+  // scan. Application threads may run next to a lock-time flush: a store
+  // either lands before the protection (and is in the diff) or faults and
+  // waits for the scan below to end the page's `flushing` window.
   std::vector<PageId> downgraded;
-  const auto downgrade = [&](PageId page) {
-    if (at_barrier) {
-      downgraded.push_back(page);
-    } else {
-      protect(page, PROT_READ);
-    }
-  };
-
-  struct PendingDiff {
-    NodeId home;
-    PageId page;
-    std::vector<std::uint8_t> payload;  // kept for retransmission
-    VirtualUs stamp;
-  };
-  std::unordered_map<std::uint32_t, PendingDiff> pending;  // by seq
   for (const PageId page : pages) {
     PageEntry& entry = pages_->entry(page);
-    std::unique_lock lock(entry.mutex);
-    if (entry.state != PageState::kDirty) continue;  // already flushed
-
+    std::lock_guard lock(entry.mutex);
+    // Already flushed, or listed twice.
+    if (entry.state != PageState::kDirty || entry.flushing) continue;
     if (entry.home == rank()) {
       const rules::HomeFlush decision =
           rules::home_flush(entry.remote_copy, at_barrier);
@@ -470,16 +430,34 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
         interval_dirty_.erase(page);
         continue;
       }
+    }
+    entry.flushing = true;
+    downgraded.push_back(page);
+  }
+  protect_runs(downgraded, PROT_READ);
+
+  struct PendingDiff {
+    NodeId home;
+    PageId page;
+    std::vector<std::uint8_t> payload;  // kept for retransmission
+    VirtualUs stamp;
+  };
+  std::unordered_map<std::uint32_t, PendingDiff> pending;  // by seq
+  for (const PageId page : downgraded) {
+    PageEntry& entry = pages_->entry(page);
+    std::unique_lock lock(entry.mutex);
+    entry.flushing = false;
+    entry.cv.notify_all();
+
+    if (entry.home == rank()) {
       // Dirty window over: re-stabilize the frame so future serves can be
       // shared again (bumps the frame version past the unstable epoch).
       twins_->mark_stable(rank(), page);
-      downgrade(page);
       set_state(entry, page, PageState::kReadOnly);
       continue;
     }
 
     const std::uint32_t seq = next_seq();
-    downgrade(page);
     std::size_t diff_bytes = 0;
     std::vector<std::uint8_t> payload;
     // Diff runs stream from the sys view straight into the wire buffer
@@ -510,7 +488,6 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
     post(home, kTagDiff, payload, stamp);
     pending.emplace(seq, PendingDiff{home, page, std::move(payload), stamp});
   }
-  protect_runs(std::move(downgraded), PROT_READ);
   if (pending.empty()) return;
   const auto what = [&] {
     std::string who;
@@ -864,55 +841,83 @@ void DsmNode::lock_acquire(int lock_id) {
         [&] { repost(home, kTagLockAcquire, payload, stamp); });
   }
 
-  // Lazy-release consistency, conservatively: invalidate every cached page
-  // another node modified under this lock so the critical section sees the
-  // most up-to-date values (unless we are its home — diffs merged into us).
-  for (const WriteNotice& notice : grant.notices) {
-    PageEntry& entry = pages_->entry(notice.page);
-    std::lock_guard lock(entry.mutex);
-    if (rules::invalidate_on_lock_notice(entry.state, entry.home, rank(),
-                                         notice.modifier)) {
-      protect(notice.page, PROT_NONE);
-      set_state(entry, notice.page, PageState::kInvalid);
-      stats_.inc_invalidations();
+  // Lazy-release consistency, conservatively: drop every cached copy of a
+  // page another node modified under this lock (rules::lock_notice_action).
+  // A DIRTY copy first sends this node's own writes home, and an in-flight
+  // fetch lands first; both are looked at again. Another thread of this
+  // node may re-dirty such a page meanwhile, so repeat until none is left.
+  for (;;) {
+    std::vector<PageId> again;
+    for (const WriteNotice& notice : grant.notices) {
+      PageEntry& entry = pages_->entry(notice.page);
+      std::unique_lock lock(entry.mutex);
+      switch (rules::lock_notice_action(entry.state, entry.home, rank(),
+                                        notice.modifier)) {
+        case rules::NoticeAction::kKeep:
+          break;
+        case rules::NoticeAction::kInvalidate:
+          protect(notice.page, PROT_NONE);
+          set_state(entry, notice.page, PageState::kInvalid);
+          stats_.inc_invalidations();
+          break;
+        case rules::NoticeAction::kAwaitFetch:
+          entry.cv.wait(lock,
+                        [&] { return !rules::fetch_in_flight(entry.state); });
+          again.push_back(notice.page);
+          break;
+        case rules::NoticeAction::kFlushFirst:
+          again.push_back(notice.page);
+          break;
+      }
     }
+    if (again.empty()) break;
+    flush_pages(again, /*at_barrier=*/false);  // skips pages not DIRTY
   }
-
-  cs_tracking::begin();
 }
 
 void DsmNode::lock_release(int lock_id) {
   PARADE_CHECK_MSG(lock_id >= 0 && lock_id < kMaxDsmLocks, "lock id range");
-  std::vector<PageId> cs_pages = cs_tracking::end();
-  // Dedup (a page may fault several times across nested sections).
-  std::sort(cs_pages.begin(), cs_pages.end());
-  cs_pages.erase(std::unique(cs_pages.begin(), cs_pages.end()),
-                 cs_pages.end());
-  flush_pages(cs_pages, /*at_barrier=*/false);
+  // Flush and notice every page this node wrote in the open barrier
+  // interval, not only those the critical section faulted on: a store to a
+  // page that was already DIRTY (written outside the lock, maybe by another
+  // thread) takes no fault, and another thread's flush may have sent such a
+  // page already. flush_pages skips the pages no longer DIRTY.
+  std::vector<PageId> pages;
+  {
+    std::lock_guard lock(dirty_mutex_);
+    pages.assign(interval_dirty_.begin(), interval_dirty_.end());
+  }
+  std::sort(pages.begin(), pages.end());
+  flush_pages(pages, /*at_barrier=*/false);
 
   const NodeId home = static_cast<NodeId>(lock_id % size());
   const VirtualUs stamp = send_stamp();
   const std::uint32_t seq = next_seq();
   const auto payload =
-      codec<LockReleaseMsg>::encode({lock_id, std::move(cs_pages), seq});
+      codec<LockReleaseMsg>::encode({lock_id, std::move(pages), seq});
   // Root span of the release trace (the manager-side hand-off links here).
   obs::ScopedSpan span(obs::TraceKind::kLock, rank(), lock_id);
   post(home, kTagLockRelease, payload, stamp);
 
-  // Wait for the manager's ack so a lost release cannot strand the lock.
-  // The ack is a reliability artifact, not part of the HLRC cost model
-  // (release is asynchronous in the paper), so its vtime is not merged.
-  await_reply<LockReleaseAckMsg>(
-      kTagLockReleaseAckBase + lock_id,
-      [&] {
-        return missing("release ack of lock " + std::to_string(lock_id),
-                       "manager node " + std::to_string(home), epoch_);
-      },
-      // Duplicate ack of an older release: drop and keep waiting.
-      [&](const LockReleaseAckMsg& acked, const net::Message&) {
-        return rules::accept_response_seq(seq, acked.seq);
-      },
-      [&] { repost(home, kTagLockRelease, payload, stamp); });
+  // Release is one-way, as in the paper, where the channel cannot lose it:
+  // per-link FIFO delivers it before this node's next acquire, which is
+  // posted only after the gate opens. A lossy channel could strand the lock,
+  // so there the manager acks and the release is retransmitted until it
+  // does. The ack is a reliability artifact, not part of the HLRC cost
+  // model, so its vtime is not merged.
+  if (channel_.lossy()) {
+    await_reply<LockReleaseAckMsg>(
+        kTagLockReleaseAckBase + lock_id,
+        [&] {
+          return missing("release ack of lock " + std::to_string(lock_id),
+                         "manager node " + std::to_string(home), epoch_);
+        },
+        // Duplicate ack of an older release: drop and keep waiting.
+        [&](const LockReleaseAckMsg& acked, const net::Message&) {
+          return rules::accept_response_seq(seq, acked.seq);
+        },
+        [&] { repost(home, kTagLockRelease, payload, stamp); });
+  }
   lock_gate_[static_cast<std::size_t>(lock_id)].unlock();
 }
 
@@ -1159,11 +1164,14 @@ void DsmNode::lock_manager_release(const net::Message& message) {
       managed.holder = kAnyNode;
     }
   }
-  // Always ack — the releaser blocks until it hears one. The ack is pure
-  // reliability traffic, so it carries the comm clock without extra cost.
-  post(message.header.src, kTagLockReleaseAckBase + release.lock_id,
-       codec<LockReleaseAckMsg>::encode({release.lock_id, release.seq}),
-       comm_clock_.now());
+  // On a lossy channel always ack, duplicates too — the releaser blocks
+  // until it hears one. The ack is pure reliability traffic, so it carries
+  // the comm clock without extra cost.
+  if (channel_.lossy()) {
+    post(message.header.src, kTagLockReleaseAckBase + release.lock_id,
+         codec<LockReleaseAckMsg>::encode({release.lock_id, release.seq}),
+         comm_clock_.now());
+  }
 }
 
 }  // namespace parade::dsm

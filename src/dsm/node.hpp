@@ -109,10 +109,11 @@ class DsmNode {
   // --- flush (barrier / lock release) ---
   /// Sends diffs for the given DIRTY pages to their homes and downgrades them
   /// to READ_ONLY; home pages no peer holds stay DIRTY instead (exclusive).
+  /// The downgrades go out first, one mprotect per run of pages; a thread
+  /// that stores to a page before its scan waits (PageEntry::flushing).
   /// Waits for all acks. Serialized by flush_mutex_. `at_barrier`: the
-  /// node's application threads are quiesced, so the downgrades go out in
-  /// runs after the scan, and the write notices about to be sent invalidate
-  /// every peer copy of the home's pages.
+  /// write notices about to be sent invalidate every peer copy of the home's
+  /// pages.
   void flush_pages(const std::vector<PageId>& pages, bool at_barrier);
   std::vector<PageId> drain_dirty_now();
 
@@ -223,6 +224,8 @@ class DsmNode {
   // grant / release-ack wait in flight per (node, lock), which is what lets
   // those waits match responses by sequence number (a duplicate response can
   // then only ever be a retransmission artifact, never another thread's).
+  // It also keeps a one-way release ahead of the node's next acquire: the
+  // release is posted before the gate opens, and the link is FIFO.
   // Held from lock_acquire until lock_release by the same thread.
   std::array<std::mutex, kMaxDsmLocks> lock_gate_;
 
@@ -266,14 +269,5 @@ class DsmNode {
   };
   std::unordered_map<std::int32_t, ManagedLock> managed_locks_;
 };
-
-/// Per-thread critical-section dirty tracking: while a CS is open, write
-/// faults record pages here so lock_release flushes exactly the CS's pages.
-namespace cs_tracking {
-void begin();
-void note_page(PageId page);
-std::vector<PageId> end();
-bool active();
-}  // namespace cs_tracking
 
 }  // namespace parade::dsm

@@ -71,6 +71,10 @@ struct PageEntry {
   /// across barriers because no peer holds a copy; the next serve ends it.
   bool remote_copy = false;
   bool exclusive = false;
+  /// Set while a flush has write-protected this DIRTY page but not yet
+  /// scanned it (guarded by `mutex`): a writer that faults meanwhile waits
+  /// on `cv`, then faults into a fresh twin.
+  bool flushing = false;
 
   /// Drops this node's twin for `page`, shared or private — the single
   /// release path used by both flush and the departure downgrade.

@@ -12,7 +12,9 @@
 //   lock acquirer:        LockGrant (tag is lock-indexed so concurrent
 //                         acquirers on one node never steal each other's
 //                         grants)
-//   lock releaser:        LockReleaseAck (lock-indexed like grants)
+//   lock releaser:        LockReleaseAck (lock-indexed like grants; sent
+//                         only on a lossy channel — a lossless release is
+//                         one-way)
 //
 // Reliability: request/response messages carry a sender-chosen sequence
 // number so the protocol survives a lossy fabric (net/faulty.hpp). Senders
@@ -144,6 +146,7 @@ struct LockGrantMsg {
 
 struct LockReleaseMsg {
   std::int32_t lock_id = 0;
+  /// Every page the releaser wrote in the open barrier interval.
   std::vector<PageId> dirtied_pages;
   std::uint32_t seq = 0;  ///< node-wide request id; echoed by the ack
 };

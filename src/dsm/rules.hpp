@@ -382,12 +382,34 @@ constexpr bool invalidate_applies(PageState state) {
   return state == PageState::kReadOnly || state == PageState::kDirty;
 }
 
-/// Lock-grant write notice: invalidate a cached READ_ONLY copy that another
-/// node modified under the lock, unless we are the home (diffs were merged
-/// into us). Conservative lazy-release approximation — see DESIGN.md.
-constexpr bool invalidate_on_lock_notice(PageState state, NodeId home,
-                                         NodeId self, NodeId modifier) {
-  return modifier != self && home != self && state == PageState::kReadOnly;
+/// What a lock-grant write notice does to this node's copy of a page that
+/// another node modified under the lock. The copy goes unless we are the
+/// home (diffs were merged into us) or the modifier. Conservative
+/// lazy-release approximation — see DESIGN.md.
+enum class NoticeAction : std::uint8_t {
+  kKeep,        ///< no copy, or the copy is current
+  kInvalidate,  ///< READ_ONLY copy: drop it
+  kFlushFirst,  ///< DIRTY copy (written outside the lock): send this node's
+                ///< own writes home, then drop it
+  kAwaitFetch,  ///< fetch in flight, maybe served before the modification:
+                ///< let it land, then drop it
+};
+
+constexpr NoticeAction lock_notice_action(PageState state, NodeId home,
+                                          NodeId self, NodeId modifier) {
+  if (modifier == self || home == self) return NoticeAction::kKeep;
+  switch (state) {
+    case PageState::kReadOnly:
+      return NoticeAction::kInvalidate;
+    case PageState::kDirty:
+      return NoticeAction::kFlushFirst;
+    case PageState::kTransient:
+    case PageState::kBlocked:
+      return NoticeAction::kAwaitFetch;
+    case PageState::kInvalid:
+      return NoticeAction::kKeep;
+  }
+  return NoticeAction::kKeep;
 }
 
 }  // namespace rules

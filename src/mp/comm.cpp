@@ -338,6 +338,9 @@ void Comm::allreduce(void* buffer, std::size_t count, DType dtype, Op op) {
 
 Status Comm::try_allreduce_user(void* buffer, std::size_t bytes,
                                 const UserReduceFn& fn) {
+  count_collective(metrics_.allreduces, bytes);
+  obs::ScopedSpan span(obs::TraceKind::kCollective, rank(), 0);
+  obs::ScopedHistTimer coll_scope(metrics_.collective_ns);
   if (Status s = reduce_with(
           buffer, bytes, /*root=*/0,
           [&](void* inout, const void* in) { fn(inout, in, bytes); });

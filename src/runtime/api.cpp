@@ -111,83 +111,28 @@ void parallel_for(long begin, long end, const Schedule& schedule,
   if (!nowait) barrier();
 }
 
+// Both hybrid collectives are one Team::phase: the node's contributions are
+// folded in node-local scratch (Fig. 2's intra-node mutual exclusion) and the
+// last thread to arrive runs the one allreduce between nodes (Fig. 2's
+// inter-node synchronization).
 void team_update_bytes(void* replica, const void* contribution,
                        std::size_t bytes, const mp::UserReduceFn& combine) {
-  ThreadCtx& ctx = current_ctx();
-  Team& team = ctx.node->team();
-
-  if (!team.in_region()) {
-    // Serial section: the node main thread is the whole local team.
-    std::vector<std::uint8_t> scratch(
-        static_cast<const std::uint8_t*>(contribution),
-        static_cast<const std::uint8_t*>(contribution) + bytes);
-    ctx.node->comm().allreduce_user(scratch.data(), bytes, combine);
-    combine(replica, scratch.data(), bytes);
-    return;
-  }
-
-  // Phase 1: node-local combining under the team's pthread mutex (Fig. 2's
-  // intra-node mutual exclusion).
-  {
-    std::lock_guard lock(team.combine_mutex());
-    auto& scratch = team.combine_scratch();
-    if (team.combine_count()++ == 0) {
-      scratch.assign(static_cast<const std::uint8_t*>(contribution),
-                     static_cast<const std::uint8_t*>(contribution) + bytes);
-    } else {
-      PARADE_CHECK_MSG(scratch.size() == bytes, "team_update size mismatch");
-      combine(scratch.data(), contribution, bytes);
-    }
-  }
-  team.barrier(BarrierScope::kNode);
-
-  // Phase 2: one allreduce between nodes, result merged into the replica by
-  // the node representative (Fig. 2's inter-node synchronization).
-  if (ctx.local_id == 0) {
-    auto& scratch = team.combine_scratch();
-    ctx.node->comm().allreduce_user(scratch.data(), bytes, combine);
-    combine(replica, scratch.data(), bytes);
-    team.reset_combine_count();
-  }
-  team.barrier(BarrierScope::kNode);
+  NodeRuntime& node = *current_ctx().node;
+  (void)node.team().phase(contribution, bytes, &combine,
+                          [&](std::uint8_t* scratch) {
+                            node.comm().allreduce_user(scratch, bytes, combine);
+                            combine(replica, scratch, bytes);
+                          });
 }
 
 void team_allreduce_bytes(void* inout, std::size_t bytes,
                           const mp::UserReduceFn& combine) {
-  ThreadCtx& ctx = current_ctx();
-  Team& team = ctx.node->team();
-
-  if (!team.in_region()) {
-    ctx.node->comm().allreduce_user(inout, bytes, combine);
-    return;
-  }
-
-  // Phase 1: combine contributions into the node scratch.
-  {
-    std::lock_guard lock(team.combine_mutex());
-    auto& scratch = team.combine_scratch();
-    if (team.combine_count()++ == 0) {
-      scratch.assign(static_cast<const std::uint8_t*>(inout),
-                     static_cast<const std::uint8_t*>(inout) + bytes);
-    } else {
-      PARADE_CHECK_MSG(scratch.size() == bytes, "team_allreduce size mismatch");
-      combine(scratch.data(), inout, bytes);
-    }
-  }
-  team.barrier(BarrierScope::kNode);
-
-  // Phase 2: inter-node allreduce by the representative.
-  if (ctx.local_id == 0) {
-    ctx.node->comm().allreduce_user(team.combine_scratch().data(), bytes,
-                                    combine);
-    team.reset_combine_count();
-  }
-  team.barrier(BarrierScope::kNode);
-
-  // Phase 3: every thread copies the result out before the scratch can be
-  // reused by a subsequent collective.
-  std::memcpy(inout, team.combine_scratch().data(), bytes);
-  team.barrier(BarrierScope::kNode);
+  NodeRuntime& node = *current_ctx().node;
+  const std::uint8_t* result =
+      node.team().phase(inout, bytes, &combine, [&](std::uint8_t* scratch) {
+        node.comm().allreduce_user(scratch, bytes, combine);
+      });
+  std::memcpy(inout, result, bytes);
 }
 
 void single_small(void* data, std::size_t bytes,

@@ -14,6 +14,11 @@
 //  - small synchronization-managed data (reduction variables, single-
 //    initialized scalars) is *replicated per node* and kept consistent by
 //    explicit collectives — the paper's update-protocol fast path.
+//
+// Synchronization: every barrier and hybrid collective is one node-local
+// phase (Team::phase). The node's threads meet once; the last one to arrive
+// runs the inter-node step (the DSM barrier or one allreduce) for all of
+// them, so which thread talks to other nodes is unspecified.
 #pragma once
 
 #include <cstring>
@@ -101,15 +106,18 @@ void static_slice(long begin, long end, long* lo, long* hi);
 /// *replica identically on every node. This implements the translated forms
 /// of `reduction(op:var)`, analyzable `critical`, and `atomic` — pthread
 /// combining inside the node, one MPI_Allreduce between nodes, no DSM locks,
-/// no twins/diffs, no extra barrier.
+/// no twins/diffs, no extra barrier. Each call is one node-local phase: the
+/// threads meet once and the last to arrive runs the allreduce.
 template <typename T>
 void team_update(T* replica, T contribution, mp::Op op);
 
 /// Multi-variable form: the translator packs several reduction variables in
 /// one struct and supplies a combine function (paper §4.2).
 /// `replica` must be node-shared storage (the same pointer on every thread of
-/// a node, e.g. a main-frame variable captured by reference); the combined
-/// update is applied once per node by the representative thread.
+/// a node, e.g. a main-frame variable captured by reference): the combined
+/// update is applied once per node, by whichever thread of the node arrived
+/// last — which one is unspecified. For a thread-private accumulator use
+/// team_allreduce_bytes.
 void team_update_bytes(void* replica, const void* contribution,
                        std::size_t bytes, const mp::UserReduceFn& combine);
 

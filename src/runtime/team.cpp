@@ -11,29 +11,10 @@
 
 namespace parade {
 
-VirtualUs CombiningBarrier::arrive(VirtualUs value) {
-  std::unique_lock lock(mutex_);
-  pending_max_ = std::max(pending_max_, value);
-  if (++count_ == parties_) {
-    released_max_ = pending_max_;
-    pending_max_ = 0.0;
-    count_ = 0;
-    ++generation_;
-    cv_.notify_all();
-    return released_max_;
-  }
-  const long generation = generation_;
-  cv_.wait(lock, [&] { return generation_ != generation; });
-  return released_max_;
-}
-
 Team::Team(NodeRuntime& node, const Topology& topology, int num_threads)
     : node_(node),
       topo_(topology),
-      num_threads_(num_threads),
-      gather_barrier_(num_threads),
-      release_barrier_(num_threads),
-      join_barrier_(num_threads) {
+      num_threads_(num_threads) {
   PARADE_CHECK_MSG(num_threads >= 1, "team needs at least one thread");
   PARADE_CHECK_MSG(topo_.valid(), "invalid team topology");
   PARADE_CHECK_MSG(
@@ -95,7 +76,6 @@ void Team::worker_loop(LocalThreadId local_id) {
     ctx.loop_seq = 0;
     (*body)();
     barrier(BarrierScope::kGlobal);  // implicit barrier at the end of a parallel region
-    (void)join_barrier_.arrive(0.0);
   }
   detail::set_current_ctx(nullptr);
 }
@@ -131,42 +111,72 @@ void Team::run_region(const std::function<void()>& body) {
   ctx.single_seq = 0;
   ctx.loop_seq = 0;
   body();
+  // The implicit barrier is also the join: past it a worker touches only its
+  // own context and region_mutex_, so the next region may be published.
   barrier(BarrierScope::kGlobal);
   ctx.single_seq = saved_single_seq;
   ctx.loop_seq = saved_loop_seq;
-
-  // Wait for workers to go idle before the next region can be published.
-  (void)join_barrier_.arrive(0.0);
   in_region_ = false;
 }
 
 void Team::barrier(BarrierScope scope) {
-  ThreadCtx& ctx = current_ctx();
-  ctx.clock.sync_cpu();
   if (scope == BarrierScope::kNode) {
-    if (!in_region_) return;  // serial section: nothing to synchronize with
-    const VirtualUs team_max = gather_barrier_.arrive(ctx.clock.now());
-    ctx.clock.merge(team_max);
+    (void)phase(nullptr, 0, nullptr, nullptr);
     return;
   }
   // Wall time from arrival to departure: dominated by waiting for the
   // slowest teammate plus the inter-node DSM barrier.
   obs::ScopedTimer wait(
-      barrier_wait_[static_cast<std::size_t>(ctx.local_id)]);
-  if (!in_region_) {
-    // Serial section: only the node main thread is running.
-    PARADE_CHECK_MSG(ctx.local_id == 0, "worker outside a region");
-    node_.dsm().barrier();
-    return;
+      barrier_wait_[static_cast<std::size_t>(current_ctx().local_id)]);
+  // The DSM barrier merges the global departure time into the caller's clock.
+  (void)phase(nullptr, 0, nullptr,
+              [this](std::uint8_t*) { node_.dsm().barrier(); });
+}
+
+const std::uint8_t* Team::phase(
+    const void* contribution, std::size_t bytes,
+    const mp::UserReduceFn* combine,
+    const std::function<void(std::uint8_t*)>& inter_node) {
+  ThreadCtx& ctx = current_ctx();
+  ctx.clock.sync_cpu();
+  // In a serial section the main thread is the whole local team.
+  const int parties = in_region_ ? num_threads_ : 1;
+  std::unique_lock lock(phase_mutex_);
+  const long generation = phase_generation_;
+  std::vector<std::uint8_t>& scratch =
+      phase_scratch_[static_cast<std::size_t>(generation & 1)];
+  if (contribution != nullptr) {
+    const auto* in = static_cast<const std::uint8_t*>(contribution);
+    if (phase_arrived_ == 0) {
+      scratch.assign(in, in + bytes);
+    } else {
+      PARADE_CHECK_MSG(scratch.size() == bytes, "team collective size mismatch");
+      (*combine)(scratch.data(), in, bytes);
+    }
   }
-  const VirtualUs team_max = gather_barrier_.arrive(ctx.clock.now());
-  if (ctx.local_id == 0) {
-    ctx.clock.merge(team_max);
-    node_.dsm().barrier();  // merges the global departure time into the clock
+  phase_max_ = std::max(phase_max_, ctx.clock.now());
+  if (++phase_arrived_ < parties) {
+    phase_cv_.wait(lock, [&] { return phase_generation_ != generation; });
+    ctx.clock.merge(phase_done_);
+    return scratch.data();
   }
-  const VirtualUs departure =
-      release_barrier_.arrive(ctx.local_id == 0 ? ctx.clock.now() : 0.0);
-  ctx.clock.merge(departure);
+
+  // Last arriver: every teammate is blocked above, so the phase state is
+  // ours until the generation advances.
+  ctx.clock.merge(phase_max_);
+  lock.unlock();
+  if (inter_node) {
+    inter_node(scratch.data());
+    ctx.clock.sync_cpu();
+  }
+  lock.lock();
+  phase_done_ = ctx.clock.now();
+  phase_max_ = 0.0;
+  phase_arrived_ = 0;
+  ++phase_generation_;
+  lock.unlock();
+  phase_cv_.notify_all();
+  return scratch.data();
 }
 
 bool Team::single_try_claim(long seq) {

@@ -1,8 +1,11 @@
 // Team: a node's persistent worker pool and the fork-join machinery for
-// parallel regions (paper §4.1), plus the hierarchical barriers that combine
-// node-local pthread synchronization with the inter-node DSM barrier.
+// parallel regions (paper §4.1), plus the one node-local synchronization
+// phase behind every barrier and hybrid collective: the threads of a node
+// meet once, and the last one to arrive runs the inter-node step (the DSM
+// barrier or one allreduce) for all of them.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -13,6 +16,7 @@
 
 #include "common/topology.hpp"
 #include "common/types.hpp"
+#include "mp/datatypes.hpp"
 #include "obs/metric.hpp"
 #include "runtime/context.hpp"
 
@@ -26,25 +30,6 @@ class NodeRuntime;
 enum class BarrierScope {
   kNode,    ///< intra-node pthread barrier only (clock max-combined)
   kGlobal,  ///< intra-node combine + inter-node DSM tree barrier
-};
-
-/// Reusable cyclic barrier that additionally max-combines a value carried by
-/// each arriving thread and hands the combined value to every participant.
-class CombiningBarrier {
- public:
-  explicit CombiningBarrier(int parties) : parties_(parties) {}
-
-  /// Blocks until all parties arrive; returns max over the carried values.
-  VirtualUs arrive(VirtualUs value);
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int parties_;
-  int count_ = 0;
-  long generation_ = 0;
-  VirtualUs pending_max_ = 0.0;
-  VirtualUs released_max_ = 0.0;
 };
 
 class Team {
@@ -64,13 +49,27 @@ class Team {
   void stop();
 
   /// Runs `body` on all T threads (caller participates as local thread 0)
-  /// and finishes with the implicit global join barrier.
+  /// and finishes with the implicit global barrier, which is also the join:
+  /// no thread touches region state after it.
   void run_region(const std::function<void()>& body);
 
-  /// Consolidated barrier entry point. kGlobal: intra-node max-combine, then
-  /// the DSM tree barrier by local thread 0, then distribution of the
-  /// departure time. kNode: intra-node combine only.
+  /// Consolidated barrier entry point: one phase() whose inter-node step is
+  /// the DSM tree barrier (kGlobal) or nothing (kNode).
   void barrier(BarrierScope scope);
+
+  /// One node-local synchronization phase. Every thread of the node (only
+  /// the main thread in a serial section) arrives with its clock and, when
+  /// `contribution` is set, folds its `bytes` into the phase's scratch
+  /// buffer with `combine`. The last thread to arrive merges the node's
+  /// maximum clock, runs `inter_node` on the scratch buffer outside the lock
+  /// and publishes its finishing time; every other thread blocks once and
+  /// merges that time. Returns the scratch buffer, which stays valid until
+  /// the caller's next phase: two buffers alternate by generation, and a
+  /// buffer is reused only after every thread has arrived at the phase in
+  /// between.
+  const std::uint8_t* phase(const void* contribution, std::size_t bytes,
+                            const mp::UserReduceFn* combine,
+                            const std::function<void(std::uint8_t*)>& inter_node);
 
   // --- single construct support (see api.cpp) ---
   struct SingleSlot {
@@ -110,13 +109,6 @@ class Team {
   /// True while a parallel region is executing on this node.
   bool in_region() const { return in_region_; }
 
-  // --- hybrid combining scratch (team_update_bytes) ---
-  /// Node-local mutex used by hybrid critical/reduction combining.
-  std::mutex& combine_mutex() { return combine_mutex_; }
-  std::vector<std::uint8_t>& combine_scratch() { return combine_scratch_; }
-  int& combine_count() { return combine_count_; }
-  void reset_combine_count() { combine_count_ = 0; }
-
  private:
   void worker_loop(LocalThreadId local_id);
 
@@ -132,9 +124,13 @@ class Team {
   const std::function<void()>* region_body_ = nullptr;
   VirtualUs fork_vtime_ = 0.0;
 
-  CombiningBarrier gather_barrier_;
-  CombiningBarrier release_barrier_;
-  CombiningBarrier join_barrier_;
+  std::mutex phase_mutex_;
+  std::condition_variable phase_cv_;
+  long phase_generation_ = 0;
+  int phase_arrived_ = 0;
+  VirtualUs phase_max_ = 0.0;   ///< latest arrival clock of the open phase
+  VirtualUs phase_done_ = 0.0;  ///< finishing time of the last closed phase
+  std::array<std::vector<std::uint8_t>, 2> phase_scratch_;
 
   std::mutex single_mutex_;
   std::condition_variable single_cv_;
@@ -143,9 +139,6 @@ class Team {
   std::mutex loop_mutex_;
   std::unordered_map<long, LoopState> loops_;
 
-  std::mutex combine_mutex_;
-  std::vector<std::uint8_t> combine_scratch_;
-  int combine_count_ = 0;
   bool in_region_ = false;
 
   // Registry handles, indexed by local thread id where per-thread (barrier

@@ -3,8 +3,8 @@
 // under a deterministic FaultPlan; the final pool contents must be identical
 // byte-for-byte, with nonzero injected-fault and retry counters proving the
 // faults actually happened and the retry machinery absorbed them. The
-// runtime's MP collectives run under the same seeded plans and must give
-// exact results. A partition that never heals must abort with a diagnosis
+// runtime's MP collectives and the conventional critical section run under
+// the same seeded plans and must give exact results. A partition that never heals must abort with a diagnosis
 // that names the silent exchange.
 #include <gtest/gtest.h>
 
@@ -250,6 +250,55 @@ TEST_P(RuntimeChaosAtSeed, CollectivesGiveExactResults) {
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_GT(injected, 0) << "the fault plan never fired";
   EXPECT_GT(mp_retries, 0) << "no collective message was ever retransmitted";
+}
+
+// The conventional critical section under the same plans. A lossy channel
+// keeps the acked, retransmitted lock release (a fault-free channel sends
+// none), so the shared sum stays exact and release acks must appear.
+TEST_P(RuntimeChaosAtSeed, CriticalConventionalGivesExactSum) {
+  constexpr int kRuntimeNodes = 4;
+  constexpr int kThreads = 2;
+  constexpr int kIncrements = 5;
+  auto& reg = obs::Registry::instance();
+  for (NodeId n = 0; n < kRuntimeNodes; ++n) reg.reset_node(n);
+  reg.reset_trace();
+  reg.set_trace_enabled(true);
+
+  RuntimeConfig config;
+  config.nodes = kRuntimeNodes;
+  config.threads_per_node = kThreads;
+  config.dsm.pool_bytes = 1 << 20;
+  config.dsm.retry.timeout_ms = 30;
+  config.dsm.retry.max_attempts = 400;
+  setenv("PARADE_FAULT_SEED", std::to_string(GetParam()).c_str(), 1);
+  VirtualCluster cluster(config);
+  unsetenv("PARADE_FAULT_SEED");
+
+  std::atomic<int> wrong{0};
+  cluster.exec([&] {
+    auto* sum = shmalloc_array<double>(1);
+    if (node_id() == 0) *sum = 0.0;
+    barrier();
+    parallel([&] {
+      for (int i = 0; i < kIncrements; ++i) {
+        critical_conventional(1, [&] { *sum += 1.0; });
+      }
+    });
+    if (*sum != kRuntimeNodes * kThreads * kIncrements) ++wrong;
+  });
+  cluster.shutdown();
+  reg.set_trace_enabled(false);
+
+  std::int64_t acks = 0;
+  for (const obs::TraceEvent& e : reg.trace_events()) {
+    if (e.kind == obs::TraceKind::kSend && e.tag >= kTagLockReleaseAckBase &&
+        e.tag < kTagLockReleaseAckBase + kMaxDsmLocks) {
+      ++acks;
+    }
+  }
+  reg.reset_trace();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(acks, 0) << "no lock release was acked on the lossy channel";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RuntimeChaosAtSeed,

@@ -3,8 +3,11 @@
 // BLOCKED), and protocol statistics.
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <cstdint>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "dsm/cluster.hpp"
 #include "obs/registry.hpp"
@@ -191,6 +194,78 @@ TEST(DsmProtocol, LockTransfersProtectedData) {
     for (int i = 1; i <= log[0]; ++i) seen.insert(log[i]);
     EXPECT_EQ(seen.size(), static_cast<std::size_t>(3 * kRounds));
     cluster.node(rank).barrier();
+  });
+  cluster.shutdown();
+}
+
+// Lock release is one-way where the channel cannot lose it: a fault-free
+// acquire/release pair is acquire, grant and release, with no ack.
+TEST(DsmProtocol, LosslessReleaseIsOneWay) {
+  DsmCluster cluster(Topology::cluster(2), config_mb());
+  auto& reg = obs::Registry::instance();
+  std::barrier host(2);  // orders counter reads against both nodes' sends
+  std::int64_t sends[3] = {};
+  const auto read_sends = [&](NodeId rank, int at) {
+    host.arrive_and_wait();
+    if (rank == 0) {
+      sends[at] = reg.counter(0, "net.send_msgs.dsm").value() +
+                  reg.counter(1, "net.send_msgs.dsm").value();
+    }
+    host.arrive_and_wait();
+  };
+  cluster.run([&](NodeId rank) {
+    DsmNode& node = cluster.node(rank);
+    node.barrier();
+    read_sends(rank, 0);
+    node.barrier();  // an idle barrier measures one barrier's traffic
+    read_sends(rank, 1);
+    // Node 1 takes lock 2, managed by node 0. The manager handles the
+    // release before node 1's next barrier arrival (per-link FIFO).
+    if (rank == 1) {
+      node.lock_acquire(2);
+      node.lock_release(2);
+    }
+    node.barrier();
+    read_sends(rank, 2);
+  });
+  cluster.shutdown();
+  const std::int64_t one_barrier = sends[1] - sends[0];
+  EXPECT_EQ(sends[2] - sends[1] - one_barrier, 3);
+}
+
+// A lock-protected counter shares its page with an array every node writes
+// outside the lock (false sharing; 8-byte words, the diff granularity). The
+// copy dirtied outside the lock must not keep a stale counter, and a
+// critical-section store to that already-dirty page takes no fault but must
+// still be flushed and noticed.
+TEST(DsmProtocol, LockUpdatesSurviveWritesOutsideTheLock) {
+  constexpr int kNodes = 3;
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 40;
+  DsmCluster cluster(Topology::cluster(kNodes), config_mb());
+  cluster.run([&](NodeId rank) {
+    DsmNode& node = cluster.node(rank);
+    auto* page = static_cast<std::int64_t*>(node.shmalloc(4096, 4096));
+    if (rank == 0) page[0] = 0;  // page[0] = counter, page[1..] = slots
+    node.barrier();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          page[1 + (rank * kThreads + t) * kRounds + round] = round + 1;
+          node.lock_acquire(3);
+          page[0] += 1;
+          node.lock_release(3);
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    node.barrier();
+    EXPECT_EQ(page[0], kNodes * kThreads * kRounds) << "node " << rank;
+    for (int slot = 0; slot < kNodes * kThreads * kRounds; ++slot) {
+      EXPECT_EQ(page[1 + slot], slot % kRounds + 1) << "slot " << slot;
+    }
+    node.barrier();
   });
   cluster.shutdown();
 }

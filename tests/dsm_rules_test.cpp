@@ -254,19 +254,33 @@ TEST(InvalidateApplies, OnlyDataBearingStates) {
   EXPECT_FALSE(rules::invalidate_applies(PageState::kBlocked));
 }
 
-TEST(InvalidateOnLockNotice, RemoteModificationInvalidatesCachedReaders) {
+TEST(LockNoticeAction, RemoteModificationDropsEveryCachedCopy) {
+  using rules::NoticeAction;
   // Cached read-only copy, modified remotely, we are not the home: drop it.
-  EXPECT_TRUE(
-      rules::invalidate_on_lock_notice(PageState::kReadOnly, 0, 1, 2));
-  // Our own modification never invalidates us.
-  EXPECT_FALSE(
-      rules::invalidate_on_lock_notice(PageState::kReadOnly, 0, 1, 1));
-  // The home keeps its merged copy.
-  EXPECT_FALSE(
-      rules::invalidate_on_lock_notice(PageState::kReadOnly, 1, 1, 2));
+  EXPECT_EQ(rules::lock_notice_action(PageState::kReadOnly, 0, 1, 2),
+            NoticeAction::kInvalidate);
+  // A copy this node dirtied outside the lock would keep the stale
+  // lock-protected value: its own writes go home first, then it is dropped.
+  EXPECT_EQ(rules::lock_notice_action(PageState::kDirty, 0, 1, 2),
+            NoticeAction::kFlushFirst);
+  // A fetch in flight may have been served before the modification merged.
+  EXPECT_EQ(rules::lock_notice_action(PageState::kTransient, 0, 1, 2),
+            NoticeAction::kAwaitFetch);
+  EXPECT_EQ(rules::lock_notice_action(PageState::kBlocked, 0, 1, 2),
+            NoticeAction::kAwaitFetch);
+  // Our own modification never invalidates us, in any state.
+  EXPECT_EQ(rules::lock_notice_action(PageState::kReadOnly, 0, 1, 1),
+            NoticeAction::kKeep);
+  EXPECT_EQ(rules::lock_notice_action(PageState::kDirty, 0, 1, 1),
+            NoticeAction::kKeep);
+  // The home keeps its merged copy, dirty or not.
+  EXPECT_EQ(rules::lock_notice_action(PageState::kReadOnly, 1, 1, 2),
+            NoticeAction::kKeep);
+  EXPECT_EQ(rules::lock_notice_action(PageState::kDirty, 1, 1, 2),
+            NoticeAction::kKeep);
   // Nothing cached, nothing to invalidate.
-  EXPECT_FALSE(
-      rules::invalidate_on_lock_notice(PageState::kInvalid, 0, 1, 2));
+  EXPECT_EQ(rules::lock_notice_action(PageState::kInvalid, 0, 1, 2),
+            NoticeAction::kKeep);
 }
 
 TEST(ArrivalEpochPlausible, ChildLagsParentByAtMostOneEpoch) {

@@ -207,10 +207,14 @@ TEST(CrossLayer, CountersAgreeOnVirtualCluster) {
   run_virtual_cluster_s(config, [] {
     auto* data = shmalloc_array<double>(kDoubles);
     barrier();
+    double replica = 0.0;
     parallel([&] {
       parallel_for(0, kDoubles, [&](long lo, long hi) {
         for (long i = lo; i < hi; ++i) data[i] = static_cast<double>(i);
       });
+      // Two user-combine allreduces per node: one per hybrid collective.
+      (void)team_reduce(1.0, mp::Op::kSum);
+      team_update(&replica, 1.0, mp::Op::kSum);
     });
     double sum = 0.0;
     for (long i = 0; i < kDoubles; i += 512) sum += data[i];
@@ -239,6 +243,12 @@ TEST(CrossLayer, CountersAgreeOnVirtualCluster) {
               sum_prefix(snap, "net.send_bytes."));
     EXPECT_EQ(sum_prefix(snap, "net.send_msgs_to."),
               sum_prefix(snap, "net.send_msgs."));
+
+    // MP layer: each hybrid collective is one counted allreduce (plus its
+    // closing bcast), and each of the four entries is timed.
+    EXPECT_EQ(value_or0(snap, "mp.allreduces"), 2);
+    EXPECT_EQ(value_or0(snap, "mp.bcasts"), 2);
+    EXPECT_EQ(snap.hists.at("mp.collective_ns").count, 4);
   }
 
   // Every node saw the same barrier sequence.

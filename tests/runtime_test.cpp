@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <set>
+#include <vector>
 
 #include "runtime/api.hpp"
 #include "runtime/cluster.hpp"
@@ -141,6 +143,108 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ClusterShape{1, 1}, ClusterShape{1, 3},
                       ClusterShape{2, 1}, ClusterShape{2, 2},
                       ClusterShape{3, 2}, ClusterShape{4, 2}),
+    [](const auto& info) {
+      return std::to_string(info.param.nodes) + "n" +
+             std::to_string(info.param.threads) + "t";
+    });
+
+struct SumMax {
+  long sum;
+  long max;
+};
+
+class PhaseAtShape : public ::testing::TestWithParam<ClusterShape> {};
+
+// Every barrier and hybrid collective is one node-local phase whose last
+// arriver runs the inter-node step, so the step lands on varying threads.
+// Interleave all kinds in one region: results must be exact, and every
+// thread of a node must leave each phase with the same clock.
+TEST_P(PhaseAtShape, InterleavedCollectivesAndBarriers) {
+  constexpr int kCalls = 1000;
+  const auto [nodes, threads] = GetParam();
+  const long team = nodes * threads;
+  VirtualCluster cluster(config_of(nodes, threads));
+  std::vector<std::vector<VirtualUs>> clocks(
+      static_cast<std::size_t>(nodes),
+      std::vector<VirtualUs>(static_cast<std::size_t>(kCalls * threads)));
+  std::atomic<int> wrong{0};
+  cluster.exec([&] {
+    double replica = 0.0;  // node-shared
+    std::atomic<int> arrived{0};
+    std::vector<VirtualUs>& node_clocks =
+        clocks[static_cast<std::size_t>(node_id())];
+    parallel([&] {
+      std::uint64_t choice = 12345;  // the same sequence on every thread
+      int updates = 0;
+      int barriers = 0;
+      for (int i = 0; i < kCalls; ++i) {
+        choice = choice * 6364136223846793005ULL + 1442695040888963407ULL;
+        switch ((choice >> 33U) % 5) {
+          case 0:
+            if (team_reduce<long>(thread_id() + 1, mp::Op::kSum) !=
+                team * (team + 1) / 2) {
+              ++wrong;
+            }
+            break;
+          case 1:
+            team_update(&replica, 1.0, mp::Op::kSum);
+            if (replica != static_cast<double>(team) * ++updates) ++wrong;
+            break;
+          case 2: {
+            SumMax v{thread_id(), thread_id()};
+            team_allreduce_bytes(&v, sizeof(v),
+                                 [](void* inout, const void* in, std::size_t) {
+                                   auto* a = static_cast<SumMax*>(inout);
+                                   const auto* b = static_cast<const SumMax*>(in);
+                                   a->sum += b->sum;
+                                   a->max = std::max(a->max, b->max);
+                                 });
+            if (v.sum != team * (team - 1) / 2 || v.max != team - 1) ++wrong;
+            break;
+          }
+          case 3:
+            arrived.fetch_add(1);
+            barrier(BarrierScope::kGlobal);
+            if (arrived.load() < ++barriers * threads) ++wrong;
+            break;
+          default:
+            arrived.fetch_add(1);
+            barrier(BarrierScope::kNode);
+            if (arrived.load() < ++barriers * threads) ++wrong;
+            break;
+        }
+        node_clocks[static_cast<std::size_t>(i * threads + local_thread_id())] =
+            current_ctx().clock.now();
+      }
+    });
+  });
+  cluster.shutdown();
+  EXPECT_EQ(wrong.load(), 0);
+  for (int n = 0; n < nodes; ++n) {
+    const auto& node_clocks = clocks[static_cast<std::size_t>(n)];
+    int mismatches = 0;
+    for (int i = 0; i < kCalls; ++i) {
+      for (int t = 1; t < threads; ++t) {
+        const auto at = [&](int thread) {
+          return node_clocks[static_cast<std::size_t>(i * threads + thread)];
+        };
+        if (at(t) != at(0) && mismatches++ == 0) {
+          ADD_FAILURE() << "node " << n << " call " << i << ": thread " << t
+                        << " left at " << at(t) << ", thread 0 at " << at(0);
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "node " << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PhaseAtShape,
+    ::testing::Values(ClusterShape{1, 1}, ClusterShape{1, 2},
+                      ClusterShape{1, 4}, ClusterShape{2, 1},
+                      ClusterShape{2, 2}, ClusterShape{2, 4},
+                      ClusterShape{4, 1}, ClusterShape{4, 2},
+                      ClusterShape{4, 4}),
     [](const auto& info) {
       return std::to_string(info.param.nodes) + "n" +
              std::to_string(info.param.threads) + "t";

@@ -31,14 +31,13 @@ std::string run_command(const std::string& command, int* exit_code) {
   return output;
 }
 
-/// Translates `source`, compiles and runs it at the given cluster shape;
-/// returns stdout.
-std::string translate_compile_run(const std::string& name,
-                                  const std::string& source, int nodes,
-                                  int threads) {
-  auto translated = translate_source(source);
+/// Translates `source` and compiles it; returns the binary, or an empty
+/// path when a step failed.
+fs::path translate_compile(const std::string& name, const std::string& source,
+                           const TranslateOptions& options = {}) {
+  auto translated = translate_source(source, options);
   EXPECT_TRUE(translated.is_ok()) << translated.status().to_string();
-  if (!translated.is_ok()) return "";
+  if (!translated.is_ok()) return {};
 
   const fs::path dir = fs::temp_directory_path() / "parade-xlat-test";
   fs::create_directories(dir);
@@ -59,14 +58,28 @@ std::string translate_compile_run(const std::string& name,
   int code = 0;
   const std::string compile_output = run_command(compile, &code);
   EXPECT_EQ(code, 0) << "compile failed:\n" << compile_output;
-  if (code != 0) return "";
+  if (code != 0) return {};
+  return bin;
+}
 
+/// Runs a translated binary at the given cluster shape; returns stdout.
+std::string run_at(const fs::path& bin, int nodes, int threads) {
+  if (bin.empty()) return "";
   const std::string run = "PARADE_NODES=" + std::to_string(nodes) +
                           " PARADE_THREADS=" + std::to_string(threads) + " " +
                           bin.string();
+  int code = 0;
   const std::string output = run_command(run, &code);
   EXPECT_EQ(code, 0) << "run failed:\n" << output;
   return output;
+}
+
+/// Translates, compiles and runs `source` at the given cluster shape;
+/// returns stdout.
+std::string translate_compile_run(const std::string& name,
+                                  const std::string& source, int nodes,
+                                  int threads) {
+  return run_at(translate_compile(name, source), nodes, threads);
 }
 
 TEST(TranslatorExec, PiReduction) {
@@ -181,6 +194,51 @@ int main() {
 )";
   const std::string out = translate_compile_run("critmax", source, 2, 2);
   EXPECT_NE(out.find("max=100.0"), std::string::npos) << out;
+}
+
+// Conventional lowering (--threshold=1: every critical and atomic takes the
+// DSM lock) with a lock-protected scalar on the same page as an array the
+// loop writes outside the lock. No update may be lost at any shape.
+TEST(TranslatorExec, DsmLockedScalarsBesideUnlockedWrites) {
+  const char* reduced = R"(
+#include <stdio.h>
+int count;
+int seen[256];
+int main(void) {
+  int i;
+#pragma omp parallel for
+  for (i = 0; i < 256; i++) {
+    seen[i] = i;
+#pragma omp critical
+    count += 1;
+  }
+  printf("count=%d\n", count);
+  return 0;
+}
+)";
+  std::ifstream in(std::string(PARADE_SOURCE_DIR) +
+                   "/tests/translator_inputs/sync_scalars.c");
+  const std::string sync_scalars{std::istreambuf_iterator<char>(in), {}};
+  ASSERT_FALSE(sync_scalars.empty());
+
+  TranslateOptions conventional;
+  conventional.mp_threshold_bytes = 1;
+  const fs::path reduced_bin =
+      translate_compile("locked_count", reduced, conventional);
+  const fs::path scalars_bin =
+      translate_compile("sync_scalars_t1", sync_scalars, conventional);
+  for (const int nodes : {2, 4}) {
+    for (const int threads : {1, 2}) {
+      const std::string shape = std::to_string(nodes) + "x" +
+                                std::to_string(threads);
+      const std::string reduced_out = run_at(reduced_bin, nodes, threads);
+      EXPECT_NE(reduced_out.find("count=256\n"), std::string::npos)
+          << shape << ": " << reduced_out;
+      const std::string scalars_out = run_at(scalars_bin, nodes, threads);
+      EXPECT_NE(scalars_out.find("count=256 total=128.0\n"), std::string::npos)
+          << shape << ": " << scalars_out;
+    }
+  }
 }
 
 TEST(TranslatorExec, LastprivateAndFirstprivate) {
