@@ -35,7 +35,6 @@ double collective_us(int nodes, std::size_t bytes, long iters) {
 double dsm_lock_us(int nodes, std::size_t bytes, long iters) {
   RuntimeConfig config =
       bench::figure_config(nodes, vtime::NodeConfig::k2Thread2Cpu, 8u << 20);
-  config.dsm.sync_mode = dsm::SyncMode::kConventional;
   const double seconds = run_virtual_cluster_s(config, [&] {
     auto* data = static_cast<std::uint8_t*>(shmalloc(bytes, 64));
     if (node_id() == 0) std::memset(data, 0, bytes);

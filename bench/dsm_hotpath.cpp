@@ -1,6 +1,6 @@
 // DSM hot-path bench: wall-clock page-fetch and lock-grant latency through
-// the segment pool (CoW twins, direct serve encode, span-decoded installs
-// and diffs).
+// the segment pool (twin copies into the twin view, direct serve encode,
+// span-decoded installs and diffs).
 //
 //   dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] [--locks=4]
 //               [--reps=3] [--out=PATH] [--baseline=PATH]
@@ -17,11 +17,11 @@
 // Absolute nanoseconds vary across machines and are never gated. The
 // regression gate (--baseline) instead requires the protocol counts to match
 // the committed baseline exactly: the remote node's `fetches` (one per page
-// per epoch) and `twins_shared` (every twin a CoW alias of the home frame),
-// and `protect_calls` (application-view mprotect calls on both nodes). A
-// drop in twins_shared means copy-on-write aliasing silently switched off;
-// a rise in protect_calls means barrier-time protection changes stopped
-// going out one call per contiguous run of pages.
+// per epoch) and `twins_created` (one twin copy per page per epoch), and
+// `protect_calls` (application-view mprotect calls on both nodes). A change
+// in twins_created means write faults stopped twinning exactly once per
+// dirtied page; a rise in protect_calls means barrier-time protection
+// changes stopped going out one call per contiguous run of pages.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -43,7 +43,7 @@ struct HotpathRow {
   double fetch_mean_ns = 0.0;
   double lock_grant_p50_ns = 0.0;
   std::int64_t fetches = 0;
-  std::int64_t twins_shared = 0;
+  std::int64_t twins_created = 0;
   std::int64_t protect_calls = 0;
 };
 
@@ -109,7 +109,7 @@ HotpathRow run_once(int pages, std::size_t page_bytes, int epochs, int locks) {
   row.lock_grant_p50_ns = static_cast<double>(
       reg.hist(1, "dsm.lock_grant_ns").percentile_ns(0.50));
   row.fetches = cluster.node(1).stats().snapshot().page_fetches;
-  row.twins_shared = cluster.node(1).stats().snapshot().twins_shared;
+  row.twins_created = cluster.node(1).stats().snapshot().twins_created;
   for (NodeId n = 0; n < 2; ++n) {
     row.protect_calls += cluster.node(n).stats().snapshot().protect_calls;
   }
@@ -140,8 +140,8 @@ bool write_json(const std::string& path, int pages, long page_kb,
   // The gated counts (exact match against the baseline).
   w.key("fetches");
   w.value(row.fetches);
-  w.key("twins_shared");
-  w.value(row.twins_shared);
+  w.key("twins_created");
+  w.value(row.twins_created);
   w.key("protect_calls");
   w.value(row.protect_calls);
   w.end_object();
@@ -165,7 +165,7 @@ int check_baseline(const std::string& path, int pages, long page_kb,
   text << in.rdbuf();
   auto parsed = obs::parse_json(text.str());
   if (!parsed.is_ok() || !parsed.value().is_object() ||
-      !parsed.value().has("fetches") || !parsed.value().has("twins_shared") ||
+      !parsed.value().has("fetches") || !parsed.value().has("twins_created") ||
       !parsed.value().has("protect_calls")) {
     std::fprintf(stderr, "dsm_hotpath: baseline %s is not a hotpath table\n",
                  path.c_str());
@@ -189,7 +189,7 @@ int check_baseline(const std::string& path, int pages, long page_kb,
     std::int64_t fresh;
   } gates[] = {
       {"fetches", row.fetches},
-      {"twins_shared", row.twins_shared},
+      {"twins_created", row.twins_created},
       {"protect_calls", row.protect_calls},
   };
   for (const auto& gate : gates) {
@@ -253,11 +253,11 @@ int main(int argc, char** argv) {
       pages, page_kb, epochs);
   std::printf(
       "  fetch p50 %9.0f ns  mean %9.0f ns  p95 %9.0f ns  "
-      "grant p50 %9.0f ns  (%lld fetches, %lld shared twins, "
+      "grant p50 %9.0f ns  (%lld fetches, %lld twins, "
       "%lld mprotect calls)\n",
       row.fetch_p50_ns, row.fetch_mean_ns, row.fetch_p95_ns,
       row.lock_grant_p50_ns, static_cast<long long>(row.fetches),
-      static_cast<long long>(row.twins_shared),
+      static_cast<long long>(row.twins_created),
       static_cast<long long>(row.protect_calls));
 
   if (!out_path.empty() &&

@@ -32,7 +32,6 @@ double parade_critical_us(int nodes, long iters) {
 double kdsm_critical_us(int nodes, long iters) {
   RuntimeConfig config =
       bench::figure_config(nodes, vtime::NodeConfig::k2Thread2Cpu, 8u << 20);
-  config.dsm.sync_mode = dsm::SyncMode::kConventional;
   config.dsm.home_migration = false;  // original HLRC (KDSM-like)
   const double seconds = run_virtual_cluster_s(config, [&] {
     auto* sum = shmalloc_array<double>(1);

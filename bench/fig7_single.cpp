@@ -26,7 +26,6 @@ double parade_single_us(int nodes, long iters) {
 double kdsm_single_us(int nodes, long iters) {
   RuntimeConfig config =
       bench::figure_config(nodes, vtime::NodeConfig::k2Thread2Cpu, 8u << 20);
-  config.dsm.sync_mode = dsm::SyncMode::kConventional;
   config.dsm.home_migration = false;
   const double seconds = run_virtual_cluster_s(config, [&] {
     auto* flag = shmalloc_array<std::int64_t>(1);

@@ -7,80 +7,13 @@
 #include "runtime/api.hpp"
 
 namespace parade::apps {
-namespace {
-
-constexpr int kCgInnerIters = 25;  // NPB's cgitmax
-
-/// Deterministic off-diagonal value for the symmetric pair (i, j), i != j.
-double band_value(int lo, int dist) {
-  // Smoothly varying, bounded away from zero, sign-mixed.
-  const double phase = 0.37 * lo + 1.13 * dist;
-  return -0.5 + 0.25 * std::sin(phase);
-}
-
-}  // namespace
-
-SparseMatrix make_cg_matrix(const CgParams& params) {
-  const int n = params.na;
-  const int bands = params.nonzer;
-  // Band offsets: half near-diagonal, half long-range, mirroring NAS CG's mix
-  // of local and scattered column accesses.
-  std::vector<int> offsets;
-  offsets.reserve(static_cast<std::size_t>(bands));
-  for (int b = 1; b <= bands; ++b) {
-    if (b % 2 == 1) {
-      offsets.push_back((b + 1) / 2);  // 1, 2, 3, ...
-    } else {
-      offsets.push_back((b / 2) * std::max(2, n / (bands + 1)));  // far bands
-    }
-  }
-
-  SparseMatrix m;
-  m.n = n;
-  m.rowstr.assign(static_cast<std::size_t>(n) + 1, 0);
-
-  // Two passes: count, then fill (CSR, ascending column order not required
-  // for SPMV correctness but kept for cache behaviour).
-  std::vector<std::vector<std::pair<int, double>>> rows(
-      static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    double offdiag_sum = 0.0;
-    for (const int off : offsets) {
-      for (const int j : {i - off, i + off}) {
-        if (j < 0 || j >= n || j == i) continue;
-        const double v = band_value(std::min(i, j), std::abs(i - j));
-        rows[static_cast<std::size_t>(i)].emplace_back(j, v);
-        offdiag_sum += std::fabs(v);
-      }
-    }
-    // Strict diagonal dominance => SPD for a symmetric matrix.
-    rows[static_cast<std::size_t>(i)].emplace_back(
-        i, offdiag_sum + 1.0 + 0.01 * (i % 13));
-  }
-
-  std::size_t nnz = 0;
-  for (int i = 0; i < n; ++i) {
-    m.rowstr[static_cast<std::size_t>(i)] = static_cast<int>(nnz);
-    nnz += rows[static_cast<std::size_t>(i)].size();
-  }
-  m.rowstr[static_cast<std::size_t>(n)] = static_cast<int>(nnz);
-  m.colidx.resize(nnz);
-  m.values.resize(nnz);
-  std::size_t at = 0;
-  for (int i = 0; i < n; ++i) {
-    for (const auto& [j, v] : rows[static_cast<std::size_t>(i)]) {
-      m.colidx[at] = j;
-      m.values[at] = v;
-      ++at;
-    }
-  }
-  return m;
-}
 
 // ---------------------------------------------------------------------------
 // Serial reference
 
 namespace {
+
+constexpr int kCgInnerIters = 25;  // NPB's cgitmax
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {
   double s = 0.0;
@@ -136,13 +69,8 @@ double conj_grad_serial(const SparseMatrix& m, const std::vector<double>& x,
 
 }  // namespace
 
-SparseMatrix make_cg_matrix_for(const CgParams& params) {
-  return params.generator == CgGenerator::kNas ? make_nas_cg_matrix(params)
-                                               : make_cg_matrix(params);
-}
-
 CgResult cg_serial(const CgParams& params) {
-  const SparseMatrix m = make_cg_matrix_for(params);
+  const SparseMatrix m = make_nas_cg_matrix(params);
   const std::size_t n = static_cast<std::size_t>(m.n);
   std::vector<double> x(n, 1.0);
   std::vector<double> z(n, 0.0);
@@ -162,7 +90,7 @@ CgResult cg_serial(const CgParams& params) {
 // ParADE SPMD version
 
 CgResult cg_parade(const CgParams& params) {
-  const SparseMatrix host = make_cg_matrix_for(params);
+  const SparseMatrix host = make_nas_cg_matrix(params);
   const std::size_t n = static_cast<std::size_t>(host.n);
   const std::size_t nnz = host.nnz();
 

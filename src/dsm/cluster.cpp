@@ -29,15 +29,10 @@ void DsmCluster::init(const Topology& topology, const DsmConfig& config,
           fabric_.channel(rank), *faults, epoch));
     }
   }
-  // One registry across the whole in-process cluster: ranks share page
-  // frames CoW-style instead of eagerly copying twins.
-  auto twins = std::make_shared<TwinRegistry>(config.num_pages(),
-                                              config.page_bytes, size);
   nodes_.reserve(static_cast<std::size_t>(size));
   for (NodeId rank = 0; rank < size; ++rank) {
     auto node = std::make_unique<DsmNode>(topology.with_rank(rank),
                                           channel(rank), config);
-    node->set_twin_registry(twins);
     Status s = node->start();
     PARADE_CHECK_MSG(s.is_ok(), s.message());
     nodes_.push_back(std::move(node));

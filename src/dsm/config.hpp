@@ -27,14 +27,6 @@ enum class MapMethod {
 
 const char* to_string(MapMethod method);
 
-/// Inter-node synchronization personality (paper Figures 2/3).
-enum class SyncMode {
-  /// ParADE: collectives for analyzable critical/single/atomic/reduction.
-  kParade,
-  /// Conventional SDSM (KDSM-like): DSM locks + barriers everywhere.
-  kConventional,
-};
-
 struct DsmConfig {
   std::size_t pool_bytes = std::size_t{64} << 20;  // paper: 64 MB for CG
   std::size_t page_bytes = kDefaultPageBytes;
@@ -44,10 +36,6 @@ struct DsmConfig {
   /// HLRC home migration at barrier time (paper §5.2.2). Off = fixed home,
   /// i.e. original HLRC (the baseline in ablation benches).
   bool home_migration = true;
-  /// Small-data threshold for switching from HLRC to message passing
-  /// (paper §5.2.1; 256 bytes on their cluster). Consumed by the runtime.
-  std::size_t mp_threshold_bytes = 256;
-  SyncMode sync_mode = SyncMode::kParade;
 
   /// Stripe initial page homes round-robin across nodes instead of homing
   /// everything at node 0 (rules::default_home). Off by default: single-home

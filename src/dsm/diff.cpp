@@ -19,77 +19,60 @@ std::uint32_t read_u32(const std::uint8_t* p) {
   return value;
 }
 
+bool word_changed(const std::uint8_t* current, const std::uint8_t* twin,
+                  std::size_t word) {
+  return read_u32(current + word * kDiffWordBytes) !=
+         read_u32(twin + word * kDiffWordBytes);
+}
+
+/// The one run scanner both encoders share: calls emit(offset, length) for
+/// each maximal run of changed 4-byte words, in page order.
+template <typename Emit>
+void for_each_run(const std::uint8_t* current, const std::uint8_t* twin,
+                  std::size_t page_bytes, Emit&& emit) {
+  PARADE_CHECK_MSG(page_bytes % kDiffWordBytes == 0,
+                   "page size must be 4-byte aligned");
+  const std::size_t words = page_bytes / kDiffWordBytes;
+  std::size_t w = 0;
+  while (w < words) {
+    if (!word_changed(current, twin, w)) {
+      ++w;
+      continue;
+    }
+    const std::size_t start = w;
+    while (w < words && word_changed(current, twin, w)) ++w;
+    emit(static_cast<std::uint32_t>(start * kDiffWordBytes),
+         static_cast<std::uint32_t>((w - start) * kDiffWordBytes));
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_diff(const std::uint8_t* current,
                                       const std::uint8_t* twin,
                                       std::size_t page_bytes) {
-  PARADE_CHECK_MSG(page_bytes % 8 == 0, "page size must be 8-byte aligned");
   std::vector<std::uint8_t> out;
-  const std::size_t words = page_bytes / 8;
-
-  std::size_t run_start = 0;
-  bool in_run = false;
-  auto flush_run = [&](std::size_t end_word) {
-    const std::uint32_t offset = static_cast<std::uint32_t>(run_start * 8);
-    const std::uint32_t length =
-        static_cast<std::uint32_t>((end_word - run_start) * 8);
-    append_u32(out, offset);
-    append_u32(out, length);
-    const std::size_t at = out.size();
-    out.resize(at + length);
-    std::memcpy(out.data() + at, current + offset, length);
-  };
-
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t a, b;
-    std::memcpy(&a, current + w * 8, 8);
-    std::memcpy(&b, twin + w * 8, 8);
-    const bool changed = a != b;
-    if (changed && !in_run) {
-      run_start = w;
-      in_run = true;
-    } else if (!changed && in_run) {
-      flush_run(w);
-      in_run = false;
-    }
-  }
-  if (in_run) flush_run(words);
+  for_each_run(current, twin, page_bytes,
+               [&](std::uint32_t offset, std::uint32_t length) {
+                 append_u32(out, offset);
+                 append_u32(out, length);
+                 const std::size_t at = out.size();
+                 out.resize(at + length);
+                 std::memcpy(out.data() + at, current + offset, length);
+               });
   return out;
 }
 
 std::size_t append_diff(WireBuffer& out, const std::uint8_t* current,
                         const std::uint8_t* twin, std::size_t page_bytes) {
-  PARADE_CHECK_MSG(page_bytes % 8 == 0, "page size must be 8-byte aligned");
   const std::size_t count_at = out.reserve_u32();
   const std::size_t payload_start = out.size();
-  const std::size_t words = page_bytes / 8;
-
-  std::size_t run_start = 0;
-  bool in_run = false;
-  auto flush_run = [&](std::size_t end_word) {
-    const auto offset = static_cast<std::uint32_t>(run_start * 8);
-    const auto length =
-        static_cast<std::uint32_t>((end_word - run_start) * 8);
-    out.put(offset);
-    out.put(length);
-    out.put_bytes(current + offset, length);
-  };
-
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t a, b;
-    std::memcpy(&a, current + w * 8, 8);
-    std::memcpy(&b, twin + w * 8, 8);
-    const bool changed = a != b;
-    if (changed && !in_run) {
-      run_start = w;
-      in_run = true;
-    } else if (!changed && in_run) {
-      flush_run(w);
-      in_run = false;
-    }
-  }
-  if (in_run) flush_run(words);
+  for_each_run(current, twin, page_bytes,
+               [&](std::uint32_t offset, std::uint32_t length) {
+                 out.put(offset);
+                 out.put(length);
+                 out.put_bytes(current + offset, length);
+               });
   const std::size_t diff_bytes = out.size() - payload_start;
   out.patch_u32(count_at, static_cast<std::uint32_t>(diff_bytes));
   return diff_bytes;

@@ -4,8 +4,11 @@
 // flush time (barrier or lock release) the current page is compared to the
 // twin and only the changed bytes travel to the home, encoded as runs:
 //   { u32 offset, u32 length, length bytes } *
-// Comparison is word-granular (8 bytes) for speed; adjacent changed words
-// coalesce into one run.
+// Comparison is word-granular at 4 bytes, the sharing granularity: writers
+// on different nodes may share a page down to distinct 4-byte words (an
+// `int` array split between nodes), but two writers of one 4-byte word in
+// one interval (`char`/`short` neighbours) collide at the home. Adjacent
+// changed words coalesce into one run.
 #pragma once
 
 #include <cstddef>
@@ -16,8 +19,12 @@
 
 namespace parade::dsm {
 
+/// Diff comparison unit and run alignment, in bytes.
+inline constexpr std::size_t kDiffWordBytes = 4;
+
 /// Encodes the byte runs where `current` differs from `twin` into a vector.
-/// Both buffers are `page_bytes` long; `page_bytes` must be a multiple of 8.
+/// Both buffers are `page_bytes` long; `page_bytes` must be a multiple of
+/// kDiffWordBytes.
 /// Reference encoder: the flush path runs append_diff, and the tests check
 /// it (and codec<DiffMsg> frames) against this.
 std::vector<std::uint8_t> encode_diff(const std::uint8_t* current,

@@ -84,11 +84,6 @@ DsmNode::DsmNode(const Topology& topology, net::Channel& channel,
                    "topology disagrees with channel rank/size");
 }
 
-void DsmNode::set_twin_registry(std::shared_ptr<TwinRegistry> twins) {
-  PARADE_CHECK_MSG(!started_, "set_twin_registry after start");
-  twins_ = std::move(twins);
-}
-
 void DsmNode::post(NodeId dst, Tag tag, std::vector<std::uint8_t> payload,
                    VirtualUs vtime) {
   Status s = channel_.send(dst, tag, std::move(payload), vtime);
@@ -116,13 +111,6 @@ Status DsmNode::start() {
                                      config_.map_method);
   if (!mapping.is_ok()) return mapping.status();
   mapping_ = std::move(mapping).value();
-  if (twins_ == nullptr) {
-    // Solo registry (standalone node / socket fabric): no peer pool is ever
-    // visible, so every twin privatizes eagerly — the safe degenerate mode.
-    twins_ = std::make_shared<TwinRegistry>(config_.num_pages(),
-                                            config_.page_bytes, size());
-  }
-  twins_->register_pool(rank(), mapping_.get());
 
   pages_ = std::make_unique<PageTable>(config_.num_pages(), /*initial_home=*/0);
   if (!config_.sharded_homes) {
@@ -167,9 +155,6 @@ void DsmNode::shutdown() {
   // Benign failure: the comm thread may already have exited on mailbox close.
   (void)channel_.send(rank(), kTagShutdown, {}, 0.0);
   if (comm_thread_.joinable()) comm_thread_.join();
-  // Withdraw the pool from the twin registry before the frames can unmap:
-  // surviving ranks holding CoW aliases into them get private copies.
-  if (twins_ != nullptr) twins_->unregister_pool(rank());
   sigsegv::unregister_range(mapping_->app_view());
 }
 
@@ -194,6 +179,10 @@ std::size_t DsmNode::offset_of(const void* p) const {
 
 std::byte* DsmNode::sys_page(PageId page) const {
   return mapping_->real_address(View::kSys, page, 0);
+}
+
+std::byte* DsmNode::twin_page(PageId page) const {
+  return mapping_->real_address(View::kTwin, page, 0);
 }
 
 Status DsmNode::protect_span(std::size_t offset, std::size_t bytes,
@@ -364,24 +353,11 @@ void DsmNode::fetch_page(PageId page, std::unique_lock<std::mutex>& lock,
 void DsmNode::upgrade_to_dirty(PageId page, PageEntry& entry) {
   if (rules::needs_twin(entry.home, rank())) {
     // Non-home writers keep a twin so the flush can diff (§5.2.1: the home
-    // itself needs no twin — all diffs merge into its copy). The twin starts
-    // as a CoW alias of the home's frame; the registry privatizes it (one
-    // page copy through the sys view) only when the home's copy is about to
-    // diverge.
-    const bool shared = twins_->attach_twin(rank(), page, entry.home,
-                                            entry.fetched_version);
-    if (shared) {
-      stats_.inc_twins_shared();
-    } else {
-      stats_.inc_twins_created();
-    }
-    check_invariant(twins_->has_twin(rank(), page), "twin.present", page);
-  } else {
-    // The home's own upgrade is a frame mutation no diff announces:
-    // privatize any alias another rank holds and mark the frame unstable
-    // until the flush downgrade re-stabilizes it (TwinRegistry versioning).
-    const int privatized = twins_->mark_unstable(rank(), page);
-    if (privatized > 0) stats_.inc_twin_privatizations(privatized);
+    // itself needs no twin — all diffs merge into its copy). The page is
+    // still write-protected, so the sys view holds the pre-write copy.
+    std::memcpy(twin_page(page), sys_page(page), config_.page_bytes);
+    entry.twin = true;
+    stats_.inc_twins_created();
   }
   protect(page, PROT_READ | PROT_WRITE);
   set_state(entry, page, PageState::kDirty);
@@ -450,9 +426,6 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
     entry.cv.notify_all();
 
     if (entry.home == rank()) {
-      // Dirty window over: re-stabilize the frame so future serves can be
-      // shared again (bumps the frame version past the unstable epoch).
-      twins_->mark_stable(rank(), page);
       set_state(entry, page, PageState::kReadOnly);
       continue;
     }
@@ -461,22 +434,19 @@ void DsmNode::flush_pages(const std::vector<PageId>& pages, bool at_barrier) {
     std::size_t diff_bytes = 0;
     std::vector<std::uint8_t> payload;
     // Diff runs stream from the sys view straight into the wire buffer
-    // (codec<DiffMsg> layout). The pristine copy — CoW alias of the home's
-    // frame or private twin frame — is read inside the registry's critical
-    // section so a concurrent privatization cannot swap it mid-diff.
-    WireBuffer buffer;
-    buffer.put(page);
-    buffer.put(seq);
-    const bool had_twin =
-        twins_->with_twin(rank(), page, [&](const std::byte* pristine) {
-          diff_bytes = append_diff(
-              buffer, reinterpret_cast<const std::uint8_t*>(sys_page(page)),
-              reinterpret_cast<const std::uint8_t*>(pristine),
-              config_.page_bytes);
-        });
-    check_invariant(had_twin, "twin.present", page);
-    if (had_twin && diff_bytes > 0) payload = std::move(buffer).take();
-    entry.release_twin(*twins_, rank(), page);
+    // (codec<DiffMsg> layout), compared against this node's twin frame.
+    check_invariant(entry.twin, "twin.present", page);
+    if (entry.twin) {
+      WireBuffer buffer;
+      buffer.put(page);
+      buffer.put(seq);
+      diff_bytes = append_diff(
+          buffer, reinterpret_cast<const std::uint8_t*>(sys_page(page)),
+          reinterpret_cast<const std::uint8_t*>(twin_page(page)),
+          config_.page_bytes);
+      if (diff_bytes > 0) payload = std::move(buffer).take();
+    }
+    entry.twin = false;
     set_state(entry, page, PageState::kReadOnly);
     const NodeId home = entry.home;
     lock.unlock();
@@ -786,14 +756,10 @@ void DsmNode::process_departure(const BarrierDepartMsg& msg) {
     // only modifier.
     if (rules::keep_copy_on_departure(rank(), e.new_home, old_home,
                                       e.sole_modifier)) {
-      // The kept copy is current in content but was not stamped by a
-      // versioned serve; a write fault next interval privatizes eagerly
-      // rather than trusting a version from a superseded home epoch.
-      entry.fetched_version = kNeverFetchedVersion;
       continue;
     }
     if (rules::invalidate_applies(entry.state)) {
-      entry.release_twin(*twins_, rank(), e.page);
+      entry.twin = false;
       set_state(entry, e.page, PageState::kInvalid);
       invalidated.push_back(e.page);
       stats_.inc_invalidations();
@@ -1015,18 +981,12 @@ void DsmNode::serve_page_request(const net::Message& message) {
       if (entry.exclusive) {
         // The copy served below carries every untracked home write. Write-
         // protect first, so each later home write faults and is noticed.
-        twins_->mark_stable(rank(), request.page);
         protect(request.page, PROT_READ);
         set_state(entry, request.page, PageState::kReadOnly);
         entry.exclusive = false;
       }
       entry.remote_copy = true;
     }
-    // Version first, frame bytes second, both under the entry lock every
-    // home-side frame mutation also takes: an interleaved bump can only
-    // make the reply look OLDER than its bytes (safe — the requester
-    // privatizes), never newer.
-    buffer.put(twins_->frame_version(request.page));
     buffer.put(static_cast<std::uint32_t>(config_.page_bytes));
     buffer.put_bytes(sys_page(request.page), config_.page_bytes);
   }
@@ -1054,7 +1014,6 @@ void DsmNode::install_page(const net::Message& message) {
   // of the delivered buffer (span view) — no intermediate reply vector on
   // either side of the wire.
   std::memcpy(sys_page(reply.page), reply.data.data(), config_.page_bytes);
-  entry.fetched_version = reply.version;
   protect(reply.page, PROT_READ);
   entry.ready_vtime = message.header.vtime +
                       config_.net.transfer_us(message.payload.size()) +
@@ -1078,11 +1037,6 @@ void DsmNode::apply_incoming_diff(const net::Message& message) {
     comm_ledger_.charge(config_.net.page_service_us);
     PageEntry& entry = pages_->entry(diff.page);
     std::lock_guard lock(entry.mutex);
-    // The frame is about to diverge from what any CoW alias snapshotted:
-    // privatize those twins first, then bump the frame version so replies
-    // served before this merge can no longer seed a shared twin.
-    const int privatized = twins_->begin_home_mutation(diff.page);
-    if (privatized > 0) stats_.inc_twin_privatizations(privatized);
     const bool ok =
         apply_diff(reinterpret_cast<std::uint8_t*>(sys_page(diff.page)),
                    config_.page_bytes, diff.diff.data(), diff.diff.size());

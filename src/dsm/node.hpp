@@ -70,11 +70,6 @@ class DsmNode {
   std::byte* base() const { return mapping_->app_view(); }
   std::size_t pool_bytes() const { return config_.pool_bytes; }
 
-  /// Shares a cross-node twin registry (in-process clusters). Must be called
-  /// before start(); without one the node builds a solo registry, in which
-  /// no peer pool is visible and every twin privatizes eagerly.
-  void set_twin_registry(std::shared_ptr<TwinRegistry> twins);
-
   /// SPMD bump allocator: every node must perform the identical allocation
   /// sequence; the same call index yields the same pool offset everywhere.
   void* shmalloc(std::size_t bytes, std::size_t align = 64);
@@ -169,6 +164,8 @@ class DsmNode {
   /// points where the node's application threads are quiesced.
   void protect_runs(std::vector<PageId> pages, int prot);
   std::byte* sys_page(PageId page) const;
+  /// The page's frame in this node's twin view (View::kTwin).
+  std::byte* twin_page(PageId page) const;
 
   /// The single funnel for page-state changes: asserts the change is a legal
   /// Figure-5 edge (rules::transition_allowed) before assigning. The check
@@ -188,7 +185,6 @@ class DsmNode {
   Topology topo_;
   DsmConfig config_;
   std::unique_ptr<SegmentPool> mapping_;
-  std::shared_ptr<TwinRegistry> twins_;
   std::unique_ptr<PageTable> pages_;
   DsmStats stats_;
   vtime::CommLedger comm_ledger_;

@@ -81,10 +81,6 @@ struct PageReplyMsg {
   PageId page = 0;
   std::vector<std::uint8_t> data;
   std::uint32_t seq = 0;  ///< copied from the request; stale replies dropped
-  /// Home frame version at serve time (TwinRegistry). The installer records
-  /// it so a later write fault can decide whether the home's frame still
-  /// matches this copy and may be aliased as the twin (CoW).
-  std::uint32_t version = 0;
 };
 
 struct DiffMsg {
@@ -164,7 +160,7 @@ struct LockReleaseAckMsg {
 
 inline auto wire_fields(PageRequestMsg& m) { return std::tie(m.page, m.seq); }
 inline auto wire_fields(PageReplyMsg& m) {
-  return std::tie(m.page, m.seq, m.version, m.data);
+  return std::tie(m.page, m.seq, m.data);
 }
 inline auto wire_fields(DiffMsg& m) { return std::tie(m.page, m.seq, m.diff); }
 inline auto wire_fields(DiffAckMsg& m) { return std::tie(m.page, m.seq); }
@@ -238,7 +234,6 @@ inline bool read_span(std::span<const std::uint8_t> payload, std::size_t& pos,
 struct PageReplyView {
   PageId page = 0;
   std::uint32_t seq = 0;
-  std::uint32_t version = 0;
   std::span<const std::uint8_t> data;
 
   static Result<PageReplyView> from(std::span<const std::uint8_t> payload) {
@@ -246,7 +241,6 @@ struct PageReplyView {
     std::size_t pos = 0;
     if (!view_detail::read_field(payload, pos, v.page) ||
         !view_detail::read_field(payload, pos, v.seq) ||
-        !view_detail::read_field(payload, pos, v.version) ||
         !view_detail::read_span(payload, pos, v.data)) {
       return make_error(ErrorCode::kInvalidArgument, "truncated frame");
     }

@@ -24,9 +24,7 @@ namespace parade::dsm {
   X(diffs_created)             \
   X(diff_bytes_sent)           \
   X(diffs_applied)             \
-  X(twins_created)   /* eager/privatized twin copies */ \
-  X(twins_shared)    /* CoW twins aliasing the home frame (no copy) */ \
-  X(twin_privatizations) /* shared twins copied before a frame mutation */ \
+  X(twins_created)   /* non-home write faults copying a twin */ \
   X(barriers)                  \
   X(write_notices_sent)        \
   X(invalidations)             \

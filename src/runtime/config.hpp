@@ -32,8 +32,9 @@ struct RuntimeConfig {
 };
 
 /// Reads PARADE_NODES, PARADE_THREADS, PARADE_NET*, PARADE_CPU_SCALE,
-/// PARADE_SYNC_MODE (parade|conventional), PARADE_HOME_MIGRATION,
-/// PARADE_POOL_MB.
+/// PARADE_CPUS_PER_NODE, PARADE_HOME_MIGRATION, PARADE_POOL_MB,
+/// PARADE_RETRY_*, PARADE_BARRIER, PARADE_HOME_SHARDING and
+/// PARADE_MAP_METHOD.
 RuntimeConfig runtime_config_from_env();
 
 }  // namespace parade

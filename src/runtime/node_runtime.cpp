@@ -18,12 +18,6 @@ RuntimeConfig runtime_config_from_env() {
   config.dsm.home_migration = env::get_bool_or("PARADE_HOME_MIGRATION", true);
   config.dsm.pool_bytes =
       static_cast<std::size_t>(env::get_int_or("PARADE_POOL_MB", 64)) << 20;
-  config.dsm.mp_threshold_bytes =
-      static_cast<std::size_t>(env::get_int_or("PARADE_MP_THRESHOLD", 256));
-  config.dsm.sync_mode =
-      env::get_string_or("PARADE_SYNC_MODE", "parade") == "conventional"
-          ? dsm::SyncMode::kConventional
-          : dsm::SyncMode::kParade;
   config.dsm.retry = net::RetryPolicy::from_env();
   const std::string barrier_spec = env::get_string_or("PARADE_BARRIER", "flat");
   if (const auto fanout = parse_barrier_spec(barrier_spec)) {

@@ -148,7 +148,6 @@ bool check_page_reply_view(const std::vector<std::uint8_t>& frame) {
   const PageReplyMsg& m = owned.value();
   EXPECT_EQ(v.page, m.page);
   EXPECT_EQ(v.seq, m.seq);
-  EXPECT_EQ(v.version, m.version);
   EXPECT_TRUE(same_bytes(v.data, m.data));
   EXPECT_TRUE(inside(v.data, frame));
   return true;
@@ -186,7 +185,7 @@ void expect_view_rejects_truncations_and_trailing(
 
 TEST(ViewFuzz, TruncationAndTrailingRejected) {
   expect_view_rejects_truncations_and_trailing(
-      codec<PageReplyMsg>::encode(PageReplyMsg{3, {0x10, 0x20, 0x30}, 9, 4}),
+      codec<PageReplyMsg>::encode(PageReplyMsg{3, {0x10, 0x20, 0x30}, 9}),
       check_page_reply_view);
   expect_view_rejects_truncations_and_trailing(
       codec<DiffMsg>::encode(DiffMsg{5, {1, 2, 3, 4, 5}, 11}),
@@ -194,12 +193,11 @@ TEST(ViewFuzz, TruncationAndTrailingRejected) {
 }
 
 TEST(ViewFuzz, HostileLengthPrefixRejected) {
-  // page + seq + version + count=0xFFFFFFFF followed by a few bytes: the
-  // count must be checked against the bytes present, with no overflow.
+  // page + seq + count=0xFFFFFFFF followed by a few bytes: the count must
+  // be checked against the bytes present, with no overflow.
   WireBuffer reply;
   reply.put<PageId>(1);
   reply.put<std::uint32_t>(2);
-  reply.put<std::uint32_t>(3);
   reply.put<std::uint32_t>(0xFFFFFFFFu);
   reply.put_bytes("abcd", 4);
   EXPECT_FALSE(check_page_reply_view(std::move(reply).take()));
@@ -229,7 +227,7 @@ TEST(ViewFuzz, BitFlipsAgreeWithCodec) {
     }
     return rejected;
   };
-  EXPECT_GT(rejections(codec<PageReplyMsg>::encode({7, data, 5, 2}),
+  EXPECT_GT(rejections(codec<PageReplyMsg>::encode({7, data, 5}),
                        check_page_reply_view),
             0);
   EXPECT_GT(rejections(codec<DiffMsg>::encode({7, data, 5}), check_diff_view),

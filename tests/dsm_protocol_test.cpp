@@ -234,7 +234,7 @@ TEST(DsmProtocol, LosslessReleaseIsOneWay) {
 }
 
 // A lock-protected counter shares its page with an array every node writes
-// outside the lock (false sharing; 8-byte words, the diff granularity). The
+// outside the lock (false sharing in separate 8-byte words). The
 // copy dirtied outside the lock must not keep a stale counter, and a
 // critical-section store to that already-dirty page takes no fault but must
 // still be flushed and noticed.
@@ -266,6 +266,30 @@ TEST(DsmProtocol, LockUpdatesSurviveWritesOutsideTheLock) {
       EXPECT_EQ(page[1 + slot], slot % kRounds + 1) << "slot " << slot;
     }
     node.barrier();
+  });
+  cluster.shutdown();
+}
+
+// Nodes write interleaved 4-byte slots of one page in one interval: slot i
+// belongs to node i % kNodes, so every 8-byte word holds two nodes' writes.
+// Diffs are 4-byte granular (the sharing granularity), so every write must
+// reach the home and every node must read all of them after the barrier.
+TEST(DsmProtocol, InterleavedInt32WritesAllReachTheHome) {
+  constexpr int kNodes = 3;
+  constexpr int kSlots = 4096 / sizeof(std::int32_t);
+  DsmCluster cluster(Topology::cluster(kNodes), config_mb());
+  cluster.run([&](NodeId rank) {
+    DsmNode& node = cluster.node(rank);
+    auto* slots = static_cast<std::int32_t*>(node.shmalloc(4096, 4096));
+    node.barrier();
+    for (int round = 1; round <= 3; ++round) {
+      for (int i = rank; i < kSlots; i += kNodes) slots[i] = round * 10000 + i;
+      node.barrier();
+      int lost = 0;
+      for (int i = 0; i < kSlots; ++i) lost += slots[i] != round * 10000 + i;
+      EXPECT_EQ(lost, 0) << "node " << rank << " round " << round;
+      node.barrier();
+    }
   });
   cluster.shutdown();
 }
@@ -304,11 +328,7 @@ TEST(DsmProtocol, StatsAccounting) {
   const auto n1 = cluster.node(1).stats().snapshot();
   EXPECT_EQ(n1.page_fetches, 1);
   EXPECT_EQ(n0.page_serves, 1);
-  // The twin is a CoW alias of the home's frame, not an eager copy; nothing ever mutates the frame while the alias
-  // lives, so it is never privatized either.
-  EXPECT_EQ(n1.twins_created, 0);
-  EXPECT_EQ(n1.twins_shared, 1);
-  EXPECT_EQ(n1.twin_privatizations, 0);
+  EXPECT_EQ(n1.twins_created, 1);
   EXPECT_EQ(n1.diffs_created, 1);
   EXPECT_EQ(n0.diffs_applied, 1);
   EXPECT_GT(n1.diff_bytes_sent, 0);

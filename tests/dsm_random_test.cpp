@@ -131,7 +131,7 @@ TEST_P(TwinDiffRoundTrip, AppliesBackExactly) {
     auto* app =
         reinterpret_cast<std::uint64_t*>(pool.real_address(View::kApp, page, 0));
 
-    // Seed the frame, snapshot the twin (what upgrade_to_dirty privatizes),
+    // Seed the frame, snapshot the twin (what upgrade_to_dirty copies),
     // and mirror the home's pre-diff copy.
     for (std::size_t w = 0; w < kWords; ++w) sys[w] = rng();
     std::memcpy(pool.real_address(View::kTwin, page, 0), sys, kPageBytes);

@@ -3,13 +3,10 @@
 // mapping itself is covered by mapping_test.cpp.
 #include <gtest/gtest.h>
 
-#include <sys/mman.h>
-
 #include <cstring>
 #include <random>
 
 #include "dsm/diff.hpp"
-#include "dsm/mapping.hpp"
 #include "dsm/notice.hpp"
 #include "dsm/pagetable.hpp"
 #include "dsm/protocol.hpp"
@@ -27,20 +24,39 @@ TEST(Diff, EmptyWhenIdentical) {
 
 TEST(Diff, SingleWordRun) {
   std::vector<std::uint8_t> twin(4096, 0), page(4096, 0);
-  page[100] = 9;  // one changed byte -> one 8-byte word run
+  page[100] = 9;  // one changed byte -> one 4-byte word run
   const auto diff = encode_diff(page.data(), twin.data(), 4096);
-  EXPECT_EQ(diff.size(), 8u + 8u);  // header + one word
+  EXPECT_EQ(diff.size(), 8u + 4u);  // header + one word
   std::vector<std::uint8_t> target = twin;
   ASSERT_TRUE(apply_diff(target.data(), 4096, diff.data(), diff.size()));
   EXPECT_EQ(target, page);
-  EXPECT_EQ(diff_payload_bytes(diff.data(), diff.size()), 8u);
+  EXPECT_EQ(diff_payload_bytes(diff.data(), diff.size()), 4u);
 }
 
 TEST(Diff, AdjacentWordsCoalesce) {
   std::vector<std::uint8_t> twin(4096, 0), page(4096, 0);
-  for (int i = 64; i < 96; ++i) page[static_cast<std::size_t>(i)] = 1;
+  for (int i = 64; i < 90; ++i) page[static_cast<std::size_t>(i)] = 1;
   const auto diff = encode_diff(page.data(), twin.data(), 4096);
-  EXPECT_EQ(diff.size(), 8u + 32u);  // one run of 4 words
+  EXPECT_EQ(diff.size(), 8u + 28u);  // one run of 7 words, bytes [64, 92)
+}
+
+TEST(Diff, WritersOfOneWordPairBothLand) {
+  // Two nodes twin the same page and write the two 4-byte halves of one
+  // 8-byte pair; merging both diffs at the home keeps both writes.
+  std::vector<std::uint8_t> twin(4096, 0), a(4096, 0), b(4096, 0);
+  const std::int32_t left = 11, right = 22;
+  std::memcpy(a.data() + 8, &left, 4);
+  std::memcpy(b.data() + 12, &right, 4);
+  std::vector<std::uint8_t> home = twin;
+  for (const auto* writer : {&a, &b}) {
+    const auto diff = encode_diff(writer->data(), twin.data(), 4096);
+    ASSERT_TRUE(apply_diff(home.data(), 4096, diff.data(), diff.size()));
+  }
+  std::int32_t got_left = 0, got_right = 0;
+  std::memcpy(&got_left, home.data() + 8, 4);
+  std::memcpy(&got_right, home.data() + 12, 4);
+  EXPECT_EQ(got_left, left);
+  EXPECT_EQ(got_right, right);
 }
 
 TEST(Diff, FullPage) {
@@ -177,14 +193,13 @@ TEST(Protocol, PageReplyCodecMatchesServeEncodingAndView) {
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
-  const PageReplyMsg reply{42, data, /*seq=*/7, /*version=*/3};
+  const PageReplyMsg reply{42, data, /*seq=*/7};
   const auto bytes = codec<PageReplyMsg>::encode(reply);
 
   // The serve path's field-by-field encoding (node.cpp).
   WireBuffer serve;
   serve.put(reply.page);
   serve.put(reply.seq);
-  serve.put(reply.version);
   serve.put(static_cast<std::uint32_t>(data.size()));
   serve.put_bytes(data.data(), data.size());
   EXPECT_EQ(std::move(serve).take(), bytes);
@@ -193,7 +208,6 @@ TEST(Protocol, PageReplyCodecMatchesServeEncodingAndView) {
   ASSERT_TRUE(view.is_ok()) << view.status().to_string();
   EXPECT_EQ(view.value().page, reply.page);
   EXPECT_EQ(view.value().seq, reply.seq);
-  EXPECT_EQ(view.value().version, reply.version);
   EXPECT_EQ(std::vector<std::uint8_t>(view.value().data.begin(),
                                       view.value().data.end()),
             data);
@@ -293,122 +307,6 @@ TEST(Protocol, CommThreadTagPartition) {
   EXPECT_FALSE(comm_thread_tag(kTagBarrierDepart));
   EXPECT_FALSE(comm_thread_tag(kTagDiffAck));
   EXPECT_FALSE(comm_thread_tag(kTagLockGrantBase + 5));
-}
-
-// ---------------------------------------------------------------------------
-// TwinRegistry (zero-copy CoW twins)
-//
-// The cluster-level suite (dsm_zerocopy_test.cpp) checks the end-to-end
-// memory against a golden image; these tests pin the registry's own
-// contract deterministically — privatization in particular only fires on
-// genuinely concurrent frame mutations in a live cluster, so it is forced
-// here directly.
-
-class TwinRegistryTest : public ::testing::Test {
- protected:
-  static constexpr std::size_t kPoolBytes = 1 << 16;
-  static constexpr std::size_t kPageBytes = 4096;
-
-  void SetUp() override {
-    auto home = SegmentPool::create(kPoolBytes, kPageBytes, MapMethod::kMemfd);
-    auto writer =
-        SegmentPool::create(kPoolBytes, kPageBytes, MapMethod::kMemfd);
-    ASSERT_TRUE(home.is_ok());
-    ASSERT_TRUE(writer.is_ok());
-    home_ = std::move(home).value();
-    writer_ = std::move(writer).value();
-    twins_ = std::make_unique<TwinRegistry>(kPoolBytes / kPageBytes,
-                                            kPageBytes, 2);
-    twins_->register_pool(0, home_.get());
-    twins_->register_pool(1, writer_.get());
-    std::memset(home_->real_address(View::kSys, 0, 0), 0xAA, kPageBytes);
-    std::memset(writer_->real_address(View::kSys, 0, 0), 0xAA, kPageBytes);
-  }
-
-  int pristine_byte() {
-    int value = -1;
-    twins_->with_twin(1, 0, [&](const std::byte* src) {
-      value = std::to_integer<int>(src[0]);
-    });
-    return value;
-  }
-
-  std::unique_ptr<SegmentPool> home_;
-  std::unique_ptr<SegmentPool> writer_;
-  std::unique_ptr<TwinRegistry> twins_;
-};
-
-TEST_F(TwinRegistryTest, AttachSharesWhenVersionsMatch) {
-  const std::uint32_t v = twins_->frame_version(0);
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, v));
-  EXPECT_TRUE(twins_->has_twin(1, 0));
-  // The pristine source is the home's live frame, not a copy.
-  bool saw = twins_->with_twin(1, 0, [&](const std::byte* src) {
-    EXPECT_EQ(src, home_->real_address(View::kSys, 0, 0));
-  });
-  EXPECT_TRUE(saw);
-  twins_->release_twin(1, 0);
-  EXPECT_FALSE(twins_->has_twin(1, 0));
-}
-
-TEST_F(TwinRegistryTest, AttachPrivatizesOnVersionMismatchOrSentinel) {
-  const std::uint32_t v = twins_->frame_version(0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, v + 1));
-  twins_->release_twin(1, 0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, TwinRegistry::kNeverFetched));
-  twins_->release_twin(1, 0);
-  // A node is never given an alias of its own frame.
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 1, v));
-  twins_->release_twin(1, 0);
-}
-
-TEST_F(TwinRegistryTest, HomeMutationPrivatizesLiveAliases) {
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
-  const std::uint32_t before = twins_->frame_version(0);
-
-  // The home is about to merge a diff: the alias must be snapshotted first.
-  EXPECT_EQ(twins_->begin_home_mutation(0), 1);
-  EXPECT_GT(twins_->frame_version(0), before);
-  std::memset(home_->real_address(View::kSys, 0, 0), 0xBB, kPageBytes);
-
-  // The pristine copy still shows the pre-mutation bytes.
-  EXPECT_EQ(pristine_byte(), 0xAA);
-  // And it now lives in the writer's own twin frame, not the home's pool.
-  twins_->with_twin(1, 0, [&](const std::byte* src) {
-    EXPECT_EQ(src, writer_->real_address(View::kTwin, 0, 0));
-  });
-  // A second mutation has nothing left to privatize.
-  EXPECT_EQ(twins_->begin_home_mutation(0), 0);
-  twins_->release_twin(1, 0);
-}
-
-TEST_F(TwinRegistryTest, UnstableWindowBlocksSharing) {
-  const std::uint32_t v0 = twins_->frame_version(0);
-  // Home write upgrade: any live alias privatizes, and the frame is marked
-  // unstable until the flush downgrade.
-  EXPECT_EQ(twins_->mark_unstable(0, 0), 0);
-  EXPECT_FALSE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)))
-      << "attach shared against an unstable frame";
-  twins_->release_twin(1, 0);
-
-  twins_->mark_stable(0, 0);
-  EXPECT_GT(twins_->frame_version(0), v0);
-  // Stable again: a copy installed from a fresh serve may share.
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
-  twins_->release_twin(1, 0);
-}
-
-TEST_F(TwinRegistryTest, UnregisterPrivatizesAliasesIntoSurvivors) {
-  EXPECT_TRUE(twins_->attach_twin(1, 0, 0, twins_->frame_version(0)));
-  // The home's pool goes away (node shutdown): the alias must be copied out
-  // before the frames unmap.
-  twins_->unregister_pool(0);
-  EXPECT_TRUE(twins_->has_twin(1, 0));
-  EXPECT_EQ(pristine_byte(), 0xAA);
-  twins_->with_twin(1, 0, [&](const std::byte* src) {
-    EXPECT_EQ(src, writer_->real_address(View::kTwin, 0, 0));
-  });
-  twins_->release_twin(1, 0);
 }
 
 }  // namespace

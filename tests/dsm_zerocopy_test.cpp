@@ -1,9 +1,9 @@
-// Zero-copy tier: CoW twin aliasing plus span-decoded page serves and diffs
-// must leave exactly the memory the program wrote. The workload leans on
-// every path the segment pool's zero-copy design touches: multi-writer pages
-// (diff merges privatize shared twins), a sole-writer page (home migration,
-// kept copies stamped kNeverFetched), and home-side writes (frame
-// instability windows). Every live word is checked against stamp() after
+// Zero-copy tier: twins in the segment pool's twin view plus span-decoded
+// page serves and diffs must leave exactly the memory the program wrote. The
+// workload leans on every path the segment pool touches: multi-writer pages
+// (concurrent twins diffed into one home frame), a sole-writer page (home
+// migration, kept copies written again next epoch), and home-side writes
+// next to remote fetches. Every live word is checked against stamp() after
 // each barrier, and node 0's final pool is compared with a closed-form
 // golden image that also pins every word nobody wrote. The chaos case reruns
 // the workload under seeded fault injection; with PARADE_CHECKED the run
@@ -38,7 +38,6 @@ struct ZeroCopyResult {
   std::vector<std::uint64_t> memory;  ///< node 0's final view of the pool
   std::int64_t violations = 0;        ///< sum of dsm.invariant.violations
   std::int64_t injected = 0;          ///< sum of net.fault.injected
-  std::int64_t twins_shared = 0;      ///< sum of dsm.twins_shared
   std::int64_t migrations = 0;        ///< sum of dsm.home_migrations
 };
 
@@ -62,12 +61,12 @@ std::vector<std::uint64_t> golden_memory(int nodes) {
 }
 
 /// SPMD workload: every node writes its own word of page rank % kDataPages
-/// (multi-modifier pages — concurrent CoW twins of the same home frame, and
-/// each diff merge privatizes the others), a rotating sole writer owns the
-/// last page (migration; the kept copy must privatize eagerly next epoch),
-/// and the home of page 0 rewrites its own word too (unstable-frame window
-/// while remote fetches are in flight). After each barrier every node
-/// verifies the entire pool against the golden function.
+/// (multi-modifier pages — concurrent twins of the same home frame, each
+/// diff merged while the others are live), a rotating sole writer owns the
+/// last page (migration; the kept copy is twinned afresh next epoch), and
+/// the home of page 0 rewrites its own word too (home writes while remote
+/// fetches are in flight). After each barrier every node verifies the entire
+/// pool against the golden function.
 ZeroCopyResult run_workload(int nodes, std::optional<net::FaultPlan> faults) {
   DsmConfig config;
   config.pool_bytes = (kDataPages + 2) * kPageBytes;
@@ -124,7 +123,6 @@ ZeroCopyResult run_workload(int nodes, std::optional<net::FaultPlan> faults) {
   for (NodeId n = 0; n < nodes; ++n) {
     result.violations += reg.counter(n, "dsm.invariant.violations").value();
     result.injected += reg.counter(n, "net.fault.injected").value();
-    result.twins_shared += reg.counter(n, "dsm.twins_shared").value();
     result.migrations += reg.counter(n, "dsm.home_migrations").value();
   }
   cluster->shutdown();
@@ -136,12 +134,6 @@ TEST(ZeroCopy, FinalMemoryMatchesGolden) {
   EXPECT_EQ(zc.memory, golden_memory(4));
   EXPECT_EQ(zc.violations, 0);
   EXPECT_GT(zc.migrations, 0) << "the sole-writer page never migrated";
-  // The CoW machinery must actually engage: some twins alias the home frame.
-  // (Privatization, by contrast, only fires on a genuinely concurrent frame
-  // mutation — every sync point releases twins first — so it is asserted
-  // deterministically at the TwinRegistry level in dsm_unit_test.cpp, not
-  // here.)
-  EXPECT_GT(zc.twins_shared, 0) << "no twin ever shared the home frame";
 }
 
 TEST(ZeroCopy, LargerClusterMatchesGolden) {
@@ -149,13 +141,12 @@ TEST(ZeroCopy, LargerClusterMatchesGolden) {
   EXPECT_EQ(zc.memory, golden_memory(8));
   EXPECT_EQ(zc.violations, 0);
   EXPECT_GT(zc.migrations, 0);
-  EXPECT_GT(zc.twins_shared, 0);
 }
 
 // Chaos tier (ctest -L tier2-chaos, built with PARADE_CHECKED=ON in CI):
 // the zero-copy pipeline under seeded message drops, duplicates, delays and
-// reorders. Retransmitted serves carry frame versions from different
-// moments; the version gate must keep every stale alias out, converging to
+// reorders. Retransmitted serves and diffs arrive late, twice or out of
+// order; the sequence gates must keep every stale copy out, converging to
 // the golden memory with zero invariant violations.
 TEST(ZeroCopyChaos, CheckedZeroCopyRunSurvivesFaults) {
   const ZeroCopyResult chaotic = run_workload(4, net::default_chaos_plan(7));

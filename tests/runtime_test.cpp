@@ -449,16 +449,13 @@ TEST(Runtime, StaticSliceIsPartition) {
 TEST(Runtime, ProcessModeConfigFromEnv) {
   setenv("PARADE_NODES", "5", 1);
   setenv("PARADE_THREADS", "3", 1);
-  setenv("PARADE_SYNC_MODE", "conventional", 1);
   setenv("PARADE_HOME_MIGRATION", "0", 1);
   const RuntimeConfig config = runtime_config_from_env();
   EXPECT_EQ(config.nodes, 5);
   EXPECT_EQ(config.threads_per_node, 3);
-  EXPECT_EQ(config.dsm.sync_mode, dsm::SyncMode::kConventional);
   EXPECT_FALSE(config.dsm.home_migration);
   unsetenv("PARADE_NODES");
   unsetenv("PARADE_THREADS");
-  unsetenv("PARADE_SYNC_MODE");
   unsetenv("PARADE_HOME_MIGRATION");
 }
 
