@@ -17,10 +17,13 @@
 // Absolute nanoseconds vary across machines and are never gated. The
 // regression gate (--baseline) instead requires the protocol counts to match
 // the committed baseline exactly: the remote node's `fetches` (one per page
-// per epoch) and `twins_created` (one twin copy per page per epoch), and
-// `protect_calls` (application-view mprotect calls on both nodes). A change
-// in twins_created means write faults stopped twinning exactly once per
-// dirtied page; a rise in protect_calls means barrier-time protection
+// per epoch), `twins_created` (one twin copy per page per epoch) and
+// `diff_bytes_sent` (the encoded runs it flushes: one 4-byte run header and
+// one changed 4-byte word per page per epoch), and `protect_calls`
+// (application-view mprotect calls on both nodes). A change in twins_created
+// means write faults stopped twinning exactly once per dirtied page; a
+// change in diff_bytes_sent means the flush ships more or fewer bytes for
+// the same writes; a rise in protect_calls means barrier-time protection
 // changes stopped going out one call per contiguous run of pages.
 #include <algorithm>
 #include <cstdio>
@@ -44,6 +47,7 @@ struct HotpathRow {
   double lock_grant_p50_ns = 0.0;
   std::int64_t fetches = 0;
   std::int64_t twins_created = 0;
+  std::int64_t diff_bytes_sent = 0;
   std::int64_t protect_calls = 0;
 };
 
@@ -108,8 +112,10 @@ HotpathRow run_once(int pages, std::size_t page_bytes, int epochs, int locks) {
   // Request-to-grant latency is recorded at the acquirer (rank 1).
   row.lock_grant_p50_ns = static_cast<double>(
       reg.hist(1, "dsm.lock_grant_ns").percentile_ns(0.50));
-  row.fetches = cluster.node(1).stats().snapshot().page_fetches;
-  row.twins_created = cluster.node(1).stats().snapshot().twins_created;
+  const DsmStatsSnapshot remote = cluster.node(1).stats().snapshot();
+  row.fetches = remote.page_fetches;
+  row.twins_created = remote.twins_created;
+  row.diff_bytes_sent = remote.diff_bytes_sent;
   for (NodeId n = 0; n < 2; ++n) {
     row.protect_calls += cluster.node(n).stats().snapshot().protect_calls;
   }
@@ -142,6 +148,8 @@ bool write_json(const std::string& path, int pages, long page_kb,
   w.value(row.fetches);
   w.key("twins_created");
   w.value(row.twins_created);
+  w.key("diff_bytes_sent");
+  w.value(row.diff_bytes_sent);
   w.key("protect_calls");
   w.value(row.protect_calls);
   w.end_object();
@@ -166,6 +174,7 @@ int check_baseline(const std::string& path, int pages, long page_kb,
   auto parsed = obs::parse_json(text.str());
   if (!parsed.is_ok() || !parsed.value().is_object() ||
       !parsed.value().has("fetches") || !parsed.value().has("twins_created") ||
+      !parsed.value().has("diff_bytes_sent") ||
       !parsed.value().has("protect_calls")) {
     std::fprintf(stderr, "dsm_hotpath: baseline %s is not a hotpath table\n",
                  path.c_str());
@@ -190,12 +199,13 @@ int check_baseline(const std::string& path, int pages, long page_kb,
   } gates[] = {
       {"fetches", row.fetches},
       {"twins_created", row.twins_created},
+      {"diff_bytes_sent", row.diff_bytes_sent},
       {"protect_calls", row.protect_calls},
   };
   for (const auto& gate : gates) {
     const std::int64_t want = number(gate.key);
     const bool regressed = gate.fresh != want;
-    std::printf("gate %-13s %8lld vs baseline %8lld %s\n", gate.key,
+    std::printf("gate %-15s %8lld vs baseline %8lld %s\n", gate.key,
                 static_cast<long long>(gate.fresh),
                 static_cast<long long>(want), regressed ? "MISMATCH" : "ok");
     if (regressed) ++regressions;
@@ -230,8 +240,9 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(bench::arg_long(argc, argv, "reps", 3));
   const std::string out_path = bench::arg_string(argc, argv, "out", "");
   const std::string baseline = bench::arg_string(argc, argv, "baseline", "");
-  if (pages < 1 || page_kb < 4 || page_kb % 4 != 0 || epochs < 1 ||
-      locks < 0 || locks > 256 || reps < 1) {
+  // Pages above 256 KiB are out of a diff run header's reach.
+  if (pages < 1 || page_kb < 4 || page_kb > 256 || page_kb % 4 != 0 ||
+      epochs < 1 || locks < 0 || locks > 256 || reps < 1) {
     std::fprintf(stderr,
                  "usage: dsm_hotpath [--pages=32] [--page-kb=64] [--epochs=48] "
                  "[--locks=4] [--reps=3] [--out=PATH] [--baseline=PATH]\n");
@@ -253,11 +264,12 @@ int main(int argc, char** argv) {
       pages, page_kb, epochs);
   std::printf(
       "  fetch p50 %9.0f ns  mean %9.0f ns  p95 %9.0f ns  "
-      "grant p50 %9.0f ns  (%lld fetches, %lld twins, "
+      "grant p50 %9.0f ns  (%lld fetches, %lld twins, %lld diff bytes, "
       "%lld mprotect calls)\n",
       row.fetch_p50_ns, row.fetch_mean_ns, row.fetch_p95_ns,
       row.lock_grant_p50_ns, static_cast<long long>(row.fetches),
       static_cast<long long>(row.twins_created),
+      static_cast<long long>(row.diff_bytes_sent),
       static_cast<long long>(row.protect_calls));
 
   if (!out_path.empty() &&

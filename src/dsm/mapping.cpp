@@ -9,6 +9,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "dsm/diff.hpp"
+
 namespace parade::dsm {
 
 const char* to_string(MapMethod method) {
@@ -50,6 +52,11 @@ Result<std::unique_ptr<SegmentPool>> SegmentPool::create(
     return make_error(ErrorCode::kInvalidArgument,
                       "page size must be a positive multiple of the hardware "
                       "page size");
+  }
+  if (page_bytes > kMaxDiffPageBytes) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "page size must be at most 256 KiB, the reach of a "
+                      "diff run's u16 word index");
   }
   if (pool_bytes == 0 || pool_bytes % page_bytes != 0) {
     return make_error(ErrorCode::kInvalidArgument,

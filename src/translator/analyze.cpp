@@ -31,34 +31,24 @@ const std::unordered_map<std::string, std::size_t>& typedef_sizes() {
 }
 
 /// Size of the base type text ("static unsigned long" -> 8); 0 if unknown.
-/// A declared type's text is its tokens joined by single spaces, so its
-/// words are its tokens.
 std::size_t base_type_size(const std::string& decl_type) {
-  std::vector<std::string> words;
-  std::istringstream in(decl_type);
-  for (std::string w; in >> w;) {
-    if (w == "static" || w == "extern" || w == "register" || w == "auto" ||
-        w == "const" || w == "volatile") {
-      continue;
-    }
-    words.push_back(std::move(w));
-  }
+  const std::vector<std::string_view> words = type_words(decl_type);
   if (words.empty()) return 0;
   int longs = 0;
   bool has_double = false, has_float = false, has_char = false;
   bool has_short = false, has_int = false, has_sign = false, has_bool = false;
   bool has_aggregate = false, has_enum = false;
-  for (const std::string& w : words) {
-    if (w == "long") ++longs;
-    else if (w == "double") has_double = true;
-    else if (w == "float") has_float = true;
-    else if (w == "char") has_char = true;
-    else if (w == "short") has_short = true;
-    else if (w == "int") has_int = true;
-    else if (w == "signed" || w == "unsigned") has_sign = true;
-    else if (w == "_Bool" || w == "bool") has_bool = true;
-    else if (w == "struct" || w == "union") has_aggregate = true;
-    else if (w == "enum") has_enum = true;
+  for (const std::string_view w : words) {
+    if (text_is(w, "long")) ++longs;
+    else if (text_is(w, "double")) has_double = true;
+    else if (text_is(w, "float")) has_float = true;
+    else if (text_is(w, "char")) has_char = true;
+    else if (text_is(w, "short")) has_short = true;
+    else if (text_is(w, "int")) has_int = true;
+    else if (text_is(w, "signed") || text_is(w, "unsigned")) has_sign = true;
+    else if (text_is(w, "_Bool") || text_is(w, "bool")) has_bool = true;
+    else if (text_is(w, "struct") || text_is(w, "union")) has_aggregate = true;
+    else if (text_is(w, "enum")) has_enum = true;
   }
   if (has_aggregate) return 0;  // layout not visible to the translator
   if (has_enum) return 4;
@@ -71,7 +61,7 @@ std::size_t base_type_size(const std::string& decl_type) {
   if (has_int || has_sign) return 4;
   if (has_bool) return 1;
   if (words.size() == 1) {
-    auto it = typedef_sizes().find(words[0]);
+    auto it = typedef_sizes().find(std::string(words[0]));
     if (it != typedef_sizes().end()) return it->second;
   }
   return 0;
@@ -290,11 +280,13 @@ void Analyzer::process_write(const AccessScan::Write& w, const Expr& expr,
 
   if (sh == Sharing::kReduction) {
     const std::string& op = env.red_ops.at(w.name);
-    if (op != "&&" && op != "||") {  // logical forms aren't update-shaped
+    // Logical forms aren't update-shaped.
+    if (!text_is(op, "&&") && !text_is(op, "||")) {
       auto m = match_scalar_update(unit_->tokens, expr.span);
       const bool compatible =
           m.has_value() && m->var == w.name &&
-          (m->apply_op == op || (op == "+" && m->apply_op == "-"));
+          (m->apply_op == op ||
+           (text_is(op, "+") && text_is(m->apply_op, "-")));
       if (!compatible) {
         diag(kDiagReductionMisuse, Severity::kWarning, line, w.name,
              "'" + w.name + "' carries a reduction(" + op +
@@ -1288,7 +1280,8 @@ std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
           at(i + 1).is_punct("(")) {
         return std::nullopt;
       }
-      expr.text += (expr.text.empty() ? "" : " ") + at(i).text;
+      if (!expr.text.empty()) expr.text += ' ';
+      expr.text += at(i).text;
     }
     if (expr.text.empty()) return std::nullopt;
     return expr;
@@ -1298,29 +1291,29 @@ std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
   p.var = var;
   if (n == 2 && (at(1).is_punct("++") || at(1).is_punct("--"))) {
     p.combine_op = "+";
-    p.apply_op = at(1).text == "++" ? "+" : "-";
+    p.apply_op = at(1).is("++") ? "+" : "-";
     p.expr.text = "1";
     return p;
   }
-  const std::string& op = at(1).text;
-  if (op == "+=" || op == "-=" || op == "*=" || op == "&=" || op == "|=" ||
-      op == "^=") {
+  const Token& op = at(1);
+  if (op.is("+=") || op.is("-=") || op.is("*=") || op.is("&=") ||
+      op.is("|=") || op.is("^=")) {
     auto expr = expr_from(2);
     if (!expr) return std::nullopt;
-    p.apply_op = op.substr(0, 1);
-    p.combine_op = op == "-=" ? "+" : p.apply_op;
+    p.apply_op = op.text.substr(0, 1);
+    p.combine_op = op.is("-=") ? "+" : p.apply_op;
     p.expr = std::move(*expr);
     return p;
   }
-  if (op == "=" && n >= 5 && at(2).text == var &&
+  if (op.is("=") && n >= 5 && at(2).text == var &&
       at(3).kind == TokKind::kPunct) {
-    const std::string& binop = at(3).text;
-    if (binop == "+" || binop == "-" || binop == "*" || binop == "&" ||
-        binop == "|" || binop == "^") {
+    const Token& binop = at(3);
+    if (binop.is("+") || binop.is("-") || binop.is("*") || binop.is("&") ||
+        binop.is("|") || binop.is("^")) {
       auto expr = expr_from(4);
       if (!expr) return std::nullopt;
-      p.apply_op = binop;
-      p.combine_op = binop == "-" ? "+" : binop;
+      p.apply_op = binop.text;
+      p.combine_op = binop.is("-") ? "+" : binop.text;
       p.expr = std::move(*expr);
       return p;
     }
@@ -1677,7 +1670,7 @@ Result<Analysis> analyze_source(const std::string& source,
                                 const AnalyzeOptions& options) {
   auto tokens = lex(source);
   if (!tokens.is_ok()) return tokens.status();
-  auto unit = parse(tokens.value());
+  auto unit = parse(std::move(tokens).value());
   if (!unit.is_ok()) return unit.status();
   return analyze(unit.value(), options);
 }

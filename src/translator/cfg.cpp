@@ -119,28 +119,29 @@ class CfgBuilder {
     ensure_open(stmt.line);
     // The first token tells jumps ("return", "break", ...) apart.
     const TokenSpan span = stmt.text.span;
-    const std::string kw = span.empty() ? "" : tokens_[span.begin].text;
-    if (kw == "return") {
+    static const Token kNone;
+    const Token& kw = span.empty() ? kNone : tokens_[span.begin];
+    if (kw.is("return")) {
       add_text_events(stmt.text, stmt.line);
       edge(cur_, Cfg::kExit);
       terminated_ = true;
       return;
     }
-    if (kw == "break") {
+    if (kw.is("break")) {
       const int target =
           break_targets_.empty() ? Cfg::kExit : break_targets_.back();
       edge(cur_, target);
       terminated_ = true;
       return;
     }
-    if (kw == "continue") {
+    if (kw.is("continue")) {
       const int target =
           loops_.empty() ? Cfg::kExit : loops_.back().continue_target;
       edge(cur_, target);
       terminated_ = true;
       return;
     }
-    if (kw == "goto") {
+    if (kw.is("goto")) {
       // Unstructured flow is not modeled; treat like an exit so nothing
       // after it is assumed reachable on this path.
       add_text_events(stmt.text, stmt.line);

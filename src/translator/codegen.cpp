@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -25,21 +24,15 @@ const std::unordered_set<std::string>& omp_api_names() {
 }
 
 /// Strips storage-class and cv qualifiers so the remainder can be used as a
-/// template argument / cast target ("static long" -> "long"). A declared
-/// type's text is its tokens joined by single spaces, so its words are its
-/// tokens.
+/// template argument / cast target ("static long" -> "long").
 std::string value_type_of(const std::string& decl_type) {
-  std::istringstream in(decl_type);
   std::string out;
-  for (std::string word; in >> word;) {
-    if (word == "static" || word == "extern" || word == "register" ||
-        word == "auto" || word == "const" || word == "volatile") {
-      continue;
+  for (const std::string_view word : type_words(decl_type)) {
+    if (!out.empty()) out += ' ';
+    if (text_is(word, "omp_lock_t") || text_is(word, "omp_nest_lock_t")) {
+      out += "parade::ompshim::";
     }
-    if (word == "omp_lock_t" || word == "omp_nest_lock_t") {
-      word = "parade::ompshim::" + word;
-    }
-    out += (out.empty() ? "" : " ") + word;
+    out += word;
   }
   return out.empty() ? decl_type : out;
 }
@@ -69,8 +62,9 @@ class CodeGen {
  private:
   // --- output helpers ---
   void line(const std::string& text) {
-    for (int i = 0; i < indent_; ++i) out_ << "  ";
-    out_ << text << '\n';
+    out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+    out_ += text;
+    out_ += '\n';
   }
   void open(const std::string& text) {
     line(text);
@@ -149,7 +143,7 @@ class CodeGen {
   TranslateOptions options_;
   const Analysis& analysis_;
   const std::vector<Token>* tokens_ = nullptr;  // the unit's, set by run()
-  std::ostringstream out_;
+  std::string out_;
   int indent_ = 0;
   int counter_ = 0;
   std::vector<std::unordered_map<std::string, Symbol>> scopes_;
@@ -160,8 +154,12 @@ class CodeGen {
 };
 
 std::string CodeGen::spell(const std::string& name) const {
-  if (name == "printf") return "parade::xlat::master_printf";
-  if (omp_api_names().count(name) > 0) return "parade::ompshim::" + name;
+  if (text_is(name, "printf")) return "parade::xlat::master_printf";
+  // Every API name starts with omp_; the prefix test spares the hash.
+  if (text_is(std::string_view(name).substr(0, 4), "omp_") &&
+      omp_api_names().count(name) > 0) {
+    return "parade::ompshim::" + name;
+  }
   const Symbol* symbol = lookup(name);
   if (symbol != nullptr && symbol->replicated_global) {
     return "__prep_" + name + ".get()";
@@ -174,12 +172,16 @@ std::string CodeGen::spell(const std::string& name) const {
 
 std::string CodeGen::rewrite(const std::vector<Token>& tokens,
                              TokenSpan span) const {
-  std::vector<Token> run(tokens.begin() + static_cast<long>(span.begin),
-                         tokens.begin() + static_cast<long>(span.end));
-  for (Token& t : run) {
-    if (t.kind == TokKind::kIdent) t.text = spell(t.text);
-  }
-  return render_tokens(run, 0, run.size());
+  std::string out;
+  render_tokens(out, tokens, span.begin, span.end,
+                [this](const Token& t, std::string& to) {
+                  if (t.kind == TokKind::kIdent) {
+                    to += spell(t.text);
+                  } else {
+                    to += t.text;
+                  }
+                });
+  return out;
 }
 
 std::string CodeGen::type_of(const std::string& var) const {
@@ -247,9 +249,16 @@ Status CodeGen::emit_decl(const Stmt& decl) {
     first = false;
     for (int i = 0; i < d.pointer_depth; ++i) text += "*";
     text += d.name;
-    for (const Expr& dim : d.array_dims) text += "[" + rewrite(dim) + "]";
+    for (const Expr& dim : d.array_dims) {
+      text += '[';
+      text += rewrite(dim);
+      text += ']';
+    }
     if (d.is_function) text += "()";  // prototypes inside functions are rare
-    if (!d.init.empty()) text += " = " + rewrite(d.init);
+    if (!d.init.empty()) {
+      text += " = ";
+      text += rewrite(d.init);
+    }
   }
   line(text + ";");
   return Status::ok();
@@ -899,7 +908,7 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
       }
       case TopItem::Kind::kFunction: {
         const FunctionDef& fn = item.function;
-        const bool is_main = fn.name == "main";
+        const bool is_main = text_is(fn.name, "main");
         if (is_main) {
           saw_main_ = true;
           user_main_params_ = fn.params.text;
@@ -950,7 +959,7 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
   }
 
   pop_scope();
-  return out_.str();
+  return std::move(out_);
 }
 
 }  // namespace

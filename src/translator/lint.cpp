@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       broken = true;
       continue;
     }
-    auto unit = parade::translator::parse(tokens.value());
+    auto unit = parade::translator::parse(std::move(tokens).value());
     if (!unit.is_ok()) {
       std::fprintf(stderr, "parade_lint: %s: %s\n", input.c_str(),
                    unit.status().to_string().c_str());

@@ -5,14 +5,14 @@
 namespace parade::translator {
 namespace {
 
-bool no_space_before(const std::string& t) {
-  return t == ";" || t == "," || t == ")" || t == "]" || t == "++" ||
-         t == "--" || t == "." || t == "->" || t == "(" || t == "[";
+bool no_space_before(const Token& t) {
+  return t.is(";") || t.is(",") || t.is(")") || t.is("]") || t.is("++") ||
+         t.is("--") || t.is(".") || t.is("->") || t.is("(") || t.is("[");
 }
 
-bool no_space_after(const std::string& t) {
-  return t == "(" || t == "[" || t == "." || t == "->" || t == "!" ||
-         t == "~";
+bool no_space_after(const Token& t) {
+  return t.is("(") || t.is("[") || t.is(".") || t.is("->") || t.is("!") ||
+         t.is("~");
 }
 
 /// A prefix ++/-- right after an operator keeps a space before it:
@@ -20,17 +20,17 @@ bool no_space_after(const std::string& t) {
 /// `)` or `]` the token is postfix and glues to its operand.
 bool prefix_after_operator(const std::vector<Token>& tokens, std::size_t begin,
                            std::size_t i) {
-  if (i == begin || (tokens[i].text != "++" && tokens[i].text != "--")) {
+  if (i == begin || (!tokens[i].is("++") && !tokens[i].is("--"))) {
     return false;
   }
   const Token& prev = tokens[i - 1];
-  return prev.kind == TokKind::kPunct && prev.text != ")" && prev.text != "]";
+  return prev.kind == TokKind::kPunct && !prev.is(")") && !prev.is("]");
 }
 
-bool is_assign_op(const std::string& t) {
-  return t == "=" || t == "+=" || t == "-=" || t == "*=" || t == "/=" ||
-         t == "%=" || t == "&=" || t == "|=" || t == "^=" || t == "<<=" ||
-         t == ">>=";
+bool is_assign_op(const Token& t) {
+  return t.is("=") || t.is("+=") || t.is("-=") || t.is("*=") || t.is("/=") ||
+         t.is("%=") || t.is("&=") || t.is("|=") || t.is("^=") ||
+         t.is("<<=") || t.is(">>=");
 }
 
 /// Token-level access scan of one expression: identifiers read, names
@@ -52,7 +52,7 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
       continue;
     }
     const bool next_assign = i + 1 < n && at(i + 1).kind == TokKind::kPunct &&
-                             is_assign_op(at(i + 1).text);
+                             is_assign_op(at(i + 1));
     const bool next_incdec =
         i + 1 < n && (at(i + 1).is_punct("++") || at(i + 1).is_punct("--"));
     if (t.kind == TokKind::kIdent && (next_assign || next_incdec)) {
@@ -76,7 +76,7 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
         continue;
       }
       out.writes.push_back({t.text, false, false, false});
-      if (next_assign && at(i + 1).text == "=") skip_read[i] = true;
+      if (next_assign && at(i + 1).is("=")) skip_read[i] = true;
       continue;
     }
     // Prefix ++x / --x.
@@ -92,7 +92,7 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
     }
     // a[...] = / a[...] op= / a[...]++ : subscript store, attribute the base.
     if (t.is_punct("]") && i + 1 < n &&
-        ((at(i + 1).kind == TokKind::kPunct && is_assign_op(at(i + 1).text)) ||
+        ((at(i + 1).kind == TokKind::kPunct && is_assign_op(at(i + 1))) ||
          at(i + 1).is_punct("++") || at(i + 1).is_punct("--"))) {
       int depth = 0;
       std::size_t j = i;
@@ -170,9 +170,10 @@ class Parser {
                       message + " at line " + std::to_string(cur().line));
   }
 
-  /// Consumes tokens until `stop` punct at paren/bracket depth 0 and returns
-  /// their span (stop not consumed unless consume_stop, never in the span).
-  TokenSpan consume_until(const char* stop, bool consume_stop);
+  /// Consumes tokens until the one-character punct `stop` at paren/bracket
+  /// depth 0 and returns their span (stop not consumed unless consume_stop,
+  /// never in the span).
+  TokenSpan consume_until(char stop, bool consume_stop);
 
   /// An expression over `span` with its rendered text; expr() also runs the
   /// access scan, text_of() (types, parameter lists) does not.
@@ -207,22 +208,20 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-TokenSpan Parser::consume_until(const char* stop, bool consume_stop) {
+TokenSpan Parser::consume_until(char stop, bool consume_stop) {
   const std::size_t begin = pos_;
   int depth = 0;
   while (!at_eof()) {
     const Token& t = cur();
     if (t.kind == TokKind::kPunct) {
-      if (t.text == "(" || t.text == "[") {
+      if (t.is("(") || t.is("[")) {
         ++depth;
-      } else if (t.text == ")" || t.text == "]") {
-        if (depth == 0) {
-          if (t.text == stop) break;
-          // Unbalanced closer; stop here rather than run away.
-          break;
-        }
+      } else if (t.is(")") || t.is("]")) {
+        // At depth 0 this is `stop` or an unbalanced closer; either way stop
+        // here rather than run away.
+        if (depth == 0) break;
         --depth;
-      } else if (depth == 0 && t.text == stop) {
+      } else if (depth == 0 && t.text.size() == 1 && t.text[0] == stop) {
         break;
       }
     }
@@ -269,8 +268,7 @@ Result<StmtPtr> Parser::parse_declaration() {
   while (!at_eof()) {
     const Token& t = cur();
     if (t.kind == TokKind::kKeyword && is_decl_start_keyword(t.text)) {
-      const bool tagged =
-          t.text == "struct" || t.text == "union" || t.text == "enum";
+      const bool tagged = t.is("struct") || t.is("union") || t.is("enum");
       advance();
       if (tagged) {
         if (cur().kind == TokKind::kIdent) advance();
@@ -283,8 +281,8 @@ Result<StmtPtr> Parser::parse_declaration() {
     break;
   }
   if (pos_ == type_begin ||
-      (pos_ == type_begin + 1 && (tokens_[type_begin].text == "static" ||
-                                  tokens_[type_begin].text == "const"))) {
+      (pos_ == type_begin + 1 && (tokens_[type_begin].is("static") ||
+                                  tokens_[type_begin].is("const")))) {
     // typedef-name base type: "Type x" pattern.
     if (cur().kind == TokKind::kIdent && ahead(1).kind == TokKind::kIdent) {
       advance();
@@ -310,11 +308,11 @@ Result<StmtPtr> Parser::parse_declaration() {
       // Function prototype: swallow the parameter list.
       d.is_function = true;
       advance();
-      (void)consume_until(")", /*consume_stop=*/true);
+      (void)consume_until(')', /*consume_stop=*/true);
     }
     while (cur().is_punct("[")) {
       advance();
-      d.array_dims.push_back(expr(consume_until("]", /*consume_stop=*/true)));
+      d.array_dims.push_back(expr(consume_until(']', /*consume_stop=*/true)));
     }
     if (cur().is_punct("=")) {
       advance();
@@ -324,9 +322,9 @@ Result<StmtPtr> Parser::parse_declaration() {
       while (!at_eof()) {
         const Token& t = cur();
         if (t.kind == TokKind::kPunct) {
-          if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
-          if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
-          if (depth == 0 && (t.text == "," || t.text == ";")) break;
+          if (t.is("(") || t.is("[") || t.is("{")) ++depth;
+          if (t.is(")") || t.is("]") || t.is("}")) --depth;
+          if (depth == 0 && (t.is(",") || t.is(";"))) break;
         }
         advance();
       }
@@ -358,7 +356,8 @@ void Parser::canonicalize_for(ForHeader& h) const {
     Expr e;
     e.span = {part.span.begin + k, part.span.end};
     for (std::size_t at = e.span.begin; at < e.span.end; ++at) {
-      e.text += (e.text.empty() ? "" : " ") + tokens_[at].text;
+      if (!e.text.empty()) e.text += ' ';
+      e.text += tokens_[at].text;
     }
     return scanned(std::move(e));
   };
@@ -371,7 +370,8 @@ void Parser::canonicalize_for(ForHeader& h) const {
   std::string decl_type;
   while (tok(init, i).kind == TokKind::kKeyword &&
          is_decl_start_keyword(tok(init, i).text)) {
-    decl_type += (decl_type.empty() ? "" : " ") + tok(init, i).text;
+    if (!decl_type.empty()) decl_type += ' ';
+    decl_type += tok(init, i).text;
     ++i;
   }
   if (tok(init, i).kind != TokKind::kIdent) return;
@@ -391,8 +391,8 @@ void Parser::canonicalize_for(ForHeader& h) const {
 
   // cond: var < / <= / > / >= bound
   if (tok(cond, 0).text != var) return;
-  const std::string rel = tok(cond, 1).text;
-  if (rel != "<" && rel != "<=" && rel != ">" && rel != ">=") return;
+  const Token& rel = tok(cond, 1);
+  if (!rel.is("<") && !rel.is("<=") && !rel.is(">") && !rel.is(">=")) return;
 
   // incr: var++ / ++var / var-- / --var / var += s / var -= s /
   //       var = var + s / var = var - s
@@ -406,26 +406,26 @@ void Parser::canonicalize_for(ForHeader& h) const {
     increasing = false;
   } else if (tok(incr, 0).text == var &&
              (tok(incr, 1).is_punct("+=") || tok(incr, 1).is_punct("-="))) {
-    increasing = tok(incr, 1).text == "+=";
+    increasing = tok(incr, 1).is("+=");
     step_at = 2;
   } else if (tok(incr, 0).text == var && tok(incr, 1).is_punct("=") &&
              tok(incr, 2).text == var &&
              (tok(incr, 3).is_punct("+") || tok(incr, 3).is_punct("-"))) {
-    increasing = tok(incr, 3).text == "+";
+    increasing = tok(incr, 3).is("+");
     step_at = 4;
   } else {
     return;
   }
   // Direction must agree with the relation.
-  if (increasing && (rel == ">" || rel == ">=")) return;
-  if (!increasing && (rel == "<" || rel == "<=")) return;
+  if (increasing && (rel.is(">") || rel.is(">="))) return;
+  if (!increasing && (rel.is("<") || rel.is("<="))) return;
 
   h.canonical = true;
   h.loop_var = var;
   h.var_decl_type = decl_type;
   h.lower = tail(init, lower_at);
   h.upper = tail(cond, 2);
-  h.inclusive = rel == "<=" || rel == ">=";
+  h.inclusive = rel.is("<=") || rel.is(">=");
   h.increasing = increasing;
   if (step_at == 0) {
     h.step.text = "1";
@@ -436,7 +436,7 @@ void Parser::canonicalize_for(ForHeader& h) const {
 
 std::vector<Param> Parser::split_params(const Expr& params) const {
   std::vector<Param> out;
-  if (params.text.empty() || params.text == "void") return out;
+  if (params.text.empty() || text_is(params.text, "void")) return out;
   std::size_t group = params.span.begin;
   for (std::size_t k = group; k <= params.span.end; ++k) {
     if (k < params.span.end && !tokens_[k].is_punct(",")) continue;
@@ -465,9 +465,9 @@ Result<StmtPtr> Parser::parse_for() {
   advance();  // 'for'
   if (!cur().is_punct("(")) return error("expected '(' after for");
   advance();
-  stmt->for_header.init_text = expr(consume_until(";", /*consume_stop=*/true));
-  stmt->for_header.cond_text = expr(consume_until(";", /*consume_stop=*/true));
-  stmt->for_header.incr_text = expr(consume_until(")", /*consume_stop=*/true));
+  stmt->for_header.init_text = expr(consume_until(';', /*consume_stop=*/true));
+  stmt->for_header.cond_text = expr(consume_until(';', /*consume_stop=*/true));
+  stmt->for_header.incr_text = expr(consume_until(')', /*consume_stop=*/true));
   canonicalize_for(stmt->for_header);
   auto body = parse_statement();
   if (!body.is_ok()) return body.status();
@@ -533,7 +533,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after if");
     advance();
-    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
+    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
     auto then_branch = parse_statement();
     if (!then_branch.is_ok()) return then_branch.status();
     stmt->children.push_back(std::move(then_branch).value());
@@ -553,7 +553,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after while");
     advance();
-    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
+    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
     stmt->children.push_back(std::move(body).value());
@@ -571,7 +571,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after do..while");
     advance();
-    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
+    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
     if (cur().is_punct(";")) advance();
     return StmtPtr(std::move(stmt));
   }
@@ -582,7 +582,7 @@ Result<StmtPtr> Parser::parse_statement() {
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after switch");
     advance();
-    stmt->cond = expr(consume_until(")", /*consume_stop=*/true));
+    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
     stmt->children.push_back(std::move(body).value());
@@ -595,7 +595,7 @@ Result<StmtPtr> Parser::parse_statement() {
   auto stmt = std::make_unique<Stmt>();
   stmt->kind = StmtKind::kRaw;
   stmt->line = t.line;
-  stmt->text = expr(consume_until(";", /*consume_stop=*/true));
+  stmt->text = expr(consume_until(';', /*consume_stop=*/true));
   stmt->text.text += ";";
   return StmtPtr(std::move(stmt));
 }
@@ -661,7 +661,7 @@ Result<TranslationUnit> Parser::parse_unit() {
       fn.name = tokens_[name_at].text;
       pos_ = name_at + 1;  // at '('
       advance();           // past '('
-      fn.params = text_of(consume_until(")", /*consume_stop=*/true));
+      fn.params = text_of(consume_until(')', /*consume_stop=*/true));
       fn.param_list = split_params(fn.params);
       if (!cur().is_punct("{")) return error("expected function body");
       auto body = parse_block();
@@ -690,7 +690,7 @@ Result<TranslationUnit> Parser::parse_unit() {
     auto stmt = std::make_unique<Stmt>();
     stmt->kind = StmtKind::kRaw;
     stmt->line = t.line;
-    stmt->text = expr(consume_until(";", /*consume_stop=*/true));
+    stmt->text = expr(consume_until(';', /*consume_stop=*/true));
     stmt->text.text += ";";
     item.stmt = std::move(stmt);
     unit.items.push_back(std::move(item));
@@ -700,25 +700,24 @@ Result<TranslationUnit> Parser::parse_unit() {
 
 }  // namespace
 
+bool space_before(const std::vector<Token>& tokens, std::size_t begin,
+                  std::size_t i) {
+  return (!no_space_before(tokens[i]) ||
+          prefix_after_operator(tokens, begin, i)) &&
+         !no_space_after(tokens[i - 1]);
+}
+
 std::string render_tokens(const std::vector<Token>& tokens, std::size_t begin,
                           std::size_t end) {
   std::string out;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::string& text = tokens[i].text;
-    if (!out.empty() &&
-        (!no_space_before(text) || prefix_after_operator(tokens, begin, i)) &&
-        !(i > begin && no_space_after(tokens[i - 1].text))) {
-      out += ' ';
-    }
-    out += text;
-  }
+  render_tokens(out, tokens, begin, end,
+                [](const Token& t, std::string& to) { to += t.text; });
   return out;
 }
 
-Result<TranslationUnit> parse(const std::vector<Token>& tokens) {
-  Parser parser(tokens);
-  auto unit = parser.parse_unit();
-  if (unit.is_ok()) unit.value().tokens = tokens;
+Result<TranslationUnit> parse(std::vector<Token> tokens) {
+  auto unit = Parser(tokens).parse_unit();
+  if (unit.is_ok()) unit.value().tokens = std::move(tokens);
   return unit;
 }
 

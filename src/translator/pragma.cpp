@@ -1,6 +1,9 @@
 #include "translator/pragma.hpp"
 
 #include <cctype>
+#include <string_view>
+
+#include "translator/token.hpp"
 
 namespace parade::translator {
 namespace {
@@ -23,15 +26,15 @@ class Cursor {
   }
 
   /// Reads an identifier; empty if none.
-  std::string ident() {
+  std::string_view ident() {
     skip_ws();
-    std::string word;
+    const std::size_t start = pos_;
     while (pos_ < text_.size() &&
            (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '_')) {
-      word += text_[pos_++];
+      ++pos_;
     }
-    return word;
+    return std::string_view(text_).substr(start, pos_ - start);
   }
 
   bool accept(char c) {
@@ -50,18 +53,17 @@ class Cursor {
 
   /// Reads up to the matching ')' assuming the '(' was consumed; handles
   /// nested parentheses. Returns the inner text.
-  std::string until_close_paren() {
-    std::string inner;
+  std::string_view until_close_paren() {
+    const std::size_t start = pos_;
     int depth = 1;
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '(') ++depth;
-      if (c == ')') {
-        if (--depth == 0) return inner;
+      if (c == ')' && --depth == 0) {
+        return std::string_view(text_).substr(start, pos_ - 1 - start);
       }
-      inner += c;
     }
-    return inner;  // unbalanced; caller reports
+    return std::string_view(text_).substr(start);  // unbalanced; caller reports
   }
 
  private:
@@ -73,7 +75,7 @@ class Cursor {
   void set_pos(std::size_t pos) { pos_ = pos; }
 };
 
-std::vector<std::string> split_list(const std::string& text) {
+std::vector<std::string> split_list(std::string_view text) {
   std::vector<std::string> items;
   std::string current;
   for (const char c : text) {
@@ -98,11 +100,13 @@ Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
   while (!cursor.eof()) {
     // Skip optional commas between clauses.
     if (cursor.accept(',')) continue;
-    const std::string name = cursor.ident();
+    const std::string_view name = cursor.ident();
     if (name.empty()) return err("unexpected character in pragma");
 
     auto expect_list = [&](std::vector<std::string>& into) -> Status {
-      if (!cursor.accept('(')) return err("clause '" + name + "' needs (list)");
+      if (!cursor.accept('(')) {
+        return err("clause '" + std::string(name) + "' needs (list)");
+      }
       for (const std::string& item : split_list(cursor.until_close_paren())) {
         into.push_back(item);
       }
@@ -121,18 +125,18 @@ Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
       if (Status s = expect_list(out.copyin); !s) return s;
     } else if (name == "default") {
       if (!cursor.accept('(')) return err("default needs (shared|none)");
-      const std::string value = cursor.until_close_paren();
+      const std::string_view value = cursor.until_close_paren();
       out.has_default = true;
       if (value == "shared") {
         out.default_shared = true;
       } else if (value == "none") {
         out.default_shared = false;
       } else {
-        return err("default(" + value + ") is not shared|none");
+        return err("default(" + std::string(value) + ") is not shared|none");
       }
     } else if (name == "reduction") {
       if (!cursor.accept('(')) return err("reduction needs (op:list)");
-      const std::string inner = cursor.until_close_paren();
+      const std::string_view inner = cursor.until_close_paren();
       const std::size_t colon = inner.find(':');
       if (colon == std::string::npos) return err("reduction missing ':'");
       std::string op_text;
@@ -140,32 +144,38 @@ Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
         if (!std::isspace(static_cast<unsigned char>(c))) op_text += c;
       }
       ReductionOp op;
-      if (op_text == "+") op = ReductionOp::kAdd;
-      else if (op_text == "-") op = ReductionOp::kSub;
-      else if (op_text == "*") op = ReductionOp::kMul;
-      else if (op_text == "&") op = ReductionOp::kAnd;
-      else if (op_text == "|") op = ReductionOp::kOr;
-      else if (op_text == "^") op = ReductionOp::kXor;
-      else if (op_text == "&&") op = ReductionOp::kLAnd;
-      else if (op_text == "||") op = ReductionOp::kLOr;
+      if (text_is(op_text, "+")) op = ReductionOp::kAdd;
+      else if (text_is(op_text, "-")) op = ReductionOp::kSub;
+      else if (text_is(op_text, "*")) op = ReductionOp::kMul;
+      else if (text_is(op_text, "&")) op = ReductionOp::kAnd;
+      else if (text_is(op_text, "|")) op = ReductionOp::kOr;
+      else if (text_is(op_text, "^")) op = ReductionOp::kXor;
+      else if (text_is(op_text, "&&")) op = ReductionOp::kLAnd;
+      else if (text_is(op_text, "||")) op = ReductionOp::kLOr;
       else return err("unknown reduction operator '" + op_text + "'");
       for (const std::string& var : split_list(inner.substr(colon + 1))) {
         out.reductions.emplace_back(op, var);
       }
     } else if (name == "schedule") {
       if (!cursor.accept('(')) return err("schedule needs (kind[,chunk])");
-      const std::string inner = cursor.until_close_paren();
+      const std::string_view inner = cursor.until_close_paren();
       const std::size_t comma = inner.find(',');
       std::string kind_text;
       for (const char c : inner.substr(0, comma)) {
         if (!std::isspace(static_cast<unsigned char>(c))) kind_text += c;
       }
       out.has_schedule = true;
-      if (kind_text == "static") out.schedule = OmpSchedule::kStatic;
-      else if (kind_text == "dynamic") out.schedule = OmpSchedule::kDynamic;
-      else if (kind_text == "guided") out.schedule = OmpSchedule::kGuided;
-      else if (kind_text == "runtime") out.schedule = OmpSchedule::kRuntime;
-      else return err("unknown schedule kind '" + kind_text + "'");
+      if (text_is(kind_text, "static")) {
+        out.schedule = OmpSchedule::kStatic;
+      } else if (text_is(kind_text, "dynamic")) {
+        out.schedule = OmpSchedule::kDynamic;
+      } else if (text_is(kind_text, "guided")) {
+        out.schedule = OmpSchedule::kGuided;
+      } else if (text_is(kind_text, "runtime")) {
+        out.schedule = OmpSchedule::kRuntime;
+      } else {
+        return err("unknown schedule kind '" + kind_text + "'");
+      }
       if (comma != std::string::npos) {
         out.schedule_chunk = inner.substr(comma + 1);
       }
@@ -178,7 +188,7 @@ Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
       // Accepted and ignored (the paper's translator supports static
       // scheduling only; ordered degenerates).
     } else {
-      return err("unsupported clause '" + name + "' on " +
+      return err("unsupported clause '" + std::string(name) + "' on " +
                  std::string(to_string(kind)));
     }
   }
@@ -192,7 +202,7 @@ Result<Directive> parse_pragma(const std::string& text, int line) {
   Directive directive;
   directive.line = line;
 
-  const std::string first = cursor.ident();
+  const std::string_view first = cursor.ident();
   auto err = [line](const std::string& message) {
     return make_error(ErrorCode::kInvalidArgument,
                       message + " at line " + std::to_string(line));
@@ -201,7 +211,7 @@ Result<Directive> parse_pragma(const std::string& text, int line) {
   if (first == "parallel") {
     // parallel | parallel for | parallel sections
     const std::size_t saved = cursor.pos();
-    const std::string second = cursor.ident();
+    const std::string_view second = cursor.ident();
     if (second == "for") {
       directive.kind = DirectiveKind::kParallelFor;
     } else if (second == "sections") {
@@ -246,7 +256,7 @@ Result<Directive> parse_pragma(const std::string& text, int line) {
       }
     }
   } else {
-    return err("unknown OpenMP directive '" + first + "'");
+    return err("unknown OpenMP directive '" + std::string(first) + "'");
   }
 
   if (Status s = parse_clauses(cursor, directive.kind, directive.clauses, line);

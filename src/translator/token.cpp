@@ -1,41 +1,127 @@
 #include "translator/token.hpp"
 
-#include <cctype>
-#include <unordered_set>
-
 namespace parade::translator {
 namespace {
 
-const std::unordered_set<std::string>& keywords() {
-  static const std::unordered_set<std::string> kw = {
-      "auto",     "break",    "case",     "char",   "const",    "continue",
-      "default",  "do",       "double",   "else",   "enum",     "extern",
-      "float",    "for",      "goto",     "if",     "inline",   "int",
-      "long",     "register", "restrict", "return", "short",    "signed",
-      "sizeof",   "static",   "struct",   "switch", "typedef",  "union",
-      "unsigned", "void",     "volatile", "while"};
-  return kw;
+// Character classes of the C locale, inline: the lexer runs them on every
+// source byte, and the translator never switches locale.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+bool is_alnum(char c) { return is_alpha(c) || is_digit(c); }
+bool is_ident_char(char c) { return is_alnum(c) || c == '_'; }
+
+/// C keyword test by first letter, so no identifier is hashed.
+bool is_keyword(std::string_view w) {
+  switch (w[0]) {
+    case 'a': return text_is(w, "auto");
+    case 'b': return text_is(w, "break");
+    case 'c':
+      return text_is(w, "case") || text_is(w, "char") || text_is(w, "const") ||
+             text_is(w, "continue");
+    case 'd':
+      return text_is(w, "default") || text_is(w, "do") || text_is(w, "double");
+    case 'e':
+      return text_is(w, "else") || text_is(w, "enum") || text_is(w, "extern");
+    case 'f': return text_is(w, "float") || text_is(w, "for");
+    case 'g': return text_is(w, "goto");
+    case 'i':
+      return text_is(w, "if") || text_is(w, "inline") || text_is(w, "int");
+    case 'l': return text_is(w, "long");
+    case 'r':
+      return text_is(w, "register") || text_is(w, "restrict") ||
+             text_is(w, "return");
+    case 's':
+      return text_is(w, "short") || text_is(w, "signed") ||
+             text_is(w, "sizeof") || text_is(w, "static") ||
+             text_is(w, "struct") || text_is(w, "switch");
+    case 't': return text_is(w, "typedef");
+    case 'u': return text_is(w, "union") || text_is(w, "unsigned");
+    case 'v': return text_is(w, "void") || text_is(w, "volatile");
+    case 'w': return text_is(w, "while");
+    default: return false;
+  }
 }
 
-// Multi-char punctuators, longest first.
-const char* kPuncts3[] = {"<<=", ">>=", "...", nullptr};
-const char* kPuncts2[] = {"->", "++", "--", "<<", ">>", "<=", ">=", "==",
-                          "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-                          "&=", "^=", "|=", nullptr};
+/// Length of the punctuator starting at source[i], longest match: one of
+/// <<= >>= ..., the 2-character operators -> ++ -- << >> <= >= == != && ||
+/// and the compound assignments, or else the single character.
+std::size_t punct_length(const std::string& source, std::size_t i) {
+  const std::size_t n = source.size();
+  const char c = source[i];
+  const char d = i + 1 < n ? source[i + 1] : '\0';
+  const char e = i + 2 < n ? source[i + 2] : '\0';
+  switch (c) {
+    case '<':
+    case '>':
+      if (d == c) return e == '=' ? 3 : 2;
+      return d == '=' ? 2 : 1;
+    case '.': return d == '.' && e == '.' ? 3 : 1;
+    case '-': return d == '>' || d == '-' || d == '=' ? 2 : 1;
+    case '+':
+    case '&':
+    case '|': return d == c || d == '=' ? 2 : 1;
+    case '*':
+    case '/':
+    case '%':
+    case '^':
+    case '=':
+    case '!': return d == '=' ? 2 : 1;
+    default: return 1;
+  }
+}
 
 }  // namespace
 
-bool is_decl_start_keyword(const std::string& word) {
-  static const std::unordered_set<std::string> starters = {
-      "auto",   "char",   "const",  "double",   "enum",   "extern",
-      "float",  "inline", "int",    "long",     "register", "short",
-      "signed", "static", "struct", "typedef",  "union",  "unsigned",
-      "void",   "volatile"};
-  return starters.count(word) > 0;
+bool is_decl_start_keyword(std::string_view w) {
+  if (w.empty()) return false;
+  switch (w[0]) {
+    case 'a': return text_is(w, "auto");
+    case 'c': return text_is(w, "char") || text_is(w, "const");
+    case 'd': return text_is(w, "double");
+    case 'e': return text_is(w, "enum") || text_is(w, "extern");
+    case 'f': return text_is(w, "float");
+    case 'i': return text_is(w, "inline") || text_is(w, "int");
+    case 'l': return text_is(w, "long");
+    case 'r': return text_is(w, "register");
+    case 's':
+      return text_is(w, "short") || text_is(w, "signed") ||
+             text_is(w, "static") || text_is(w, "struct");
+    case 't': return text_is(w, "typedef");
+    case 'u': return text_is(w, "union") || text_is(w, "unsigned");
+    case 'v': return text_is(w, "void") || text_is(w, "volatile");
+    default: return false;
+  }
+}
+
+std::vector<std::string_view> type_words(std::string_view decl_type) {
+  std::vector<std::string_view> words;
+  std::size_t i = 0;
+  while (i < decl_type.size()) {
+    if (is_space(decl_type[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < decl_type.size() && !is_space(decl_type[i])) ++i;
+    const std::string_view w = decl_type.substr(start, i - start);
+    if (text_is(w, "static") || text_is(w, "extern") ||
+        text_is(w, "register") || text_is(w, "auto") || text_is(w, "const") ||
+        text_is(w, "volatile")) {
+      continue;
+    }
+    words.push_back(w);
+  }
+  return words;
 }
 
 Result<std::vector<Token>> lex(const std::string& source) {
   std::vector<Token> tokens;
+  // C averages about four source bytes a token (3.8 over the perfbench
+  // corpus); room for one per three bytes makes a regrow rare.
+  tokens.reserve(source.size() / 3 + 1);
   std::size_t i = 0;
   int line = 1;
   std::size_t line_start = 0;  // index of the current line's first byte
@@ -48,6 +134,11 @@ Result<std::vector<Token>> lex(const std::string& source) {
   auto column_of = [&](std::size_t at) {
     return static_cast<int>(at - line_start) + 1;
   };
+  // Appends a token spelled by source[start, i).
+  auto push = [&](TokKind kind, std::size_t start, int start_column) {
+    tokens.push_back(
+        Token{kind, std::string(source, start, i - start), line, start_column});
+  };
 
   while (i < n) {
     const char c = source[i];
@@ -57,7 +148,7 @@ Result<std::vector<Token>> lex(const std::string& source) {
       line_start = i;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
       continue;
     }
@@ -102,79 +193,53 @@ Result<std::vector<Token>> lex(const std::string& source) {
       // Classify: "#pragma omp ..." vs anything else.
       std::string squished;
       for (const char ch : text) {
-        if (!std::isspace(static_cast<unsigned char>(ch)) || (!squished.empty() && squished.back() != ' ')) {
-          squished += std::isspace(static_cast<unsigned char>(ch)) ? ' ' : ch;
+        if (!is_space(ch) || (!squished.empty() && squished.back() != ' ')) {
+          squished += is_space(ch) ? ' ' : ch;
         }
       }
-      if (squished.rfind("#pragma omp", 0) == 0) {
-        Token t;
-        t.kind = TokKind::kPragmaOmp;
-        t.text = squished.substr(std::string("#pragma omp").size());
-        t.line = start_line;
-        t.column = start_column;
-        tokens.push_back(std::move(t));
+      constexpr std::string_view kPragmaOmp = "#pragma omp";
+      if (squished.rfind(kPragmaOmp, 0) == 0) {
+        tokens.push_back(Token{TokKind::kPragmaOmp,
+                               squished.substr(kPragmaOmp.size()), start_line,
+                               start_column});
       } else {
-        Token t;
-        t.kind = TokKind::kHashLine;
-        t.text = text;
-        t.line = start_line;
-        t.column = start_column;
-        tokens.push_back(std::move(t));
+        tokens.push_back(Token{TokKind::kHashLine, std::move(text), start_line,
+                               start_column});
       }
       continue;
     }
+    const std::size_t start = i;
+    const int start_column = column_of(i);
     // Identifiers / keywords.
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      const int start_column = column_of(i);
-      std::string word;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(source[i])) ||
-                       source[i] == '_')) {
-        word += source[i];
-        ++i;
-      }
-      Token t;
-      t.kind = keywords().count(word) ? TokKind::kKeyword : TokKind::kIdent;
-      t.text = std::move(word);
-      t.line = line;
-      t.column = start_column;
-      tokens.push_back(std::move(t));
+    if (is_alpha(c) || c == '_') {
+      while (i < n && is_ident_char(source[i])) ++i;
+      const std::string_view word(source.data() + start, i - start);
+      push(is_keyword(word) ? TokKind::kKeyword : TokKind::kIdent, start,
+           start_column);
       continue;
     }
     // Numbers (ints, floats, hex, suffixes, exponents).
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-      const int start_column = column_of(i);
-      std::string num;
+    if (is_digit(c) || (c == '.' && is_digit(peek(1)))) {
       while (i < n) {
         const char d = source[i];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '.' ||
-            ((d == '+' || d == '-') && !num.empty() &&
-             (num.back() == 'e' || num.back() == 'E' || num.back() == 'p' ||
-              num.back() == 'P'))) {
-          num += d;
+        const char prev = i > start ? source[i - 1] : '\0';
+        if (is_alnum(d) || d == '.' ||
+            ((d == '+' || d == '-') &&
+             (prev == 'e' || prev == 'E' || prev == 'p' || prev == 'P'))) {
           ++i;
         } else {
           break;
         }
       }
-      Token t;
-      t.kind = TokKind::kNumber;
-      t.text = std::move(num);
-      t.line = line;
-      t.column = start_column;
-      tokens.push_back(std::move(t));
+      push(TokKind::kNumber, start, start_column);
       continue;
     }
-    // Strings / chars.
+    // Strings / chars: the token spells the literal with its quotes.
     if (c == '"' || c == '\'') {
       const char quote = c;
-      const int start_column = column_of(i);
-      std::string text(1, quote);
       ++i;
       while (i < n && source[i] != quote) {
         if (source[i] == '\\' && i + 1 < n) {
-          text += source[i];
-          text += source[i + 1];
           i += 2;
           continue;
         }
@@ -182,47 +247,19 @@ Result<std::vector<Token>> lex(const std::string& source) {
           ++line;
           line_start = i + 1;
         }
-        text += source[i];
         ++i;
       }
       if (i >= n) {
         return make_error(ErrorCode::kInvalidArgument,
                           "unterminated literal at line " + std::to_string(line));
       }
-      text += quote;
       ++i;
-      Token t;
-      t.kind = quote == '"' ? TokKind::kString : TokKind::kChar;
-      t.text = std::move(text);
-      t.line = line;
-      t.column = start_column;
-      tokens.push_back(std::move(t));
+      push(quote == '"' ? TokKind::kString : TokKind::kChar, start,
+           start_column);
       continue;
     }
-    // Punctuators, longest match.
-    const int punct_column = column_of(i);
-    bool matched = false;
-    for (const char** p = kPuncts3; *p != nullptr; ++p) {
-      if (source.compare(i, 3, *p) == 0) {
-        tokens.push_back(Token{TokKind::kPunct, *p, line, punct_column});
-        i += 3;
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    for (const char** p = kPuncts2; *p != nullptr; ++p) {
-      if (source.compare(i, 2, *p) == 0) {
-        tokens.push_back(Token{TokKind::kPunct, *p, line, punct_column});
-        i += 2;
-        matched = true;
-        break;
-      }
-    }
-    if (matched) continue;
-    tokens.push_back(Token{TokKind::kPunct, std::string(1, c), line,
-                           punct_column});
-    ++i;
+    i += punct_length(source, i);
+    push(TokKind::kPunct, start, start_column);
   }
 
   tokens.push_back(Token{TokKind::kEof, "", line, column_of(i)});

@@ -1,5 +1,7 @@
 #include "translator/translate.hpp"
 
+#include <utility>
+
 #include "translator/parser.hpp"
 #include "translator/token.hpp"
 
@@ -9,7 +11,7 @@ Result<std::string> translate_source(const std::string& source,
                                      const TranslateOptions& options) {
   auto tokens = lex(source);
   if (!tokens.is_ok()) return tokens.status();
-  auto unit = parse(tokens.value());
+  auto unit = parse(std::move(tokens).value());
   if (!unit.is_ok()) return unit.status();
   AnalyzeOptions analyze_options;
   analyze_options.mp_threshold_bytes = options.mp_threshold_bytes;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/serialize.hpp"
+#include "dsm/diff.hpp"
 #include "dsm/notice.hpp"
 #include "dsm/protocol.hpp"
 
@@ -85,24 +86,45 @@ TEST(CodecFuzz, HostileLengthPrefixFailsWithoutAllocating) {
 }
 
 TEST(CodecFuzz, BitFlipsNeverCrash) {
-  DiffMsg msg{12, {}, 99};
-  msg.diff.resize(64);
-  for (std::size_t i = 0; i < msg.diff.size(); ++i) {
-    msg.diff[i] = static_cast<std::uint8_t>(i * 7);
+  // A real flush frame: a 256-byte page with two runs of changed words.
+  constexpr std::size_t kPage = 256;
+  std::vector<std::uint8_t> twin(kPage, 0), page(kPage, 0);
+  for (std::size_t i = 8; i < 24; ++i) {
+    page[i] = static_cast<std::uint8_t>(i * 7);
   }
+  for (std::size_t i = 100; i < 132; ++i) {
+    page[i] = static_cast<std::uint8_t>(i);
+  }
+  const DiffMsg msg{12, encode_diff(page.data(), twin.data(), kPage), 99};
   const auto pristine = codec<DiffMsg>::encode(msg);
 
   // Single-bit flips across the whole frame: each either still decodes (a
   // flip inside the payload is a legal different message) or fails cleanly.
+  // A frame that decodes may carry a damaged run header: apply_diff rejects
+  // it or writes inside the page, never into the guard bytes past it.
   int rejected = 0;
+  int runs_rejected = 0;
   for (std::size_t bit = 0; bit < pristine.size() * 8; ++bit) {
     auto mutated = pristine;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     const auto result = codec<DiffMsg>::try_decode(mutated);
-    if (!result.is_ok()) ++rejected;
+    if (!result.is_ok()) {
+      ++rejected;
+      continue;
+    }
+    const std::vector<std::uint8_t>& diff = result.value().diff;
+    std::vector<std::uint8_t> target(kPage + 16, 0xEE);
+    if (!apply_diff(target.data(), kPage, diff.data(), diff.size())) {
+      ++runs_rejected;
+    }
+    EXPECT_TRUE(std::all_of(target.begin() + kPage, target.end(),
+                            [](std::uint8_t b) { return b == 0xEE; }))
+        << "bit " << bit;
   }
-  // Flips inside the count prefix must have produced at least one rejection.
+  // Flips inside the count prefix and inside the run headers must have
+  // produced rejections.
   EXPECT_GT(rejected, 0);
+  EXPECT_GT(runs_rejected, 0);
 }
 
 TEST(CodecFuzz, RandomGarbageNeverCrashes) {

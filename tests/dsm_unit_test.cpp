@@ -26,7 +26,12 @@ TEST(Diff, SingleWordRun) {
   std::vector<std::uint8_t> twin(4096, 0), page(4096, 0);
   page[100] = 9;  // one changed byte -> one 4-byte word run
   const auto diff = encode_diff(page.data(), twin.data(), 4096);
-  EXPECT_EQ(diff.size(), 8u + 4u);  // header + one word
+  ASSERT_EQ(diff.size(), 4u + 4u);  // header + one word
+  std::uint16_t first = 0, words = 0;
+  std::memcpy(&first, diff.data(), 2);
+  std::memcpy(&words, diff.data() + 2, 2);
+  EXPECT_EQ(first, 25u);  // bytes [100, 104)
+  EXPECT_EQ(words, 1u);
   std::vector<std::uint8_t> target = twin;
   ASSERT_TRUE(apply_diff(target.data(), 4096, diff.data(), diff.size()));
   EXPECT_EQ(target, page);
@@ -37,7 +42,7 @@ TEST(Diff, AdjacentWordsCoalesce) {
   std::vector<std::uint8_t> twin(4096, 0), page(4096, 0);
   for (int i = 64; i < 90; ++i) page[static_cast<std::size_t>(i)] = 1;
   const auto diff = encode_diff(page.data(), twin.data(), 4096);
-  EXPECT_EQ(diff.size(), 8u + 28u);  // one run of 7 words, bytes [64, 92)
+  EXPECT_EQ(diff.size(), 4u + 28u);  // one run of 7 words, bytes [64, 92)
 }
 
 TEST(Diff, WritersOfOneWordPairBothLand) {
@@ -62,23 +67,48 @@ TEST(Diff, WritersOfOneWordPairBothLand) {
 TEST(Diff, FullPage) {
   std::vector<std::uint8_t> twin(4096, 0), page(4096, 0xFF);
   const auto diff = encode_diff(page.data(), twin.data(), 4096);
-  EXPECT_EQ(diff.size(), 8u + 4096u);
+  EXPECT_EQ(diff.size(), 4u + 4096u);
   std::vector<std::uint8_t> target = twin;
   ASSERT_TRUE(apply_diff(target.data(), 4096, diff.data(), diff.size()));
   EXPECT_EQ(target, page);
 }
 
+TEST(Diff, LargestPageSplitsRunsAtU16WordCount) {
+  // A fully written 256 KiB page is 65536 words: one run of kMaxRunWords
+  // and one of a single word, each with its 4-byte header.
+  constexpr std::size_t kPage = kMaxDiffPageBytes;
+  std::vector<std::uint8_t> twin(kPage, 0), page(kPage, 0xA5);
+  const auto diff = encode_diff(page.data(), twin.data(), kPage);
+  EXPECT_EQ(diff.size(), 2 * kDiffRunHeaderBytes + kPage);
+  EXPECT_EQ(diff_payload_bytes(diff.data(), diff.size()), kPage);
+  std::vector<std::uint8_t> target = twin;
+  ASSERT_TRUE(apply_diff(target.data(), kPage, diff.data(), diff.size()));
+  EXPECT_EQ(target, page);
+}
+
 TEST(Diff, RejectsMalformed) {
   std::vector<std::uint8_t> target(4096, 0);
-  const std::uint8_t truncated[4] = {1, 2, 3, 4};
-  EXPECT_FALSE(apply_diff(target.data(), 4096, truncated, 4));
-  // Out-of-range run.
-  std::vector<std::uint8_t> bad;
-  const std::uint32_t offset = 4090, length = 16;
-  bad.resize(8 + 16);
-  std::memcpy(bad.data(), &offset, 4);
-  std::memcpy(bad.data() + 4, &length, 4);
-  EXPECT_FALSE(apply_diff(target.data(), 4096, bad.data(), bad.size()));
+  const std::uint8_t truncated[2] = {1, 2};  // half a run header
+  EXPECT_FALSE(apply_diff(target.data(), 4096, truncated, 2));
+  // A run header and its payload, bytes [first * 4, (first + words) * 4).
+  const auto run = [](std::uint16_t first, std::uint16_t words,
+                      std::size_t payload) {
+    std::vector<std::uint8_t> bytes(4 + payload, 0);
+    std::memcpy(bytes.data(), &first, 2);
+    std::memcpy(bytes.data() + 2, &words, 2);
+    return bytes;
+  };
+  const auto good = run(1020, 4, 16);  // the last 16 bytes of the page
+  EXPECT_TRUE(apply_diff(target.data(), 4096, good.data(), good.size()));
+  const auto past_page = run(1021, 4, 16);
+  EXPECT_FALSE(
+      apply_diff(target.data(), 4096, past_page.data(), past_page.size()));
+  const auto empty_run = run(0, 0, 0);
+  EXPECT_FALSE(
+      apply_diff(target.data(), 4096, empty_run.data(), empty_run.size()));
+  const auto short_payload = run(0, 4, 12);
+  EXPECT_FALSE(apply_diff(target.data(), 4096, short_payload.data(),
+                          short_payload.size()));
 }
 
 class DiffProperty : public ::testing::TestWithParam<int> {};

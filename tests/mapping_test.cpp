@@ -161,6 +161,17 @@ TEST(SegmentPool, RejectsUnalignedSizes) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST(SegmentPool, RejectsPagesBeyondDiffReach) {
+  // A diff run names its words with u16 indices, which reach 256 KiB.
+  constexpr std::size_t kMaxPage = 256 * 1024;
+  EXPECT_TRUE(
+      SegmentPool::create(kMaxPage, kMaxPage, MapMethod::kMemfd).is_ok());
+  EXPECT_EQ(SegmentPool::create(2 * kMaxPage, 2 * kMaxPage, MapMethod::kMemfd)
+                .status()
+                .code(),
+            ErrorCode::kInvalidArgument);
+}
+
 TEST(MapMethod, ParseRoundTrips) {
   for (const MapMethod method :
        {MapMethod::kMemfd, MapMethod::kSysV, MapMethod::kMdup,

@@ -3,6 +3,11 @@
 // on the generated text, including diagnostics for unsupported input.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <tuple>
+#include <utility>
+
 #include "translator/parser.hpp"
 #include "translator/pragma.hpp"
 #include "translator/token.hpp"
@@ -55,6 +60,80 @@ TEST(Lexer, MultiCharOperators) {
   EXPECT_EQ(tokens[1].text, "<<=");
   EXPECT_EQ(tokens[3].text, ">>=");
   EXPECT_EQ(tokens[5].text, "!=");
+}
+
+TEST(Lexer, PunctuatorsGluedSequencesKeywordsAndColumns) {
+  // Every 3- and 2-character punctuator lexes as one token, alone and glued
+  // between identifiers.
+  const char* const multi[] = {"<<=", ">>=", "...", "->", "++", "--", "<<",
+                               ">>",  "<=",  ">=",  "==", "!=", "&&", "||",
+                               "+=",  "-=",  "*=",  "/=", "%=", "&=", "^=",
+                               "|="};
+  for (const char* p : multi) {
+    const auto alone = lex(p).value_or_die();
+    ASSERT_EQ(alone.size(), 2u) << p;  // the punctuator, EOF
+    EXPECT_EQ(alone[0].kind, TokKind::kPunct) << p;
+    EXPECT_EQ(alone[0].text, p);
+    EXPECT_EQ(alone[0].column, 1) << p;
+    const auto glued = lex(std::string("a") + p + "b").value_or_die();
+    ASSERT_EQ(glued.size(), 4u) << p;
+    EXPECT_EQ(glued[1].text, p);
+    EXPECT_EQ(glued[2].text, "b") << p;
+  }
+
+  // Glued runs split by longest match; each row is a source and its tokens
+  // joined by single spaces (EOF left out).
+  const std::pair<const char*, const char*> runs[] = {
+      {"a+++b", "a ++ + b"},      {"x<<=y", "x <<= y"},
+      {"p->q", "p -> q"},         {"i-->0", "i -- > 0"},
+      {"f(...)", "f ( ... )"},    {"a..b", "a . . b"},
+      {"x<<<=y", "x << <= y"},    {"a&&&b", "a && & b"},
+      {"a|||b", "a || | b"},      {"a!==b", "a != = b"},
+      {"a>>>=b", "a >> >= b"},    {"x=-1", "x = - 1"},
+      {"a-=-b", "a -= - b"},      {"s.f->g[0]", "s . f -> g [ 0 ]"},
+      {"~x^y%z?u:v", "~ x ^ y % z ? u : v"},
+      {"a/=b/c", "a /= b / c"},   {"a==b=c", "a == b = c"},
+  };
+  for (const auto& [source, expected] : runs) {
+    const auto tokens = lex(source).value_or_die();
+    std::string joined;
+    for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {
+      joined += (i == 0 ? "" : " ") + tokens[i].text;
+    }
+    EXPECT_EQ(joined, expected) << source;
+  }
+
+  // Keyword/identifier boundaries: a keyword prefix does not make a keyword.
+  const std::pair<const char*, TokKind> words[] = {
+      {"int", TokKind::kKeyword},       {"int32_t", TokKind::kIdent},
+      {"for", TokKind::kKeyword},       {"for_each", TokKind::kIdent},
+      {"sizeof", TokKind::kKeyword},    {"sizeofx", TokKind::kIdent},
+      {"do", TokKind::kKeyword},        {"double", TokKind::kKeyword},
+      {"doubles", TokKind::kIdent},     {"_Bool", TokKind::kIdent},
+      {"restrict", TokKind::kKeyword},  {"In", TokKind::kIdent},
+      {"x", TokKind::kIdent},           {"while1", TokKind::kIdent},
+  };
+  for (const auto& [word, kind] : words) {
+    const auto tokens = lex(std::string(word) + "(").value_or_die();
+    ASSERT_EQ(tokens.size(), 3u) << word;
+    EXPECT_EQ(tokens[0].text, word);
+    EXPECT_EQ(tokens[0].kind, kind) << word;
+  }
+
+  // 1-based byte columns, restarting on every line.
+  const auto tokens = lex("x<<=y;\n  p->q\n\ti-->0 ...").value_or_die();
+  const std::tuple<const char*, int, int> where[] = {
+      {"x", 1, 1},   {"<<=", 1, 2}, {"y", 1, 5}, {";", 1, 6},
+      {"p", 2, 3},   {"->", 2, 4},  {"q", 2, 6}, {"i", 3, 2},
+      {"--", 3, 3},  {">", 3, 5},   {"0", 3, 6}, {"...", 3, 8},
+  };
+  ASSERT_EQ(tokens.size(), std::size(where) + 1);
+  for (std::size_t i = 0; i < std::size(where); ++i) {
+    const auto& [text, line, column] = where[i];
+    EXPECT_EQ(tokens[i].text, text);
+    EXPECT_EQ(tokens[i].line, line) << text;
+    EXPECT_EQ(tokens[i].column, column) << text;
+  }
 }
 
 TEST(Lexer, FloatLiterals) {
