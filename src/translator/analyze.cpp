@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <set>
+#include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/json.hpp"
 #include "obs/registry.hpp"
@@ -13,6 +14,7 @@
 #include "translator/dataflow.hpp"
 #include "translator/interfere.hpp"
 #include "translator/parser.hpp"
+#include "translator/scopes.hpp"
 #include "translator/token.hpp"
 
 namespace parade::translator {
@@ -21,54 +23,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // Declared-size computation
 
-const std::unordered_map<std::string, std::size_t>& typedef_sizes() {
-  static const std::unordered_map<std::string, std::size_t> sizes = {
-      {"size_t", 8},   {"ssize_t", 8},  {"ptrdiff_t", 8}, {"intptr_t", 8},
-      {"uintptr_t", 8}, {"int8_t", 1},  {"uint8_t", 1},   {"int16_t", 2},
-      {"uint16_t", 2}, {"int32_t", 4},  {"uint32_t", 4},  {"int64_t", 8},
-      {"uint64_t", 8}, {"wchar_t", 4}};
-  return sizes;
-}
-
-/// Size of the base type text ("static unsigned long" -> 8); 0 if unknown.
-std::size_t base_type_size(const std::string& decl_type) {
-  const std::vector<std::string_view> words = type_words(decl_type);
-  if (words.empty()) return 0;
-  int longs = 0;
-  bool has_double = false, has_float = false, has_char = false;
-  bool has_short = false, has_int = false, has_sign = false, has_bool = false;
-  bool has_aggregate = false, has_enum = false;
-  for (const std::string_view w : words) {
-    if (text_is(w, "long")) ++longs;
-    else if (text_is(w, "double")) has_double = true;
-    else if (text_is(w, "float")) has_float = true;
-    else if (text_is(w, "char")) has_char = true;
-    else if (text_is(w, "short")) has_short = true;
-    else if (text_is(w, "int")) has_int = true;
-    else if (text_is(w, "signed") || text_is(w, "unsigned")) has_sign = true;
-    else if (text_is(w, "_Bool") || text_is(w, "bool")) has_bool = true;
-    else if (text_is(w, "struct") || text_is(w, "union")) has_aggregate = true;
-    else if (text_is(w, "enum")) has_enum = true;
-  }
-  if (has_aggregate) return 0;  // layout not visible to the translator
-  if (has_enum) return 4;
-  if (has_double) return longs > 0 ? 16 : 8;
-  if (has_float) return 4;
-  if (has_char) return 1;
-  if (has_short) return 2;
-  if (longs >= 2) return 8;
-  if (longs == 1) return 8;
-  if (has_int || has_sign) return 4;
-  if (has_bool) return 1;
-  if (words.size() == 1) {
-    auto it = typedef_sizes().find(std::string(words[0]));
-    if (it != typedef_sizes().end()) return it->second;
-  }
-  return 0;
-}
-
 /// Strict positive-integer-literal parse for array dimensions.
-bool parse_dim(const std::string& text, std::size_t* out) {
+bool parse_dim(std::string_view text, std::size_t* out) {
   std::string trimmed;
   for (char c : text) {
     if (c != ' ') trimmed += c;
@@ -79,6 +35,27 @@ bool parse_dim(const std::string& text, std::size_t* out) {
   if (end == nullptr || *end != '\0' || v == 0) return false;
   *out = static_cast<std::size_t>(v);
   return true;
+}
+
+/// Declared byte size of a declarator of type `type` with `pointer_depth`
+/// stars and the dimension expressions `dims`; 0 if unknown. A dimension's
+/// text is its tokens run together.
+std::size_t declared_size(const TranslationUnit& unit, const DeclType& type,
+                          int pointer_depth, std::span<const Expr> dims) {
+  if (pointer_depth > 0) return sizeof(void*);
+  if (type.bytes == 0) return 0;
+  std::size_t total = type.bytes;
+  std::string text;
+  for (const Expr& dim : dims) {
+    text.clear();
+    for (std::size_t t = dim.span.begin; t < dim.span.end; ++t) {
+      text += unit.tokens[t].text;
+    }
+    std::size_t v = 0;
+    if (!parse_dim(text, &v)) return 0;  // symbolic dimension: unknown
+    total *= v;
+  }
+  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -95,7 +72,7 @@ enum class Sharing {
 };
 
 struct SymbolInfo {
-  std::string type;
+  const DeclType* type = nullptr;  // null when the binding has no type
   int pointer_depth = 0;
   bool is_array = false;
   bool threadprivate = false;
@@ -104,6 +81,16 @@ struct SymbolInfo {
   int line = 0;
 };
 
+bool contains(const std::vector<Sym>& set, Sym sym) {
+  return std::find(set.begin(), set.end(), sym) != set.end();
+}
+
+/// Sorts `syms` and drops repeats.
+void sort_unique(std::vector<Sym>* syms) {
+  std::sort(syms->begin(), syms->end());
+  syms->erase(std::unique(syms->begin(), syms->end()), syms->end());
+}
+
 class Analyzer {
  public:
   explicit Analyzer(const AnalyzeOptions& options) : options_(options) {}
@@ -111,42 +98,70 @@ class Analyzer {
   Analysis run(const TranslationUnit& unit);
 
  private:
+  /// One clause attribute of an open construct; the innermost entry for a
+  /// name wins, as a later clause overrides an earlier one.
+  struct Attr {
+    Sym sym = kNoSym;
+    Sharing sharing = Sharing::kShared;
+    const char* red_op = nullptr;  // kReduction: the C operator
+  };
+
+  /// The walk's context. Copying one is cheap: its clause attributes are
+  /// the range [attrs_begin, attrs_end) of Analyzer::attrs_.
   struct Env {
     bool in_parallel = false;
     bool race_guarded = false;      // critical/atomic/single/master/ordered
     bool placement_managed = false; // single/atomic/collective-critical
     int divergence = 0;             // conditional / worksharing nesting
     int region_line = 0;
-    std::size_t region_depth = 0;   // scopes_.size() at region entry
+    std::size_t region_depth = 0;   // scope depth at region entry
     bool default_none = false;
-    std::map<std::string, Sharing> attrs;        // explicit clause attributes
-    std::map<std::string, std::string> red_ops;  // reduction var -> C operator
-    std::set<std::string>* race_sink = nullptr;  // sections: defer race checks
+    std::uint32_t attrs_begin = 0;
+    std::uint32_t attrs_end = 0;
+    std::vector<Sym>* race_sink = nullptr;  // sections: defer race checks
     int region_id = -1;   // index into regions_ (-1 outside parallel)
   };
 
-  // --- symbol table ---
-  void declare(const std::string& name, SymbolInfo info) {
-    scopes_.back()[name] = std::move(info);
-  }
-  const SymbolInfo* lookup(const std::string& name, std::size_t* depth) const {
-    for (std::size_t i = scopes_.size(); i-- > 0;) {
-      auto it = scopes_[i].find(name);
-      if (it != scopes_[i].end()) {
-        if (depth != nullptr) *depth = i;
-        return &it->second;
+  /// Drops the clause attributes a construct handler added when the
+  /// handler returns, and (unless told to keep them) the privates it
+  /// marked uninitialized.
+  class ConstructMark {
+   public:
+    explicit ConstructMark(Analyzer* a)
+        : a_(a), attrs_(a->attrs_.size()), added_(a->uninit_added_.size()) {}
+    ~ConstructMark() {
+      a_->attrs_.resize(attrs_);
+      for (std::size_t i = added_; keep_uninit_ == false &&
+                                   i < a_->uninit_added_.size();
+           ++i) {
+        a_->uninit_erase(a_->uninit_added_[i]);
       }
+      a_->uninit_added_.resize(added_);
     }
-    return nullptr;
+    void keep_uninit() { keep_uninit_ = true; }
+
+   private:
+    Analyzer* a_;
+    std::size_t attrs_;
+    std::size_t added_;
+    bool keep_uninit_ = false;
+  };
+
+  std::string name_of(Sym sym) const { return std::string(unit_->name(sym)); }
+  std::string type_text(const SymbolInfo& info) const {
+    return info.type == nullptr
+               ? std::string()
+               : render_tokens(unit_->tokens, info.type->span.begin,
+                               info.type->span.end);
   }
 
-  void diag(const char* code, Severity severity, int line,
-            const std::string& var, std::string message) {
+  void diag(const char* code, Severity severity, int line, std::string var,
+            std::string message) {
     Diagnostic d;
     d.code = code;
     d.severity = severity;
     d.line = line;
-    d.var = var;
+    d.var = std::move(var);
     d.message = std::move(message);
     resolve_columns(&d);
     out_.diagnostics.push_back(std::move(d));
@@ -156,17 +171,45 @@ class Analyzer {
     if (unit_ != nullptr) resolve_diag_columns(*unit_, d);
   }
 
-  Sharing sharing_of(const std::string& name, std::size_t depth,
-                     const SymbolInfo& sym, const Env& env, int line);
+  const Attr* find_attr(const Env& env, Sym sym) const {
+    for (std::uint32_t i = env.attrs_end; i-- > env.attrs_begin;) {
+      if (attrs_[i].sym == sym) return &attrs_[i];
+    }
+    return nullptr;
+  }
+  void add_attr(Env* env, Sym sym, Sharing sharing,
+                const char* red_op = nullptr) {
+    attrs_.push_back({sym, sharing, red_op});
+    env->attrs_end = static_cast<std::uint32_t>(attrs_.size());
+  }
+
+  // The current region's uninitialized privates: uninit_[uninit_base_..].
+  // A nested region stacks its own set above the enclosing one's.
+  std::vector<Sym>::iterator uninit_find(Sym sym) {
+    return std::find(uninit_.begin() + static_cast<std::ptrdiff_t>(uninit_base_),
+                     uninit_.end(), sym);
+  }
+  bool uninit_insert(Sym sym) {
+    if (uninit_find(sym) != uninit_.end()) return false;
+    uninit_.push_back(sym);
+    return true;
+  }
+  void uninit_erase(Sym sym) {
+    auto it = uninit_find(sym);
+    if (it != uninit_.end()) uninit_.erase(it);
+  }
+
+  Sharing sharing_of(Sym name, std::size_t depth, const SymbolInfo& sym,
+                     const Env& env, int line);
 
   void process_text(const Expr& expr, int line, const Env& env);
-  void process_read(const std::string& name, int line, const Env& env);
-  void process_write(const AccessScan::Write& w, const Expr& expr, int line,
+  void process_read(Sym name, int line, const Env& env);
+  void process_write(const AccessWrite& w, const Expr& expr, int line,
                      const Env& env);
 
-  /// Pins `name` to the DSM pool; the first unmanaged write's reason wins.
-  void mark_dsm(const std::string& name, const std::string& why) {
-    dsm_marks_.try_emplace(name, why);
+  /// Pins `name` to the DSM pool; the first unmanaged write's line wins.
+  void mark_dsm(Sym name, int line) {
+    if (dsm_mark_line_[name] == 0) dsm_mark_line_[name] = line;
   }
 
   // --- walking ---
@@ -174,14 +217,14 @@ class Analyzer {
   void walk_block(const Stmt& block, Env& env);
   void walk_pragma(const Stmt& stmt, Env& env);
   void register_decl(const Stmt& decl, const Env& env, bool file_scope);
-  void handle_parallel(const Stmt& stmt, Env env);
+  void handle_parallel(const Stmt& stmt, const Env& env);
   void handle_worksharing_for(const Directive& d, const Stmt& body, Env env);
   void handle_sections(const Directive& d, const Stmt& body, Env env);
   void handle_sync(const Stmt& stmt, Env env, bool is_atomic);
-  std::vector<std::string> add_clause_attrs(const Clauses& c, Env* env);
+  void add_clause_attrs(const Clauses& c, Env* env);
 
-  void collect_writes_rec(const Stmt& stmt, std::set<std::string>* out) const;
-  void collect_reads_rec(const Stmt& stmt, std::set<std::string>* out) const;
+  void collect_writes_rec(const Stmt& stmt, std::vector<Sym>* out) const;
+  void collect_reads_rec(const Stmt& stmt, std::vector<Sym>* out) const;
 
   void register_params(const std::vector<Param>& params);
 
@@ -191,55 +234,67 @@ class Analyzer {
   struct RegionRec {
     const Stmt* construct = nullptr;
     int line = 0;
-    std::set<std::string> privatelike;  // names not shared inside the region
+    /// Names not shared inside the region: a range of privatelike_.
+    std::uint32_t privatelike = 0;
+    std::uint32_t n_privatelike = 0;
   };
   /// A def-use diagnostic the flow pass may retire.
   struct FlowCandidate {
     enum class Kind { kUninit, kRace, kNowait };
     Kind kind = Kind::kUninit;
     std::size_t diag_index = 0;
-    std::string var;
+    Sym var = kNoSym;
     int line = 0;            // diagnostic line
     int construct_line = 0;  // nowait construct line (kNowait only)
     int region_id = -1;
   };
   void run_flow_pass();
   bool uninit_is_spurious(const Cfg& cfg, const std::vector<char>& reach,
-                          const std::string& var) const;
+                          Sym var) const;
   bool nowait_is_spurious(const Cfg& cfg, const std::vector<char>& reach,
                           const FlowResult& taint,
                           const FlowCandidate& c) const;
-  bool shared_in_region(const std::string& name, const RegionRec& rec,
-                        const Cfg& cfg) const;
+  bool shared_in_region(Sym name, const RegionRec& rec, const Cfg& cfg) const;
   void report_lock_cycles();
 
   AnalyzeOptions options_;
   Analysis out_;
   const TranslationUnit* unit_ = nullptr;  // set for the duration of run()
-  std::vector<std::map<std::string, SymbolInfo>> scopes_;
-  std::set<std::string> uninit_;  // privates not yet written in the region
-  std::map<std::string, std::string> dsm_marks_;  // name -> why pinned
-  std::set<std::string> default_none_reported_;  // "line:name"
+  ScopedTable<SymbolInfo> scopes_;
+  std::vector<Attr> attrs_;         // attributes of the open constructs
+  std::vector<Sym> uninit_;         // privates not yet written, per region
+  std::size_t uninit_base_ = 0;     // the current region's first entry
+  std::vector<Sym> uninit_added_;   // marks the open constructs added
+  std::vector<int> dsm_mark_line_;  // per symbol: line that pinned it, or 0
+  std::vector<const VarClass*> global_of_;  // per symbol: its file-scope entry
+  std::set<std::pair<int, Sym>> default_none_reported_;  // (region line, name)
   std::vector<RegionRec> regions_;
+  std::vector<Sym> privatelike_;  // every region's RegionRec::privatelike
   std::vector<FlowCandidate> candidates_;
+  // walk_block's scratch: one statement's reads, and a nowait construct's
+  // private and written names.
+  std::vector<Sym> scratch_reads_;
+  std::vector<Sym> scratch_private_;
+  std::vector<Sym> scratch_written_;
+  Cfg cfg_;                  // the flow pass's CFG, rebuilt per region
+  std::vector<char> reach_;  // cfg_'s reachable blocks
   // Lock-order graph over nested named criticals (TU-wide): edge outer->inner
   // with the line of the inner critical that closed it.
   std::vector<std::string> lock_stack_;
   std::map<std::pair<std::string, std::string>, int> lock_edges_;
 };
 
-Sharing Analyzer::sharing_of(const std::string& name, std::size_t depth,
+Sharing Analyzer::sharing_of(Sym name, std::size_t depth,
                              const SymbolInfo& sym, const Env& env, int line) {
   if (sym.threadprivate) return Sharing::kThreadprivate;
   if (!env.in_parallel) return Sharing::kShared;
   if (depth >= env.region_depth) return Sharing::kLocal;
-  auto it = env.attrs.find(name);
-  if (it != env.attrs.end()) return it->second;
+  if (const Attr* attr = find_attr(env, name)) return attr->sharing;
   if (env.default_none) {
-    const std::string key = std::to_string(env.region_line) + ":" + name;
-    if (default_none_reported_.insert(key).second) {
-      diag(kDiagDefaultNoneMissing, Severity::kError, line, name,
-           "'" + name + "' is referenced in a default(none) region (line " +
+    if (default_none_reported_.insert({env.region_line, name}).second) {
+      const std::string var = name_of(name);
+      diag(kDiagDefaultNoneMissing, Severity::kError, line, var,
+           "'" + var + "' is referenced in a default(none) region (line " +
                std::to_string(env.region_line) +
                ") but has no explicit data-sharing attribute");
     }
@@ -247,49 +302,51 @@ Sharing Analyzer::sharing_of(const std::string& name, std::size_t depth,
   return Sharing::kShared;
 }
 
-void Analyzer::process_read(const std::string& name, int line, const Env& env) {
+void Analyzer::process_read(Sym name, int line, const Env& env) {
   std::size_t depth = 0;
-  const SymbolInfo* sym = lookup(name, &depth);
+  const SymbolInfo* sym = scopes_.lookup(name, &depth);
   if (sym == nullptr) return;
   if (!env.in_parallel) return;
   const Sharing sh = sharing_of(name, depth, *sym, env, line);
   if ((sh == Sharing::kPrivate || sh == Sharing::kLastprivate) &&
-      uninit_.count(name) > 0) {
-    diag(kDiagPrivateUninitRead, Severity::kWarning, line, name,
-         "private '" + name + "' is read before any write in the parallel " +
+      uninit_find(name) != uninit_.end()) {
+    const std::string var = name_of(name);
+    diag(kDiagPrivateUninitRead, Severity::kWarning, line, var,
+         "private '" + var + "' is read before any write in the parallel " +
              "region at line " + std::to_string(env.region_line) +
              " (private copies start uninitialized)");
     candidates_.push_back(FlowCandidate{FlowCandidate::Kind::kUninit,
                                         out_.diagnostics.size() - 1, name,
                                         line, 0, env.region_id});
-    uninit_.erase(name);
+    uninit_erase(name);
   }
 }
 
-void Analyzer::process_write(const AccessScan::Write& w, const Expr& expr,
-                             int line, const Env& env) {
+void Analyzer::process_write(const AccessWrite& w, const Expr& expr, int line,
+                             const Env& env) {
   std::size_t depth = 0;
-  const SymbolInfo* sym = lookup(w.name, &depth);
+  const SymbolInfo* sym = scopes_.lookup(w.sym, &depth);
   if (sym == nullptr) return;
-  uninit_.erase(w.name);
+  uninit_erase(w.sym);
   if (!env.in_parallel) return;
   if (w.deref) return;  // store through a pointer: target unknown statically
-  const Sharing sh = sharing_of(w.name, depth, *sym, env, line);
+  const Sharing sh = sharing_of(w.sym, depth, *sym, env, line);
 
   if (w.array || sym->is_array) return;  // per-element stores: not flagged
 
   if (sh == Sharing::kReduction) {
-    const std::string& op = env.red_ops.at(w.name);
+    const std::string_view op = find_attr(env, w.sym)->red_op;
     // Logical forms aren't update-shaped.
     if (!text_is(op, "&&") && !text_is(op, "||")) {
       auto m = match_scalar_update(unit_->tokens, expr.span);
       const bool compatible =
-          m.has_value() && m->var == w.name &&
+          m.has_value() && m->sym == w.sym &&
           (m->apply_op == op ||
            (text_is(op, "+") && text_is(m->apply_op, "-")));
       if (!compatible) {
-        diag(kDiagReductionMisuse, Severity::kWarning, line, w.name,
-             "'" + w.name + "' carries a reduction(" + op +
+        const std::string var = name_of(w.sym);
+        diag(kDiagReductionMisuse, Severity::kWarning, line, var,
+             "'" + var + "' carries a reduction(" + std::string(op) +
                  ") clause but this statement is not a matching reduction "
                  "update; the result is unspecified");
       }
@@ -302,171 +359,173 @@ void Analyzer::process_write(const AccessScan::Write& w, const Expr& expr,
 
   if (!env.race_guarded) {
     if (env.race_sink != nullptr) {
-      env.race_sink->insert(w.name);
+      env.race_sink->push_back(w.sym);
     } else {
-      diag(kDiagRaceSharedWrite, Severity::kError, line, w.name,
-           "unsynchronized write to shared '" + w.name +
+      const std::string var = name_of(w.sym);
+      diag(kDiagRaceSharedWrite, Severity::kError, line, var,
+           "unsynchronized write to shared '" + var +
                "' in the parallel region at line " +
                std::to_string(env.region_line) +
                "; no atomic/critical/reduction guards this store");
       candidates_.push_back(FlowCandidate{FlowCandidate::Kind::kRace,
-                                          out_.diagnostics.size() - 1, w.name,
+                                          out_.diagnostics.size() - 1, w.sym,
                                           line, 0, env.region_id});
     }
   }
   if (!env.placement_managed && sym->file_scope && !w.member &&
       sym->pointer_depth == 0 && !sym->threadprivate) {
-    mark_dsm(w.name,
-             "written by an unmanaged statement in a parallel context "
-             "(line " + std::to_string(line) + "); HLRC page consistency "
-             "must propagate it");
+    mark_dsm(w.sym, line);
   }
 }
 
 void Analyzer::process_text(const Expr& expr, int line, const Env& env) {
-  const AccessScan& acc = expr.access();
+  const AccessScan acc = unit_->access(expr);
   // Reads first: in `x = x + 1` the right-hand read happens before the store.
-  for (const std::string& name : acc.reads) process_read(name, line, env);
-  for (const auto& w : acc.writes) process_write(w, expr, line, env);
+  for (const Sym name : acc.reads) process_read(name, line, env);
+  for (const AccessWrite& w : acc.writes) process_write(w, expr, line, env);
 }
 
-std::vector<std::string> Analyzer::add_clause_attrs(const Clauses& c,
-                                                    Env* env) {
-  std::vector<std::string> uninit_added;
-  for (const auto& v : c.privates) {
-    env->attrs[v] = Sharing::kPrivate;
-    if (uninit_.insert(v).second) uninit_added.push_back(v);
+void Analyzer::add_clause_attrs(const Clauses& c, Env* env) {
+  for (const ClauseVar& v : c.privates) {
+    add_attr(env, v.sym, Sharing::kPrivate);
+    if (uninit_insert(v.sym)) uninit_added_.push_back(v.sym);
   }
-  for (const auto& v : c.firstprivate) env->attrs[v] = Sharing::kFirstprivate;
-  for (const auto& v : c.lastprivate) {
-    env->attrs[v] = Sharing::kLastprivate;
-    if (uninit_.insert(v).second) uninit_added.push_back(v);
+  for (const ClauseVar& v : c.firstprivate) {
+    add_attr(env, v.sym, Sharing::kFirstprivate);
+  }
+  for (const ClauseVar& v : c.lastprivate) {
+    add_attr(env, v.sym, Sharing::kLastprivate);
+    if (uninit_insert(v.sym)) uninit_added_.push_back(v.sym);
   }
   for (const auto& [op, v] : c.reductions) {
-    env->attrs[v] = Sharing::kReduction;
-    env->red_ops[v] = reduction_operator(op);
+    add_attr(env, v.sym, Sharing::kReduction, reduction_operator(op));
   }
-  for (const auto& v : c.shared) env->attrs[v] = Sharing::kShared;
-  return uninit_added;
+  for (const ClauseVar& v : c.shared) add_attr(env, v.sym, Sharing::kShared);
 }
 
-void Analyzer::register_decl(const Stmt& decl, const Env& env,
+void Analyzer::register_decl(const Stmt& stmt, const Env& env,
                              bool file_scope) {
-  for (const Declarator& d : decl.declarators) {
-    process_text(d.init, decl.line, env);
-    std::vector<std::string> dims;
-    for (const Expr& dim : d.array_dims) {
-      process_text(dim, decl.line, env);
-      dims.push_back(dim.text);
-    }
+  const Decl& decl = *stmt.decl;
+  for (const Declarator& d : unit_->declarators_of(decl)) {
+    process_text(d.init, stmt.line, env);
+    const std::span<const Expr> dims = unit_->dims_of(d);
+    for (const Expr& dim : dims) process_text(dim, stmt.line, env);
     if (d.is_function) continue;
     SymbolInfo info;
-    info.type = decl.decl_type.text;
+    info.type = &decl.type;
     info.pointer_depth = d.pointer_depth;
-    info.is_array = !d.array_dims.empty();
+    info.is_array = !dims.empty();
     info.file_scope = file_scope;
-    info.byte_size =
-        sizeof_declared(decl.decl_type.text, d.pointer_depth, dims);
-    info.line = decl.line;
-    declare(d.name, info);
+    info.byte_size = declared_size(*unit_, decl.type, d.pointer_depth, dims);
+    info.line = stmt.line;
+    scopes_.declare(d.name, info);
   }
 }
 
 void Analyzer::collect_writes_rec(const Stmt& stmt,
-                                  std::set<std::string>* out) const {
+                                  std::vector<Sym>* out) const {
   switch (stmt.kind) {
     case StmtKind::kRaw: {
-      for (const auto& w : stmt.text.access().writes) {
-        if (!w.deref) out->insert(w.name);
+      for (const AccessWrite& w : unit_->access(stmt.expr).writes) {
+        if (!w.deref) out->push_back(w.sym);
       }
       return;
     }
-    case StmtKind::kFor:
-      for (const auto& w : stmt.for_header.init_text.access().writes) {
-        out->insert(w.name);
+    case StmtKind::kFor: {
+      const ForHeader& h = *stmt.for_header;
+      for (const AccessWrite& w : unit_->access(h.init_text).writes) {
+        out->push_back(w.sym);
       }
-      for (const auto& w : stmt.for_header.incr_text.access().writes) {
-        out->insert(w.name);
+      for (const AccessWrite& w : unit_->access(h.incr_text).writes) {
+        out->push_back(w.sym);
       }
       break;
+    }
     default:
       break;
   }
-  for (const StmtPtr& child : stmt.children) {
-    if (child) collect_writes_rec(*child, out);
-  }
+  for (const Stmt& child : stmt.children()) collect_writes_rec(child, out);
 }
 
 void Analyzer::collect_reads_rec(const Stmt& stmt,
-                                 std::set<std::string>* out) const {
+                                 std::vector<Sym>* out) const {
   auto add_text = [&](const Expr& expr) {
-    for (const std::string& r : expr.access().reads) out->insert(r);
+    for (const Sym r : unit_->access(expr).reads) out->push_back(r);
   };
   switch (stmt.kind) {
     case StmtKind::kRaw:
-      add_text(stmt.text);
+      add_text(stmt.expr);
       return;
     case StmtKind::kDecl:
-      for (const Declarator& d : stmt.declarators) add_text(d.init);
+      for (const Declarator& d : unit_->declarators_of(*stmt.decl)) {
+        add_text(d.init);
+      }
       return;
     case StmtKind::kFor:
-      add_text(stmt.for_header.init_text);
-      add_text(stmt.for_header.cond_text);
-      add_text(stmt.for_header.incr_text);
+      add_text(stmt.for_header->init_text);
+      add_text(stmt.for_header->cond_text);
+      add_text(stmt.for_header->incr_text);
       break;
     case StmtKind::kIf:
     case StmtKind::kWhile:
     case StmtKind::kDoWhile:
     case StmtKind::kSwitch:
-      add_text(stmt.cond);
+      add_text(stmt.expr);
       break;
     default:
       break;
   }
-  for (const StmtPtr& child : stmt.children) {
-    if (child) collect_reads_rec(*child, out);
-  }
+  for (const Stmt& child : stmt.children()) collect_reads_rec(child, out);
 }
 
 void Analyzer::walk_block(const Stmt& block, Env& env) {
-  scopes_.emplace_back();
+  scopes_.push_scope();
   struct Pending {
-    std::set<std::string> writes;
+    std::vector<Sym> writes;  // sorted
     int line;
   };
   std::vector<Pending> pending;  // nowait constructs awaiting a barrier
-  for (const StmtPtr& child : block.children) {
+  for (const Stmt& child : block.children()) {
     // Any read of a name written by a still-unbarriered nowait construct is
     // a dependence the dropped barrier no longer orders.
     if (env.in_parallel && !pending.empty()) {
-      std::set<std::string> reads;
-      collect_reads_rec(*child, &reads);
+      scratch_reads_.clear();
+      collect_reads_rec(child, &scratch_reads_);
+      sort_unique(&scratch_reads_);
       for (auto& p : pending) {
-        std::vector<std::string> hit;
-        for (const std::string& name : p.writes) {
-          if (reads.count(name) > 0) hit.push_back(name);
+        // Report in name order, as each construct's writes are named.
+        std::vector<Sym> hit;
+        for (const Sym name : p.writes) {
+          if (std::binary_search(scratch_reads_.begin(), scratch_reads_.end(),
+                                 name)) {
+            hit.push_back(name);
+          }
         }
-        for (const std::string& name : hit) {
-          p.writes.erase(name);
-          diag(kDiagNowaitDependentRead, Severity::kWarning, child->line, name,
-               "'" + name + "' is read here but written by the nowait "
+        std::sort(hit.begin(), hit.end(), [&](Sym a, Sym b) {
+          return unit_->name(a) < unit_->name(b);
+        });
+        for (const Sym name : hit) {
+          p.writes.erase(std::find(p.writes.begin(), p.writes.end(), name));
+          const std::string var = name_of(name);
+          diag(kDiagNowaitDependentRead, Severity::kWarning, child.line, var,
+               "'" + var + "' is read here but written by the nowait "
                "worksharing construct at line " + std::to_string(p.line) +
                " with no intervening barrier");
           candidates_.push_back(FlowCandidate{
               FlowCandidate::Kind::kNowait, out_.diagnostics.size() - 1, name,
-              child->line, p.line, env.region_id});
+              child.line, p.line, env.region_id});
         }
       }
     }
 
-    if (child->kind == StmtKind::kDecl) {
-      register_decl(*child, env, /*file_scope=*/false);
+    if (child.kind == StmtKind::kDecl) {
+      register_decl(child, env, /*file_scope=*/false);
     } else {
-      walk_stmt(*child, env);
+      walk_stmt(child, env);
     }
 
-    if (env.in_parallel && child->kind == StmtKind::kPragma) {
-      const Directive& d = child->directive;
+    if (env.in_parallel && child.kind == StmtKind::kPragma) {
+      const Directive& d = *child.directive;
       const bool worksharing = d.kind == DirectiveKind::kFor ||
                                d.kind == DirectiveKind::kSections ||
                                d.kind == DirectiveKind::kSingle;
@@ -476,37 +535,43 @@ void Analyzer::walk_block(const Stmt& block, Env& env) {
         if (d.clauses.nowait) {
           // Clause-privates of the construct die at its end; only data
           // visible to the team can carry the dependence.
-          std::set<std::string> construct_private;
-          for (const auto& v : d.clauses.privates) construct_private.insert(v);
-          for (const auto& v : d.clauses.firstprivate) {
-            construct_private.insert(v);
+          std::vector<Sym>& construct_private = scratch_private_;
+          construct_private.clear();
+          for (const ClauseVar& v : d.clauses.privates) {
+            construct_private.push_back(v.sym);
           }
-          for (const auto& v : d.clauses.lastprivate) {
-            construct_private.insert(v);
+          for (const ClauseVar& v : d.clauses.firstprivate) {
+            construct_private.push_back(v.sym);
+          }
+          for (const ClauseVar& v : d.clauses.lastprivate) {
+            construct_private.push_back(v.sym);
           }
           for (const auto& [op, v] : d.clauses.reductions) {
             (void)op;
-            construct_private.insert(v);
+            construct_private.push_back(v.sym);
           }
           Pending p;
           p.line = d.line;
-          if (!child->children.empty()) {
-            const Stmt& construct_body = *child->children.front();
+          if (child.first_child != nullptr) {
+            const Stmt& construct_body = *child.first_child;
             if (construct_body.kind == StmtKind::kFor &&
-                construct_body.for_header.canonical) {
+                construct_body.for_header->canonical) {
               // The worksharing loop variable is implicitly private.
-              construct_private.insert(construct_body.for_header.loop_var);
+              construct_private.push_back(
+                  construct_body.for_header->loop_var);
             }
-            std::set<std::string> written;
+            std::vector<Sym>& written = scratch_written_;
+            written.clear();
             collect_writes_rec(construct_body, &written);
-            for (const std::string& name : written) {
-              if (construct_private.count(name) > 0) continue;
+            sort_unique(&written);
+            for (const Sym name : written) {
+              if (contains(construct_private, name)) continue;
               std::size_t depth = 0;
-              const SymbolInfo* sym = lookup(name, &depth);
+              const SymbolInfo* sym = scopes_.lookup(name, &depth);
               if (sym == nullptr) continue;
               if (sharing_of(name, depth, *sym, env, d.line) ==
                   Sharing::kShared) {
-                p.writes.insert(name);
+                p.writes.push_back(name);
               }
             }
           }
@@ -517,35 +582,36 @@ void Analyzer::walk_block(const Stmt& block, Env& env) {
       }
     }
   }
-  scopes_.pop_back();
+  scopes_.pop_scope();
 }
 
 void Analyzer::handle_worksharing_for(const Directive& d, const Stmt& body,
                                       Env env) {
-  const std::vector<std::string> uninit_added =
-      add_clause_attrs(d.clauses, &env);
+  ConstructMark mark(this);
+  add_clause_attrs(d.clauses, &env);
   if (body.kind != StmtKind::kFor) {
     // CodeGen rejects this; still scan for diagnostics.
     walk_stmt(body, env);
+    mark.keep_uninit();
     return;
   }
-  const ForHeader& h = body.for_header;
-  scopes_.emplace_back();
+  const ForHeader& h = *body.for_header;
+  scopes_.push_scope();
   if (h.canonical) {
     process_text(h.lower, body.line, env);
     process_text(h.upper, body.line, env);
     process_text(h.step, body.line, env);
-    if (!h.var_decl_type.empty()) {
+    if (h.declares_var()) {
       SymbolInfo info;
-      info.type = h.var_decl_type;
-      info.byte_size = sizeof_declared(h.var_decl_type, 0, {});
+      info.type = &h.var_type;
+      info.byte_size = h.var_type.bytes;
       info.line = body.line;
-      declare(h.loop_var, info);
+      scopes_.declare(h.loop_var, info);
     } else {
       // The worksharing loop variable is private per the OpenMP rules and is
       // initialized by the scheduler, never uninitialized.
-      env.attrs[h.loop_var] = Sharing::kPrivate;
-      uninit_.erase(h.loop_var);
+      add_attr(&env, h.loop_var, Sharing::kPrivate);
+      uninit_erase(h.loop_var);
     }
   } else {
     process_text(h.init_text, body.line, env);
@@ -553,24 +619,21 @@ void Analyzer::handle_worksharing_for(const Directive& d, const Stmt& body,
     process_text(h.incr_text, body.line, env);
   }
   ++env.divergence;  // a barrier inside a worksharing body is divergent
-  if (!body.children.empty()) walk_stmt(*body.children.front(), env);
-  scopes_.pop_back();
-  for (const std::string& name : uninit_added) uninit_.erase(name);
+  if (body.first_child != nullptr) walk_stmt(*body.first_child, env);
+  scopes_.pop_scope();
 }
 
 void Analyzer::handle_sections(const Directive& d, const Stmt& body, Env env) {
-  const std::vector<std::string> uninit_added =
-      add_clause_attrs(d.clauses, &env);
+  const ConstructMark mark(this);
+  add_clause_attrs(d.clauses, &env);
   std::vector<const Stmt*> sections;
   if (body.kind == StmtKind::kBlock) {
-    for (const StmtPtr& child : body.children) {
-      if (child->kind == StmtKind::kPragma &&
-          child->directive.kind == DirectiveKind::kSection) {
-        if (!child->children.empty()) {
-          sections.push_back(child->children.front().get());
-        }
-      } else if (child->kind != StmtKind::kEmpty) {
-        sections.push_back(child.get());
+    for (const Stmt& child : body.children()) {
+      if (child.kind == StmtKind::kPragma &&
+          child.directive->kind == DirectiveKind::kSection) {
+        if (child.first_child != nullptr) sections.push_back(child.first_child);
+      } else if (child.kind != StmtKind::kEmpty) {
+        sections.push_back(&child);
       }
     }
   } else {
@@ -578,37 +641,42 @@ void Analyzer::handle_sections(const Directive& d, const Stmt& body, Env env) {
   }
   // Each section runs on one thread: a write in a single section is not a
   // race by itself, but the same shared name written from two sections is.
-  std::vector<std::set<std::string>> writes(sections.size());
-  for (std::size_t i = 0; i < sections.size(); ++i) {
+  std::vector<Sym> writers;  // each section's written names, once each
+  for (const Stmt* section : sections) {
+    std::vector<Sym> writes;
     Env senv = env;
     ++senv.divergence;
-    senv.race_sink = &writes[i];
-    scopes_.emplace_back();
-    walk_stmt(*sections[i], senv);
-    scopes_.pop_back();
+    senv.race_sink = &writes;
+    scopes_.push_scope();
+    walk_stmt(*section, senv);
+    scopes_.pop_scope();
+    sort_unique(&writes);
+    writers.insert(writers.end(), writes.begin(), writes.end());
   }
-  std::map<std::string, int> writers;
-  for (const auto& set : writes) {
-    for (const std::string& name : set) ++writers[name];
-  }
-  for (const auto& [name, count] : writers) {
+  std::sort(writers.begin(), writers.end(), [&](Sym a, Sym b) {
+    return unit_->name(a) < unit_->name(b);
+  });
+  for (std::size_t i = 0; i < writers.size();) {
+    std::size_t j = i;
+    while (j < writers.size() && writers[j] == writers[i]) ++j;
+    const std::size_t count = j - i;
     if (count >= 2) {
-      diag(kDiagRaceSharedWrite, Severity::kError, d.line, name,
-           "shared '" + name + "' is written by " + std::to_string(count) +
+      const std::string var = name_of(writers[i]);
+      diag(kDiagRaceSharedWrite, Severity::kError, d.line, var,
+           "shared '" + var + "' is written by " + std::to_string(count) +
                " different sections of the sections construct at line " +
                std::to_string(d.line) + " (sections run concurrently)");
     }
+    i = j;
   }
-  for (const std::string& name : uninit_added) uninit_.erase(name);
 }
 
 void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
-  const Directive& d = stmt.directive;
-  const Stmt* inner =
-      stmt.children.empty() ? nullptr : stmt.children.front().get();
+  const Directive& d = *stmt.directive;
+  const Stmt* inner = stmt.first_child;
   if (inner != nullptr && inner->kind == StmtKind::kBlock &&
-      inner->children.size() == 1) {
-    inner = inner->children.front().get();
+      inner->child_count() == 1) {
+    inner = inner->first_child;
   }
 
   SyncDecision dec;
@@ -618,30 +686,31 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
   std::optional<UpdateShape> shape;
   if (inner == nullptr || inner->kind != StmtKind::kRaw) {
     reason = "body is not a single expression statement";
-  } else if (!(shape = match_scalar_update(unit_->tokens, inner->text.span))) {
-    reason = inner->text.access().has_call
+  } else if (!(shape = match_scalar_update(unit_->tokens, inner->expr.span))) {
+    reason = inner->expr.has_call
                  ? "update expression calls a function"
                  : "statement is not a scalar update "
                    "(x op= expr, x++, x = x op expr)";
   } else {
-    dec.var = shape->var;
+    dec.var = std::string(shape->var);
     std::size_t depth = 0;
-    const SymbolInfo* sym = lookup(shape->var, &depth);
+    const SymbolInfo* sym = scopes_.lookup(shape->sym, &depth);
     if (sym == nullptr) {
-      reason = "no visible declaration for '" + shape->var + "'";
+      reason = "no visible declaration for '" + dec.var + "'";
     } else if (sym->is_array || sym->pointer_depth > 0) {
-      reason = "'" + shape->var + "' is not a scalar";
+      reason = "'" + dec.var + "' is not a scalar";
     } else {
-      const Sharing sh = sharing_of(shape->var, depth, *sym, env, d.line);
+      const Sharing sh = sharing_of(shape->sym, depth, *sym, env, d.line);
       if (sh == Sharing::kThreadprivate) {
-        reason = "'" + shape->var + "' is threadprivate; per-thread updates "
+        reason = "'" + dec.var + "' is threadprivate; per-thread updates "
                  "need no collective";
       } else if (sh != Sharing::kShared) {
-        reason = "'" + shape->var + "' is not shared in the enclosing "
+        reason = "'" + dec.var + "' is not shared in the enclosing "
                  "parallel region; a collective would merge private copies";
       } else if (sym->byte_size == 0) {
-        reason = "declared type '" + sym->type + "' has no statically known "
-                 "size; page consistency is the safe fallback";
+        reason = "declared type '" + type_text(*sym) +
+                 "' has no statically known size; page consistency is the "
+                 "safe fallback";
       } else if (sym->byte_size > options_.mp_threshold_bytes) {
         reason = "declared size " + std::to_string(sym->byte_size) +
                  " B exceeds the update-collective threshold " +
@@ -652,15 +721,17 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
     }
   }
   dec.reason = reason;
-  out_.sync_sites[d.line] = dec;
+  const bool collective = dec.collective;
+  const std::string var = dec.var;
+  out_.sync_sites[d.line] = std::move(dec);
 
   const char* construct = is_atomic ? "atomic" : "critical";
   if (is_atomic && !shape.has_value()) {
     diag(kDiagAtomicNotUpdate, Severity::kError, d.line, "",
          "atomic statement is not a supported update "
          "(x op= expr, x++, x = x op expr): " + reason);
-  } else if (!dec.collective) {
-    diag(kDiagSyncDsmFallback, Severity::kNote, d.line, dec.var,
+  } else if (!collective) {
+    diag(kDiagSyncDsmFallback, Severity::kNote, d.line, var,
          std::string(construct) + " at line " + std::to_string(d.line) +
              " maps to the DSM lock path, not update-by-collective: " +
              reason);
@@ -669,7 +740,7 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
   if (inner != nullptr) {
     Env benv = env;
     benv.race_guarded = true;
-    benv.placement_managed = dec.collective;
+    benv.placement_managed = collective;
     benv.race_sink = nullptr;
     if (!is_atomic) {
       // Lock-order graph: nesting critical(B) inside critical(A) orders the
@@ -680,68 +751,76 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
         lock_edges_.try_emplace({outer, lock}, d.line);
       }
       lock_stack_.push_back(lock);
-      walk_stmt(*stmt.children.front(), benv);
+      walk_stmt(*stmt.first_child, benv);
       lock_stack_.pop_back();
     } else {
-      walk_stmt(*stmt.children.front(), benv);
+      walk_stmt(*stmt.first_child, benv);
     }
   }
 }
 
-void Analyzer::handle_parallel(const Stmt& stmt, Env env) {
-  const Directive& d = stmt.directive;
+void Analyzer::handle_parallel(const Stmt& stmt, const Env& env) {
+  const Directive& d = *stmt.directive;
   // firstprivate snapshots read the outer values before the fork.
-  for (const std::string& v : d.clauses.firstprivate) {
-    process_read(v, d.line, env);
+  for (const ClauseVar& v : d.clauses.firstprivate) {
+    process_read(v.sym, d.line, env);
   }
-  const std::set<std::string> saved_uninit = std::move(uninit_);
-  uninit_.clear();
+  // The region starts its own uninitialized set above the outer one, which
+  // comes back whole when it ends.
+  const std::size_t saved_base = uninit_base_;
+  uninit_base_ = uninit_.size();
+  const std::size_t saved_attrs = attrs_.size();
+  const std::size_t saved_added = uninit_added_.size();
 
   Env penv;
   penv.in_parallel = true;
   penv.region_line = d.line;
-  penv.region_depth = scopes_.size();
+  penv.region_depth = scopes_.depth();
   penv.default_none = d.clauses.has_default && !d.clauses.default_shared;
   penv.divergence = 0;
+  penv.attrs_begin = penv.attrs_end = static_cast<std::uint32_t>(attrs_.size());
   add_clause_attrs(d.clauses, &penv);
 
-  if (stmt.children.empty()) {
-    uninit_ = saved_uninit;
-    return;
-  }
-  const Stmt& body = *stmt.children.front();
-  penv.region_id = static_cast<int>(regions_.size());
-  {
+  if (stmt.first_child != nullptr) {
+    const Stmt& body = *stmt.first_child;
+    penv.region_id = static_cast<int>(regions_.size());
     RegionRec rec;
     rec.construct = &stmt;
     rec.line = d.line;
-    for (const auto& [name, sh] : penv.attrs) {
-      if (sh != Sharing::kShared) rec.privatelike.insert(name);
+    rec.privatelike = static_cast<std::uint32_t>(privatelike_.size());
+    for (std::uint32_t i = penv.attrs_begin; i < penv.attrs_end; ++i) {
+      const Attr& a = attrs_[i];
+      if (find_attr(penv, a.sym) == &a && a.sharing != Sharing::kShared) {
+        privatelike_.push_back(a.sym);
+      }
     }
-    if (body.kind == StmtKind::kFor && body.for_header.canonical) {
-      rec.privatelike.insert(body.for_header.loop_var);
+    if (body.kind == StmtKind::kFor && body.for_header->canonical) {
+      privatelike_.push_back(body.for_header->loop_var);
     }
-    regions_.push_back(std::move(rec));
+    rec.n_privatelike =
+        static_cast<std::uint32_t>(privatelike_.size()) - rec.privatelike;
+    regions_.push_back(rec);
+    switch (d.kind) {
+      case DirectiveKind::kParallelFor:
+        handle_worksharing_for(d, body, penv);
+        break;
+      case DirectiveKind::kParallelSections:
+        handle_sections(d, body, penv);
+        break;
+      default:
+        walk_stmt(body, penv);
+        break;
+    }
   }
-  switch (d.kind) {
-    case DirectiveKind::kParallel:
-      walk_stmt(body, penv);
-      break;
-    case DirectiveKind::kParallelFor:
-      handle_worksharing_for(d, body, penv);
-      break;
-    case DirectiveKind::kParallelSections:
-      handle_sections(d, body, penv);
-      break;
-    default:
-      walk_stmt(body, penv);
-      break;
-  }
-  uninit_ = saved_uninit;
+  attrs_.resize(saved_attrs);
+  uninit_added_.resize(saved_added);
+  uninit_.resize(uninit_base_);
+  uninit_base_ = saved_base;
 }
 
 void Analyzer::walk_pragma(const Stmt& stmt, Env& env) {
-  const Directive& d = stmt.directive;
+  const Directive& d = *stmt.directive;
+  const Stmt* body = stmt.first_child;
   switch (d.kind) {
     case DirectiveKind::kParallel:
     case DirectiveKind::kParallelFor:
@@ -749,36 +828,32 @@ void Analyzer::walk_pragma(const Stmt& stmt, Env& env) {
       handle_parallel(stmt, env);
       return;
     case DirectiveKind::kFor:
-      if (!stmt.children.empty()) {
-        handle_worksharing_for(d, *stmt.children.front(), env);
-      }
+      if (body != nullptr) handle_worksharing_for(d, *body, env);
       return;
     case DirectiveKind::kSections:
-      if (!stmt.children.empty()) {
-        handle_sections(d, *stmt.children.front(), env);
-      }
+      if (body != nullptr) handle_sections(d, *body, env);
       return;
     case DirectiveKind::kSection:
-      if (!stmt.children.empty()) walk_stmt(*stmt.children.front(), env);
+      if (body != nullptr) walk_stmt(*body, env);
       return;
     case DirectiveKind::kSingle: {
-      if (stmt.children.empty()) return;
+      if (body == nullptr) return;
       Env senv = env;
       senv.race_guarded = true;
       senv.placement_managed = true;  // results travel in the broadcast
       senv.race_sink = nullptr;
-      walk_stmt(*stmt.children.front(), senv);
+      walk_stmt(*body, senv);
       return;
     }
     case DirectiveKind::kMaster:
     case DirectiveKind::kOrdered: {
-      if (stmt.children.empty()) return;
+      if (body == nullptr) return;
       Env menv = env;
       menv.race_guarded = true;  // one thread executes
       menv.race_sink = nullptr;
       // placement stays unmanaged: nothing propagates these stores except
       // the DSM, so the written globals must live on pages.
-      walk_stmt(*stmt.children.front(), menv);
+      walk_stmt(*body, menv);
       return;
     }
     case DirectiveKind::kCritical:
@@ -806,7 +881,7 @@ void Analyzer::walk_stmt(const Stmt& stmt, Env& env) {
       walk_block(stmt, env);
       return;
     case StmtKind::kRaw:
-      process_text(stmt.text, stmt.line, env);
+      process_text(stmt.expr, stmt.line, env);
       return;
     case StmtKind::kDecl:
       // Reached for decls outside block child lists (e.g. loop bodies that
@@ -814,36 +889,37 @@ void Analyzer::walk_stmt(const Stmt& stmt, Env& env) {
       register_decl(stmt, env, /*file_scope=*/false);
       return;
     case StmtKind::kFor: {
-      const ForHeader& h = stmt.for_header;
-      scopes_.emplace_back();
-      if (h.canonical && !h.var_decl_type.empty()) {
+      const ForHeader& h = *stmt.for_header;
+      scopes_.push_scope();
+      if (h.canonical && h.declares_var()) {
         SymbolInfo info;
-        info.type = h.var_decl_type;
-        info.byte_size = sizeof_declared(h.var_decl_type, 0, {});
+        info.type = &h.var_type;
+        info.byte_size = h.var_type.bytes;
         info.line = stmt.line;
-        declare(h.loop_var, info);
+        scopes_.declare(h.loop_var, info);
       }
       process_text(h.init_text, stmt.line, env);
       process_text(h.cond_text, stmt.line, env);
       process_text(h.incr_text, stmt.line, env);
       Env benv = env;
       ++benv.divergence;
-      if (!stmt.children.empty()) walk_stmt(*stmt.children.front(), benv);
-      scopes_.pop_back();
+      if (stmt.first_child != nullptr) walk_stmt(*stmt.first_child, benv);
+      scopes_.pop_scope();
       return;
     }
     case StmtKind::kIf:
     case StmtKind::kWhile:
     case StmtKind::kDoWhile:
     case StmtKind::kSwitch: {
-      process_text(stmt.cond, stmt.line, env);
+      process_text(stmt.expr, stmt.line, env);
       Env benv = env;
       ++benv.divergence;
-      for (const StmtPtr& child : stmt.children) {
-        if (child) walk_stmt(*child, benv);
-      }
+      for (const Stmt& child : stmt.children()) walk_stmt(child, benv);
       return;
     }
+    case StmtKind::kLabel:
+      if (stmt.first_child != nullptr) walk_stmt(*stmt.first_child, env);
+      return;
     case StmtKind::kPragma:
       walk_pragma(stmt, env);
       return;
@@ -856,26 +932,30 @@ void Analyzer::walk_stmt(const Stmt& stmt, Env& env) {
 void Analyzer::register_params(const std::vector<Param>& params) {
   for (const Param& p : params) {
     SymbolInfo info;
-    info.type = p.type;
+    info.type = &p.type;
     info.pointer_depth = p.pointer_depth;
     info.is_array = p.is_array;
-    info.byte_size = p.pointer_depth > 0 || p.is_array ? sizeof(void*)
-                                                       : base_type_size(p.type);
-    declare(p.name, info);
+    info.byte_size =
+        p.pointer_depth > 0 || p.is_array ? sizeof(void*) : p.type.bytes;
+    scopes_.declare(p.name, info);
   }
 }
 
 Analysis Analyzer::run(const TranslationUnit& unit) {
   unit_ = &unit;
-  scopes_.emplace_back();  // file scope
+  const std::size_t symbols = unit.symbols.size();
+  scopes_.reset(symbols);
+  dsm_mark_line_.assign(symbols, 0);
+  global_of_.assign(symbols, nullptr);
+  scopes_.push_scope();  // file scope
 
   // threadprivate(list) pragmas may follow the declaration they mark.
-  std::set<std::string> threadprivate_names;
+  std::vector<Sym> threadprivate_names;
   for (const TopItem& item : unit.items) {
     if (item.kind == TopItem::Kind::kPragma &&
-        item.stmt->directive.kind == DirectiveKind::kThreadprivate) {
-      for (const std::string& name : item.stmt->directive.clauses.flush_list) {
-        threadprivate_names.insert(name);
+        item.stmt->directive->kind == DirectiveKind::kThreadprivate) {
+      for (const ClauseVar& v : item.stmt->directive->clauses.flush_list) {
+        threadprivate_names.push_back(v.sym);
       }
     }
   }
@@ -883,16 +963,18 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
   Env file_env;
   for (const TopItem& item : unit.items) {
     if (item.kind != TopItem::Kind::kDecl) continue;
-    const Stmt& decl = *item.stmt;
-    register_decl(decl, file_env, /*file_scope=*/true);
-    for (const Declarator& d : decl.declarators) {
+    const Stmt& stmt = *item.stmt;
+    register_decl(stmt, file_env, /*file_scope=*/true);
+    for (const Declarator& d : unit.declarators_of(*stmt.decl)) {
       if (d.is_function) continue;
-      SymbolInfo& info = scopes_.front()[d.name];
-      info.threadprivate = threadprivate_names.count(d.name) > 0;
+      SymbolInfo& info = *scopes_.lookup(d.name);
+      info.threadprivate = contains(threadprivate_names, d.name);
       VarClass vc;
-      vc.type = decl.decl_type.text;
+      vc.type = render_tokens(unit.tokens, stmt.decl->type.span.begin,
+                              stmt.decl->type.span.end);
       vc.byte_size = info.byte_size;
-      vc.line = decl.line;
+      vc.base_bytes = stmt.decl->type.bytes;
+      vc.line = stmt.line;
       if (info.threadprivate) {
         vc.placement = Placement::kThreadprivate;
         vc.reason = "threadprivate: one instance per thread, never shared";
@@ -905,17 +987,19 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
       } else {
         vc.placement = Placement::kReplicated;  // provisional
       }
-      out_.globals[d.name] = std::move(vc);
+      VarClass& entry = out_.globals[std::string(unit.name(d.name))];
+      entry = std::move(vc);
+      global_of_[d.name] = &entry;
     }
   }
 
   for (const TopItem& item : unit.items) {
     if (item.kind != TopItem::Kind::kFunction) continue;
-    scopes_.emplace_back();
+    scopes_.push_scope();
     register_params(item.function.param_list);
     Env env;
     if (item.function.body) walk_stmt(*item.function.body, env);
-    scopes_.resize(1);
+    while (scopes_.depth() > 1) scopes_.pop_scope();
     uninit_.clear();
   }
 
@@ -929,10 +1013,12 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
   // propagates the value itself, so the variable stays node-replicated.
   for (auto& [name, vc] : out_.globals) {
     if (vc.placement != Placement::kReplicated || !vc.reason.empty()) continue;
-    auto it = dsm_marks_.find(name);
-    if (it != dsm_marks_.end()) {
+    const int line = dsm_mark_line_[unit.symbols.find(name)];
+    if (line != 0) {
       vc.placement = Placement::kDsmScalar;
-      vc.reason = it->second;
+      vc.reason = "written by an unmanaged statement in a parallel context "
+                  "(line " + std::to_string(line) + "); HLRC page consistency "
+                  "must propagate it";
     } else {
       vc.reason =
           "all parallel-context writes are synchronization-managed; "
@@ -961,22 +1047,25 @@ Analysis Analyzer::run(const TranslationUnit& unit) {
   sort_diags(&out_.diagnostics);
   sort_diags(&out_.suppressed);
   unit_ = nullptr;
-  return out_;
+  return std::move(out_);
 }
 
 void Analyzer::run_flow_pass() {
   std::set<std::size_t> drop;
   std::set<int> unmatched_lines;            // dedup across nested-region CFGs
-  std::set<std::pair<int, std::string>> stale_reported;
+  std::set<std::pair<int, Sym>> stale_reported;
+  std::vector<Sym> written;
   for (std::size_t ri = 0; ri < regions_.size(); ++ri) {
     const RegionRec& rec = regions_[ri];
-    const Cfg cfg = build_cfg(*rec.construct, unit_->tokens);
+    build_cfg(*rec.construct, *unit_, &cfg_);
+    cfg_.reachable(&reach_);
+    const Cfg& cfg = cfg_;
+    const std::vector<char>& reach = reach_;
     RegionSummary rs;
     rs.line = rec.line;
     rs.blocks = cfg.blocks.size();
     rs.edges = cfg.edge_count();
     rs.loops = cfg.loops.size();
-    const std::vector<char> reach = cfg.reachable();
 
     // Nowait taint: a bit per nowait construct, set at its exit, killed by
     // any barrier (explicit or implicit, at any nesting depth).
@@ -991,7 +1080,7 @@ void Analyzer::run_flow_pass() {
       for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
         BitSet gen(p.bits);
         BitSet kill(p.bits);
-        for (const CfgEvent& e : cfg.blocks[b].events) {
+        for (const CfgEvent& e : cfg.events(b)) {
           if (e.kind == CfgEventKind::kBarrier) {
             gen.clear();
             kill.set_all();
@@ -1015,8 +1104,8 @@ void Analyzer::run_flow_pass() {
           bool found_any = false;
           bool found_reachable = false;
           for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-            for (const CfgEvent& e : cfg.blocks[b].events) {
-              if (e.kind == CfgEventKind::kWrite && e.name == c.var &&
+            for (const CfgEvent& e : cfg.events(b)) {
+              if (e.kind == CfgEventKind::kWrite && e.sym == c.var &&
                   e.line == c.line) {
                 found_any = true;
                 if (reach[b] != 0) found_reachable = true;
@@ -1058,34 +1147,33 @@ void Analyzer::run_flow_pass() {
     for (std::size_t li = 0; li < cfg.loops.size(); ++li) {
       if (cfg.loops[li].worksharing) continue;
       bool has_sync = false;
-      std::set<std::string> written;
+      written.clear();
       for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
         if (!cfg.block_in_loop(static_cast<int>(b), static_cast<int>(li))) {
           continue;
         }
-        for (const CfgEvent& e : cfg.blocks[b].events) {
+        for (const CfgEvent& e : cfg.events(b)) {
           if (e.kind == CfgEventKind::kBarrier ||
               e.kind == CfgEventKind::kSync) {
             has_sync = true;
           } else if (e.kind == CfgEventKind::kWrite) {
-            written.insert(e.name);
+            written.push_back(e.sym);
           }
         }
       }
       if (has_sync) continue;
       const int head = cfg.loops[li].head;
       if (head < 0) continue;
-      for (const CfgEvent& e :
-           cfg.blocks[static_cast<std::size_t>(head)].events) {
+      for (const CfgEvent& e : cfg.events(static_cast<std::size_t>(head))) {
         if (e.kind != CfgEventKind::kRead || !e.loop_cond) continue;
-        if (!shared_in_region(e.name, rec, cfg)) continue;
-        if (written.count(e.name) > 0) continue;
-        if (!stale_reported.insert({cfg.loops[li].line, e.name}).second) {
+        if (!shared_in_region(e.sym, rec, cfg)) continue;
+        if (contains(written, e.sym)) continue;
+        if (!stale_reported.insert({cfg.loops[li].line, e.sym}).second) {
           continue;
         }
-        diag(kDiagStaleReadLoop, Severity::kWarning, cfg.loops[li].line,
-             e.name,
-             "loop condition re-reads shared '" + e.name +
+        const std::string var = name_of(e.sym);
+        diag(kDiagStaleReadLoop, Severity::kWarning, cfg.loops[li].line, var,
+             "loop condition re-reads shared '" + var +
                  "' with no write, barrier, or flush inside the loop; under "
                  "HLRC the remote update is never propagated, so this "
                  "spin-wait never terminates");
@@ -1109,17 +1197,21 @@ void Analyzer::run_flow_pass() {
   }
 }
 
-bool Analyzer::shared_in_region(const std::string& name, const RegionRec& rec,
+bool Analyzer::shared_in_region(Sym name, const RegionRec& rec,
                                 const Cfg& cfg) const {
-  auto it = out_.globals.find(name);
-  if (it == out_.globals.end()) return false;
-  if (it->second.placement == Placement::kThreadprivate) return false;
-  return rec.privatelike.count(name) == 0 && cfg.locals.count(name) == 0;
+  const VarClass* global = global_of_[name];
+  if (global == nullptr) return false;
+  if (global->placement == Placement::kThreadprivate) return false;
+  const auto first =
+      privatelike_.begin() + static_cast<std::ptrdiff_t>(rec.privatelike);
+  return std::find(first, first + rec.n_privatelike, name) ==
+             first + rec.n_privatelike &&
+         !cfg.is_local(name);
 }
 
 bool Analyzer::uninit_is_spurious(const Cfg& cfg,
                                   const std::vector<char>& reach,
-                                  const std::string& var) const {
+                                  Sym var) const {
   // Must-written analysis: forward, intersection meet, one bit ("var has
   // been written on every path reaching here"). A read of the private
   // before its bit holds is genuinely maybe-uninitialized; if no such read
@@ -1133,9 +1225,9 @@ bool Analyzer::uninit_is_spurious(const Cfg& cfg,
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
     BitSet gen(1);
     BitSet kill(1);
-    for (const CfgEvent& e : cfg.blocks[b].events) {
+    for (const CfgEvent& e : cfg.events(b)) {
       if ((e.kind == CfgEventKind::kWrite || e.kind == CfgEventKind::kDecl) &&
-          e.name == var) {
+          e.sym == var) {
         gen.set(0);
       }
     }
@@ -1147,13 +1239,13 @@ bool Analyzer::uninit_is_spurious(const Cfg& cfg,
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
     if (reach[b] == 0) continue;
     bool written = result.in[b].test(0);
-    for (const CfgEvent& e : cfg.blocks[b].events) {
-      if (e.kind == CfgEventKind::kRead && e.name == var) {
+    for (const CfgEvent& e : cfg.events(b)) {
+      if (e.kind == CfgEventKind::kRead && e.sym == var) {
         found_read = true;
         if (!written) return false;  // a maybe-uninit read really exists
       } else if ((e.kind == CfgEventKind::kWrite ||
                   e.kind == CfgEventKind::kDecl) &&
-                 e.name == var) {
+                 e.sym == var) {
         written = true;
       }
     }
@@ -1182,8 +1274,8 @@ bool Analyzer::nowait_is_spurious(const Cfg& cfg,
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
     if (reach[b] == 0) continue;
     BitSet state = taint.in[b];
-    for (const CfgEvent& e : cfg.blocks[b].events) {
-      if (e.kind == CfgEventKind::kRead && e.name == c.var) {
+    for (const CfgEvent& e : cfg.events(b)) {
+      if (e.kind == CfgEventKind::kRead && e.sym == c.var) {
         found_any_read = true;
         if (!e.in_critical &&
             state.test(static_cast<std::size_t>(nowait_id))) {
@@ -1268,44 +1360,38 @@ std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
   };
   while (n > 0 && at(n - 1).is_punct(";")) --n;
   if (n < 2 || at(0).kind != TokKind::kIdent) return std::nullopt;
-  const std::string var = at(0).text;
 
-  // The contribution: tokens [begin, n), spelled joined by single spaces.
-  auto expr_from = [&](std::size_t begin) -> std::optional<Expr> {
-    Expr expr;
-    expr.span = {span.begin + begin, span.begin + n};
-    for (std::size_t i = begin; i < n; ++i) {
+  // The contribution: tokens [begin, n), none of them a call.
+  auto expr_from = [&](std::size_t begin) -> std::optional<TokenSpan> {
+    if (begin >= n) return std::nullopt;
+    for (std::size_t i = begin; i + 1 < n; ++i) {
       // Function calls in the contribution are not analyzable (paper §7).
-      if (at(i).kind == TokKind::kIdent && i + 1 < n &&
-          at(i + 1).is_punct("(")) {
+      if (at(i).kind == TokKind::kIdent && at(i + 1).is_punct("(")) {
         return std::nullopt;
       }
-      if (!expr.text.empty()) expr.text += ' ';
-      expr.text += at(i).text;
     }
-    if (expr.text.empty()) return std::nullopt;
-    return expr;
+    return TokenSpan{span.begin + begin, span.begin + n};
   };
 
   UpdateShape p;
-  p.var = var;
+  p.var = at(0).text;
+  p.sym = at(0).sym;
   if (n == 2 && (at(1).is_punct("++") || at(1).is_punct("--"))) {
     p.combine_op = "+";
     p.apply_op = at(1).is("++") ? "+" : "-";
-    p.expr.text = "1";
-    return p;
+    return p;  // the contribution is the literal 1: `expr` stays empty
   }
   const Token& op = at(1);
   if (op.is("+=") || op.is("-=") || op.is("*=") || op.is("&=") ||
       op.is("|=") || op.is("^=")) {
     auto expr = expr_from(2);
     if (!expr) return std::nullopt;
-    p.apply_op = op.text.substr(0, 1);
+    p.apply_op = std::string_view(op.text).substr(0, 1);
     p.combine_op = op.is("-=") ? "+" : p.apply_op;
-    p.expr = std::move(*expr);
+    p.expr = *expr;
     return p;
   }
-  if (op.is("=") && n >= 5 && at(2).text == var &&
+  if (op.is("=") && n >= 5 && at(2).text == p.var &&
       at(3).kind == TokKind::kPunct) {
     const Token& binop = at(3);
     if (binop.is("+") || binop.is("-") || binop.is("*") || binop.is("&") ||
@@ -1313,8 +1399,8 @@ std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
       auto expr = expr_from(4);
       if (!expr) return std::nullopt;
       p.apply_op = binop.text;
-      p.combine_op = binop.is("-") ? "+" : binop.text;
-      p.expr = std::move(*expr);
+      p.combine_op = binop.is("-") ? "+" : p.apply_op;
+      p.expr = *expr;
       return p;
     }
   }
@@ -1346,7 +1432,11 @@ const char* to_string(Placement placement) {
 std::size_t sizeof_declared(const std::string& decl_type, int pointer_depth,
                             const std::vector<std::string>& array_dims) {
   if (pointer_depth > 0) return sizeof(void*);
-  const std::size_t base = base_type_size(decl_type);
+  const auto tokens = lex(decl_type);
+  if (!tokens.is_ok()) return 0;
+  const std::vector<Token>& type_tokens = tokens.value();
+  const std::size_t base =
+      parse_decl_type(type_tokens, {0, type_tokens.size() - 1}).bytes;
   if (base == 0) return 0;
   std::size_t total = base;
   for (const std::string& dim : array_dims) {

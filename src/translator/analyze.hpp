@@ -13,6 +13,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -89,6 +90,7 @@ struct VarClass {
   Placement placement = Placement::kReplicated;
   std::string type;          // declared base type text
   std::size_t byte_size = 0; // 0 = statically unknown
+  std::size_t base_bytes = 0;  // one element: the base type's size (0 = unknown)
   std::string reason;        // why this placement was chosen
   int line = 0;              // declaration line
 };
@@ -107,10 +109,13 @@ struct SyncDecision {
 /// `x op= expr`, `x++`/`x--`, or `x = x op expr`, with no function calls in
 /// the contribution expression.
 struct UpdateShape {
-  std::string var;
-  std::string combine_op;  // operator combining per-thread contributions
-  std::string apply_op;    // operator applying the combined value to var
-  Expr expr;               // contribution expression (text "1" for x++/x--)
+  std::string_view var;         // the updated name (a view of its token)
+  Sym sym = kNoSym;             // its symbol id
+  std::string_view combine_op;  // operator combining per-thread contributions
+  std::string_view apply_op;    // operator applying the combined value to var
+  /// The contribution expression's tokens; empty for x++/x--, whose
+  /// contribution is the literal 1.
+  TokenSpan expr;
 };
 
 /// Purely syntactic matcher for UpdateShape over the statement tokens

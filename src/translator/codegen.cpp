@@ -1,44 +1,48 @@
 #include "translator/codegen.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
-#include <set>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "translator/parser.hpp"
+#include "translator/scopes.hpp"
 #include "translator/token.hpp"
 
 namespace parade::translator {
 namespace {
 
-const std::unordered_set<std::string>& omp_api_names() {
-  static const std::unordered_set<std::string> names = {
+/// True for the OpenMP runtime names the shims in xlat_support.hpp provide.
+bool is_omp_api_name(std::string_view name) {
+  static constexpr std::string_view kNames[] = {
       "omp_get_num_threads", "omp_get_max_threads", "omp_get_thread_num",
       "omp_get_num_procs",   "omp_in_parallel",     "omp_get_wtime",
       "omp_get_wtick",       "omp_init_lock",       "omp_destroy_lock",
       "omp_set_lock",        "omp_unset_lock",      "omp_init_nest_lock",
       "omp_destroy_nest_lock", "omp_set_nest_lock", "omp_unset_nest_lock",
       "omp_lock_t",          "omp_nest_lock_t"};
-  return names;
+  return std::find(std::begin(kNames), std::end(kNames), name) !=
+         std::end(kNames);
 }
 
-/// Strips storage-class and cv qualifiers so the remainder can be used as a
-/// template argument / cast target ("static long" -> "long").
-std::string value_type_of(const std::string& decl_type) {
-  std::string out;
-  for (const std::string_view word : type_words(decl_type)) {
-    if (!out.empty()) out += ' ';
-    if (text_is(word, "omp_lock_t") || text_is(word, "omp_nest_lock_t")) {
-      out += "parade::ompshim::";
-    }
-    out += word;
+/// How an identifier is spelled before any scope is consulted.
+enum class SpellKind : char { kPlain, kPrintf, kOmpApi };
+
+SpellKind spell_kind(std::string_view name) {
+  if (text_is(name, "printf")) return SpellKind::kPrintf;
+  // Every API name starts with omp_; the prefix test spares the search.
+  if (text_is(name.substr(0, 4), "omp_") && is_omp_api_name(name)) {
+    return SpellKind::kOmpApi;
   }
-  return out.empty() ? decl_type : out;
+  return SpellKind::kPlain;
 }
 
 struct Symbol {
-  std::string type;  // base type text without stars
+  /// Value-type spelling (DeclType::value, or a shadowed variable's); empty
+  /// when unknown, which type_of spells "long".
+  std::string_view type;
+  int stars = 0;  // '*'s type_of appends to `type`
   int pointer_depth = 0;
   bool is_array = false;
   bool replicated_global = false;  // rewritten to __prep_<name>.get()
@@ -52,6 +56,32 @@ struct Symbol {
 // table and checks declared sizes against the collective threshold. CodeGen
 // only reads the recorded decisions.
 
+// Pieces a generated line is written from; each appends straight into the
+// output buffer (CodeGen::put).
+struct Fresh {  // a generated name: __parade_<stem><id>
+  const char* stem;
+  int id;
+};
+struct Spelled {  // an identifier as the generated code names it
+  Sym sym;
+};
+struct Name {  // an identifier as written
+  Sym sym;
+};
+struct Rewritten {  // tokens with every identifier spelled
+  TokenSpan span;
+  const char* if_empty = "";  // what an empty span stands for
+};
+struct Rendered {  // tokens as written
+  TokenSpan span;
+};
+struct TypeOf {  // the value type of a variable ("long" when unknown)
+  Sym var;
+};
+struct Stars {
+  int count;
+};
+
 class CodeGen {
  public:
   CodeGen(const TranslateOptions& options, const Analysis& analysis)
@@ -61,59 +91,105 @@ class CodeGen {
 
  private:
   // --- output helpers ---
-  void line(const std::string& text) {
+  void put(std::string& to, std::string_view s) { to += s; }
+  void put(std::string& to, char c) { to += c; }
+  void put(std::string& to, int v) { put_number(to, v); }
+  void put(std::string& to, std::size_t v) { put_number(to, v); }
+  void put(std::string& to, const Fresh& f) {
+    to += "__parade_";
+    to += f.stem;
+    put_number(to, f.id);
+  }
+  void put(std::string& to, const Spelled& s) {
+    spell(to, s.sym, unit_->name(s.sym));
+  }
+  void put(std::string& to, const Name& n) { to += unit_->name(n.sym); }
+  void put(std::string& to, const Rewritten& r) {
+    if (r.span.empty()) {
+      to += r.if_empty;
+    } else {
+      rewrite(to, unit_->tokens, r.span);
+    }
+  }
+  void put(std::string& to, const Rendered& r) {
+    render_tokens(to, unit_->tokens, r.span.begin, r.span.end,
+                  [](const Token& t, std::string& out) { out += t.text; });
+  }
+  void put(std::string& to, const TypeOf& t) { type_of(to, t.var); }
+  void put(std::string& to, const Stars& s) {
+    to.append(static_cast<std::size_t>(s.count), '*');
+  }
+  template <typename Number>
+  static void put_number(std::string& to, Number v) {
+    char digits[24];
+    const auto end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+    to.append(digits, end);
+  }
+
+  /// Writes one indented line of `pieces` into the output.
+  template <typename... Pieces>
+  void line(const Pieces&... pieces) {
     out_.append(2 * static_cast<std::size_t>(indent_), ' ');
-    out_ += text;
+    (put(out_, pieces), ...);
     out_ += '\n';
   }
-  void open(const std::string& text) {
-    line(text);
+  template <typename... Pieces>
+  void open(const Pieces&... pieces) {
+    line(pieces...);
     ++indent_;
   }
-  void close(const std::string& text = "}") {
+  template <typename... Pieces>
+  void close(const Pieces&... pieces) {
     --indent_;
-    line(text);
+    line(pieces...);
   }
-  std::string unique(const std::string& stem) {
-    return "__parade_" + stem + std::to_string(counter_++);
+  void close() { close('}'); }
+  /// Appends one line of the shared-pool initialisation.
+  template <typename... Pieces>
+  void init_line(const Pieces&... pieces) {
+    (put(shared_init_, pieces), ...);
+    shared_init_ += '\n';
   }
+  Fresh fresh(const char* stem) { return Fresh{stem, counter_++}; }
 
   // --- scopes / symbols ---
-  void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
-  const Symbol* lookup(const std::string& name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) return &found->second;
+  const Symbol* lookup(Sym name) const { return scopes_.lookup(name); }
+  void declare(Sym name, Symbol symbol) { scopes_.declare(name, symbol); }
+  /// A shadow of `var` for a clause: the outer variable's type, no shape.
+  Symbol shadow_of(Sym var) const {
+    const Symbol* outer = lookup(var);
+    Symbol s;
+    if (outer == nullptr || outer->type.empty()) {
+      s.type = "long";
+    } else {
+      s.type = outer->type;
+      s.stars = outer->stars;
     }
-    return nullptr;
-  }
-  void declare(const std::string& name, Symbol symbol) {
-    scopes_.back()[name] = std::move(symbol);
+    return s;
   }
 
-  /// Spelling of identifier `name` in the generated code: replicated and
-  /// DSM globals go through their handles, omp_*/printf calls to the shims.
-  std::string spell(const std::string& name) const;
-  /// Renders tokens [span.begin, span.end) of `tokens` with every
+  /// Appends identifier `name` (id `sym`, kNoSym when the unit never names
+  /// it) as the generated code spells it: replicated and DSM globals go
+  /// through their handles, omp_*/printf calls to the shims.
+  void spell(std::string& to, Sym sym, std::string_view name) const;
+  /// Appends tokens [span.begin, span.end) of `tokens` with every
   /// identifier respelled.
-  std::string rewrite(const std::vector<Token>& tokens, TokenSpan span) const;
-  /// The same over an expression of the unit; values the parser made up
-  /// (the implicit step `1`) have no tokens and come back as they are.
-  std::string rewrite(const Expr& expr) const {
-    return expr.span.empty() ? expr.text : rewrite(*tokens_, expr.span);
-  }
-  /// The same over a schedule chunk, whose text comes from the pragma line
-  /// and so is lexed here.
-  std::string rewrite_chunk(const std::string& text) const {
+  void rewrite(std::string& to, const std::vector<Token>& tokens,
+               TokenSpan span) const;
+  /// Appends a schedule chunk, whose text comes from the pragma line and
+  /// so is lexed here.
+  void rewrite_chunk(std::string& to, const std::string& text) const {
     auto tokens = lex(text);
-    if (!tokens.is_ok()) return text;  // emit verbatim if it does not tokenize
-    return rewrite(tokens.value(), {0, tokens.value().size() - 1});  // no EOF
+    if (!tokens.is_ok()) {
+      to += text;  // emit verbatim if it does not tokenize
+      return;
+    }
+    rewrite(to, tokens.value(), {0, tokens.value().size() - 1});  // no EOF
   }
+  void type_of(std::string& to, Sym var) const;
 
   // --- statements ---
   Status emit_stmt(const Stmt& stmt);
-  Status emit_block_children(const Stmt& block);
   Status emit_decl(const Stmt& decl);
   Status emit_pragma(const Stmt& stmt);
 
@@ -126,13 +202,19 @@ class CodeGen {
   Status emit_atomic(const Directive& d, const Stmt& body);
 
   // --- helpers ---
-  Status emit_data_env_prologue(const Clauses& c,
-                                std::vector<std::string>* fp_tmp_names);
-  void emit_reduction_epilogue(const Clauses& c);
+  /// firstprivate snapshots; returns the first of their consecutive ids.
+  int emit_data_env_prologue(const Clauses& c);
+  /// Reduction targets' pointers; returns the first of their ids.
+  int emit_reduction_pointers(const Clauses& c);
+  /// Clause-private shadows inside the construct's scope.
+  void declare_clause_shadows(const Clauses& c, int fp_first);
+  /// Merges each reduction variable's contributions, one collective per
+  /// variable (the paper merges multiple variables into a struct;
+  /// per-variable collectives are semantically identical and the
+  /// virtual-time model charges them individually).
+  void emit_reduction_epilogue(const Clauses& c, int red_first);
   std::optional<UpdateShape> match_update(const Stmt& raw) const;
-  std::string type_of(const std::string& var) const;
-  void collect_written_scalars(const Stmt& stmt,
-                               std::set<std::string>* names) const;
+  void collect_written_scalars(const Stmt& stmt, std::vector<Sym>* names) const;
   int critical_lock_id(const std::string& name);
 
   Status err(int line, const std::string& message) const {
@@ -142,68 +224,84 @@ class CodeGen {
 
   TranslateOptions options_;
   const Analysis& analysis_;
-  const std::vector<Token>* tokens_ = nullptr;  // the unit's, set by run()
+  const TranslationUnit* unit_ = nullptr;  // set by run()
   std::string out_;
   int indent_ = 0;
   int counter_ = 0;
-  std::vector<std::unordered_map<std::string, Symbol>> scopes_;
-  std::vector<std::string> shared_init_lines_;
+  ScopedTable<Symbol> scopes_;
+  std::vector<SpellKind> spell_kind_;  // per symbol id
+  std::string shared_init_;            // lines of __parade_shared_init
+  std::string schedule_;               // emit_for's chunked schedule text
+  std::vector<Sym> written_;           // emit_single's names, stacked
   std::unordered_map<std::string, int> critical_ids_;
   std::string user_main_params_;
   bool saw_main_ = false;
 };
 
-std::string CodeGen::spell(const std::string& name) const {
-  if (text_is(name, "printf")) return "parade::xlat::master_printf";
-  // Every API name starts with omp_; the prefix test spares the hash.
-  if (text_is(std::string_view(name).substr(0, 4), "omp_") &&
-      omp_api_names().count(name) > 0) {
-    return "parade::ompshim::" + name;
+void CodeGen::spell(std::string& to, Sym sym, std::string_view name) const {
+  const SpellKind kind =
+      sym != kNoSym ? spell_kind_[sym] : spell_kind(name);
+  if (kind == SpellKind::kPrintf) {
+    to += "parade::xlat::master_printf";
+    return;
   }
-  const Symbol* symbol = lookup(name);
+  if (kind == SpellKind::kOmpApi) {
+    to += "parade::ompshim::";
+    to += name;
+    return;
+  }
+  const Symbol* symbol = lookup(sym);
   if (symbol != nullptr && symbol->replicated_global) {
-    return "__prep_" + name + ".get()";
+    to += "__prep_";
+    to += name;
+    to += ".get()";
+  } else if (symbol != nullptr && symbol->dsm_scalar) {
+    to += "(*__pdsm_";
+    to += name;
+    to += ".get())";
+  } else {
+    to += name;
   }
-  if (symbol != nullptr && symbol->dsm_scalar) {
-    return "(*__pdsm_" + name + ".get())";
-  }
-  return name;
 }
 
-std::string CodeGen::rewrite(const std::vector<Token>& tokens,
-                             TokenSpan span) const {
-  std::string out;
-  render_tokens(out, tokens, span.begin, span.end,
-                [this](const Token& t, std::string& to) {
-                  if (t.kind == TokKind::kIdent) {
-                    to += spell(t.text);
+void CodeGen::rewrite(std::string& to, const std::vector<Token>& tokens,
+                      TokenSpan span) const {
+  // Tokens of the unit carry its ids; a lexed chunk's ids are its own, so
+  // its names are looked up by spelling.
+  const bool own = &tokens == &unit_->tokens;
+  render_tokens(to, tokens, span.begin, span.end,
+                [&](const Token& t, std::string& out) {
+                  if (t.kind != TokKind::kIdent) {
+                    out += t.text;
                   } else {
-                    to += t.text;
+                    spell(out, own ? t.sym : unit_->symbols.find(t.text),
+                          t.text);
                   }
                 });
-  return out;
 }
 
-std::string CodeGen::type_of(const std::string& var) const {
+void CodeGen::type_of(std::string& to, Sym var) const {
   const Symbol* symbol = lookup(var);
-  if (symbol == nullptr || symbol->type.empty()) return "long";
-  std::string type = value_type_of(symbol->type);
-  for (int i = 0; i < symbol->pointer_depth; ++i) type += "*";
-  return type;
+  if (symbol == nullptr || symbol->type.empty()) {
+    to += "long";
+    return;
+  }
+  to += symbol->type;
+  to.append(static_cast<std::size_t>(symbol->stars), '*');
 }
 
 int CodeGen::critical_lock_id(const std::string& name) {
-  const std::string key = name.empty() ? "<unnamed>" : name;
   auto [it, inserted] = critical_ids_.try_emplace(
-      key, static_cast<int>(critical_ids_.size()) + 8);
+      name.empty() ? "<unnamed>" : name,
+      static_cast<int>(critical_ids_.size()) + 8);
   (void)inserted;
   return it->second;
 }
 
 std::optional<UpdateShape> CodeGen::match_update(const Stmt& raw) const {
-  auto shape = match_scalar_update(*tokens_, raw.text.span);
+  auto shape = match_scalar_update(unit_->tokens, raw.expr.span);
   if (!shape) return std::nullopt;
-  const Symbol* symbol = lookup(shape->var);
+  const Symbol* symbol = lookup(shape->sym);
   if (symbol == nullptr || symbol->is_array || symbol->pointer_depth > 0) {
     return std::nullopt;
   }
@@ -211,146 +309,167 @@ std::optional<UpdateShape> CodeGen::match_update(const Stmt& raw) const {
 }
 
 void CodeGen::collect_written_scalars(const Stmt& stmt,
-                                      std::set<std::string>* names) const {
+                                      std::vector<Sym>* names) const {
   if (stmt.kind == StmtKind::kRaw) {
-    for (const AccessScan::Write& w : stmt.text.access().writes) {
+    for (const AccessWrite& w : unit_->access(stmt.expr).writes) {
       // Stores through subscripts, members or pointers are not scalar
       // updates: x[i] = ..., s.f = ..., *p = ...
       if (w.array || w.member || w.deref) continue;
-      const Symbol* symbol = lookup(w.name);
+      const Symbol* symbol = lookup(w.sym);
       if (symbol != nullptr && !symbol->is_array &&
           symbol->pointer_depth == 0) {
-        names->insert(w.name);
+        names->push_back(w.sym);
       }
     }
     return;
   }
-  for (const StmtPtr& child : stmt.children) {
-    if (child) collect_written_scalars(*child, names);
+  for (const Stmt& child : stmt.children()) {
+    collect_written_scalars(child, names);
   }
 }
 
-Status CodeGen::emit_decl(const Stmt& decl) {
+Status CodeGen::emit_decl(const Stmt& stmt) {
   // Register symbols, emit the (rewritten) declaration.
-  std::string text = decl.decl_type.text;
-  if (text.find("omp_lock_t") != std::string::npos ||
-      text.find("omp_nest_lock_t") != std::string::npos) {
-    text = rewrite(decl.decl_type);  // qualifies the omp type names
+  const Decl& decl = *stmt.decl;
+  out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+  bool names_lock = false;
+  for (std::size_t t = decl.type.span.begin; t < decl.type.span.end; ++t) {
+    const std::string& text = unit_->tokens[t].text;
+    if (text.find("omp_lock_t") != std::string::npos ||
+        text.find("omp_nest_lock_t") != std::string::npos) {
+      names_lock = true;
+    }
+  }
+  if (names_lock) {
+    put(out_, Rewritten{decl.type.span});  // qualifies the omp type names
+  } else {
+    put(out_, Rendered{decl.type.span});
   }
   bool first = true;
-  for (const Declarator& d : decl.declarators) {
+  for (const Declarator& d : unit_->declarators_of(decl)) {
     Symbol symbol;
-    symbol.type = decl.decl_type.text;
+    symbol.type = decl.type.value;
+    symbol.stars = d.pointer_depth;
     symbol.pointer_depth = d.pointer_depth;
-    symbol.is_array = !d.array_dims.empty();
+    symbol.is_array = d.n_dims > 0;
     declare(d.name, symbol);
 
-    text += first ? " " : ", ";
+    out_ += first ? " " : ", ";
     first = false;
-    for (int i = 0; i < d.pointer_depth; ++i) text += "*";
-    text += d.name;
-    for (const Expr& dim : d.array_dims) {
-      text += '[';
-      text += rewrite(dim);
-      text += ']';
+    put(out_, Stars{d.pointer_depth});
+    put(out_, Name{d.name});
+    for (const Expr& dim : unit_->dims_of(d)) {
+      out_ += '[';
+      put(out_, Rewritten{dim.span});
+      out_ += ']';
     }
-    if (d.is_function) text += "()";  // prototypes inside functions are rare
+    if (d.is_function) out_ += "()";  // prototypes inside functions are rare
     if (!d.init.empty()) {
-      text += " = ";
-      text += rewrite(d.init);
+      out_ += " = ";
+      put(out_, Rewritten{d.init.span});
     }
   }
-  line(text + ";");
+  out_ += ";\n";
   return Status::ok();
 }
 
-Status CodeGen::emit_data_env_prologue(const Clauses& c,
-                                       std::vector<std::string>* fp_tmps) {
+int CodeGen::emit_data_env_prologue(const Clauses& c) {
   // firstprivate: snapshot outer values before shadowing.
-  for (const std::string& var : c.firstprivate) {
-    const std::string tmp = unique("fp_");
-    line("auto " + tmp + " = " + spell(var) + ";");
-    fp_tmps->push_back(tmp);
+  const int first = counter_;
+  for (const ClauseVar& var : c.firstprivate) {
+    line("auto ", fresh("fp_"), " = ", Spelled{var.sym}, ';');
   }
-  return Status::ok();
+  return first;
 }
 
-Status CodeGen::emit_parallel(const Directive& d, const Stmt& body) {
-  const Clauses& c = d.clauses;
-  open("{");
-  std::vector<std::string> fp_tmps;
-  if (Status s = emit_data_env_prologue(c, &fp_tmps); !s) return s;
-
-  // copyin: snapshot the master's threadprivate values before the fork.
-  std::vector<std::string> ci_tmps;
-  for (const std::string& var : c.copyin) {
-    const Symbol* symbol = lookup(var);
-    if (symbol == nullptr || !symbol->threadprivate) {
-      return err(d.line, "copyin(" + var + ") needs a threadprivate variable");
-    }
-    const std::string tmp = unique("ci_");
-    line("auto " + tmp + " = " + var + ";");
-    ci_tmps.push_back(tmp);
-  }
-  if (!c.if_expr.empty()) {
-    line("// if(" + c.if_expr + ") clause noted: this translator always "
-         "executes the region in parallel");
-  }
-
+int CodeGen::emit_reduction_pointers(const Clauses& c) {
   // Reduction targets: capture pointers before the shadows appear.
-  std::vector<std::string> red_ptrs;
+  const int first = counter_;
   for (const auto& [op, var] : c.reductions) {
     (void)op;
-    const std::string ptr = unique("redptr_");
-    line("auto* " + ptr + " = &(" + spell(var) + ");");
-    red_ptrs.push_back(ptr);
+    line("auto* ", fresh("redptr_"), " = &(", Spelled{var.sym}, ");");
   }
+  return first;
+}
 
-  open("parade::parallel([&]() {");
-  push_scope();
-
-  for (std::size_t i = 0; i < c.copyin.size(); ++i) {
-    line(c.copyin[i] + " = " + ci_tmps[i] + ";");
-  }
-  for (const std::string& var : c.privates) {
-    line(type_of(var) + " " + var + "{};");
-    declare(var, Symbol{type_of(var), 0, false, false, false});
+void CodeGen::declare_clause_shadows(const Clauses& c, int fp_first) {
+  for (const ClauseVar& var : c.privates) {
+    const Symbol shadow = shadow_of(var.sym);
+    line(TypeOf{var.sym}, ' ', var.name, "{};");
+    declare(var.sym, shadow);
   }
   for (std::size_t i = 0; i < c.firstprivate.size(); ++i) {
-    const std::string& var = c.firstprivate[i];
-    line(type_of(var) + " " + var + " = " + fp_tmps[i] + ";");
-    declare(var, Symbol{type_of(var), 0, false, false, false});
+    const ClauseVar& var = c.firstprivate[i];
+    const Symbol shadow = shadow_of(var.sym);
+    line(TypeOf{var.sym}, ' ', var.name, " = ",
+         Fresh{"fp_", fp_first + static_cast<int>(i)}, ';');
+    declare(var.sym, shadow);
   }
   for (const auto& [op, var] : c.reductions) {
-    line(type_of(var) + " " + var + " = " + reduction_identity(op) + ";");
-    declare(var, Symbol{type_of(var), 0, false, false, false});
+    const Symbol shadow = shadow_of(var.sym);
+    line(TypeOf{var.sym}, ' ', var.name, " = ", reduction_identity(op), ';');
+    declare(var.sym, shadow);
   }
+}
 
-  if (Status s = emit_stmt(body); !s) return s;
-
-  // Merge reductions: one collective per variable (the paper merges multiple
-  // variables into a struct; per-variable collectives are semantically
-  // identical and the virtual-time model charges them individually).
+void CodeGen::emit_reduction_epilogue(const Clauses& c, int red_first) {
   for (std::size_t i = 0; i < c.reductions.size(); ++i) {
     const auto& [op, var] = c.reductions[i];
-    const std::string type = type_of(var);
+    const TypeOf type{var.sym};
     const char* cop = reduction_operator(op);
-    const std::string combine = op == ReductionOp::kSub ? "+" : cop;
-    open("{");
-    line(type + " __contrib = " + var + ";");
+    const char* combine = op == ReductionOp::kSub ? "+" : cop;
+    const Fresh ptr{"redptr_", red_first + static_cast<int>(i)};
+    open('{');
+    line(type, " __contrib = ", var.name, ';');
     line("parade::team_allreduce_bytes(&__contrib, sizeof(__contrib), "
-         "[](void* __a, const void* __b, std::size_t) { *static_cast<" +
-         type + "*>(__a) = *static_cast<" + type + "*>(__a) " + combine +
-         " *static_cast<const " + type + "*>(__b); });");
+         "[](void* __a, const void* __b, std::size_t) { *static_cast<",
+         type, "*>(__a) = *static_cast<", type, "*>(__a) ", combine,
+         " *static_cast<const ", type, "*>(__b); });");
     open("if (parade::local_thread_id() == 0) {");
-    line("*" + red_ptrs[i] + " = *" + red_ptrs[i] + " " + std::string(cop) +
-         " __contrib;");
+    line('*', ptr, " = *", ptr, ' ', cop, " __contrib;");
     close();
     line("parade::barrier(parade::BarrierScope::kNode);");
     close();
   }
+}
 
-  pop_scope();
+Status CodeGen::emit_parallel(const Directive& d, const Stmt& body) {
+  const Clauses& c = d.clauses;
+  open('{');
+  const int fp_first = emit_data_env_prologue(c);
+
+  // copyin: snapshot the master's threadprivate values before the fork.
+  const int ci_first = counter_;
+  for (const ClauseVar& var : c.copyin) {
+    const Symbol* symbol = lookup(var.sym);
+    if (symbol == nullptr || !symbol->threadprivate) {
+      return err(d.line,
+                 "copyin(" + var.name + ") needs a threadprivate variable");
+    }
+    line("auto ", fresh("ci_"), " = ", var.name, ';');
+  }
+  if (!c.if_expr.empty()) {
+    line("// if(", c.if_expr,
+         ") clause noted: this translator always executes the region in "
+         "parallel");
+  }
+
+  const int red_first = emit_reduction_pointers(c);
+
+  open("parade::parallel([&]() {");
+  scopes_.push_scope();
+
+  for (std::size_t i = 0; i < c.copyin.size(); ++i) {
+    line(c.copyin[i].name, " = ", Fresh{"ci_", ci_first + static_cast<int>(i)},
+         ';');
+  }
+  declare_clause_shadows(c, fp_first);
+
+  if (Status s = emit_stmt(body); !s) return s;
+
+  emit_reduction_epilogue(c, red_first);
+
+  scopes_.pop_scope();
   close("});");
   close();
   return Status::ok();
@@ -360,50 +479,50 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
   if (stmt.kind != StmtKind::kFor) {
     return err(d.line, "omp for must be followed by a for loop");
   }
-  const ForHeader& h = stmt.for_header;
+  const ForHeader& h = *stmt.for_header;
   if (!h.canonical) {
     return err(d.line, "omp for loop is not in canonical form (init; "
                        "var relop bound; var update)");
   }
   const Clauses& c = d.clauses;
+  const Rewritten step{h.step.span, h.unit_step ? "1" : ""};
+  const char* const increasing = h.increasing ? "true" : "false";
 
-  open("{");
-  std::vector<std::string> fp_tmps;
-  if (Status s = emit_data_env_prologue(c, &fp_tmps); !s) return s;
-
-  std::vector<std::string> red_ptrs;
-  for (const auto& [op, var] : c.reductions) {
-    (void)op;
-    const std::string ptr = unique("redptr_");
-    line("auto* " + ptr + " = &(" + spell(var) + ");");
-    red_ptrs.push_back(ptr);
-  }
+  open('{');
+  const int fp_first = emit_data_env_prologue(c);
+  const int red_first = emit_reduction_pointers(c);
 
   // Normalized bounds.
-  const std::string count = unique("count_");
-  line("const long " + count + " = parade::xlat::loop_count((long)(" +
-       rewrite(h.lower) + "), (long)(" + rewrite(h.upper) + "), (long)(" +
-       rewrite(h.step) + "), " + (h.inclusive ? "true" : "false") + ", " +
-       (h.increasing ? "true" : "false") + ");");
+  const Fresh count = fresh("count_");
+  line("const long ", count, " = parade::xlat::loop_count((long)(",
+       Rewritten{h.lower.span}, "), (long)(", Rewritten{h.upper.span},
+       "), (long)(", step, "), ", h.inclusive ? "true" : "false", ", ",
+       increasing, ");");
 
   // Schedule clause mapping (paper supports static; dynamic/guided are the
-  // §8 extension implemented hierarchically by the runtime).
-  std::string schedule = "parade::Schedule{parade::ScheduleKind::kStatic, 0}";
+  // §8 extension implemented hierarchically by the runtime). A chunk is
+  // spelled here, before the clause shadows below exist.
+  std::string_view schedule =
+      "parade::Schedule{parade::ScheduleKind::kStatic, 0}";
   if (c.has_schedule) {
     switch (c.schedule) {
       case OmpSchedule::kStatic:
-        schedule = c.schedule_chunk.empty()
-                       ? "parade::Schedule{parade::ScheduleKind::kStatic, 0}"
-                       : "parade::Schedule{parade::ScheduleKind::kStaticChunk, "
-                         "(long)(" + rewrite_chunk(c.schedule_chunk) + ")}";
-        break;
       case OmpSchedule::kDynamic:
-        schedule =
-            "parade::Schedule{parade::ScheduleKind::kDynamic, " +
-            (c.schedule_chunk.empty()
-                 ? std::string("1")
-                 : "(long)(" + rewrite_chunk(c.schedule_chunk) + ")") +
-            "}";
+        if (c.schedule == OmpSchedule::kDynamic || !c.schedule_chunk.empty()) {
+          schedule_ = c.schedule == OmpSchedule::kDynamic
+                          ? "parade::Schedule{parade::ScheduleKind::kDynamic, "
+                          : "parade::Schedule{parade::ScheduleKind::"
+                            "kStaticChunk, ";
+          if (c.schedule_chunk.empty()) {
+            schedule_ += '1';
+          } else {
+            schedule_ += "(long)(";
+            rewrite_chunk(schedule_, c.schedule_chunk);
+            schedule_ += ')';
+          }
+          schedule_ += '}';
+          schedule = schedule_;
+        }
         break;
       case OmpSchedule::kGuided:
         schedule = "parade::Schedule{parade::ScheduleKind::kGuided, 0}";
@@ -415,170 +534,176 @@ Status CodeGen::emit_for(const Directive& d, const Stmt& stmt) {
   }
 
   // Lastprivate support: flag + value per variable, selected by whoever
-  // executes the sequentially-last iteration, then broadcast.
-  struct LastPrivate {
-    std::string var;
-    std::string flag;
-    std::string value;
-  };
-  std::vector<LastPrivate> lastprivates;
-  for (const std::string& var : c.lastprivate) {
-    LastPrivate lp{var, unique("lp_has_"), unique("lp_val_")};
-    line("int " + lp.flag + " = 0;");
-    line(type_of(var) + " " + lp.value + "{};");
-    lastprivates.push_back(lp);
+  // executes the sequentially-last iteration, then broadcast. Variable i's
+  // flag and value are the fresh names lp_first + 2i and lp_first + 2i + 1.
+  const int lp_first = counter_;
+  for (const ClauseVar& var : c.lastprivate) {
+    line("int ", fresh("lp_has_"), " = 0;");
+    line(TypeOf{var.sym}, ' ', fresh("lp_val_"), "{};");
   }
+  auto lp_flag = [&](std::size_t i) {
+    return Fresh{"lp_has_", lp_first + 2 * static_cast<int>(i)};
+  };
+  auto lp_value = [&](std::size_t i) {
+    return Fresh{"lp_val_", lp_first + 2 * static_cast<int>(i) + 1};
+  };
 
   // Per-thread data environment: this whole translated block runs on every
   // team thread, so shadows declared here are thread-private and visible to
   // the chunk lambda and to the reduction merge after the loop.
-  push_scope();
-  for (const std::string& var : c.privates) {
-    const std::string type = type_of(var);
-    line(type + " " + var + "{};");
-    declare(var, Symbol{type, 0, false, false, false});
-  }
-  for (std::size_t i = 0; i < c.firstprivate.size(); ++i) {
-    const std::string& var = c.firstprivate[i];
-    const std::string type = type_of(var);
-    line(type + " " + var + " = " + fp_tmps[i] + ";");
-    declare(var, Symbol{type, 0, false, false, false});
-  }
-  for (const auto& [op, var] : c.reductions) {
-    const std::string type = type_of(var);
-    line(type + " " + var + " = " + reduction_identity(op) + ";");
-    declare(var, Symbol{type, 0, false, false, false});
-  }
+  scopes_.push_scope();
+  declare_clause_shadows(c, fp_first);
 
-  open("parade::parallel_for(0, " + count + ", " + schedule +
+  open("parade::parallel_for(0, ", count, ", ", schedule,
        ", [&](long __lo, long __hi) {");
 
   open("for (long __it = __lo; __it < __hi; ++__it) {");
-  const std::string var_type =
-      !h.var_decl_type.empty() ? h.var_decl_type : type_of(h.loop_var);
-  line(var_type + " " + h.loop_var + " = (" + var_type +
-       ")parade::xlat::loop_index((long)(" + rewrite(h.lower) + "), (long)(" +
-       rewrite(h.step) + "), " + (h.increasing ? "true" : "false") +
-       ", __it);");
-  push_scope();
-  declare(h.loop_var, Symbol{var_type, 0, false, false, false});
-  if (Status s = emit_stmt(*stmt.children.front()); !s) return s;
-  for (const LastPrivate& lp : lastprivates) {
-    open("if (__it == " + count + " - 1) {");
-    line(lp.flag + " = 1;");
-    line(lp.value + " = " + lp.var + ";");
+  const Symbol var_symbol = h.declares_var()
+                                ? Symbol{h.var_type.value}
+                                : shadow_of(h.loop_var);
+  auto put_var_type = [&](std::string& to) {
+    if (h.declares_var()) {
+      put(to, Rendered{h.var_type.span});
+    } else {
+      type_of(to, h.loop_var);
+    }
+  };
+  out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+  put_var_type(out_);
+  put(out_, ' ');
+  put(out_, Name{h.loop_var});
+  put(out_, " = (");
+  put_var_type(out_);
+  put(out_, ")parade::xlat::loop_index((long)(");
+  put(out_, Rewritten{h.lower.span});
+  put(out_, "), (long)(");
+  put(out_, step);
+  put(out_, "), ");
+  put(out_, increasing);
+  put(out_, ", __it);\n");
+  scopes_.push_scope();
+  declare(h.loop_var, var_symbol);
+  if (Status s = emit_stmt(*stmt.first_child); !s) return s;
+  for (std::size_t i = 0; i < c.lastprivate.size(); ++i) {
+    open("if (__it == ", count, " - 1) {");
+    line(lp_flag(i), " = 1;");
+    line(lp_value(i), " = ", c.lastprivate[i].name, ';');
     close();
   }
-  pop_scope();
+  scopes_.pop_scope();
   close();
 
-  close("}, /*nowait=*/" + std::string(c.nowait ? "true" : "false") + ");");
+  close("}, /*nowait=*/", c.nowait ? "true" : "false", ");");
 
   // Reductions merge after the loop (inside the enclosing region).
-  for (std::size_t i = 0; i < c.reductions.size(); ++i) {
-    const auto& [op, var] = c.reductions[i];
-    const std::string type = type_of(var);
-    const char* cop = reduction_operator(op);
-    const std::string combine = op == ReductionOp::kSub ? "+" : cop;
-    open("{");
-    line(type + " __contrib = " + var + ";");
-    line("parade::team_allreduce_bytes(&__contrib, sizeof(__contrib), "
-         "[](void* __a, const void* __b, std::size_t) { *static_cast<" +
-         type + "*>(__a) = *static_cast<" + type + "*>(__a) " + combine +
-         " *static_cast<const " + type + "*>(__b); });");
-    open("if (parade::local_thread_id() == 0) {");
-    line("*" + red_ptrs[i] + " = *" + red_ptrs[i] + " " + std::string(cop) +
-         " __contrib;");
-    close();
-    line("parade::barrier(parade::BarrierScope::kNode);");
-    close();
-  }
+  emit_reduction_epilogue(c, red_first);
 
   // Lastprivate selection across the team.
-  for (const LastPrivate& lp : lastprivates) {
-    const std::string type = type_of(lp.var);
-    open("{");
-    line("struct __Sel { int has; " + type + " v; } __sel{" + lp.flag + ", " +
-         lp.value + "};");
+  for (std::size_t i = 0; i < c.lastprivate.size(); ++i) {
+    const ClauseVar& var = c.lastprivate[i];
+    open('{');
+    line("struct __Sel { int has; ", TypeOf{var.sym}, " v; } __sel{",
+         lp_flag(i), ", ", lp_value(i), "};");
     line("parade::team_allreduce_bytes(&__sel, sizeof(__sel), "
          "[](void* __a, const void* __b, std::size_t) { auto* __x = "
          "static_cast<__Sel*>(__a); const auto* __y = static_cast<const "
          "__Sel*>(__b); if (__y->has) *__x = *__y; });");
     open("if (parade::local_thread_id() == 0 && __sel.has) {");
-    line(spell(lp.var) + " = __sel.v;");
+    line(Spelled{var.sym}, " = __sel.v;");
     close();
     line("parade::barrier(parade::BarrierScope::kNode);");
     close();
   }
 
-  pop_scope();
+  scopes_.pop_scope();
   close();
   return Status::ok();
+}
+
+/// A section of a `sections` body: a `section` directive's statement, or a
+/// statement before any `section` (section 0); null for anything else.
+const Stmt* section_body(const Stmt& child) {
+  if (child.kind == StmtKind::kPragma &&
+      child.directive->kind == DirectiveKind::kSection) {
+    return child.first_child;
+  }
+  return child.kind != StmtKind::kEmpty ? &child : nullptr;
 }
 
 Status CodeGen::emit_sections(const Directive& d, const Stmt& body) {
   if (body.kind != StmtKind::kBlock) {
     return err(d.line, "omp sections needs a block body");
   }
-  // Collect the section bodies.
-  std::vector<const Stmt*> sections;
-  for (const StmtPtr& child : body.children) {
-    if (child->kind == StmtKind::kPragma &&
-        child->directive.kind == DirectiveKind::kSection) {
-      sections.push_back(child->children.front().get());
-    } else if (child->kind != StmtKind::kEmpty) {
-      // First statement before any `section` pragma forms section 0.
-      sections.push_back(child.get());
-    }
+  std::size_t sections = 0;
+  for (const Stmt& child : body.children()) {
+    if (section_body(child) != nullptr) ++sections;
   }
-  open("{");
-  open("parade::parallel_for(0, " + std::to_string(sections.size()) +
+  open('{');
+  open("parade::parallel_for(0, ", sections,
        ", parade::Schedule{parade::ScheduleKind::kStaticChunk, 1}, "
        "[&](long __lo, long __hi) {");
   open("for (long __s = __lo; __s < __hi; ++__s) {");
   open("switch (__s) {");
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    open("case " + std::to_string(i) + ": {");
-    push_scope();
-    if (Status s = emit_stmt(*sections[i]); !s) return s;
-    pop_scope();
+  std::size_t i = 0;
+  for (const Stmt& child : body.children()) {
+    const Stmt* section = section_body(child);
+    if (section == nullptr) continue;
+    open("case ", i++, ": {");
+    scopes_.push_scope();
+    if (Status s = emit_stmt(*section); !s) return s;
+    scopes_.pop_scope();
     line("break;");
     close();
   }
   close();
   close();
-  close("}, /*nowait=*/" +
-        std::string(d.clauses.nowait ? "true" : "false") + ");");
+  close("}, /*nowait=*/", d.clauses.nowait ? "true" : "false", ");");
   close();
   return Status::ok();
 }
 
 Status CodeGen::emit_single(const Directive& d, const Stmt& body) {
   // Scalars written inside the block travel in the broadcast payload
-  // (paper Figure 3: executing node updates, MPI_Bcast propagates).
-  std::set<std::string> written;
-  collect_written_scalars(body, &written);
+  // (paper Figure 3: executing node updates, MPI_Bcast propagates), in name
+  // order. They stack on written_, above any enclosing single's.
+  const std::size_t first = written_.size();
+  collect_written_scalars(body, &written_);
+  std::sort(written_.begin() + static_cast<std::ptrdiff_t>(first),
+            written_.end());
+  written_.erase(std::unique(written_.begin() +
+                                 static_cast<std::ptrdiff_t>(first),
+                             written_.end()),
+                 written_.end());
+  std::sort(written_.begin() + static_cast<std::ptrdiff_t>(first),
+            written_.end(), [&](Sym a, Sym b) {
+              return unit_->name(a) < unit_->name(b);
+            });
+  const std::size_t count = written_.size() - first;
+  auto name = [&](std::size_t i) { return written_[first + i]; };
 
-  open("{");
-  std::string struct_body;
-  std::vector<std::string> names(written.begin(), written.end());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    struct_body += type_of(names[i]) + " v" + std::to_string(i) + "; ";
+  open('{');
+  out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+  out_ += "struct __ParadeSingle { ";
+  for (std::size_t i = 0; i < count; ++i) {
+    type_of(out_, name(i));
+    put(out_, " v");
+    put(out_, i);
+    put(out_, "; ");
   }
-  if (names.empty()) struct_body = "char v0; ";
-  line("struct __ParadeSingle { " + struct_body + "} __sgl{};");
+  if (count == 0) out_ += "char v0; ";
+  out_ += "} __sgl{};\n";
   open("parade::single_small(&__sgl, sizeof(__sgl), [&]() {");
-  push_scope();
+  scopes_.push_scope();
   if (Status s = emit_stmt(body); !s) return s;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    line("__sgl.v" + std::to_string(i) + " = " + spell(names[i]) + ";");
+  for (std::size_t i = 0; i < count; ++i) {
+    line("__sgl.v", i, " = ", Spelled{name(i)}, ';');
   }
-  pop_scope();
+  scopes_.pop_scope();
   close("});");
-  if (!names.empty()) {
+  if (count > 0) {
     open("if (parade::local_thread_id() == 0) {");
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      line(spell(names[i]) + " = __sgl.v" + std::to_string(i) + ";");
+    for (std::size_t i = 0; i < count; ++i) {
+      line(Spelled{name(i)}, " = __sgl.v", i, ';');
     }
     close();
     line("parade::barrier(parade::BarrierScope::kNode);");
@@ -590,6 +715,7 @@ Status CodeGen::emit_single(const Directive& d, const Stmt& body) {
     line("parade::barrier(parade::BarrierScope::kNode);");
   }
   close();
+  written_.resize(first);
   return Status::ok();
 }
 
@@ -599,23 +725,23 @@ Status CodeGen::emit_critical(const Directive& d, const Stmt& body) {
   // analyzer made the call for every site (type-, sharing- and size-aware:
   // declared size vs mp_threshold_bytes); follow it.
   const Stmt* stmt = &body;
-  if (stmt->kind == StmtKind::kBlock && stmt->children.size() == 1) {
-    stmt = stmt->children.front().get();
+  if (stmt->kind == StmtKind::kBlock && stmt->child_count() == 1) {
+    stmt = stmt->first_child;
   }
   if (analysis_.sync_sites.at(d.line).collective &&
       stmt->kind == StmtKind::kRaw) {
     if (auto pattern = match_update(*stmt)) {
-      const std::string type = type_of(pattern->var);
-      open("{");
-      line(type + " __contrib = (" + rewrite(pattern->expr) + ");");
+      const TypeOf type{pattern->sym};
+      open('{');
+      line(type, " __contrib = (", Rewritten{pattern->expr, "1"}, ");");
       line("parade::team_allreduce_bytes(&__contrib, sizeof(__contrib), "
-           "[](void* __a, const void* __b, std::size_t) { *static_cast<" +
-           type + "*>(__a) = *static_cast<" + type + "*>(__a) " +
-           pattern->combine_op + " *static_cast<const " + type +
+           "[](void* __a, const void* __b, std::size_t) { *static_cast<",
+           type, "*>(__a) = *static_cast<", type, "*>(__a) ",
+           pattern->combine_op, " *static_cast<const ", type,
            "*>(__b); });");
       open("if (parade::local_thread_id() == 0) {");
-      line(spell(pattern->var) + " = " + spell(pattern->var) + " " +
-           pattern->apply_op + " __contrib;");
+      line(Spelled{pattern->sym}, " = ", Spelled{pattern->sym}, ' ',
+           pattern->apply_op, " __contrib;");
       close();
       line("parade::barrier(parade::BarrierScope::kNode);");
       close();
@@ -623,86 +749,77 @@ Status CodeGen::emit_critical(const Directive& d, const Stmt& body) {
     }
   }
   const int lock_id = critical_lock_id(d.clauses.critical_name);
-  open("{");
-  line("parade::dsm_lock(" + std::to_string(lock_id) + ");");
-  push_scope();
+  open('{');
+  line("parade::dsm_lock(", lock_id, ");");
+  scopes_.push_scope();
   if (Status s = emit_stmt(body); !s) return s;
-  pop_scope();
-  line("parade::dsm_unlock(" + std::to_string(lock_id) + ");");
+  scopes_.pop_scope();
+  line("parade::dsm_unlock(", lock_id, ");");
   close();
   return Status::ok();
 }
 
 Status CodeGen::emit_atomic(const Directive& d, const Stmt& body) {
   const Stmt* stmt = &body;
-  if (stmt->kind == StmtKind::kBlock && stmt->children.size() == 1) {
-    stmt = stmt->children.front().get();
+  if (stmt->kind == StmtKind::kBlock && stmt->child_count() == 1) {
+    stmt = stmt->first_child;
   }
   if (stmt->kind != StmtKind::kRaw) {
     return err(d.line, "omp atomic requires an expression statement");
   }
-  auto pattern = match_update(*stmt);
-  if (!pattern) {
+  if (!match_update(*stmt)) {
     return err(d.line, "omp atomic statement is not a supported update "
                        "(x op= expr, x++, x = x op expr)");
   }
   // Identical machinery to the analyzable critical (paper: atomic is a
   // special case of critical, exactly mapped to a collective).
-  Directive as_critical = d;
-  return emit_critical(as_critical, body);
+  return emit_critical(d, body);
 }
 
 Status CodeGen::emit_pragma(const Stmt& stmt) {
-  const Directive& d = stmt.directive;
+  const Directive& d = *stmt.directive;
   switch (d.kind) {
     case DirectiveKind::kParallel:
-      return emit_parallel(d, *stmt.children.front());
+      return emit_parallel(d, *stmt.first_child);
     case DirectiveKind::kParallelFor: {
-      // parallel for == parallel { for }.
-      Directive par = d;
-      open("{");
-      std::vector<std::string> fp_tmps;
-      // Keep it simple: delegate the whole clause set to the inner `for`
-      // inside a clause-less parallel.
+      // parallel for == parallel { for }: the whole clause set goes to the
+      // inner `for` inside a clause-less parallel.
+      open('{');
       open("parade::parallel([&]() {");
-      push_scope();
-      Directive inner = d;
-      inner.kind = DirectiveKind::kFor;
-      Status s = emit_for(inner, *stmt.children.front());
-      pop_scope();
+      scopes_.push_scope();
+      Status s = emit_for(d, *stmt.first_child);
+      scopes_.pop_scope();
       close("});");
       close();
       return s;
     }
     case DirectiveKind::kFor:
-      return emit_for(d, *stmt.children.front());
+      return emit_for(d, *stmt.first_child);
     case DirectiveKind::kParallelSections: {
       open("parade::parallel([&]() {");
-      push_scope();
-      Directive inner = d;
-      inner.kind = DirectiveKind::kSections;
-      Status s = emit_sections(inner, *stmt.children.front());
-      pop_scope();
+      scopes_.push_scope();
+      Status s = emit_sections(d, *stmt.first_child);
+      scopes_.pop_scope();
       close("});");
       return s;
     }
     case DirectiveKind::kSections:
-      return emit_sections(d, *stmt.children.front());
+      return emit_sections(d, *stmt.first_child);
     case DirectiveKind::kSection:
       return err(d.line, "omp section outside sections");
     case DirectiveKind::kSingle:
-      return emit_single(d, *stmt.children.front());
+      return emit_single(d, *stmt.first_child);
     case DirectiveKind::kMaster:
       open("if (parade::node_id() == 0 && parade::local_thread_id() == 0) {");
-      push_scope();
-      if (Status s = emit_stmt(*stmt.children.front()); !s) return s;
-      pop_scope();
+      scopes_.push_scope();
+      if (Status s = emit_stmt(*stmt.first_child); !s) return s;
+      scopes_.pop_scope();
       close();
       return Status::ok();
     case DirectiveKind::kCritical:
-      return emit_critical(d, *stmt.children.front());
+      return emit_critical(d, *stmt.first_child);
     case DirectiveKind::kAtomic:
-      return emit_atomic(d, *stmt.children.front());
+      return emit_atomic(d, *stmt.first_child);
     case DirectiveKind::kBarrier:
       line("parade::barrier();");
       return Status::ok();
@@ -711,7 +828,7 @@ Status CodeGen::emit_pragma(const Stmt& stmt) {
       return Status::ok();
     case DirectiveKind::kOrdered:
       line("/* ordered: static scheduling preserves chunk order per thread */");
-      return emit_stmt(*stmt.children.front());
+      return emit_stmt(*stmt.first_child);
     case DirectiveKind::kThreadprivate:
       return err(d.line, "threadprivate is not supported by this translator");
   }
@@ -721,186 +838,216 @@ Status CodeGen::emit_pragma(const Stmt& stmt) {
 Status CodeGen::emit_stmt(const Stmt& stmt) {
   switch (stmt.kind) {
     case StmtKind::kBlock: {
-      open("{");
-      push_scope();
-      if (Status s = emit_block_children(stmt); !s) return s;
-      pop_scope();
+      open('{');
+      scopes_.push_scope();
+      for (const Stmt& child : stmt.children()) {
+        if (Status s = emit_stmt(child); !s) return s;
+      }
+      scopes_.pop_scope();
       close();
       return Status::ok();
     }
     case StmtKind::kRaw:
-      line(rewrite(*tokens_, stmt.text.span) + ";");
+      line(Rewritten{stmt.expr.span}, ';');
       return Status::ok();
     case StmtKind::kDecl:
       return emit_decl(stmt);
     case StmtKind::kFor: {
-      const ForHeader& h = stmt.for_header;
-      line("for (" + rewrite(h.init_text) + "; " + rewrite(h.cond_text) +
-           "; " + rewrite(h.incr_text) + ")");
-      push_scope();
-      if (h.canonical && !h.var_decl_type.empty()) {
-        declare(h.loop_var, Symbol{h.var_decl_type, 0, false, false, false});
+      const ForHeader& h = *stmt.for_header;
+      line("for (", Rewritten{h.init_text.span}, "; ",
+           Rewritten{h.cond_text.span}, "; ", Rewritten{h.incr_text.span},
+           ')');
+      scopes_.push_scope();
+      if (h.canonical && h.declares_var()) {
+        declare(h.loop_var, Symbol{h.var_type.value});
       }
-      Status s = emit_stmt(*stmt.children.front());
-      pop_scope();
+      Status s = emit_stmt(*stmt.first_child);
+      scopes_.pop_scope();
       return s;
     }
     case StmtKind::kIf: {
-      line("if (" + rewrite(stmt.cond) + ")");
-      if (Status s = emit_stmt(*stmt.children[0]); !s) return s;
+      line("if (", Rewritten{stmt.expr.span}, ')');
+      if (Status s = emit_stmt(*stmt.first_child); !s) return s;
       if (stmt.has_else) {
         line("else");
-        return emit_stmt(*stmt.children[1]);
+        return emit_stmt(*stmt.child(1));
       }
       return Status::ok();
     }
-    case StmtKind::kWhile: {
-      line("while (" + rewrite(stmt.cond) + ")");
-      return emit_stmt(*stmt.children.front());
-    }
-    case StmtKind::kDoWhile: {
+    case StmtKind::kWhile:
+      line("while (", Rewritten{stmt.expr.span}, ')');
+      return emit_stmt(*stmt.first_child);
+    case StmtKind::kDoWhile:
       line("do");
-      if (Status s = emit_stmt(*stmt.children.front()); !s) return s;
-      line("while (" + rewrite(stmt.cond) + ");");
+      if (Status s = emit_stmt(*stmt.first_child); !s) return s;
+      line("while (", Rewritten{stmt.expr.span}, ");");
       return Status::ok();
-    }
-    case StmtKind::kSwitch: {
-      line("switch (" + rewrite(stmt.cond) + ")");
-      return emit_stmt(*stmt.children.front());
-    }
+    case StmtKind::kSwitch:
+      line("switch (", Rewritten{stmt.expr.span}, ')');
+      return emit_stmt(*stmt.first_child);
+    case StmtKind::kLabel:
+      line(Rendered{stmt.expr.span});
+      return stmt.first_child != nullptr ? emit_stmt(*stmt.first_child)
+                                         : Status::ok();
     case StmtKind::kPragma:
       return emit_pragma(stmt);
     case StmtKind::kHashLine:
-      line(stmt.text.text);
+      line(unit_->tokens[stmt.expr.span.begin].text);
       return Status::ok();
     case StmtKind::kEmpty:
-      line(";");
+      line(';');
       return Status::ok();
-  }
-  return Status::ok();
-}
-
-Status CodeGen::emit_block_children(const Stmt& block) {
-  for (const StmtPtr& child : block.children) {
-    if (Status s = emit_stmt(*child); !s) return s;
   }
   return Status::ok();
 }
 
 Result<std::string> CodeGen::run(const TranslationUnit& unit) {
+  unit_ = &unit;
+  const std::size_t symbols = unit.symbols.size();
+  scopes_.reset(symbols);
+  spell_kind_.resize(symbols);
+  for (Sym sym = 0; sym < symbols; ++sym) {
+    spell_kind_[sym] = spell_kind(unit.name(sym));
+  }
   // Placement comes from the semantic analysis: which file-scope scalars are
   // written by unmanaged statements inside parallel regions (DSM pool), and
   // which globals are threadprivate.
-  std::unordered_set<std::string> dsm_scalars;
-  std::unordered_set<std::string> threadprivate_names;
+  std::vector<Placement> placement(symbols, Placement::kReplicated);
   for (const auto& [name, vc] : analysis_.globals) {
-    if (vc.placement == Placement::kDsmScalar) dsm_scalars.insert(name);
-    if (vc.placement == Placement::kThreadprivate) {
-      threadprivate_names.insert(name);
-    }
+    const Sym sym = unit.symbols.find(name);
+    if (sym != kNoSym) placement[sym] = vc.placement;
   }
 
-  tokens_ = &unit.tokens;
-  push_scope();  // file scope
+  scopes_.push_scope();  // file scope
   line("// Generated by parade_omcc (ParADE OpenMP translator). Do not edit.");
-  line("#include \"" + options_.support_include + "\"");
-  line("");
+  line("#include \"", options_.support_include, '"');
+  line();
 
   for (const TopItem& item : unit.items) {
     switch (item.kind) {
       case TopItem::Kind::kHashLine:
-        line(item.text);
+        line(unit.tokens[item.token].text);
         break;
       case TopItem::Kind::kRaw:
-        line(rewrite(*tokens_, item.stmt->text.span) + ";");
+        line(Rewritten{item.stmt->expr.span}, ';');
         break;
       case TopItem::Kind::kPragma: {
-        if (item.stmt->directive.kind == DirectiveKind::kThreadprivate) {
+        if (item.stmt->directive->kind == DirectiveKind::kThreadprivate) {
           line("// threadprivate: handled at the declarations above");
           break;
         }
-        return err(item.stmt->directive.line,
+        return err(item.stmt->directive->line,
                    "OpenMP directive at file scope");
       }
       case TopItem::Kind::kDecl: {
         // File-scope data: arrays go to the DSM pool; scalars/pointers become
         // node-replicated (paper §5.2: page consistency for large data,
         // update-by-collective for small synchronization-managed data).
-        const Stmt& decl = *item.stmt;
-        for (const Declarator& d : decl.declarators) {
+        const Stmt& stmt = *item.stmt;
+        const Decl& decl = *stmt.decl;
+        const std::string_view value = decl.type.value;
+        for (const Declarator& d : unit.declarators_of(decl)) {
+          const Name name{d.name};
           if (d.is_function) {
             // Prototype: emit verbatim-ish.
-            line(decl.decl_type.text + " " + d.name + "();");
+            line(Rendered{decl.type.span}, ' ', name, "();");
             continue;
           }
+          const std::span<const Expr> dims = unit.dims_of(d);
           Symbol symbol;
-          symbol.type = decl.decl_type.text;
+          symbol.type = value;
+          symbol.stars = d.pointer_depth;
           symbol.pointer_depth = d.pointer_depth;
-          if (!d.array_dims.empty()) {
+          if (!dims.empty()) {
             if (!d.init.empty()) {
-              return err(decl.line, "initialized global arrays are not "
+              return err(stmt.line, "initialized global arrays are not "
                                     "supported (move init into main)");
             }
             // DSM placement: emit a replicated pointer + pool allocation.
             symbol.is_array = false;
-            symbol.pointer_depth = 1;
+            symbol.stars = symbol.pointer_depth = 1;
             symbol.replicated_global = true;
             declare(d.name, symbol);
-            std::string elem_type = value_type_of(decl.decl_type.text);
-            for (int i = 0; i < d.pointer_depth; ++i) elem_type += "*";
-            std::string suffix;
-            for (std::size_t dim = 1; dim < d.array_dims.size(); ++dim) {
-              suffix += "[" + d.array_dims[dim].text + "]";
+            const Stars elem_stars{d.pointer_depth};
+            out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+            out_ += "static parade::xlat::Replicated<decltype(static_cast<";
+            out_ += value;
+            put(out_, elem_stars);
+            out_ += " (*)";
+            for (std::size_t dim = 1; dim < dims.size(); ++dim) {
+              out_ += '[';
+              put(out_, Rendered{dims[dim].span});
+              out_ += ']';
             }
-            const std::string full_type =
-                "decltype(static_cast<" + elem_type + " (*)" + suffix +
-                ">(nullptr))";
-            line("static parade::xlat::Replicated<" + full_type + "> __prep_" +
-                 d.name + ";");
-            std::string size_expr = "sizeof(" + elem_type + ")";
-            for (const Expr& dim : d.array_dims) {
-              size_expr += " * (" + dim.text + ")";
+            out_ += ">(nullptr))> __prep_";
+            put(out_, name);
+            out_ += ";\n";
+
+            put(shared_init_, "__prep_");
+            put(shared_init_, name);
+            put(shared_init_, ".get() = reinterpret_cast<");
+            put(shared_init_, value);
+            put(shared_init_, elem_stars);
+            put(shared_init_, " (*)");
+            for (std::size_t dim = 1; dim < dims.size(); ++dim) {
+              shared_init_ += '[';
+              put(shared_init_, Rendered{dims[dim].span});
+              shared_init_ += ']';
             }
-            shared_init_lines_.push_back(
-                "__prep_" + d.name + ".get() = reinterpret_cast<" + elem_type +
-                " (*)" + suffix + ">(parade::shmalloc(" + size_expr + "));");
-          } else if (threadprivate_names.count(d.name) > 0) {
+            put(shared_init_, ">(parade::shmalloc(sizeof(");
+            put(shared_init_, value);
+            put(shared_init_, elem_stars);
+            shared_init_ += ')';
+            for (const Expr& dim : dims) {
+              shared_init_ += " * (";
+              put(shared_init_, Rendered{dim.span});
+              shared_init_ += ')';
+            }
+            init_line("));");
+          } else if (placement[d.name] == Placement::kThreadprivate) {
             // OpenMP threadprivate: one instance per thread, no rewriting.
             symbol.threadprivate = true;
             declare(d.name, symbol);
-            std::string full_type = value_type_of(decl.decl_type.text);
-            for (int i = 0; i < d.pointer_depth; ++i) full_type += "*";
-            std::string dims;
-            for (const Expr& dim : d.array_dims) dims += "[" + dim.text + "]";
-            line("static thread_local " + full_type + " " + d.name + dims +
-                 (d.init.empty() ? "" : " = " + d.init.text) + ";");
-          } else if (d.pointer_depth == 0 && dsm_scalars.count(d.name) > 0) {
+            out_.append(2 * static_cast<std::size_t>(indent_), ' ');
+            out_ += "static thread_local ";
+            out_ += value;
+            put(out_, Stars{d.pointer_depth});
+            out_ += ' ';
+            put(out_, name);
+            for (const Expr& dim : dims) {
+              out_ += '[';
+              put(out_, Rendered{dim.span});
+              out_ += ']';
+            }
+            if (!d.init.empty()) {
+              out_ += " = ";
+              put(out_, Rendered{d.init.span});
+            }
+            out_ += ";\n";
+          } else if (d.pointer_depth == 0 &&
+                     placement[d.name] == Placement::kDsmScalar) {
             // Written by unmanaged parallel code: place in the DSM pool.
             symbol.dsm_scalar = true;
             declare(d.name, symbol);
-            const std::string vt = value_type_of(decl.decl_type.text);
-            line("static parade::xlat::Replicated<" + vt + "*> __pdsm_" +
-                 d.name + ";");
-            shared_init_lines_.push_back(
-                "__pdsm_" + d.name + ".get() = static_cast<" + vt +
-                "*>(parade::shmalloc(sizeof(" + vt + ")));");
+            line("static parade::xlat::Replicated<", value, "*> __pdsm_", name,
+                 ';');
+            init_line("__pdsm_", name, ".get() = static_cast<", value,
+                      "*>(parade::shmalloc(sizeof(", value, ")));");
             if (!d.init.empty()) {
-              shared_init_lines_.push_back(
-                  "if (parade::node_id() == 0) { *__pdsm_" + d.name +
-                  ".get() = " + d.init.text + "; }");
+              init_line("if (parade::node_id() == 0) { *__pdsm_", name,
+                        ".get() = ", Rendered{d.init.span}, "; }");
             }
           } else {
             symbol.replicated_global = true;
             declare(d.name, symbol);
-            std::string full_type = value_type_of(decl.decl_type.text);
-            for (int i = 0; i < d.pointer_depth; ++i) full_type += "*";
+            const Stars stars{d.pointer_depth};
             if (d.init.empty()) {
-              line("static parade::xlat::Replicated<" + full_type +
-                   "> __prep_" + d.name + ";");
+              line("static parade::xlat::Replicated<", value, stars,
+                   "> __prep_", name, ';');
             } else {
-              line("static parade::xlat::Replicated<" + full_type +
-                   "> __prep_" + d.name + "{static_cast<" + full_type + ">(" +
-                   d.init.text + ")};");
+              line("static parade::xlat::Replicated<", value, stars,
+                   "> __prep_", name, "{static_cast<", value, stars, ">(",
+                   Rendered{d.init.span}, ")};");
             }
           }
         }
@@ -908,27 +1055,36 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
       }
       case TopItem::Kind::kFunction: {
         const FunctionDef& fn = item.function;
-        const bool is_main = text_is(fn.name, "main");
+        const bool is_main = text_is(unit.name(fn.name), "main");
+        out_.append(2 * static_cast<std::size_t>(indent_), ' ');
         if (is_main) {
           saw_main_ = true;
-          user_main_params_ = fn.params.text;
+          user_main_params_ = render_tokens(unit.tokens, fn.params.begin,
+                                            fn.params.end);
+          out_ += "static int __parade_user_main";
+        } else {
+          if (fn.ret_type.empty()) {
+            out_ += "int";
+          } else {
+            put(out_, Rendered{fn.ret_type});
+          }
+          out_ += ' ';
+          put(out_, Name{fn.name});
         }
-        const std::string name = is_main ? "__parade_user_main" : fn.name;
-        std::string ret =
-            fn.ret_type.empty() ? std::string("int") : fn.ret_type;
-        if (is_main) ret = "static int";
-        line(ret + " " + name + "(" + fn.params.text + ")");
-        push_scope();
+        out_ += '(';
+        put(out_, Rendered{fn.params});
+        out_ += ")\n";
+        scopes_.push_scope();
         for (const Param& p : fn.param_list) {
           // The '*'s stay in the type text, which type_of spells as is.
           Symbol symbol;
-          symbol.type = p.type;
+          symbol.type = p.type.value;
           symbol.is_array = p.is_array;
           declare(p.name, symbol);
         }
         if (Status s = emit_stmt(*fn.body); !s) return s;
-        pop_scope();
-        line("");
+        scopes_.pop_scope();
+        line();
         break;
       }
     }
@@ -937,28 +1093,32 @@ Result<std::string> CodeGen::run(const TranslationUnit& unit) {
   // Shared-pool initialisation (runs once per node, before user main).
   line("static void __parade_shared_init() {");
   ++indent_;
-  for (const std::string& init : shared_init_lines_) line(init);
-  if (!shared_init_lines_.empty()) {
+  for (std::size_t at = 0; at < shared_init_.size();) {
+    const std::size_t end = shared_init_.find('\n', at);
+    line(std::string_view(shared_init_).substr(at, end - at));
+    at = end + 1;
+  }
+  if (!shared_init_.empty()) {
     // Publish node 0's initial values before user code touches the pool.
     line("parade::barrier();");
   }
   --indent_;
-  line("}");
-  line("");
+  line('}');
+  line();
 
   if (options_.emit_main_wrapper && saw_main_) {
     const bool wants_args = user_main_params_.find("argc") != std::string::npos;
     line("int main(int argc, char** argv) {");
     ++indent_;
     line("(void)argc; (void)argv;");
-    line(std::string("return parade::xlat::launch([&]() -> int { "
-                     "__parade_shared_init(); return __parade_user_main(") +
-         (wants_args ? "argc, argv" : "") + "); });");
+    line("return parade::xlat::launch([&]() -> int { "
+         "__parade_shared_init(); return __parade_user_main(",
+         wants_args ? "argc, argv" : "", "); });");
     --indent_;
-    line("}");
+    line('}');
   }
 
-  pop_scope();
+  scopes_.pop_scope();
   return std::move(out_);
 }
 

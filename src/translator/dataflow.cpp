@@ -1,6 +1,6 @@
 #include "translator/dataflow.hpp"
 
-#include <deque>
+#include <vector>
 
 namespace parade::translator {
 
@@ -28,11 +28,11 @@ FlowResult solve_dataflow(const Cfg& cfg, const DataflowProblem& problem) {
     result.in[boundary_block] = problem.boundary;
   }
 
-  auto edges_in = [&](std::size_t b) -> const std::vector<int>& {
-    return forward ? cfg.blocks[b].preds : cfg.blocks[b].succs;
+  auto edges_in = [&](std::size_t b) {
+    return forward ? cfg.preds(b) : cfg.succs(b);
   };
-  auto edges_out = [&](std::size_t b) -> const std::vector<int>& {
-    return forward ? cfg.blocks[b].succs : cfg.blocks[b].preds;
+  auto edges_out = [&](std::size_t b) {
+    return forward ? cfg.succs(b) : cfg.preds(b);
   };
 
   auto apply_transfer = [&](std::size_t b) {
@@ -49,13 +49,20 @@ FlowResult solve_dataflow(const Cfg& cfg, const DataflowProblem& problem) {
     return false;
   };
 
-  std::deque<std::size_t> work;
+  // FIFO worklist: a vector read from `head`. At most n blocks wait at a
+  // time, so dropping the consumed prefix once it reaches n keeps it short.
+  std::vector<std::size_t> work;
+  work.reserve(2 * n);
+  std::size_t head = 0;
   std::vector<char> queued(n, 1);
   for (std::size_t b = 0; b < n; ++b) work.push_back(b);
 
-  while (!work.empty()) {
-    const std::size_t b = work.front();
-    work.pop_front();
+  while (head < work.size()) {
+    if (head >= n) {
+      work.erase(work.begin(), work.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+    const std::size_t b = work[head++];
     queued[b] = 0;
     ++result.iterations;
 

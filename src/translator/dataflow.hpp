@@ -16,60 +16,73 @@
 namespace parade::translator {
 
 /// Fixed-width bit set sized at construction; the engine's lattice element.
+/// Up to 64 bits live inline (the analyzer's sets are one bit or a region's
+/// nowait constructs), so only wider sets touch the heap.
 class BitSet {
  public:
   BitSet() = default;
-  explicit BitSet(std::size_t bits)
-      : bits_(bits), words_((bits + 63) / 64, 0) {}
+  explicit BitSet(std::size_t bits) : bits_(bits) {
+    if (bits > 64) heap_.assign((bits + 63) / 64, 0);
+  }
 
   std::size_t size() const { return bits_; }
   bool test(std::size_t i) const {
-    return (words_[i >> 6] >> (i & 63U)) & 1U;
+    return (words()[i >> 6] >> (i & 63U)) & 1U;
   }
-  void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63U); }
+  void set(std::size_t i) { words()[i >> 6] |= std::uint64_t{1} << (i & 63U); }
   void reset(std::size_t i) {
-    words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63U));
+    words()[i >> 6] &= ~(std::uint64_t{1} << (i & 63U));
   }
   void set_all() {
-    for (auto& w : words_) w = ~std::uint64_t{0};
+    for (std::size_t i = 0; i < word_count(); ++i) words()[i] = ~std::uint64_t{0};
     trim();
   }
   void clear() {
-    for (auto& w : words_) w = 0;
+    for (std::size_t i = 0; i < word_count(); ++i) words()[i] = 0;
   }
   bool any() const {
-    for (const auto w : words_) {
-      if (w != 0) return true;
+    for (std::size_t i = 0; i < word_count(); ++i) {
+      if (words()[i] != 0) return true;
     }
     return false;
   }
 
   BitSet& operator|=(const BitSet& o) {
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
+    for (std::size_t i = 0; i < word_count(); ++i) words()[i] |= o.words()[i];
     return *this;
   }
   BitSet& operator&=(const BitSet& o) {
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
+    for (std::size_t i = 0; i < word_count(); ++i) words()[i] &= o.words()[i];
     return *this;
   }
   /// this = this \ o
   BitSet& subtract(const BitSet& o) {
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= ~o.words_[i];
+    for (std::size_t i = 0; i < word_count(); ++i) words()[i] &= ~o.words()[i];
     return *this;
   }
-  bool operator==(const BitSet& o) const { return words_ == o.words_; }
-  bool operator!=(const BitSet& o) const { return words_ != o.words_; }
+  bool operator==(const BitSet& o) const {
+    if (word_count() != o.word_count()) return false;
+    for (std::size_t i = 0; i < word_count(); ++i) {
+      if (words()[i] != o.words()[i]) return false;
+    }
+    return true;
+  }
+  bool operator!=(const BitSet& o) const { return !(*this == o); }
 
  private:
+  std::size_t word_count() const { return (bits_ + 63) / 64; }
+  std::uint64_t* words() { return bits_ > 64 ? heap_.data() : &inline_; }
+  const std::uint64_t* words() const {
+    return bits_ > 64 ? heap_.data() : &inline_;
+  }
   void trim() {
     const std::size_t tail = bits_ & 63U;
-    if (tail != 0 && !words_.empty()) {
-      words_.back() &= (std::uint64_t{1} << tail) - 1;
-    }
+    if (tail != 0) words()[word_count() - 1] &= (std::uint64_t{1} << tail) - 1;
   }
 
   std::size_t bits_ = 0;
-  std::vector<std::uint64_t> words_;
+  std::uint64_t inline_ = 0;
+  std::vector<std::uint64_t> heap_;  // used only above 64 bits
 };
 
 enum class FlowDirection { kForward, kBackward };

@@ -4,11 +4,15 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/json.hpp"
+#include "translator/parser.hpp"
+#include "translator/scopes.hpp"
 
 namespace parade::translator {
 
@@ -28,18 +32,36 @@ namespace {
 const char* const kDefaultCriticalLock = "\x01critical";
 const char* const kOrderedLock = "\x01ordered";
 
-/// `text` without blanks, as an integer literal ("1000000", "0x40").
-bool parse_literal(const std::string& text, long long* out) {
-  std::string trimmed;
-  for (char c : text) {
-    if (c != ' ') trimmed += c;
+/// The tokens of `span` run together, as the rendering with its blanks
+/// removed would read.
+std::string joined(const TranslationUnit& unit, TokenSpan span) {
+  std::string text;
+  for (std::size_t t = span.begin; t < span.end; ++t) {
+    text += unit.tokens[t].text;
   }
-  if (trimmed.empty()) return false;
+  return text;
+}
+
+/// `text` as an integer literal ("1000000", "0x40").
+bool parse_literal(const std::string& text, long long* out) {
+  if (text.empty()) return false;
   char* end = nullptr;
-  const long long v = std::strtoll(trimmed.c_str(), &end, 0);
+  const long long v = std::strtoll(text.c_str(), &end, 0);
   if (end == nullptr || *end != '\0') return false;
   *out = v;
   return true;
+}
+
+/// Per symbol id, the unit's file-scope entry in analysis.globals (null
+/// for every other name).
+std::vector<const VarClass*> globals_by_sym(const TranslationUnit& unit,
+                                            const Analysis& analysis) {
+  std::vector<const VarClass*> out(unit.symbols.size(), nullptr);
+  for (const auto& [name, vc] : analysis.globals) {
+    const Sym sym = unit.symbols.find(name);
+    if (sym != kNoSym) out[sym] = &vc;
+  }
+  return out;
 }
 
 /// File-scope `name = integer-literal` initializers of a unit (e.g.
@@ -47,14 +69,15 @@ bool parse_literal(const std::string& text, long long* out) {
 /// for static trip counts.
 class LiteralBounds {
  public:
-  explicit LiteralBounds(const TranslationUnit& unit) {
+  explicit LiteralBounds(const TranslationUnit& unit)
+      : unit_(unit), literal_(unit.symbols.size()) {
     for (const TopItem& item : unit.items) {
       if (item.kind != TopItem::Kind::kDecl) continue;
-      for (const Declarator& d : item.stmt->declarators) {
+      for (const Declarator& d : unit.declarators_of(*item.stmt->decl)) {
         long long v = 0;
-        if (!d.is_function && d.array_dims.empty() && !d.init.empty() &&
-            parse_literal(d.init.text, &v)) {
-          literals_[d.name] = v;
+        if (!d.is_function && d.n_dims == 0 && !d.init.empty() &&
+            parse_literal(joined(unit, d.init.span), &v)) {
+          literal_[d.name] = v;
         }
       }
     }
@@ -66,8 +89,8 @@ class LiteralBounds {
     long long lo = 0;
     long long hi = 0;
     long long step = 1;
-    if (!resolve(h.lower.text, &lo) || !resolve(h.upper.text, &hi) ||
-        !resolve(h.step.text, &step) || step == 0) {
+    if (!resolve(h.lower, &lo) || !resolve(h.upper, &hi) ||
+        (!h.unit_step && !resolve(h.step, &step)) || step == 0) {
       return 0;
     }
     long long span = h.increasing ? hi - lo : lo - hi;
@@ -78,21 +101,19 @@ class LiteralBounds {
   }
 
  private:
-  /// `text` as an integer literal or as the name of a literal-initialized
+  /// `e` as an integer literal or as the name of a literal-initialized
   /// file-scope symbol; false otherwise.
-  bool resolve(const std::string& text, long long* out) const {
+  bool resolve(const Expr& e, long long* out) const {
+    const std::string text = joined(unit_, e.span);
     if (parse_literal(text, out)) return true;
-    std::string trimmed;
-    for (char c : text) {
-      if (c != ' ') trimmed += c;
-    }
-    auto it = literals_.find(trimmed);
-    if (it == literals_.end()) return false;
-    *out = it->second;
+    const Sym sym = unit_.symbols.find(text);
+    if (sym == kNoSym || !literal_[sym]) return false;
+    *out = *literal_[sym];
     return true;
   }
 
-  std::map<std::string, long long> literals_;
+  const TranslationUnit& unit_;
+  std::vector<std::optional<long long>> literal_;  // per symbol id
 };
 
 /// Walks the unit in program order building the region-sequence graph:
@@ -103,14 +124,18 @@ class LiteralBounds {
 class SeqWalker {
  public:
   SeqWalker(const TranslationUnit& unit, const Analysis& analysis)
-      : unit_(unit), analysis_(analysis), bounds_(unit) {}
+      : unit_(unit),
+        bounds_(unit),
+        global_of_(globals_by_sym(unit, analysis)) {
+    shadowed_.reset(unit.symbols.size());
+  }
 
   RegionSequence run() {
     for (const TopItem& item : unit_.items) {
       if (item.kind != TopItem::Kind::kFunction) continue;
-      scopes_.emplace_back();
+      shadowed_.push_scope();
       if (item.function.body) visit(*item.function.body);
-      scopes_.pop_back();
+      shadowed_.pop_scope();
     }
     seq_.phase_count = phase_ + 1;
     return std::move(seq_);
@@ -118,7 +143,7 @@ class SeqWalker {
 
  private:
   struct LoopCtx {
-    std::string var;
+    Sym var = kNoSym;
     long long trips = 0;  // 0 = statically unknown
     bool worksharing = false;
   };
@@ -133,11 +158,15 @@ class SeqWalker {
     return mult;
   }
 
-  bool shadowed(const std::string& name) const {
-    for (const auto& scope : scopes_) {
-      if (scope.count(name) > 0) return true;
+  void shadow(Sym name) { shadowed_.declare(name, 1); }
+
+  /// The id of lock `name` in seq_.lock_names, added when new.
+  int lock_id(const std::string& name) {
+    for (std::size_t i = 0; i < seq_.lock_names.size(); ++i) {
+      if (seq_.lock_names[i] == name) return static_cast<int>(i);
     }
-    return false;
+    seq_.lock_names.push_back(name);
+    return static_cast<int>(seq_.lock_names.size()) - 1;
   }
 
   void bump_phase() {
@@ -162,10 +191,10 @@ class SeqWalker {
   }
 
   void record_accesses(const Expr& expr, int line) {
-    const AccessScan& acc = expr.access();
-    auto record = [&](const std::string& name, bool write) {
-      if (shadowed(name)) return;
-      if (analysis_.globals.find(name) == analysis_.globals.end()) return;
+    const AccessScan acc = unit_.access(expr);
+    auto record = [&](Sym name, bool write) {
+      if (shadowed_.lookup(name) != nullptr) return;
+      if (global_of_[name] == nullptr) return;
       SeqAccess a;
       a.symbol = name;
       a.write = write;
@@ -194,30 +223,28 @@ class SeqWalker {
       }
       seq_.accesses.push_back(std::move(a));
     };
-    for (const std::string& r : acc.reads) record(r, /*write=*/false);
-    for (const AccessScan::Write& w : acc.writes) {
-      if (!w.deref) record(w.name, /*write=*/true);
+    for (const Sym r : acc.reads) record(r, /*write=*/false);
+    for (const AccessWrite& w : acc.writes) {
+      if (!w.deref) record(w.sym, /*write=*/true);
     }
   }
 
   void visit_children(const Stmt& stmt) {
-    for (const StmtPtr& child : stmt.children) {
-      if (child) visit(*child);
-    }
+    for (const Stmt& child : stmt.children()) visit(child);
   }
 
   void visit_worksharing_for(const Directive& d, const Stmt& for_stmt) {
-    const ForHeader& h = for_stmt.for_header;
+    const ForHeader& h = *for_stmt.for_header;
     const int id = open_construct("for", d.line, d.clauses.nowait, -1);
     seq_.constructs[id].trips =
         trip_multiplier() * std::max(1LL, bounds_.trip_count(h));
-    scopes_.emplace_back();
+    shadowed_.push_scope();
     shadow_clause_vars(d.clauses);
-    if (h.canonical) scopes_.back().insert(h.loop_var);
+    if (h.canonical) shadow(h.loop_var);
     record_accesses(h.init_text, for_stmt.line);
     record_accesses(h.cond_text, for_stmt.line);
     record_accesses(h.incr_text, for_stmt.line);
-    loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "",
+    loops_.push_back(LoopCtx{h.canonical ? h.loop_var : kNoSym,
                              bounds_.trip_count(h), /*worksharing=*/true});
     const int saved_construct = construct_;
     const bool saved_per_thread = per_thread_;
@@ -227,28 +254,27 @@ class SeqWalker {
     per_thread_ = saved_per_thread;
     construct_ = saved_construct;
     loops_.pop_back();
-    scopes_.pop_back();
+    shadowed_.pop_scope();
     if (!d.clauses.nowait) bump_phase();  // runtime parallel_for barrier()
   }
 
   void shadow_clause_vars(const Clauses& c) {
-    for (const std::string& v : c.privates) scopes_.back().insert(v);
-    for (const std::string& v : c.firstprivate) scopes_.back().insert(v);
-    for (const std::string& v : c.lastprivate) scopes_.back().insert(v);
+    for (const ClauseVar& v : c.privates) shadow(v.sym);
+    for (const ClauseVar& v : c.firstprivate) shadow(v.sym);
+    for (const ClauseVar& v : c.lastprivate) shadow(v.sym);
     for (const auto& [op, v] : c.reductions) {
       (void)op;
-      scopes_.back().insert(v);  // merged by collectives, no page traffic
+      shadow(v.sym);  // merged by collectives, no page traffic
     }
   }
 
   void visit_pragma(const Stmt& stmt) {
-    const Directive& d = stmt.directive;
-    const Stmt* body =
-        stmt.children.empty() ? nullptr : stmt.children.front().get();
+    const Directive& d = *stmt.directive;
+    const Stmt* body = stmt.first_child;
     switch (d.kind) {
       case DirectiveKind::kParallel: {
         const int id = open_construct("parallel", d.line, false, -1);
-        scopes_.emplace_back();
+        shadowed_.push_scope();
         shadow_clause_vars(d.clauses);
         const int saved_construct = construct_;
         construct_ = id;
@@ -258,12 +284,12 @@ class SeqWalker {
         per_thread_ = false;
         --parallel_depth_;
         construct_ = saved_construct;
-        scopes_.pop_back();
+        shadowed_.pop_scope();
         bump_phase();  // Team::run_region ends with a global barrier
         return;
       }
       case DirectiveKind::kParallelFor: {
-        scopes_.emplace_back();
+        shadowed_.push_scope();
         shadow_clause_vars(d.clauses);
         ++parallel_depth_;
         if (body != nullptr && body->kind == StmtKind::kFor) {
@@ -272,7 +298,7 @@ class SeqWalker {
           visit(*body);
         }
         --parallel_depth_;
-        scopes_.pop_back();
+        shadowed_.pop_scope();
         bump_phase();  // region-end barrier on top of the loop's
         return;
       }
@@ -281,7 +307,7 @@ class SeqWalker {
         const bool combined = d.kind == DirectiveKind::kParallelSections;
         const int id = open_construct("sections", d.line,
                                       d.clauses.nowait && !combined, -1);
-        scopes_.emplace_back();
+        shadowed_.push_scope();
         shadow_clause_vars(d.clauses);
         const int saved_construct = construct_;
         const bool saved_per_thread = per_thread_;
@@ -292,7 +318,7 @@ class SeqWalker {
         per_thread_ = saved_per_thread;
         if (combined) --parallel_depth_;
         construct_ = saved_construct;
-        scopes_.pop_back();
+        shadowed_.pop_scope();
         if (combined) {
           bump_phase();  // sections' parallel_for barrier
           bump_phase();  // region-end barrier
@@ -310,7 +336,7 @@ class SeqWalker {
         return;
       case DirectiveKind::kSingle: {
         const int id = open_construct("single", d.line, d.clauses.nowait, -1);
-        scopes_.emplace_back();
+        shadowed_.push_scope();
         shadow_clause_vars(d.clauses);
         const int saved_construct = construct_;
         const bool saved_per_thread = per_thread_;
@@ -323,7 +349,7 @@ class SeqWalker {
         serial_guards_.pop_back();
         per_thread_ = saved_per_thread;
         construct_ = saved_construct;
-        scopes_.pop_back();
+        shadowed_.pop_scope();
         // Non-nowait single ends in a *node-local* barrier: an intra-node
         // order point (step), but no DSM epoch bump (phase unchanged).
         if (!d.clauses.nowait) ++step_;
@@ -350,9 +376,9 @@ class SeqWalker {
         const int id = open_construct("critical", d.line, false, d.line);
         const int saved_construct = construct_;
         construct_ = id;
-        lock_stack_.push_back(d.clauses.critical_name.empty()
-                                  ? kDefaultCriticalLock
-                                  : d.clauses.critical_name);
+        lock_stack_.push_back(lock_id(d.clauses.critical_name.empty()
+                                          ? kDefaultCriticalLock
+                                          : d.clauses.critical_name));
         if (body) visit(*body);
         lock_stack_.pop_back();
         construct_ = saved_construct;
@@ -366,11 +392,12 @@ class SeqWalker {
         // only; model it as a per-variable lock.
         std::string target;
         if (body != nullptr && body->kind == StmtKind::kRaw) {
-          if (auto shape = match_scalar_update(unit_.tokens, body->text.span)) {
+          if (auto shape = match_scalar_update(unit_.tokens, body->expr.span)) {
             target = shape->var;
           }
         }
-        lock_stack_.push_back(std::string("\x01") + "atomic:" + target);
+        lock_stack_.push_back(
+            lock_id(std::string("\x01") + "atomic:" + target));
         if (body) visit(*body);
         lock_stack_.pop_back();
         construct_ = saved_construct;
@@ -379,7 +406,7 @@ class SeqWalker {
       case DirectiveKind::kOrdered: {
         // Ordered bodies execute in iteration order: mutually serialized.
         ++guard_depth_;
-        lock_stack_.push_back(kOrderedLock);
+        lock_stack_.push_back(lock_id(kOrderedLock));
         if (body) visit(*body);
         lock_stack_.pop_back();
         --guard_depth_;
@@ -401,46 +428,47 @@ class SeqWalker {
   void visit(const Stmt& stmt) {
     switch (stmt.kind) {
       case StmtKind::kRaw:
-        record_accesses(stmt.text, stmt.line);
+        record_accesses(stmt.expr, stmt.line);
         return;
       case StmtKind::kDecl:
-        for (const Declarator& d : stmt.declarators) {
+        for (const Declarator& d : unit_.declarators_of(*stmt.decl)) {
           record_accesses(d.init, stmt.line);
-          scopes_.back().insert(d.name);
+          shadow(d.name);
         }
         return;
       case StmtKind::kBlock:
-        scopes_.emplace_back();
+        shadowed_.push_scope();
         visit_children(stmt);
-        scopes_.pop_back();
+        shadowed_.pop_scope();
         return;
       case StmtKind::kFor: {
-        const ForHeader& h = stmt.for_header;
+        const ForHeader& h = *stmt.for_header;
         record_accesses(h.init_text, stmt.line);
         record_accesses(h.cond_text, stmt.line);
         record_accesses(h.incr_text, stmt.line);
-        scopes_.emplace_back();
-        if (h.canonical && !h.var_decl_type.empty()) {
-          scopes_.back().insert(h.loop_var);
-        }
-        loops_.push_back(LoopCtx{h.canonical ? h.loop_var : "",
+        shadowed_.push_scope();
+        if (h.canonical && h.declares_var()) shadow(h.loop_var);
+        loops_.push_back(LoopCtx{h.canonical ? h.loop_var : kNoSym,
                                  bounds_.trip_count(h),
                                  /*worksharing=*/false});
         visit_children(stmt);
         loops_.pop_back();
-        scopes_.pop_back();
+        shadowed_.pop_scope();
         return;
       }
       case StmtKind::kWhile:
       case StmtKind::kDoWhile:
-        record_accesses(stmt.cond, stmt.line);
-        loops_.push_back(LoopCtx{"", 0, false});
+        record_accesses(stmt.expr, stmt.line);
+        loops_.push_back(LoopCtx{kNoSym, 0, false});
         visit_children(stmt);
         loops_.pop_back();
         return;
       case StmtKind::kIf:
       case StmtKind::kSwitch:
-        record_accesses(stmt.cond, stmt.line);
+        record_accesses(stmt.expr, stmt.line);
+        visit_children(stmt);
+        return;
+      case StmtKind::kLabel:
         visit_children(stmt);
         return;
       case StmtKind::kPragma:
@@ -453,8 +481,8 @@ class SeqWalker {
   }
 
   const TranslationUnit& unit_;
-  const Analysis& analysis_;
   LiteralBounds bounds_;
+  const std::vector<const VarClass*> global_of_;  // per symbol id
   RegionSequence seq_;
   int phase_ = 0;
   int step_ = 0;
@@ -464,16 +492,14 @@ class SeqWalker {
   int construct_ = -1;
   bool per_thread_ = false;
   std::vector<LoopCtx> loops_;
-  std::vector<std::string> lock_stack_;
+  std::vector<int> lock_stack_;  // ids into seq_.lock_names
   std::vector<int> serial_guards_;
-  std::vector<std::set<std::string>> scopes_;  // shadowed (non-global) names
+  ScopedTable<char> shadowed_;  // names bound by non-global declarations
 };
 
-bool dsm_placed(const Analysis& analysis, const std::string& symbol) {
-  auto it = analysis.globals.find(symbol);
-  return it != analysis.globals.end() &&
-         (it->second.placement == Placement::kDsmScalar ||
-          it->second.placement == Placement::kDsmArray);
+bool dsm_placed(const VarClass* global) {
+  return global != nullptr && (global->placement == Placement::kDsmScalar ||
+                               global->placement == Placement::kDsmArray);
 }
 
 /// True when the access's enclosing sync site ended up on the collective
@@ -499,16 +525,19 @@ struct PhaseAcc {
   SharingPattern pattern = SharingPattern::kReadMostly;
 };
 
-/// symbol -> phase -> accounting. Only DSM-placed symbols are tracked: the
-/// replicated ones synchronize via collectives and never page-fault.
-using Timeline = std::map<std::string, std::map<int, PhaseAcc>>;
+/// symbol name -> phase -> accounting, in name order. Only DSM-placed
+/// symbols are tracked: the replicated ones synchronize via collectives and
+/// never page-fault.
+using Timeline = std::map<std::string_view, std::map<int, PhaseAcc>>;
 
-Timeline build_timeline(const RegionSequence& seq, const Analysis& analysis) {
+Timeline build_timeline(const TranslationUnit& unit, const RegionSequence& seq,
+                        const Analysis& analysis) {
+  const std::vector<const VarClass*> global_of = globals_by_sym(unit, analysis);
   Timeline timeline;
   for (const SeqAccess& a : seq.accesses) {
-    if (!dsm_placed(analysis, a.symbol)) continue;
+    if (!dsm_placed(global_of[a.symbol])) continue;
     if (collective_managed(analysis, seq, a)) continue;
-    PhaseAcc& acc = timeline[a.symbol][a.phase];
+    PhaseAcc& acc = timeline[unit.name(a.symbol)][a.phase];
     if (a.write) {
       acc.writes += 1;
       acc.write_accesses.push_back(&a);
@@ -519,8 +548,8 @@ Timeline build_timeline(const RegionSequence& seq, const Analysis& analysis) {
   }
 
   for (auto& [symbol, phases] : timeline) {
-    const bool scalar =
-        analysis.globals.at(symbol).placement == Placement::kDsmScalar;
+    const bool scalar = analysis.globals.at(std::string(symbol)).placement ==
+                        Placement::kDsmScalar;
     // Phases that write the symbol, in order, for cross-phase flow checks.
     std::vector<int> writing_phases;
     for (const auto& [phase, acc] : phases) {
@@ -593,7 +622,7 @@ bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b) {
   if (a.serial_guard >= 0 && a.serial_guard == b.serial_guard) {
     return false;  // same single/master instance executes once
   }
-  for (const std::string& lock : a.locks) {
+  for (const int lock : a.locks) {
     if (std::find(b.locks.begin(), b.locks.end(), lock) != b.locks.end()) {
       return false;  // common lock serializes the pair
     }
@@ -603,21 +632,20 @@ bool may_happen_in_parallel(const SeqAccess& a, const SeqAccess& b) {
 
 void run_interference(const TranslationUnit& unit, Analysis* analysis) {
   const RegionSequence seq = build_region_sequence(unit, *analysis);
+  const std::vector<const VarClass*> global_of =
+      globals_by_sym(unit, *analysis);
 
   // --- race.cross_region -------------------------------------------------
   // Two guarded writes that may still overlap because their guards do not
   // compose: different critical names, atomic vs critical, or a nowait
   // single racing a critical. Unguarded writes are already race.shared_write
   // (PR 3); this diagnostic is additive, like the PR-8 flow-only ones.
-  std::set<std::pair<std::string, std::pair<int, int>>> reported_races;
+  std::set<std::pair<Sym, std::pair<int, int>>> reported_races;
   for (std::size_t i = 0; i < seq.accesses.size(); ++i) {
     const SeqAccess& a = seq.accesses[i];
     if (!a.write || !a.guarded) continue;
-    auto g = analysis->globals.find(a.symbol);
-    if (g == analysis->globals.end() ||
-        g->second.placement == Placement::kThreadprivate) {
-      continue;
-    }
+    const VarClass* g = global_of[a.symbol];
+    if (g == nullptr || g->placement == Placement::kThreadprivate) continue;
     for (std::size_t j = i + 1; j < seq.accesses.size(); ++j) {
       const SeqAccess& b = seq.accesses[j];
       if (!b.write || !b.guarded || b.symbol != a.symbol) continue;
@@ -631,8 +659,8 @@ void run_interference(const TranslationUnit& unit, Analysis* analysis) {
       d.code = kDiagRaceCrossRegion;
       d.severity = Severity::kWarning;
       d.line = std::max(a.line, b.line);
-      d.var = a.symbol;
-      d.message = "'" + a.symbol + "' is written at lines " +
+      d.var = unit.name(a.symbol);
+      d.message = "'" + d.var + "' is written at lines " +
                   std::to_string(std::min(a.line, b.line)) + " and " +
                   std::to_string(std::max(a.line, b.line)) +
                   " under synchronization that does not compose (the "
@@ -650,20 +678,20 @@ void run_interference(const TranslationUnit& unit, Analysis* analysis) {
   // same phase may observe the pre-write value on another node. Reads under
   // a lock are exempt (the HLRC acquire applies pending write notices), and
   // sites already carrying nowait.dependent_read are not re-reported.
-  std::set<std::pair<std::string, int>> already_flagged;
+  std::set<std::pair<Sym, int>> already_flagged;
   for (const Diagnostic& d : analysis->diagnostics) {
     if (d.code == kDiagNowaitDependentRead) {
-      already_flagged.emplace(d.var, d.line);
+      already_flagged.emplace(unit.symbols.find(d.var), d.line);
     }
   }
-  std::set<std::pair<std::string, int>> reported_nowait;
+  std::set<std::pair<Sym, int>> reported_nowait;
   for (std::size_t i = 0; i < seq.accesses.size(); ++i) {
     const SeqAccess& w = seq.accesses[i];
     if (!w.write || w.construct_id < 0) continue;
     const SeqConstruct& wc =
         seq.constructs[static_cast<std::size_t>(w.construct_id)];
     if (!wc.nowait) continue;
-    if (analysis->globals.find(w.symbol) == analysis->globals.end()) continue;
+    if (global_of[w.symbol] == nullptr) continue;
     for (std::size_t j = i + 1; j < seq.accesses.size(); ++j) {
       const SeqAccess& r = seq.accesses[j];
       if (r.write || r.symbol != w.symbol) continue;
@@ -676,8 +704,8 @@ void run_interference(const TranslationUnit& unit, Analysis* analysis) {
       d.code = kDiagNowaitCrossRegionRead;
       d.severity = Severity::kWarning;
       d.line = r.line;
-      d.var = r.symbol;
-      d.message = "'" + r.symbol + "' is read here but written at line " +
+      d.var = unit.name(r.symbol);
+      d.message = "'" + d.var + "' is read here but written at line " +
                   std::to_string(w.line) +
                   " inside a nowait construct in the same phase: no barrier "
                   "publishes the write before this read on other nodes";
@@ -700,38 +728,40 @@ namespace {
 class FootprintWalker {
  public:
   FootprintWalker(const TranslationUnit& unit, const Analysis& analysis)
-      : analysis_(analysis), bounds_(unit) {
+      : unit_(unit),
+        bounds_(unit),
+        global_of_(globals_by_sym(unit, analysis)),
+        footprints_(unit.symbols.size(), 0) {
     for (const TopItem& item : unit.items) {
       if (item.kind != TopItem::Kind::kFunction) continue;
       if (item.function.body) visit(*item.function.body);
     }
   }
 
-  const std::map<std::string, std::size_t>& footprints() const {
-    return footprints_;
-  }
+  /// The symbol's largest per-construct footprint in bytes (0 = none seen).
+  std::size_t footprint(Sym sym) const { return footprints_[sym]; }
 
  private:
   struct LoopCtx {
-    std::string var;
+    Sym var = kNoSym;
     std::size_t trips = 0;  // 0 = statically unknown
   };
 
   void account(const Expr& expr) {
     if (!in_region_) return;
-    const AccessScan& acc = expr.access();
-    std::set<std::string> touched(acc.reads.begin(), acc.reads.end());
-    for (const AccessScan::Write& wr : acc.writes) {
-      if (!wr.deref) touched.insert(wr.name);
+    const AccessScan acc = unit_.access(expr);
+    std::vector<Sym> touched(acc.reads.begin(), acc.reads.end());
+    for (const AccessWrite& wr : acc.writes) {
+      if (!wr.deref) touched.push_back(wr.sym);
     }
-    for (const std::string& name : touched) {
-      auto g = analysis_.globals.find(name);
-      if (g == analysis_.globals.end()) continue;
-      const VarClass& vc = g->second;
-      std::size_t bytes = vc.byte_size;  // default: the whole object
-      const std::size_t elem = vc.placement == Placement::kDsmArray
-                                   ? sizeof_declared(vc.type, 0, {})
-                                   : 0;
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const Sym name : touched) {
+      const VarClass* vc = global_of_[name];
+      if (vc == nullptr) continue;
+      std::size_t bytes = vc->byte_size;  // default: the whole object
+      const std::size_t elem =
+          vc->placement == Placement::kDsmArray ? vc->base_bytes : 0;
       if (elem > 0 && acc.subscripted(name)) {
         std::size_t trips = 1;
         bool affine = true;
@@ -745,7 +775,7 @@ class FootprintWalker {
         }
         if (affine) {
           bytes = elem * trips;
-          if (vc.byte_size > 0) bytes = std::min(bytes, vc.byte_size);
+          if (vc->byte_size > 0) bytes = std::min(bytes, vc->byte_size);
         }
       }
       std::size_t& max = footprints_[name];
@@ -756,18 +786,20 @@ class FootprintWalker {
   void visit(const Stmt& stmt) {
     switch (stmt.kind) {
       case StmtKind::kRaw:
-        account(stmt.text);
+        account(stmt.expr);
         return;
       case StmtKind::kDecl:
-        for (const Declarator& d : stmt.declarators) account(d.init);
+        for (const Declarator& d : unit_.declarators_of(*stmt.decl)) {
+          account(d.init);
+        }
         return;
       case StmtKind::kFor: {
-        const ForHeader& h = stmt.for_header;
+        const ForHeader& h = *stmt.for_header;
         account(h.init_text);
         account(h.cond_text);
         account(h.incr_text);
         loops_.push_back(
-            LoopCtx{h.canonical ? h.loop_var : "",
+            LoopCtx{h.canonical ? h.loop_var : kNoSym,
                     static_cast<std::size_t>(bounds_.trip_count(h))});
         visit_children(stmt);
         loops_.pop_back();
@@ -777,10 +809,10 @@ class FootprintWalker {
       case StmtKind::kWhile:
       case StmtKind::kDoWhile:
       case StmtKind::kSwitch:
-        account(stmt.cond);
+        account(stmt.expr);
         break;
       case StmtKind::kPragma: {
-        const DirectiveKind k = stmt.directive.kind;
+        const DirectiveKind k = stmt.directive->kind;
         if (k == DirectiveKind::kParallel || k == DirectiveKind::kParallelFor ||
             k == DirectiveKind::kParallelSections) {
           const bool saved = in_region_;
@@ -798,14 +830,13 @@ class FootprintWalker {
   }
 
   void visit_children(const Stmt& stmt) {
-    for (const StmtPtr& child : stmt.children) {
-      if (child) visit(*child);
-    }
+    for (const Stmt& child : stmt.children()) visit(child);
   }
 
-  const Analysis& analysis_;
+  const TranslationUnit& unit_;
   LiteralBounds bounds_;
-  std::map<std::string, std::size_t> footprints_;
+  const std::vector<const VarClass*> global_of_;  // per symbol id
+  std::vector<std::size_t> footprints_;          // per symbol id
   std::vector<LoopCtx> loops_;
   bool in_region_ = false;  // serial code carries no protocol traffic
 };
@@ -896,7 +927,7 @@ CostReport estimate_message_costs(const TranslationUnit& unit,
   CostReport report;
   report.nodes = nodes;
   const RegionSequence seq = build_region_sequence(unit, analysis);
-  const Timeline timeline = build_timeline(seq, analysis);
+  const Timeline timeline = build_timeline(unit, seq, analysis);
   const FootprintWalker footprint(unit, analysis);
   const double n = nodes;
   const double remote_frac = nodes > 1 ? (n - 1) / n : 0.0;
@@ -927,10 +958,10 @@ CostReport estimate_message_costs(const TranslationUnit& unit,
   for (const auto& [symbol, phases] : timeline) {
     // The declared size, narrowed to the affine footprint when one was
     // measured.
-    std::size_t span = analysis.globals.at(symbol).byte_size;
-    auto fp = footprint.footprints().find(symbol);
-    if (fp != footprint.footprints().end() && fp->second > 0) {
-      span = fp->second;
+    std::size_t span = analysis.globals.at(std::string(symbol)).byte_size;
+    if (const std::size_t fp = footprint.footprint(unit.symbols.find(symbol));
+        fp > 0) {
+      span = fp;
     }
     if (span == 0) span = options.page_bytes;
     const double pages = std::ceil(static_cast<double>(span) /
@@ -942,7 +973,7 @@ CostReport estimate_message_costs(const TranslationUnit& unit,
                                     : acc.read_accesses.front();
       cost.line = anchor->line;
       cost.kind = std::string("phase ") + std::to_string(phase);
-      cost.detail = symbol + " [" + to_string(acc.pattern) + "]";
+      cost.detail = std::string(symbol) + " [" + to_string(acc.pattern) + "]";
       switch (acc.pattern) {
         case SharingPattern::kPingPong: {
           // Pages bounce at most once per *ownership handoff*, not once per

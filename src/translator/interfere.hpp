@@ -63,7 +63,7 @@ struct SeqConstruct {
 /// One access to a file-scope symbol, annotated with its interference
 /// coordinates on the region-sequence graph.
 struct SeqAccess {
-  std::string symbol;
+  Sym symbol = kNoSym;
   bool write = false;
   int line = 0;
   int phase = 0;
@@ -80,7 +80,9 @@ struct SeqAccess {
   /// the team touches disjoint affine slices, so concurrent writes do not
   /// contend for pages (modulo boundary sharing).
   bool partitioned = false;
-  std::vector<std::string> locks;  // critical/atomic locks held (sorted)
+  /// critical/atomic locks held, as ids into RegionSequence::lock_names
+  /// (sorted).
+  std::vector<int> locks;
 };
 
 /// The program-level region-sequence graph: constructs and accesses in
@@ -89,6 +91,7 @@ struct SeqAccess {
 struct RegionSequence {
   std::vector<SeqConstruct> constructs;
   std::vector<SeqAccess> accesses;
+  std::vector<std::string> lock_names;  // SeqAccess::locks ids, by first use
   int phase_count = 1;
 };
 

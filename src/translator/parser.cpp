@@ -1,6 +1,6 @@
 #include "translator/parser.hpp"
 
-#include <cctype>
+#include <algorithm>
 
 namespace parade::translator {
 namespace {
@@ -27,28 +27,123 @@ bool prefix_after_operator(const std::vector<Token>& tokens, std::size_t begin,
   return prev.kind == TokKind::kPunct && !prev.is(")") && !prev.is("]");
 }
 
+/// Byte size of the common fixed-width typedef names; 0 for any other.
+std::size_t typedef_size(std::string_view name) {
+  struct Entry {
+    std::string_view name;
+    std::size_t bytes;
+  };
+  static constexpr Entry kSizes[] = {
+      {"size_t", 8},    {"ssize_t", 8}, {"ptrdiff_t", 8}, {"intptr_t", 8},
+      {"uintptr_t", 8}, {"int8_t", 1},  {"uint8_t", 1},   {"int16_t", 2},
+      {"uint16_t", 2},  {"int32_t", 4}, {"uint32_t", 4},  {"int64_t", 8},
+      {"uint64_t", 8},  {"wchar_t", 4}};
+  for (const Entry& e : kSizes) {
+    if (e.name == name) return e.bytes;
+  }
+  return 0;
+}
+
 bool is_assign_op(const Token& t) {
   return t.is("=") || t.is("+=") || t.is("-=") || t.is("*=") || t.is("/=") ||
          t.is("%=") || t.is("&=") || t.is("|=") || t.is("^=") ||
          t.is("<<=") || t.is(">>=");
 }
 
-/// Token-level access scan of one expression: identifiers read, names
-/// written (with the store shape), whether a call appears, and the
-/// identifiers inside each name's subscripts.
-AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
-  AccessScan out;
+/// Parses a token stream into the unit that owns it: every node comes from
+/// the unit's pools, every expression's access records go to its
+/// AccessPool, and every name is a symbol id.
+class Parser {
+ public:
+  explicit Parser(TranslationUnit& unit)
+      : unit_(unit), tokens_(unit.tokens) {}
+
+  Status parse_unit();
+
+ private:
+  const Token& cur() const { return tokens_[pos_]; }
+  const Token& ahead(std::size_t n) const {
+    const std::size_t at = std::min(pos_ + n, tokens_.size() - 1);
+    return tokens_[at];
+  }
+  void advance() {
+    if (pos_ + 1 < tokens_.size()) ++pos_;
+  }
+  bool at_eof() const { return cur().kind == TokKind::kEof; }
+
+  Status error(const std::string& message) const {
+    return make_error(ErrorCode::kInvalidArgument,
+                      message + " at line " + std::to_string(cur().line));
+  }
+
+  Stmt* make(StmtKind kind, int line) {
+    Stmt* stmt = unit_.stmts.make();
+    stmt->kind = kind;
+    stmt->line = line;
+    return stmt;
+  }
+
+  /// Consumes tokens until the one-character punct `stop` at paren/bracket
+  /// depth 0 and returns their span (stop not consumed unless consume_stop,
+  /// never in the span).
+  TokenSpan consume_until(char stop, bool consume_stop);
+
+  /// An expression over `span` with no access records (types, parameter
+  /// lists, labels).
+  static Expr text_of(TokenSpan span) {
+    Expr e;
+    e.span = span;
+    return e;
+  }
+  /// An expression over `span` with its access records appended to the
+  /// unit's pool.
+  Expr expr(TokenSpan span);
+  /// The suffix of header part `part` from token k on, sharing the part's
+  /// records: the first `skip_reads` reads and `skip_writes` writes belong
+  /// to the prefix.
+  static Expr suffix(const Expr& part, std::size_t k, std::uint32_t skip_reads,
+                     std::uint32_t skip_writes);
+
+  Result<Stmt*> parse_statement();
+  Result<Stmt*> parse_block();
+  Result<Stmt*> parse_declaration();
+  Result<Stmt*> parse_for();
+  Result<Stmt*> parse_label();
+  Result<Stmt*> parse_pragma_stmt();
+  void canonicalize_for(ForHeader& header) const;
+  std::vector<Param> split_params(TokenSpan params) const;
+  void intern_clause_vars(Clauses& c);
+
+  bool looks_like_declaration() const;
+
+  TranslationUnit& unit_;
+  const std::vector<Token>& tokens_;
+  std::size_t pos_ = 0;
+  std::vector<char> skip_read_;  // expr()'s scratch, reused across calls
+};
+
+Expr Parser::expr(TokenSpan span) {
+  AccessPool& pool = unit_.accesses;
+  Expr e;
+  e.span = span;
+  e.reads = static_cast<std::uint32_t>(pool.reads.size());
+  e.writes = static_cast<std::uint32_t>(pool.writes.size());
+  e.subscripts = static_cast<std::uint32_t>(pool.subscripts.size());
+
   const std::size_t n = span.end - span.begin;
   auto at = [&](std::size_t k) -> const Token& {
-    return tokens[span.begin + k];
+    return tokens_[span.begin + k];
   };
-  std::vector<bool> skip_read(n, false);
+  auto write = [&](const Token& t, bool array, bool member, bool deref) {
+    pool.writes.push_back({t.sym, array, member, deref});
+  };
+  skip_read_.assign(n, 0);
 
   for (std::size_t i = 0; i < n; ++i) {
     const Token& t = at(i);
     if (t.kind == TokKind::kIdent && i + 1 < n && at(i + 1).is_punct("(")) {
-      out.has_call = true;
-      skip_read[i] = true;  // call target, not a data read
+      e.has_call = true;
+      skip_read_[i] = 1;  // call target, not a data read
       continue;
     }
     const bool next_assign = i + 1 < n && at(i + 1).kind == TokKind::kPunct &&
@@ -66,17 +161,17 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
         // form is attributed; deeper chains are left to page consistency).
         if (i >= 2 && at(i - 1).is_punct(".") &&
             at(i - 2).kind == TokKind::kIdent) {
-          out.writes.push_back({at(i - 2).text, false, true, false});
+          write(at(i - 2), false, true, false);
         }
-        skip_read[i] = true;
+        skip_read_[i] = 1;
         continue;
       }
       if (after_deref) {
-        out.writes.push_back({t.text, false, false, true});
+        write(t, false, false, true);
         continue;
       }
-      out.writes.push_back({t.text, false, false, false});
-      if (next_assign && at(i + 1).is("=")) skip_read[i] = true;
+      write(t, false, false, false);
+      if (next_assign && at(i + 1).is("=")) skip_read_[i] = 1;
       continue;
     }
     // Prefix ++x / --x.
@@ -85,9 +180,7 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
       const bool postfix_of_prev =
           i > 0 && (at(i - 1).kind == TokKind::kIdent ||
                     at(i - 1).is_punct(")") || at(i - 1).is_punct("]"));
-      if (!postfix_of_prev) {
-        out.writes.push_back({at(i + 1).text, false, false, false});
-      }
+      if (!postfix_of_prev) write(at(i + 1), false, false, false);
       continue;
     }
     // a[...] = / a[...] op= / a[...]++ : subscript store, attribute the base.
@@ -116,18 +209,18 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
         }
       }
       if (depth == 0 && j > 0 && at(j - 1).kind == TokKind::kIdent) {
-        out.writes.push_back({at(j - 1).text, true, false, false});
+        write(at(j - 1), true, false, false);
       }
       continue;
     }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (at(i).kind != TokKind::kIdent || skip_read[i]) continue;
+    if (at(i).kind != TokKind::kIdent || skip_read_[i] != 0) continue;
     if (i > 0 && (at(i - 1).is_punct(".") || at(i - 1).is_punct("->"))) {
       continue;  // member name, the base identifier is the read
     }
-    out.reads.push_back(at(i).text);
+    pool.reads.push_back(at(i).sym);
   }
 
   for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -139,74 +232,36 @@ AccessScan scan_accesses(const std::vector<Token>& tokens, TokenSpan span) {
         ++depth;
       } else if (at(j).is_punct("]")) {
         if (--depth == 0 && (j + 1 >= n || !at(j + 1).is_punct("["))) break;
-      } else if (depth > 0 && at(j).kind == TokKind::kIdent &&
-                 !out.subscripted_by(at(i).text, at(j).text)) {
-        out.subscripts.emplace_back(at(i).text, at(j).text);
+      } else if (depth > 0 && at(j).kind == TokKind::kIdent) {
+        const AccessSubscript pair{at(i).sym, at(j).sym};
+        const bool seen = std::any_of(
+            pool.subscripts.begin() + e.subscripts, pool.subscripts.end(),
+            [&](const AccessSubscript& s) {
+              return s.array == pair.array && s.ident == pair.ident;
+            });
+        if (!seen) pool.subscripts.push_back(pair);
       }
     }
   }
-  return out;
+  e.n_reads = static_cast<std::uint32_t>(pool.reads.size()) - e.reads;
+  e.n_writes = static_cast<std::uint32_t>(pool.writes.size()) - e.writes;
+  e.n_subscripts =
+      static_cast<std::uint32_t>(pool.subscripts.size()) - e.subscripts;
+  return e;
 }
 
-class Parser {
- public:
-  explicit Parser(const std::vector<Token>& tokens) : tokens_(tokens) {}
-
-  Result<TranslationUnit> parse_unit();
-
- private:
-  const Token& cur() const { return tokens_[pos_]; }
-  const Token& ahead(std::size_t n) const {
-    const std::size_t at = std::min(pos_ + n, tokens_.size() - 1);
-    return tokens_[at];
-  }
-  void advance() {
-    if (pos_ + 1 < tokens_.size()) ++pos_;
-  }
-  bool at_eof() const { return cur().kind == TokKind::kEof; }
-
-  Status error(const std::string& message) const {
-    return make_error(ErrorCode::kInvalidArgument,
-                      message + " at line " + std::to_string(cur().line));
-  }
-
-  /// Consumes tokens until the one-character punct `stop` at paren/bracket
-  /// depth 0 and returns their span (stop not consumed unless consume_stop,
-  /// never in the span).
-  TokenSpan consume_until(char stop, bool consume_stop);
-
-  /// An expression over `span` with its rendered text; expr() also runs the
-  /// access scan, text_of() (types, parameter lists) does not.
-  Expr text_of(TokenSpan span) const {
-    Expr e;
-    e.text = render_tokens(tokens_, span.begin, span.end);
-    e.span = span;
-    return e;
-  }
-  Expr expr(TokenSpan span) const { return scanned(text_of(span)); }
-  /// `e` with the access scan of its span attached.
-  Expr scanned(Expr e) const {
-    AccessScan acc = scan_accesses(tokens_, e.span);
-    if (!acc.reads.empty() || !acc.writes.empty() || acc.has_call ||
-        !acc.subscripts.empty()) {
-      e.scan = std::make_unique<const AccessScan>(std::move(acc));
-    }
-    return e;
-  }
-
-  Result<StmtPtr> parse_statement();
-  Result<StmtPtr> parse_block();
-  Result<StmtPtr> parse_declaration();
-  Result<StmtPtr> parse_for();
-  Result<StmtPtr> parse_pragma_stmt();
-  void canonicalize_for(ForHeader& header) const;
-  std::vector<Param> split_params(const Expr& params) const;
-
-  bool looks_like_declaration() const;
-
-  const std::vector<Token>& tokens_;
-  std::size_t pos_ = 0;
-};
+Expr Parser::suffix(const Expr& part, std::size_t k, std::uint32_t skip_reads,
+                    std::uint32_t skip_writes) {
+  Expr e = part;
+  e.span.begin = std::min(part.span.begin + k, part.span.end);
+  skip_reads = std::min(skip_reads, part.n_reads);
+  skip_writes = std::min(skip_writes, part.n_writes);
+  e.reads += skip_reads;
+  e.n_reads -= skip_reads;
+  e.writes += skip_writes;
+  e.n_writes -= skip_writes;
+  return e;
+}
 
 TokenSpan Parser::consume_until(char stop, bool consume_stop) {
   const std::size_t begin = pos_;
@@ -242,25 +297,25 @@ bool Parser::looks_like_declaration() const {
   return false;
 }
 
-Result<StmtPtr> Parser::parse_block() {
-  auto block = std::make_unique<Stmt>();
-  block->kind = StmtKind::kBlock;
-  block->line = cur().line;
+Result<Stmt*> Parser::parse_block() {
+  Stmt* block = make(StmtKind::kBlock, cur().line);
   advance();  // '{'
+  Stmt** tail = &block->first_child;
   while (!at_eof() && !cur().is_punct("}")) {
     auto stmt = parse_statement();
     if (!stmt.is_ok()) return stmt.status();
-    block->children.push_back(std::move(stmt).value());
+    *tail = stmt.value();
+    tail = &(*tail)->next;
   }
   if (at_eof()) return error("unterminated block");
   advance();  // '}'
-  return StmtPtr(std::move(block));
+  return block;
 }
 
-Result<StmtPtr> Parser::parse_declaration() {
-  auto decl = std::make_unique<Stmt>();
-  decl->kind = StmtKind::kDecl;
-  decl->line = cur().line;
+Result<Stmt*> Parser::parse_declaration() {
+  Stmt* stmt = make(StmtKind::kDecl, cur().line);
+  Decl* decl = unit_.decls.make();
+  stmt->decl = decl;
 
   // Base type: leading keywords (+ struct/union/enum tag, + one identifier
   // for typedef names when followed by a declarator-ish token).
@@ -289,7 +344,8 @@ Result<StmtPtr> Parser::parse_declaration() {
     }
   }
   if (pos_ == type_begin) return error("expected declaration");
-  decl->decl_type = text_of({type_begin, pos_});
+  decl->type = parse_decl_type(tokens_, {type_begin, pos_});
+  decl->declarators = static_cast<std::uint32_t>(unit_.declarators.size());
 
   // Declarators separated by commas, terminated by ';'.
   for (;;) {
@@ -299,10 +355,11 @@ Result<StmtPtr> Parser::parse_declaration() {
       advance();
     }
     if (cur().kind != TokKind::kIdent) {
-      return error("expected declarator name after '" + decl->decl_type.text +
+      return error("expected declarator name after '" +
+                   render_tokens(tokens_, type_begin, decl->type.span.end) +
                    "'");
     }
-    d.name = cur().text;
+    d.name = cur().sym;
     advance();
     if (cur().is_punct("(")) {
       // Function prototype: swallow the parameter list.
@@ -310,9 +367,11 @@ Result<StmtPtr> Parser::parse_declaration() {
       advance();
       (void)consume_until(')', /*consume_stop=*/true);
     }
+    d.dims = static_cast<std::uint32_t>(unit_.dims.size());
     while (cur().is_punct("[")) {
       advance();
-      d.array_dims.push_back(expr(consume_until(']', /*consume_stop=*/true)));
+      unit_.dims.push_back(expr(consume_until(']', /*consume_stop=*/true)));
+      ++d.n_dims;
     }
     if (cur().is_punct("=")) {
       advance();
@@ -330,7 +389,8 @@ Result<StmtPtr> Parser::parse_declaration() {
       }
       d.init = expr({init_begin, pos_});
     }
-    decl->declarators.push_back(std::move(d));
+    unit_.declarators.push_back(d);
+    ++decl->n_declarators;
     if (cur().is_punct(",")) {
       advance();
       continue;
@@ -341,25 +401,15 @@ Result<StmtPtr> Parser::parse_declaration() {
     }
     return error("expected ',' or ';' in declaration");
   }
-  return StmtPtr(std::move(decl));
+  return stmt;
 }
 
 void Parser::canonicalize_for(ForHeader& h) const {
   // Reads past the end of a header part see the ';' that ended it.
-  static const Token kEnd{TokKind::kPunct, ";", 0, 0};
+  static const Token kEnd{TokKind::kPunct, kNoSym, ";", 0, 0};
   auto tok = [&](const Expr& part, std::size_t k) -> const Token& {
     const std::size_t at = part.span.begin + k;
     return at < part.span.end ? tokens_[at] : kEnd;
-  };
-  // The rest of `part` from token k on, its tokens joined by single spaces.
-  auto tail = [&](const Expr& part, std::size_t k) {
-    Expr e;
-    e.span = {part.span.begin + k, part.span.end};
-    for (std::size_t at = e.span.begin; at < e.span.end; ++at) {
-      if (!e.text.empty()) e.text += ' ';
-      e.text += tokens_[at].text;
-    }
-    return scanned(std::move(e));
   };
   const Expr& init = h.init_text;
   const Expr& cond = h.cond_text;
@@ -367,15 +417,13 @@ void Parser::canonicalize_for(ForHeader& h) const {
 
   // init: [type] var = lower
   std::size_t i = 0;
-  std::string decl_type;
   while (tok(init, i).kind == TokKind::kKeyword &&
          is_decl_start_keyword(tok(init, i).text)) {
-    if (!decl_type.empty()) decl_type += ' ';
-    decl_type += tok(init, i).text;
     ++i;
   }
+  const std::size_t type_end = init.span.begin + i;
   if (tok(init, i).kind != TokKind::kIdent) return;
-  const std::string var = tok(init, i).text;
+  const Sym var = tok(init, i).sym;
   ++i;
   if (!tok(init, i).is_punct("=")) return;
   ++i;
@@ -390,7 +438,7 @@ void Parser::canonicalize_for(ForHeader& h) const {
   const std::size_t lower_at = i;
 
   // cond: var < / <= / > / >= bound
-  if (tok(cond, 0).text != var) return;
+  if (tok(cond, 0).sym != var) return;
   const Token& rel = tok(cond, 1);
   if (!rel.is("<") && !rel.is("<=") && !rel.is(">") && !rel.is(">=")) return;
 
@@ -398,18 +446,18 @@ void Parser::canonicalize_for(ForHeader& h) const {
   //       var = var + s / var = var - s
   std::size_t step_at = 0;  // 0: implicit step 1
   bool increasing = true;
-  if (tok(incr, 0).text == var && tok(incr, 1).is_punct("++")) {
-  } else if (tok(incr, 0).is_punct("++") && tok(incr, 1).text == var) {
-  } else if (tok(incr, 0).text == var && tok(incr, 1).is_punct("--")) {
+  if (tok(incr, 0).sym == var && tok(incr, 1).is_punct("++")) {
+  } else if (tok(incr, 0).is_punct("++") && tok(incr, 1).sym == var) {
+  } else if (tok(incr, 0).sym == var && tok(incr, 1).is_punct("--")) {
     increasing = false;
-  } else if (tok(incr, 0).is_punct("--") && tok(incr, 1).text == var) {
+  } else if (tok(incr, 0).is_punct("--") && tok(incr, 1).sym == var) {
     increasing = false;
-  } else if (tok(incr, 0).text == var &&
+  } else if (tok(incr, 0).sym == var &&
              (tok(incr, 1).is_punct("+=") || tok(incr, 1).is_punct("-="))) {
     increasing = tok(incr, 1).is("+=");
     step_at = 2;
-  } else if (tok(incr, 0).text == var && tok(incr, 1).is_punct("=") &&
-             tok(incr, 2).text == var &&
+  } else if (tok(incr, 0).sym == var && tok(incr, 1).is_punct("=") &&
+             tok(incr, 2).sym == var &&
              (tok(incr, 3).is_punct("+") || tok(incr, 3).is_punct("-"))) {
     increasing = tok(incr, 3).is("+");
     step_at = 4;
@@ -422,30 +470,38 @@ void Parser::canonicalize_for(ForHeader& h) const {
 
   h.canonical = true;
   h.loop_var = var;
-  h.var_decl_type = decl_type;
-  h.lower = tail(init, lower_at);
-  h.upper = tail(cond, 2);
+  if (type_end > init.span.begin) {
+    h.var_type = parse_decl_type(tokens_, {init.span.begin, type_end});
+  }
+  // The prefixes hold no subscript and no call. `[type] var =` writes var;
+  // `var rel` reads it; `var op= ` and `var = var op ` write it and read it
+  // once.
+  h.lower = suffix(init, lower_at, 0, 1);
+  h.upper = suffix(cond, 2, 1, 0);
   h.inclusive = rel.is("<=") || rel.is(">=");
   h.increasing = increasing;
   if (step_at == 0) {
-    h.step.text = "1";
+    h.unit_step = true;
   } else {
-    h.step = tail(incr, step_at);
+    h.step = suffix(incr, step_at, 1, 1);
   }
 }
 
-std::vector<Param> Parser::split_params(const Expr& params) const {
+std::vector<Param> Parser::split_params(TokenSpan params) const {
   std::vector<Param> out;
-  if (params.text.empty() || text_is(params.text, "void")) return out;
-  std::size_t group = params.span.begin;
-  for (std::size_t k = group; k <= params.span.end; ++k) {
-    if (k < params.span.end && !tokens_[k].is_punct(",")) continue;
+  if (params.empty() ||
+      (params.end == params.begin + 1 && tokens_[params.begin].is("void"))) {
+    return out;
+  }
+  std::size_t group = params.begin;
+  for (std::size_t k = group; k <= params.end; ++k) {
+    if (k < params.end && !tokens_[k].is_punct(",")) continue;
     // Tokens [group, k) are one parameter; its last identifier is the name.
     for (std::size_t i = k; i-- > group;) {
       if (tokens_[i].kind != TokKind::kIdent) continue;
       Param p;
-      p.name = tokens_[i].text;
-      p.type = render_tokens(tokens_, group, i);
+      p.name = tokens_[i].sym;
+      p.type = parse_decl_type(tokens_, {group, i});
       for (std::size_t t = group; t < i; ++t) {
         if (tokens_[t].is_punct("*")) ++p.pointer_depth;
       }
@@ -458,33 +514,86 @@ std::vector<Param> Parser::split_params(const Expr& params) const {
   return out;
 }
 
-Result<StmtPtr> Parser::parse_for() {
-  auto stmt = std::make_unique<Stmt>();
-  stmt->kind = StmtKind::kFor;
-  stmt->line = cur().line;
+Result<Stmt*> Parser::parse_for() {
+  Stmt* stmt = make(StmtKind::kFor, cur().line);
+  ForHeader* h = unit_.fors.make();
+  stmt->for_header = h;
   advance();  // 'for'
   if (!cur().is_punct("(")) return error("expected '(' after for");
   advance();
-  stmt->for_header.init_text = expr(consume_until(';', /*consume_stop=*/true));
-  stmt->for_header.cond_text = expr(consume_until(';', /*consume_stop=*/true));
-  stmt->for_header.incr_text = expr(consume_until(')', /*consume_stop=*/true));
-  canonicalize_for(stmt->for_header);
+  h->init_text = expr(consume_until(';', /*consume_stop=*/true));
+  h->cond_text = expr(consume_until(';', /*consume_stop=*/true));
+  h->incr_text = expr(consume_until(')', /*consume_stop=*/true));
+  canonicalize_for(*h);
   auto body = parse_statement();
   if (!body.is_ok()) return body.status();
-  stmt->children.push_back(std::move(body).value());
-  return StmtPtr(std::move(stmt));
+  stmt->first_child = body.value();
+  return stmt;
 }
 
-Result<StmtPtr> Parser::parse_pragma_stmt() {
-  auto stmt = std::make_unique<Stmt>();
-  stmt->kind = StmtKind::kPragma;
-  stmt->line = cur().line;
+Result<Stmt*> Parser::parse_label() {
+  Stmt* stmt = make(StmtKind::kLabel, cur().line);
+  const std::size_t begin = pos_;
+  if (cur().is_kw("case")) {
+    // The label ends at the first ':' at depth 0 that closes no `?`.
+    advance();
+    int depth = 0;
+    int ternaries = 0;
+    while (!at_eof()) {
+      const Token& t = cur();
+      if (t.kind == TokKind::kPunct) {
+        if (t.is("(") || t.is("[")) {
+          ++depth;
+        } else if (t.is(")") || t.is("]")) {
+          --depth;
+        } else if (depth == 0 && t.is("?")) {
+          ++ternaries;
+        } else if (depth == 0 && t.is(":")) {
+          if (ternaries == 0) break;
+          --ternaries;
+        } else if (t.is(";") || t.is("{") || t.is("}")) {
+          return error("expected ':' after case");
+        }
+      }
+      advance();
+    }
+    if (at_eof()) return error("expected ':' after case");
+  } else {
+    advance();  // `default` or the label name; cur() is the ':'
+  }
+  advance();  // ':'
+  stmt->expr = text_of({begin, pos_});
+  // The labeled statement, which may itself be a directive.
+  if (!at_eof() && !cur().is_punct("}")) {
+    auto body = parse_statement();
+    if (!body.is_ok()) return body.status();
+    stmt->first_child = body.value();
+  }
+  return stmt;
+}
+
+void Parser::intern_clause_vars(Clauses& c) {
+  for (std::vector<ClauseVar>* list :
+       {&c.shared, &c.privates, &c.firstprivate, &c.lastprivate, &c.copyin,
+        &c.flush_list}) {
+    for (ClauseVar& v : *list) v.sym = unit_.symbols.intern(v.name);
+  }
+  for (auto& [op, v] : c.reductions) {
+    (void)op;
+    v.sym = unit_.symbols.intern(v.name);
+  }
+}
+
+Result<Stmt*> Parser::parse_pragma_stmt() {
+  Stmt* stmt = make(StmtKind::kPragma, cur().line);
   auto directive = parse_pragma(cur().text, cur().line);
   if (!directive.is_ok()) return directive.status();
-  stmt->directive = std::move(directive).value();
+  stmt->directive = unit_.directives.make();
+  *stmt->directive = std::move(directive).value();
+  intern_clause_vars(stmt->directive->clauses);
   advance();
 
-  switch (stmt->directive.kind) {
+  switch (stmt->directive->kind) {
     case DirectiveKind::kBarrier:
     case DirectiveKind::kFlush:
     case DirectiveKind::kThreadprivate:
@@ -493,122 +602,111 @@ Result<StmtPtr> Parser::parse_pragma_stmt() {
     default: {
       auto body = parse_statement();
       if (!body.is_ok()) return body.status();
-      stmt->children.push_back(std::move(body).value());
+      stmt->first_child = body.value();
       stmt->directive_has_body = true;
       break;
     }
   }
-  return StmtPtr(std::move(stmt));
+  return stmt;
 }
 
-Result<StmtPtr> Parser::parse_statement() {
+Result<Stmt*> Parser::parse_statement() {
   const Token& t = cur();
   switch (t.kind) {
     case TokKind::kPragmaOmp:
       return parse_pragma_stmt();
     case TokKind::kHashLine: {
-      auto stmt = std::make_unique<Stmt>();
-      stmt->kind = StmtKind::kHashLine;
-      stmt->text.text = t.text;
-      stmt->line = t.line;
+      Stmt* stmt = make(StmtKind::kHashLine, t.line);
+      stmt->expr = text_of({pos_, pos_ + 1});
       advance();
-      return StmtPtr(std::move(stmt));
+      return stmt;
     }
     default:
       break;
   }
   if (t.is_punct("{")) return parse_block();
   if (t.is_punct(";")) {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::kEmpty;
-    stmt->line = t.line;
+    Stmt* stmt = make(StmtKind::kEmpty, t.line);
     advance();
-    return StmtPtr(std::move(stmt));
+    return stmt;
+  }
+  if (t.is_kw("case") || (t.is_kw("default") && ahead(1).is_punct(":")) ||
+      (t.kind == TokKind::kIdent && ahead(1).is_punct(":"))) {
+    return parse_label();
   }
   if (t.is_kw("for")) return parse_for();
   if (t.is_kw("if")) {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::kIf;
-    stmt->line = t.line;
+    Stmt* stmt = make(StmtKind::kIf, t.line);
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after if");
     advance();
-    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
+    stmt->expr = expr(consume_until(')', /*consume_stop=*/true));
     auto then_branch = parse_statement();
     if (!then_branch.is_ok()) return then_branch.status();
-    stmt->children.push_back(std::move(then_branch).value());
+    stmt->first_child = then_branch.value();
     if (cur().is_kw("else")) {
       advance();
       auto else_branch = parse_statement();
       if (!else_branch.is_ok()) return else_branch.status();
-      stmt->children.push_back(std::move(else_branch).value());
+      stmt->first_child->next = else_branch.value();
       stmt->has_else = true;
     }
-    return StmtPtr(std::move(stmt));
+    return stmt;
   }
   if (t.is_kw("while")) {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::kWhile;
-    stmt->line = t.line;
+    Stmt* stmt = make(StmtKind::kWhile, t.line);
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after while");
     advance();
-    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
+    stmt->expr = expr(consume_until(')', /*consume_stop=*/true));
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
-    stmt->children.push_back(std::move(body).value());
-    return StmtPtr(std::move(stmt));
+    stmt->first_child = body.value();
+    return stmt;
   }
   if (t.is_kw("do")) {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::kDoWhile;
-    stmt->line = t.line;
+    Stmt* stmt = make(StmtKind::kDoWhile, t.line);
     advance();
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
-    stmt->children.push_back(std::move(body).value());
+    stmt->first_child = body.value();
     if (!cur().is_kw("while")) return error("expected while after do body");
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after do..while");
     advance();
-    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
+    stmt->expr = expr(consume_until(')', /*consume_stop=*/true));
     if (cur().is_punct(";")) advance();
-    return StmtPtr(std::move(stmt));
+    return stmt;
   }
   if (t.is_kw("switch")) {
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::kSwitch;
-    stmt->line = t.line;
+    Stmt* stmt = make(StmtKind::kSwitch, t.line);
     advance();
     if (!cur().is_punct("(")) return error("expected '(' after switch");
     advance();
-    stmt->cond = expr(consume_until(')', /*consume_stop=*/true));
+    stmt->expr = expr(consume_until(')', /*consume_stop=*/true));
     auto body = parse_statement();
     if (!body.is_ok()) return body.status();
-    stmt->children.push_back(std::move(body).value());
-    return StmtPtr(std::move(stmt));
+    stmt->first_child = body.value();
+    return stmt;
   }
   if (looks_like_declaration()) return parse_declaration();
 
   // Raw statement: everything through ';' at depth 0. Covers expressions,
-  // return, break, continue, goto, labels.
-  auto stmt = std::make_unique<Stmt>();
-  stmt->kind = StmtKind::kRaw;
-  stmt->line = t.line;
-  stmt->text = expr(consume_until(';', /*consume_stop=*/true));
-  stmt->text.text += ";";
-  return StmtPtr(std::move(stmt));
+  // return, break, continue and goto.
+  Stmt* stmt = make(StmtKind::kRaw, t.line);
+  stmt->expr = expr(consume_until(';', /*consume_stop=*/true));
+  return stmt;
 }
 
-Result<TranslationUnit> Parser::parse_unit() {
-  TranslationUnit unit;
+Status Parser::parse_unit() {
+  std::vector<TopItem>& items = unit_.items;
   while (!at_eof()) {
     const Token& t = cur();
     if (t.kind == TokKind::kHashLine) {
       TopItem item;
       item.kind = TopItem::Kind::kHashLine;
-      item.text = t.text;
-      unit.items.push_back(std::move(item));
+      item.token = pos_;
+      items.push_back(std::move(item));
       advance();
       continue;
     }
@@ -617,8 +715,8 @@ Result<TranslationUnit> Parser::parse_unit() {
       if (!stmt.is_ok()) return stmt.status();
       TopItem item;
       item.kind = TopItem::Kind::kPragma;
-      item.stmt = std::move(stmt).value();
-      unit.items.push_back(std::move(item));
+      item.stmt = stmt.value();
+      items.push_back(std::move(item));
       continue;
     }
 
@@ -655,22 +753,21 @@ Result<TranslationUnit> Parser::parse_unit() {
     }
 
     if (is_function) {
-      FunctionDef fn;
+      TopItem item;
+      item.kind = TopItem::Kind::kFunction;
+      FunctionDef& fn = item.function;
       fn.line = t.line;
-      fn.ret_type = render_tokens(tokens_, pos_, name_at);
-      fn.name = tokens_[name_at].text;
+      fn.ret_type = {pos_, name_at};
+      fn.name = tokens_[name_at].sym;
       pos_ = name_at + 1;  // at '('
       advance();           // past '('
-      fn.params = text_of(consume_until(')', /*consume_stop=*/true));
+      fn.params = consume_until(')', /*consume_stop=*/true);
       fn.param_list = split_params(fn.params);
       if (!cur().is_punct("{")) return error("expected function body");
       auto body = parse_block();
       if (!body.is_ok()) return body.status();
-      fn.body = std::move(body).value();
-      TopItem item;
-      item.kind = TopItem::Kind::kFunction;
-      item.function = std::move(fn);
-      unit.items.push_back(std::move(item));
+      fn.body = body.value();
+      items.push_back(std::move(item));
       continue;
     }
 
@@ -680,22 +777,34 @@ Result<TranslationUnit> Parser::parse_unit() {
       if (!decl.is_ok()) return decl.status();
       TopItem item;
       item.kind = TopItem::Kind::kDecl;
-      item.stmt = std::move(decl).value();
-      unit.items.push_back(std::move(item));
+      item.stmt = decl.value();
+      items.push_back(std::move(item));
       continue;
     }
     // Anything else (stray semicolons, extern "C" etc.): raw until ';'.
     TopItem item;
     item.kind = TopItem::Kind::kRaw;
-    auto stmt = std::make_unique<Stmt>();
-    stmt->kind = StmtKind::kRaw;
-    stmt->line = t.line;
-    stmt->text = expr(consume_until(';', /*consume_stop=*/true));
-    stmt->text.text += ";";
-    item.stmt = std::move(stmt);
-    unit.items.push_back(std::move(item));
+    item.stmt = make(StmtKind::kRaw, t.line);
+    item.stmt->expr = expr(consume_until(';', /*consume_stop=*/true));
+    items.push_back(std::move(item));
   }
-  return unit;
+  return Status::ok();
+}
+
+/// Rebuilds the unit's symbol table from the lexer's ids, which are dense
+/// in order of first appearance. Tokens whose ids do not fit that order
+/// (made outside lex()) are interned afresh.
+void intern_symbols(std::vector<Token>& tokens, SymbolTable& symbols) {
+  for (const Token& t : tokens) {
+    if (t.kind != TokKind::kIdent) continue;
+    if (t.sym == symbols.size() && symbols.intern(t.text) == t.sym) continue;
+    if (t.sym < symbols.size() && symbols.name(t.sym) == t.text) continue;
+    symbols = SymbolTable();
+    for (Token& u : tokens) {
+      if (u.kind == TokKind::kIdent) u.sym = symbols.intern(u.text);
+    }
+    return;
+  }
 }
 
 }  // namespace
@@ -715,10 +824,80 @@ std::string render_tokens(const std::vector<Token>& tokens, std::size_t begin,
   return out;
 }
 
+DeclType parse_decl_type(const std::vector<Token>& tokens, TokenSpan span) {
+  DeclType type;
+  type.span = span;
+  // The type's words are the runs of tokens its rendering glues together.
+  int longs = 0;
+  bool has_double = false, has_float = false, has_char = false;
+  bool has_short = false, has_int = false, has_sign = false, has_bool = false;
+  bool has_aggregate = false, has_enum = false;
+  std::size_t words = 0;
+  std::string_view only_word;
+  for (std::size_t i = span.begin; i < span.end;) {
+    std::size_t j = i + 1;
+    while (j < span.end && !space_before(tokens, span.begin, j)) ++j;
+    const std::string_view w =
+        j == i + 1 ? std::string_view(tokens[i].text) : std::string_view();
+    if (j == i + 1 && is_type_qualifier(w)) {
+      i = j;
+      continue;
+    }
+    ++words;
+    only_word = w;
+    if (!type.value.empty()) type.value += ' ';
+    if (text_is(w, "omp_lock_t") || text_is(w, "omp_nest_lock_t")) {
+      type.value += "parade::ompshim::";
+    }
+    for (std::size_t k = i; k < j; ++k) type.value += tokens[k].text;
+    if (text_is(w, "long")) ++longs;
+    else if (text_is(w, "double")) has_double = true;
+    else if (text_is(w, "float")) has_float = true;
+    else if (text_is(w, "char")) has_char = true;
+    else if (text_is(w, "short")) has_short = true;
+    else if (text_is(w, "int")) has_int = true;
+    else if (text_is(w, "signed") || text_is(w, "unsigned")) has_sign = true;
+    else if (text_is(w, "_Bool") || text_is(w, "bool")) has_bool = true;
+    else if (text_is(w, "struct") || text_is(w, "union")) has_aggregate = true;
+    else if (text_is(w, "enum")) has_enum = true;
+    i = j;
+  }
+  if (type.value.empty()) type.value = render_tokens(tokens, span.begin, span.end);
+
+  if (words == 0 || has_aggregate) {
+    type.bytes = 0;  // no type, or a layout the translator cannot see
+  } else if (has_enum) {
+    type.bytes = 4;
+  } else if (has_double) {
+    type.bytes = longs > 0 ? 16 : 8;
+  } else if (has_float) {
+    type.bytes = 4;
+  } else if (has_char) {
+    type.bytes = 1;
+  } else if (has_short) {
+    type.bytes = 2;
+  } else if (longs >= 1) {
+    type.bytes = 8;
+  } else if (has_int || has_sign) {
+    type.bytes = 4;
+  } else if (has_bool) {
+    type.bytes = 1;
+  } else if (words == 1) {
+    type.bytes = typedef_size(only_word);
+  }
+  return type;
+}
+
+std::string TranslationUnit::text(const Expr& e) const {
+  return render_tokens(tokens, e.span.begin, e.span.end);
+}
+
 Result<TranslationUnit> parse(std::vector<Token> tokens) {
-  auto unit = Parser(tokens).parse_unit();
-  if (unit.is_ok()) unit.value().tokens = std::move(tokens);
-  return unit;
+  TranslationUnit unit;
+  unit.tokens = std::move(tokens);
+  intern_symbols(unit.tokens, unit.symbols);
+  if (Status s = Parser(unit).parse_unit(); !s) return s;
+  return Result<TranslationUnit>(std::move(unit));
 }
 
 }  // namespace parade::translator

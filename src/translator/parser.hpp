@@ -12,8 +12,14 @@
 namespace parade::translator {
 
 /// Parses the lexer's output; the unit keeps `tokens` (moved in, so pass an
-/// rvalue to avoid a copy) and every TokenSpan indexes into them.
+/// rvalue to avoid a copy) and every TokenSpan indexes into them. The
+/// unit's symbol table holds the lexer's identifier ids plus the clause
+/// variables the directives name.
 Result<TranslationUnit> parse(std::vector<Token> tokens);
+
+/// The declared-type record of tokens [span.begin, span.end): the parser
+/// builds one per declaration, parameter and declaring for-loop init.
+DeclType parse_decl_type(const std::vector<Token>& tokens, TokenSpan span);
 
 /// True when a rendering of the token run that starts at `begin` puts a
 /// space between tokens[i - 1] and tokens[i] (i > begin).

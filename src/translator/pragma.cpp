@@ -75,19 +75,18 @@ class Cursor {
   void set_pos(std::size_t pos) { pos_ = pos; }
 };
 
-std::vector<std::string> split_list(std::string_view text) {
-  std::vector<std::string> items;
+/// Appends the comma-separated items of `text`, blanks removed, to `into`.
+void split_list(std::string_view text, std::vector<ClauseVar>& into) {
   std::string current;
   for (const char c : text) {
     if (c == ',') {
-      if (!current.empty()) items.push_back(current);
+      if (!current.empty()) into.push_back({std::move(current)});
       current.clear();
     } else if (!std::isspace(static_cast<unsigned char>(c))) {
       current += c;
     }
   }
-  if (!current.empty()) items.push_back(current);
-  return items;
+  if (!current.empty()) into.push_back({std::move(current)});
 }
 
 Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
@@ -103,13 +102,11 @@ Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
     const std::string_view name = cursor.ident();
     if (name.empty()) return err("unexpected character in pragma");
 
-    auto expect_list = [&](std::vector<std::string>& into) -> Status {
+    auto expect_list = [&](std::vector<ClauseVar>& into) -> Status {
       if (!cursor.accept('(')) {
         return err("clause '" + std::string(name) + "' needs (list)");
       }
-      for (const std::string& item : split_list(cursor.until_close_paren())) {
-        into.push_back(item);
-      }
+      split_list(cursor.until_close_paren(), into);
       return Status::ok();
     };
 
@@ -153,9 +150,9 @@ Status parse_clauses(Cursor& cursor, DirectiveKind kind, Clauses& out,
       else if (text_is(op_text, "&&")) op = ReductionOp::kLAnd;
       else if (text_is(op_text, "||")) op = ReductionOp::kLOr;
       else return err("unknown reduction operator '" + op_text + "'");
-      for (const std::string& var : split_list(inner.substr(colon + 1))) {
-        out.reductions.emplace_back(op, var);
-      }
+      std::vector<ClauseVar> vars;
+      split_list(inner.substr(colon + 1), vars);
+      for (ClauseVar& var : vars) out.reductions.emplace_back(op, std::move(var));
     } else if (name == "schedule") {
       if (!cursor.accept('(')) return err("schedule needs (kind[,chunk])");
       const std::string_view inner = cursor.until_close_paren();
@@ -242,18 +239,14 @@ Result<Directive> parse_pragma(const std::string& text, int line) {
   } else if (first == "flush") {
     directive.kind = DirectiveKind::kFlush;
     if (cursor.accept('(')) {
-      for (const std::string& item : split_list(cursor.until_close_paren())) {
-        directive.clauses.flush_list.push_back(item);
-      }
+      split_list(cursor.until_close_paren(), directive.clauses.flush_list);
     }
   } else if (first == "ordered") {
     directive.kind = DirectiveKind::kOrdered;
   } else if (first == "threadprivate") {
     directive.kind = DirectiveKind::kThreadprivate;
     if (cursor.accept('(')) {
-      for (const std::string& item : split_list(cursor.until_close_paren())) {
-        directive.clauses.flush_list.push_back(item);
-      }
+      split_list(cursor.until_close_paren(), directive.clauses.flush_list);
     }
   } else {
     return err("unknown OpenMP directive '" + std::string(first) + "'");

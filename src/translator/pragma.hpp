@@ -3,9 +3,12 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
+#include "translator/token.hpp"
 
 namespace parade::translator {
 
@@ -30,14 +33,26 @@ enum class ReductionOp { kAdd, kSub, kMul, kAnd, kOr, kXor, kLAnd, kLOr };
 
 enum class OmpSchedule { kStatic, kDynamic, kGuided, kRuntime };
 
+/// A variable named in a clause list. parse_pragma fills the name; the
+/// parser sets `sym` to the name's id in the unit when it attaches the
+/// directive.
+struct ClauseVar {
+  std::string name;
+  Sym sym = kNoSym;
+
+  friend bool operator==(const ClauseVar& v, std::string_view name) {
+    return v.name == name;
+  }
+};
+
 struct Clauses {
-  std::vector<std::string> shared;
-  std::vector<std::string> privates;
-  std::vector<std::string> firstprivate;
-  std::vector<std::string> lastprivate;
-  std::vector<std::pair<ReductionOp, std::string>> reductions;
-  std::vector<std::string> copyin;
-  std::vector<std::string> flush_list;  // for flush(list)
+  std::vector<ClauseVar> shared;
+  std::vector<ClauseVar> privates;
+  std::vector<ClauseVar> firstprivate;
+  std::vector<ClauseVar> lastprivate;
+  std::vector<std::pair<ReductionOp, ClauseVar>> reductions;
+  std::vector<ClauseVar> copyin;
+  std::vector<ClauseVar> flush_list;  // flush(list), threadprivate(list)
   bool has_default = false;
   bool default_shared = true;  // default(shared) vs default(none)
   bool nowait = false;

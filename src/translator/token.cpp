@@ -96,25 +96,57 @@ bool is_decl_start_keyword(std::string_view w) {
   }
 }
 
-std::vector<std::string_view> type_words(std::string_view decl_type) {
-  std::vector<std::string_view> words;
-  std::size_t i = 0;
-  while (i < decl_type.size()) {
-    if (is_space(decl_type[i])) {
-      ++i;
-      continue;
-    }
-    const std::size_t start = i;
-    while (i < decl_type.size() && !is_space(decl_type[i])) ++i;
-    const std::string_view w = decl_type.substr(start, i - start);
-    if (text_is(w, "static") || text_is(w, "extern") ||
-        text_is(w, "register") || text_is(w, "auto") || text_is(w, "const") ||
-        text_is(w, "volatile")) {
-      continue;
-    }
-    words.push_back(w);
+bool is_type_qualifier(std::string_view w) {
+  return text_is(w, "static") || text_is(w, "extern") ||
+         text_is(w, "register") || text_is(w, "auto") || text_is(w, "const") ||
+         text_is(w, "volatile");
+}
+
+namespace {
+
+/// FNV-1a over the name's bytes.
+std::size_t hash_name(std::string_view name) {
+  std::size_t h = 14695981039346656037ULL;
+  for (const char c : name) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
   }
-  return words;
+  return h;
+}
+
+}  // namespace
+
+std::size_t SymbolTable::slot_of(std::string_view name) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t at = hash_name(name) & mask;
+  while (slots_[at] != kNoSym && names_[slots_[at]] != name) {
+    at = (at + 1) & mask;
+  }
+  return at;
+}
+
+void SymbolTable::rehash(std::size_t slots) {
+  slots_.assign(slots, kNoSym);
+  for (Sym sym = 0; sym < names_.size(); ++sym) {
+    slots_[slot_of(names_[sym])] = sym;
+  }
+}
+
+Sym SymbolTable::intern(std::string_view name) {
+  // Keep the load under one half so probes stay short.
+  if (2 * (names_.size() + 1) > slots_.size()) {
+    rehash(slots_.empty() ? 256 : 2 * slots_.size());
+  }
+  const std::size_t at = slot_of(name);
+  if (slots_[at] == kNoSym) {
+    slots_[at] = static_cast<Sym>(names_.size());
+    names_.emplace_back(name);
+  }
+  return slots_[at];
+}
+
+Sym SymbolTable::find(std::string_view name) const {
+  if (slots_.empty()) return kNoSym;
+  return slots_[slot_of(name)];
 }
 
 Result<std::vector<Token>> lex(const std::string& source) {
@@ -136,9 +168,10 @@ Result<std::vector<Token>> lex(const std::string& source) {
   };
   // Appends a token spelled by source[start, i).
   auto push = [&](TokKind kind, std::size_t start, int start_column) {
-    tokens.push_back(
-        Token{kind, std::string(source, start, i - start), line, start_column});
+    tokens.push_back(Token{kind, kNoSym, std::string(source, start, i - start),
+                           line, start_column});
   };
+  SymbolTable symbols;
 
   while (i < n) {
     const char c = source[i];
@@ -173,38 +206,54 @@ Result<std::vector<Token>> lex(const std::string& source) {
       i += 2;
       continue;
     }
-    // Preprocessor / pragma lines (with backslash continuation).
+    // Preprocessor / pragma lines (with backslash continuation). One pass
+    // writes the line with its blank runs squeezed to one blank, which
+    // tells "#pragma omp" lines apart and is their text; any other line is
+    // copied again as written.
     if (c == '#') {
-      std::string text;
       const int start_line = line;
       const int start_column = column_of(i);
-      while (i < n) {
-        if (source[i] == '\\' && i + 1 < n && source[i + 1] == '\n') {
-          text += ' ';
+      const std::size_t start = i;
+      std::size_t end = i;
+      while (end < n && source[end] != '\n') {
+        end += source[end] == '\\' && end + 1 < n && source[end + 1] == '\n'
+                   ? 2
+                   : 1;
+      }
+      std::string squished;
+      squished.reserve(end - i);
+      while (i < end) {
+        char ch = source[i];
+        if (ch == '\\' && i + 1 < n && source[i + 1] == '\n') {
+          ch = ' ';  // a continuation reads as one blank
           i += 2;
           ++line;
           line_start = i;
-          continue;
+        } else {
+          ++i;
         }
-        if (source[i] == '\n') break;
-        text += source[i];
-        ++i;
-      }
-      // Classify: "#pragma omp ..." vs anything else.
-      std::string squished;
-      for (const char ch : text) {
         if (!is_space(ch) || (!squished.empty() && squished.back() != ' ')) {
           squished += is_space(ch) ? ' ' : ch;
         }
       }
       constexpr std::string_view kPragmaOmp = "#pragma omp";
       if (squished.rfind(kPragmaOmp, 0) == 0) {
-        tokens.push_back(Token{TokKind::kPragmaOmp,
-                               squished.substr(kPragmaOmp.size()), start_line,
-                               start_column});
+        squished.erase(0, kPragmaOmp.size());
+        tokens.push_back(Token{TokKind::kPragmaOmp, kNoSym,
+                               std::move(squished), start_line, start_column});
       } else {
-        tokens.push_back(Token{TokKind::kHashLine, std::move(text), start_line,
-                               start_column});
+        std::string text;
+        text.reserve(end - start);
+        for (std::size_t k = start; k < end; ++k) {
+          if (source[k] == '\\' && k + 1 < n && source[k + 1] == '\n') {
+            text += ' ';
+            ++k;
+          } else {
+            text += source[k];
+          }
+        }
+        tokens.push_back(Token{TokKind::kHashLine, kNoSym, std::move(text),
+                               start_line, start_column});
       }
       continue;
     }
@@ -214,8 +263,12 @@ Result<std::vector<Token>> lex(const std::string& source) {
     if (is_alpha(c) || c == '_') {
       while (i < n && is_ident_char(source[i])) ++i;
       const std::string_view word(source.data() + start, i - start);
-      push(is_keyword(word) ? TokKind::kKeyword : TokKind::kIdent, start,
-           start_column);
+      if (is_keyword(word)) {
+        push(TokKind::kKeyword, start, start_column);
+      } else {
+        push(TokKind::kIdent, start, start_column);
+        tokens.back().sym = symbols.intern(word);
+      }
       continue;
     }
     // Numbers (ints, floats, hex, suffixes, exponents).
@@ -262,7 +315,7 @@ Result<std::vector<Token>> lex(const std::string& source) {
     push(TokKind::kPunct, start, start_column);
   }
 
-  tokens.push_back(Token{TokKind::kEof, "", line, column_of(i)});
+  tokens.push_back(Token{TokKind::kEof, kNoSym, "", line, column_of(i)});
   return tokens;
 }
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -35,8 +36,16 @@ bool text_is(std::string_view text, const char (&lit)[N]) {
   return text.size() == N - 1 && std::memcmp(text.data(), lit, N - 1) == 0;
 }
 
+/// An identifier's id: its index in the unit's SymbolTable.
+using Sym = std::uint32_t;
+inline constexpr Sym kNoSym = ~Sym{0};
+
 struct Token {
   TokKind kind = TokKind::kEof;
+  /// kIdent: the identifier's id, dense in order of first appearance in the
+  /// unit (kNoSym for every other kind). It sits in the padding after
+  /// `kind`, so a token stays the size of its text plus 16 bytes.
+  Sym sym = kNoSym;
   std::string text;
   int line = 0;
   int column = 0;  // 1-based byte column of the token start (0 = unknown)
@@ -55,17 +64,41 @@ struct Token {
   }
 };
 
+static_assert(sizeof(Token) == sizeof(std::string) + 16,
+              "Token::sym must fit the padding after Token::kind");
+
+/// The identifier names of one unit, interned: each distinct name is stored
+/// once and gets the next dense id. Lookups hash the name into an
+/// open-addressed slot array, so interning allocates only when a new name
+/// arrives. A name's view stays valid until the next intern().
+class SymbolTable {
+ public:
+  /// The id of `name`, adding it when it is new.
+  Sym intern(std::string_view name);
+  /// The id of `name`, or kNoSym when the unit never named it.
+  Sym find(std::string_view name) const;
+  std::string_view name(Sym sym) const { return names_[sym]; }
+  std::size_t size() const { return names_.size(); }
+
+ private:
+  std::size_t slot_of(std::string_view name) const;
+  void rehash(std::size_t slots);
+
+  std::vector<std::string> names_;
+  std::vector<Sym> slots_;  // power-of-two size; kNoSym marks a free slot
+};
+
 /// True for C type/storage keywords that can begin a declaration.
 bool is_decl_start_keyword(std::string_view word);
 
-/// The words of a declared type's text (its tokens joined by spaces) minus
-/// the storage-class and cv qualifiers static, extern, register, auto, const
-/// and volatile: "static unsigned long" -> {"unsigned", "long"}.
-std::vector<std::string_view> type_words(std::string_view decl_type);
+/// True for the storage-class and cv qualifiers a declared type's value
+/// spelling drops: static, extern, register, auto, const and volatile.
+bool is_type_qualifier(std::string_view word);
 
 /// Tokenizes `source`. Comments are dropped; `#pragma omp` lines become
 /// kPragmaOmp tokens (text = everything after "omp"), other `#` lines become
-/// kHashLine tokens (text = whole line).
+/// kHashLine tokens (text = whole line). Identifiers are interned as they
+/// are lexed: each token carries its name's id (Token::sym).
 Result<std::vector<Token>> lex(const std::string& source);
 
 }  // namespace parade::translator

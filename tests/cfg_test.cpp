@@ -24,35 +24,46 @@ namespace {
 
 const Stmt* find_pragma(const Stmt& stmt) {
   if (stmt.kind == StmtKind::kPragma) return &stmt;
-  for (const StmtPtr& child : stmt.children) {
-    if (child == nullptr) continue;
-    if (const Stmt* p = find_pragma(*child)) return p;
+  for (const Stmt& child : stmt.children()) {
+    if (const Stmt* p = find_pragma(child)) return p;
   }
   return nullptr;
 }
 
-/// Parses `source` and builds the CFG of its first OpenMP construct.
-Cfg cfg_of(const std::string& source) {
+/// A parsed unit and the CFG of its first OpenMP construct.
+struct Built {
+  TranslationUnit unit;
+  Cfg cfg;
+
+  /// True when `e` names the variable `name`.
+  bool names(const CfgEvent& e, const char* name) const {
+    return e.sym != kNoSym && unit.name(e.sym) == name;
+  }
+};
+
+Built cfg_of(const std::string& source) {
   auto tokens = lex(source);
   EXPECT_TRUE(tokens.is_ok()) << tokens.status().to_string();
   auto unit = parse(tokens.value());
   EXPECT_TRUE(unit.is_ok()) << unit.status().to_string();
-  for (const TopItem& item : unit.value().items) {
+  Built built{std::move(unit).value(), Cfg{}};
+  for (const TopItem& item : built.unit.items) {
     if (item.kind != TopItem::Kind::kFunction || item.function.body == nullptr) {
       continue;
     }
     if (const Stmt* pragma = find_pragma(*item.function.body)) {
-      return build_cfg(*pragma, unit.value().tokens);
+      built.cfg = build_cfg(*pragma, built.unit);
+      return built;
     }
   }
   ADD_FAILURE() << "no OpenMP construct found in source";
-  return Cfg{};
+  return built;
 }
 
 std::size_t count_events(const Cfg& cfg, CfgEventKind kind) {
   std::size_t n = 0;
-  for (const CfgBlock& b : cfg.blocks) {
-    for (const CfgEvent& e : b.events) {
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    for (const CfgEvent& e : cfg.events(b)) {
       if (e.kind == kind) ++n;
     }
   }
@@ -63,7 +74,7 @@ std::size_t count_events(const Cfg& cfg, CfgEventKind kind) {
 // CFG shape
 
 TEST(CfgShape, IfElseMakesDiamond) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int x;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -76,13 +87,14 @@ TEST(CfgShape, IfElseMakesDiamond) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   ASSERT_EQ(cfg.branches.size(), 1u);
   EXPECT_TRUE(cfg.branches[0].has_else);
   // The decision block has two successors, and both arms rejoin: every block
   // is reachable from entry.
   bool saw_decision = false;
-  for (const CfgBlock& b : cfg.blocks) {
-    if (b.succs.size() >= 2) saw_decision = true;
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    if (cfg.succs(b).size() >= 2) saw_decision = true;
   }
   EXPECT_TRUE(saw_decision);
   const std::vector<char> reach = cfg.reachable();
@@ -93,7 +105,7 @@ TEST(CfgShape, IfElseMakesDiamond) {
 }
 
 TEST(CfgShape, NestedLoopsNestAndCarryBackEdges) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int a;\n"
       "int main(void) {\n"
       "  int i, j;\n"
@@ -107,6 +119,7 @@ TEST(CfgShape, NestedLoopsNestAndCarryBackEdges) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   ASSERT_EQ(cfg.loops.size(), 2u);
   // One loop is top-level, the other nests inside it.
   const int outer = cfg.loops[0].parent == -1 ? 0 : 1;
@@ -118,12 +131,12 @@ TEST(CfgShape, NestedLoopsNestAndCarryBackEdges) {
   // so the edge count exceeds a DAG's (blocks - 1 minimum spanning edges).
   const int inner_head = cfg.loops[static_cast<std::size_t>(inner)].head;
   ASSERT_GE(inner_head, 0);
-  EXPECT_GE(cfg.blocks[static_cast<std::size_t>(inner_head)].preds.size(), 2u);
+  EXPECT_GE(cfg.preds(static_cast<std::size_t>(inner_head)).size(), 2u);
   // The innermost statement's block sits inside both loops.
   bool found_write = false;
   for (std::size_t i = 0; i < cfg.blocks.size(); ++i) {
-    for (const CfgEvent& e : cfg.blocks[i].events) {
-      if (e.kind == CfgEventKind::kWrite && e.name == "a") {
+    for (const CfgEvent& e : cfg.events(i)) {
+      if (e.kind == CfgEventKind::kWrite && built.names(e, "a")) {
         found_write = true;
         EXPECT_TRUE(cfg.block_in_loop(static_cast<int>(i), inner));
         EXPECT_TRUE(cfg.block_in_loop(static_cast<int>(i), outer));
@@ -134,7 +147,7 @@ TEST(CfgShape, NestedLoopsNestAndCarryBackEdges) {
 }
 
 TEST(CfgShape, EarlyReturnTerminatesPathInsideConstruct) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int x;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -146,15 +159,16 @@ TEST(CfgShape, EarlyReturnTerminatesPathInsideConstruct) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   // Both the early return and the construct's fall-through end reach exit.
-  EXPECT_GE(cfg.blocks[Cfg::kExit].preds.size(), 2u);
+  EXPECT_GE(cfg.preds(Cfg::kExit).size(), 2u);
   // The write after the guard is still reachable (the if has a fall-through
   // edge around the returning arm).
   const std::vector<char> reach = cfg.reachable();
   bool write_reachable = false;
   for (std::size_t i = 0; i < cfg.blocks.size(); ++i) {
-    for (const CfgEvent& e : cfg.blocks[i].events) {
-      if (e.kind == CfgEventKind::kWrite && e.name == "x" && reach[i]) {
+    for (const CfgEvent& e : cfg.events(i)) {
+      if (e.kind == CfgEventKind::kWrite && built.names(e, "x") && reach[i]) {
         write_reachable = true;
       }
     }
@@ -163,7 +177,7 @@ TEST(CfgShape, EarlyReturnTerminatesPathInsideConstruct) {
 }
 
 TEST(CfgShape, DeadCodeAfterReturnIsUnreachable) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int x;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -173,10 +187,11 @@ TEST(CfgShape, DeadCodeAfterReturnIsUnreachable) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   const std::vector<char> reach = cfg.reachable();
   for (std::size_t i = 0; i < cfg.blocks.size(); ++i) {
-    for (const CfgEvent& e : cfg.blocks[i].events) {
-      if (e.kind == CfgEventKind::kWrite && e.name == "x") {
+    for (const CfgEvent& e : cfg.events(i)) {
+      if (e.kind == CfgEventKind::kWrite && built.names(e, "x")) {
         EXPECT_FALSE(reach[i]) << "write after return should be dead";
       }
     }
@@ -184,7 +199,7 @@ TEST(CfgShape, DeadCodeAfterReturnIsUnreachable) {
 }
 
 TEST(CfgShape, WorksharingLoopAndNowaitAreTagged) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int a;\n"
       "int main(void) {\n"
       "  int i;\n"
@@ -197,6 +212,7 @@ TEST(CfgShape, WorksharingLoopAndNowaitAreTagged) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   ASSERT_EQ(cfg.loops.size(), 1u);
   EXPECT_TRUE(cfg.loops[0].worksharing);
   ASSERT_EQ(cfg.nowaits.size(), 1u);
@@ -206,7 +222,7 @@ TEST(CfgShape, WorksharingLoopAndNowaitAreTagged) {
 }
 
 TEST(CfgShape, WorksharingWithoutNowaitEmitsImplicitBarrier) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int a;\n"
       "int main(void) {\n"
       "  int i;\n"
@@ -219,12 +235,13 @@ TEST(CfgShape, WorksharingWithoutNowaitEmitsImplicitBarrier) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   EXPECT_TRUE(cfg.nowaits.empty());
   EXPECT_EQ(count_events(cfg, CfgEventKind::kBarrier), 1u);
 }
 
 TEST(CfgShape, CriticalBodyEventsAreGuarded) {
-  const Cfg cfg = cfg_of(
+  const Built built = cfg_of(
       "int total;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -236,10 +253,11 @@ TEST(CfgShape, CriticalBodyEventsAreGuarded) {
       "  }\n"
       "  return 0;\n"
       "}\n");
+  const Cfg& cfg = built.cfg;
   bool saw_guarded_write = false;
-  for (const CfgBlock& b : cfg.blocks) {
-    for (const CfgEvent& e : b.events) {
-      if (e.kind == CfgEventKind::kWrite && e.name == "total") {
+  for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+    for (const CfgEvent& e : cfg.events(b)) {
+      if (e.kind == CfgEventKind::kWrite && built.names(e, "total")) {
         saw_guarded_write = true;
         EXPECT_TRUE(e.in_critical);
       }
@@ -288,16 +306,8 @@ TEST(BitSetOps, SetTestSubtractAndTailTrim) {
 Cfg diamond() {
   Cfg cfg;
   cfg.blocks.resize(6);
-  auto edge = [&](int from, int to) {
-    cfg.blocks[static_cast<std::size_t>(from)].succs.push_back(to);
-    cfg.blocks[static_cast<std::size_t>(to)].preds.push_back(from);
-  };
-  edge(Cfg::kEntry, 2);
-  edge(2, 3);
-  edge(2, 4);
-  edge(3, 5);
-  edge(4, 5);
-  edge(5, Cfg::kExit);
+  cfg.set_edges({{Cfg::kEntry, 2}, {2, 3}, {2, 4}, {3, 5}, {4, 5},
+                 {5, Cfg::kExit}});
   return cfg;
 }
 
@@ -379,14 +389,7 @@ TEST(Dataflow, LoopBackEdgeDoesNotFakeMustFacts) {
   // from entry without it.
   Cfg cfg;
   cfg.blocks.resize(4);
-  auto edge = [&](int from, int to) {
-    cfg.blocks[static_cast<std::size_t>(from)].succs.push_back(to);
-    cfg.blocks[static_cast<std::size_t>(to)].preds.push_back(from);
-  };
-  edge(Cfg::kEntry, 2);
-  edge(2, 3);
-  edge(3, 2);
-  edge(2, Cfg::kExit);
+  cfg.set_edges({{Cfg::kEntry, 2}, {2, 3}, {3, 2}, {2, Cfg::kExit}});
   DataflowProblem p =
       problem_for(cfg, FlowDirection::kForward, MeetOp::kIntersect, 1);
   p.transfer[3].gen.set(0);

@@ -91,7 +91,7 @@ TEST(RegionSeq, PhasesSplitAtBarriersInProgramOrder) {
   int u_write_phase = -1;
   int u_read_phase = -1;
   for (const SeqAccess& a : seq.accesses) {
-    if (a.symbol != "u") continue;
+    if (p.unit.name(a.symbol) != "u") continue;
     if (a.write) u_write_phase = a.phase;
     if (!a.write) u_read_phase = a.phase;
   }
@@ -101,7 +101,7 @@ TEST(RegionSeq, PhasesSplitAtBarriersInProgramOrder) {
 
   // Both worksharing bodies are parallel, partitioned by the loop variable.
   for (const SeqAccess& a : seq.accesses) {
-    if (a.symbol == "u" && a.write) {
+    if (p.unit.name(a.symbol) == "u" && a.write) {
       EXPECT_TRUE(a.parallel);
       EXPECT_TRUE(a.partitioned);
     }
@@ -112,10 +112,10 @@ TEST(RegionSeq, PhasesSplitAtBarriersInProgramOrder) {
 // May-Happen-in-Parallel rules
 
 SeqAccess access(int phase, int step, bool parallel,
-                 std::vector<std::string> locks = {}, int serial_guard = -1,
+                 std::vector<int> locks = {}, int serial_guard = -1,
                  bool master = false) {
   SeqAccess a;
-  a.symbol = "x";
+  a.symbol = 0;
   a.write = true;
   a.phase = phase;
   a.step = step;
@@ -138,10 +138,12 @@ TEST(Mhp, BarriersAndSerialContextOrderAccesses) {
 }
 
 TEST(Mhp, CommonLockSerializesDisjointLocksDoNot) {
-  EXPECT_FALSE(may_happen_in_parallel(access(0, 0, true, {"alpha"}),
-                                      access(0, 0, true, {"alpha"})));
-  EXPECT_TRUE(may_happen_in_parallel(access(0, 0, true, {"alpha"}),
-                                     access(0, 0, true, {"beta"})));
+  const int alpha = 0;
+  const int beta = 1;
+  EXPECT_FALSE(may_happen_in_parallel(access(0, 0, true, {alpha}),
+                                      access(0, 0, true, {alpha})));
+  EXPECT_TRUE(may_happen_in_parallel(access(0, 0, true, {alpha}),
+                                     access(0, 0, true, {beta})));
 }
 
 TEST(Mhp, MasterAndSameSingleInstanceSerialize) {
@@ -165,7 +167,7 @@ TEST(Classify, ProducerConsumerAndReadMostlyAcrossPhases) {
   int u_write_phase = -1;
   int u_read_phase = -1;
   for (const SeqAccess& a : seq.accesses) {
-    if (a.symbol != "u") continue;
+    if (p.unit.name(a.symbol) != "u") continue;
     (a.write ? u_write_phase : u_read_phase) = a.phase;
   }
   const std::map<int, std::string> patterns = phase_patterns(p, "u");

@@ -158,15 +158,21 @@ TEST(Lexer, UnterminatedCommentIsError) {
 // ---------------------------------------------------------------------------
 // Pragma parsing
 
+std::vector<std::string> names(const std::vector<ClauseVar>& vars) {
+  std::vector<std::string> out;
+  for (const ClauseVar& v : vars) out.push_back(v.name);
+  return out;
+}
+
 TEST(Pragma, ParallelWithClauses) {
   auto d = parse_pragma(" parallel private(a, b) shared(c) default(none) "
                         "firstprivate(d) if(n > 10)",
                         1)
                .value_or_die();
   EXPECT_EQ(d.kind, DirectiveKind::kParallel);
-  EXPECT_EQ(d.clauses.privates, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(d.clauses.shared, (std::vector<std::string>{"c"}));
-  EXPECT_EQ(d.clauses.firstprivate, (std::vector<std::string>{"d"}));
+  EXPECT_EQ(names(d.clauses.privates), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(names(d.clauses.shared), (std::vector<std::string>{"c"}));
+  EXPECT_EQ(names(d.clauses.firstprivate), (std::vector<std::string>{"d"}));
   EXPECT_TRUE(d.clauses.has_default);
   EXPECT_FALSE(d.clauses.default_shared);
   EXPECT_EQ(d.clauses.if_expr, "n > 10");
@@ -178,7 +184,7 @@ TEST(Pragma, ParallelForAndReduction) {
   EXPECT_EQ(d.kind, DirectiveKind::kParallelFor);
   ASSERT_EQ(d.clauses.reductions.size(), 2u);
   EXPECT_EQ(d.clauses.reductions[0].first, ReductionOp::kAdd);
-  EXPECT_EQ(d.clauses.reductions[0].second, "sum");
+  EXPECT_EQ(d.clauses.reductions[0].second.name, "sum");
   EXPECT_EQ(d.clauses.reductions[1].first, ReductionOp::kMul);
 }
 
@@ -218,7 +224,7 @@ TEST(Pragma, CriticalName) {
 TEST(Pragma, FlushList) {
   auto d = parse_pragma(" flush(a, b)", 1).value_or_die();
   EXPECT_EQ(d.kind, DirectiveKind::kFlush);
-  EXPECT_EQ(d.clauses.flush_list, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(names(d.clauses.flush_list), (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Pragma, Diagnostics) {
@@ -254,14 +260,16 @@ TEST_P(CanonicalLoop, Recognition) {
   auto unit = parse(tokens).value_or_die();
   ASSERT_EQ(unit.items.size(), 1u);
   const Stmt& body = *unit.items[0].function.body;
-  ASSERT_FALSE(body.children.empty());
-  const Stmt& loop = *body.children[0];
+  ASSERT_FALSE(body.children().empty());
+  const Stmt& loop = *body.child(0);
   ASSERT_EQ(loop.kind, StmtKind::kFor);
-  EXPECT_EQ(loop.for_header.canonical, c.canonical) << c.source;
+  const ForHeader& h = *loop.for_header;
+  EXPECT_EQ(h.canonical, c.canonical) << c.source;
   if (c.canonical) {
-    EXPECT_EQ(loop.for_header.step.text, c.step);
-    EXPECT_EQ(loop.for_header.increasing, c.increasing);
-    EXPECT_EQ(loop.for_header.inclusive, c.inclusive);
+    // ++/-- steps are the literal 1 with no tokens of their own.
+    EXPECT_EQ(h.unit_step ? std::string("1") : unit.text(h.step), c.step);
+    EXPECT_EQ(h.increasing, c.increasing);
+    EXPECT_EQ(h.inclusive, c.inclusive);
   }
 }
 
@@ -292,19 +300,20 @@ int helper(int a, double b) {
   auto unit = parse(lex(source).value_or_die()).value_or_die();
   ASSERT_EQ(unit.items.size(), 1u);
   EXPECT_EQ(unit.items[0].kind, TopItem::Kind::kFunction);
-  EXPECT_EQ(unit.items[0].function.name, "helper");
+  EXPECT_EQ(unit.name(unit.items[0].function.name), "helper");
   const Stmt& body = *unit.items[0].function.body;
-  EXPECT_EQ(body.children[0]->kind, StmtKind::kDecl);
-  const Stmt& multi = *body.children[1];
+  EXPECT_EQ(body.child(0)->kind, StmtKind::kDecl);
+  const Stmt& multi = *body.child(1);
   ASSERT_EQ(multi.kind, StmtKind::kDecl);
-  ASSERT_EQ(multi.declarators.size(), 2u);
-  EXPECT_EQ(multi.declarators[0].name, "y");
-  EXPECT_EQ(multi.declarators[0].array_dims.size(), 1u);
-  EXPECT_EQ(multi.declarators[1].name, "z");
-  EXPECT_EQ(multi.declarators[1].pointer_depth, 1);
-  EXPECT_EQ(body.children[2]->kind, StmtKind::kIf);
-  EXPECT_TRUE(body.children[2]->has_else);
-  EXPECT_EQ(body.children[3]->kind, StmtKind::kWhile);
+  const auto declarators = unit.declarators_of(*multi.decl);
+  ASSERT_EQ(declarators.size(), 2u);
+  EXPECT_EQ(unit.name(declarators[0].name), "y");
+  EXPECT_EQ(unit.dims_of(declarators[0]).size(), 1u);
+  EXPECT_EQ(unit.name(declarators[1].name), "z");
+  EXPECT_EQ(declarators[1].pointer_depth, 1);
+  EXPECT_EQ(body.child(2)->kind, StmtKind::kIf);
+  EXPECT_TRUE(body.child(2)->has_else);
+  EXPECT_EQ(body.child(3)->kind, StmtKind::kWhile);
 }
 
 TEST(Parser, PragmaAttachesToNextStatement) {
@@ -319,11 +328,11 @@ void f() {
 )";
   auto unit = parse(lex(source).value_or_die()).value_or_die();
   const Stmt& body = *unit.items[0].function.body;
-  ASSERT_EQ(body.children.size(), 2u);
-  EXPECT_EQ(body.children[0]->kind, StmtKind::kPragma);
-  EXPECT_TRUE(body.children[0]->directive_has_body);
-  EXPECT_EQ(body.children[1]->directive.kind, DirectiveKind::kBarrier);
-  EXPECT_FALSE(body.children[1]->directive_has_body);
+  ASSERT_EQ(body.child_count(), 2u);
+  EXPECT_EQ(body.child(0)->kind, StmtKind::kPragma);
+  EXPECT_TRUE(body.child(0)->directive_has_body);
+  EXPECT_EQ(body.child(1)->directive->kind, DirectiveKind::kBarrier);
+  EXPECT_FALSE(body.child(1)->directive_has_body);
 }
 
 // ---------------------------------------------------------------------------
