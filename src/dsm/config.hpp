@@ -9,20 +9,18 @@
 
 namespace parade::dsm {
 
-/// How the pool's second (always-writable) mapping is created — the paper's
-/// §5.1 solutions to the atomic page update problem.
+/// How the pool's second (always-writable) mapping is created. The paper's
+/// §5.1 lists four solutions to the atomic page update problem: file
+/// mapping, System V shared memory, its own mdup() syscall, and sharing a
+/// child process's page table. The first two are reproduced here; mdup()
+/// needs the authors' kernel patch and the child-process method needs
+/// cross-process page-table coordination, so neither exists.
 enum class MapMethod {
   /// Anonymous file via memfd_create mapped twice (the paper's conventional
   /// "file mapping" method, minus an on-disk file).
   kMemfd,
   /// System V shared memory attached twice (paper's first alternative).
   kSysV,
-  /// The paper's mdup() syscall — requires their kernel patch; create()
-  /// reports kUnsupported.
-  kMdup,
-  /// The paper's child-process page-table method — needs cross-process
-  /// coordination we do not reproduce; create() reports kUnsupported.
-  kChildProcess,
 };
 
 const char* to_string(MapMethod method);
@@ -31,7 +29,7 @@ struct DsmConfig {
   std::size_t pool_bytes = std::size_t{64} << 20;  // paper: 64 MB for CG
   std::size_t page_bytes = kDefaultPageBytes;
   /// How the SegmentPool's backing object is created (PARADE_MAP_METHOD:
-  /// "memfd" | "sysv"; mdup/child-process probe as unsupported).
+  /// "memfd" | "sysv").
   MapMethod map_method = MapMethod::kMemfd;
   /// HLRC home migration at barrier time (paper §5.2.2). Off = fixed home,
   /// i.e. original HLRC (the baseline in ablation benches).

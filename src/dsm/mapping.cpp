@@ -17,8 +17,6 @@ const char* to_string(MapMethod method) {
   switch (method) {
     case MapMethod::kMemfd: return "memfd";
     case MapMethod::kSysV: return "sysv";
-    case MapMethod::kMdup: return "mdup";
-    case MapMethod::kChildProcess: return "child-process";
   }
   return "?";
 }
@@ -26,8 +24,6 @@ const char* to_string(MapMethod method) {
 std::optional<MapMethod> parse_map_method(const std::string& name) {
   if (name == "memfd") return MapMethod::kMemfd;
   if (name == "sysv") return MapMethod::kSysV;
-  if (name == "mdup") return MapMethod::kMdup;
-  if (name == "child-process") return MapMethod::kChildProcess;
   return std::nullopt;
 }
 
@@ -169,15 +165,6 @@ Result<std::unique_ptr<SegmentPool>> SegmentPool::create(
       if (Status s = pool->protect_app(0, pool_bytes, PROT_NONE); !s) return s;
       return pool;
     }
-
-    case MapMethod::kMdup:
-      return make_error(ErrorCode::kUnsupported,
-                        "mdup() requires the authors' kernel patch (paper "
-                        "§5.1); use memfd or sysv");
-    case MapMethod::kChildProcess:
-      return make_error(ErrorCode::kUnsupported,
-                        "child-process page-table sharing is not reproduced; "
-                        "use memfd or sysv");
   }
   return make_error(ErrorCode::kInvalidArgument, "unknown map method");
 }
@@ -228,9 +215,6 @@ SegmentPool::~SegmentPool() {
       for (std::size_t i = 0; i < kNumViews; ++i) {
         shmdt(base_ + i * pool_bytes_);
       }
-      break;
-    case MapMethod::kMdup:
-    case MapMethod::kChildProcess:
       break;
   }
 }

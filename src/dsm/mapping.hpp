@@ -18,10 +18,9 @@
 // found by the same `real_address` arithmetic instead of a per-page heap
 // vector.
 //
-// Methods (paper §5.1): file/memfd mapping and System V shared memory are
-// fully implemented; mdup() (their custom syscall) and the child-process
-// page-table trick are represented by create() returning kUnsupported with an
-// explanation, so callers and tests can probe method availability uniformly.
+// Methods (paper §5.1): file/memfd mapping and System V shared memory; see
+// MapMethod (dsm/config.hpp) for the two the paper lists that are not
+// reproduced.
 #pragma once
 
 #include <cstddef>
@@ -110,8 +109,8 @@ class SegmentPool {
 
 const char* to_string(MapMethod method);
 
-/// Parses a PARADE_MAP_METHOD value ("memfd", "sysv", "mdup",
-/// "child-process"); nullopt for anything else.
+/// Parses a PARADE_MAP_METHOD value ("memfd", "sysv"); nullopt for anything
+/// else.
 std::optional<MapMethod> parse_map_method(const std::string& name);
 
 }  // namespace parade::dsm

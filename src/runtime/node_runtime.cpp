@@ -34,7 +34,7 @@ RuntimeConfig runtime_config_from_env() {
     config.dsm.map_method = *method;
   } else {
     PLOG_WARN("ignoring unparsable PARADE_MAP_METHOD='"
-              << map_spec << "' (want memfd|sysv|mdup|child-process)");
+              << map_spec << "' (want memfd|sysv)");
   }
   return config;
 }

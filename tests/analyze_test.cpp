@@ -151,6 +151,42 @@ TEST(Analyze, CompatibleReductionUpdateIsClean) {
       << a.to_text("red.c");
 }
 
+// A statement label is its own statement: the one it labels, a directive
+// included, is parsed and analyzed as if it stood alone.
+TEST(Analyze, CaseLabelsDoNotSwallowTheLabeledStatement) {
+  const Analysis a = analyze_ok(
+      "long count;\n"                                  // 1
+      "long total;\n"                                  // 2
+      "int main(void) {\n"                             // 3
+      "  int i;\n"                                     // 4
+      "  #pragma omp parallel for\n"                   // 5
+      "  for (i = 0; i < 64; i++) {\n"                 // 6
+      "    switch (i % 4) {\n"                         // 7
+      "      case 0:\n"                                // 8
+      "        #pragma omp atomic\n"                   // 9
+      "        count += 1;\n"                          // 10
+      "        break;\n"                               // 11
+      "      default:\n"                               // 12
+      "        break;\n"                               // 13
+      "    }\n"                                        // 14
+      "  }\n"                                          // 15
+      "  #pragma omp parallel for reduction(+:total)\n"  // 16
+      "  for (i = 0; i < 64; i++) {\n"                 // 17
+      "    switch (i % 2) {\n"                         // 18
+      "      case 0: total += 1;\n"                    // 19
+      "        break;\n"                               // 20
+      "      default: break;\n"                        // 21
+      "    }\n"                                        // 22
+      "  }\n"                                          // 23
+      "  return 0;\n"                                  // 24
+      "}\n");
+  EXPECT_EQ(find_diag(a, kDiagRaceSharedWrite), nullptr) << a.to_text("l.c");
+  EXPECT_EQ(find_diag(a, kDiagReductionMisuse), nullptr) << a.to_text("l.c");
+  ASSERT_EQ(a.sync_sites.count(9), 1u);
+  EXPECT_TRUE(a.sync_sites.at(9).collective);
+  EXPECT_EQ(a.sync_sites.at(9).var, "count");
+}
+
 TEST(Analyze, PrivateReadBeforeInit) {
   const Analysis a = analyze_ok(
       "int main(void) {\n"                 // 1

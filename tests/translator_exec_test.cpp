@@ -148,6 +148,41 @@ int main() {
   EXPECT_NE(out.find("hits=100"), std::string::npos) << out;
 }
 
+// An atomic under a case label is lowered as a directive of its own, at
+// the default threshold (a collective: every thread takes case 0 equally
+// often) and at --threshold=1 (the DSM lock).
+TEST(TranslatorExec, AtomicUnderCaseLabel) {
+  const char* source = R"(
+#include <stdio.h>
+long count;
+int main() {
+  int i;
+#pragma omp parallel for
+  for (i = 0; i < 64; i++) {
+    switch (i % 4) {
+      case 0:
+#pragma omp atomic
+        count += 1;
+        break;
+      default:
+        break;
+    }
+  }
+  printf("count=%ld\n", count);
+  return 0;
+}
+)";
+  TranslateOptions conventional;
+  conventional.mp_threshold_bytes = 1;
+  for (const TranslateOptions& options : {TranslateOptions{}, conventional}) {
+    const std::string name =
+        "case_atomic_t" + std::to_string(options.mp_threshold_bytes);
+    const std::string out =
+        run_at(translate_compile(name, source, options), 2, 2);
+    EXPECT_NE(out.find("count=16\n"), std::string::npos) << name << ": " << out;
+  }
+}
+
 TEST(TranslatorExec, SingleAndMaster) {
   const char* source = R"(
 #include <stdio.h>
