@@ -276,6 +276,14 @@ class NodePool {
   std::size_t used_ = kChunk;
 };
 
+/// Elements [begin, begin + count) of a per-unit array, as a view.
+template <typename T>
+std::span<const T> pool_range(const std::vector<T>& pool, std::uint32_t begin,
+                              std::uint32_t count) {
+  if (count == 0) return {};
+  return {pool.data() + begin, count};
+}
+
 struct TranslationUnit {
   std::vector<TopItem> items;
   /// The lexer's output, kept by parse(); every TokenSpan indexes into it.
@@ -292,27 +300,20 @@ struct TranslationUnit {
 
   std::string_view name(Sym sym) const { return symbols.name(sym); }
   AccessScan access(const Expr& e) const {
-    return AccessScan{slice(accesses.reads, e.reads, e.n_reads),
-                      slice(accesses.writes, e.writes, e.n_writes),
-                      slice(accesses.subscripts, e.subscripts, e.n_subscripts),
-                      e.has_call};
+    return AccessScan{
+        pool_range(accesses.reads, e.reads, e.n_reads),
+        pool_range(accesses.writes, e.writes, e.n_writes),
+        pool_range(accesses.subscripts, e.subscripts, e.n_subscripts),
+        e.has_call};
   }
   std::span<const Declarator> declarators_of(const Decl& d) const {
-    return slice(declarators, d.declarators, d.n_declarators);
+    return pool_range(declarators, d.declarators, d.n_declarators);
   }
   std::span<const Expr> dims_of(const Declarator& d) const {
-    return slice(dims, d.dims, d.n_dims);
+    return pool_range(dims, d.dims, d.n_dims);
   }
   /// The expression's tokens rendered as written (messages and tests).
   std::string text(const Expr& e) const;
-
- private:
-  template <typename T>
-  static std::span<const T> slice(const std::vector<T>& pool,
-                                  std::uint32_t begin, std::uint32_t count) {
-    if (count == 0) return {};
-    return {pool.data() + begin, count};
-  }
 };
 
 }  // namespace parade::translator

@@ -110,15 +110,15 @@ struct Cfg {
 
   std::span<const CfgEvent> events(std::size_t block) const {
     const CfgBlock& b = blocks[block];
-    return range(event_list, b.events, b.n_events);
+    return pool_range(event_list, b.events, b.n_events);
   }
   std::span<const int> succs(std::size_t block) const {
     const CfgBlock& b = blocks[block];
-    return range(edge_list, b.succs, b.n_succs);
+    return pool_range(edge_list, b.succs, b.n_succs);
   }
   std::span<const int> preds(std::size_t block) const {
     const CfgBlock& b = blocks[block];
-    return range(edge_list, b.preds, b.n_preds);
+    return pool_range(edge_list, b.preds, b.n_preds);
   }
   bool is_local(Sym sym) const;
 
@@ -136,14 +136,6 @@ struct Cfg {
   bool block_in_loop(int block, int loop) const;
 
   CfgScratch scratch;
-
- private:
-  template <typename T>
-  static std::span<const T> range(const std::vector<T>& all,
-                                  std::uint32_t begin, std::uint32_t count) {
-    if (count == 0) return {};
-    return {all.data() + begin, count};
-  }
 };
 
 /// Builds the CFG for a statement subtree (typically a parallel-region body)

@@ -648,6 +648,9 @@ void run_interference(const TranslationUnit& unit, Analysis* analysis) {
     if (g == nullptr || g->placement == Placement::kThreadprivate) continue;
     for (std::size_t j = i + 1; j < seq.accesses.size(); ++j) {
       const SeqAccess& b = seq.accesses[j];
+      // Steps never decrease in program order, and accesses in different
+      // steps never overlap.
+      if (b.step != a.step) break;
       if (!b.write || !b.guarded || b.symbol != a.symbol) continue;
       if (a.construct_id == b.construct_id) continue;
       if (!may_happen_in_parallel(a, b)) continue;
