@@ -629,8 +629,11 @@ TEST(AnalyzeRegression, DivisionUpdateNoLongerSplitsDecision) {
 // Update-shape matcher
 
 /// match_scalar_update over the tokens of `text` (without the EOF token).
+/// The shape's operator and name views point into the tokens, which stay
+/// alive until the next call.
 std::optional<UpdateShape> match_text(const std::string& text) {
-  const std::vector<Token> tokens = lex(text).value_or_die();
+  static std::vector<Token> tokens;
+  tokens = lex(text).value_or_die();
   return match_scalar_update(tokens, {0, tokens.size() - 1});
 }
 
