@@ -271,32 +271,43 @@ TEST(CfgShape, CriticalBodyEventsAreGuarded) {
 // BitSet lattice
 
 TEST(BitSetOps, SetTestSubtractAndTailTrim) {
-  BitSet a(70);
-  a.set(0);
-  a.set(69);
-  EXPECT_TRUE(a.test(0));
-  EXPECT_TRUE(a.test(69));
-  EXPECT_FALSE(a.test(35));
-  EXPECT_TRUE(a.any());
+  // 40 and 64 bits live in the inline word, 70 on the heap.
+  for (const std::size_t bits : {std::size_t{70}, std::size_t{40},
+                                 std::size_t{64}}) {
+    SCOPED_TRACE(bits);
+    const std::size_t last = bits - 1;
+    BitSet a(bits);
+    a.set(0);
+    a.set(last);
+    EXPECT_TRUE(a.test(0));
+    EXPECT_TRUE(a.test(last));
+    EXPECT_FALSE(a.test(bits / 2));
+    EXPECT_TRUE(a.any());
 
-  BitSet b(70);
-  b.set(69);
-  BitSet c = a;
-  c.subtract(b);
-  EXPECT_TRUE(c.test(0));
-  EXPECT_FALSE(c.test(69));
+    BitSet b(bits);
+    b.set(last);
+    BitSet c = a;
+    c.subtract(b);
+    EXPECT_TRUE(c.test(0));
+    EXPECT_FALSE(c.test(last));
 
-  BitSet top(70);
-  top.set_all();
-  for (std::size_t i = 0; i < 70; ++i) EXPECT_TRUE(top.test(i));
-  BitSet meet = top;
-  meet &= a;
-  EXPECT_TRUE(meet == a);
+    BitSet top(bits);
+    top.set_all();
+    BitSet each(bits);
+    for (std::size_t i = 0; i < bits; ++i) {
+      EXPECT_TRUE(top.test(i));
+      each.set(i);
+    }
+    EXPECT_TRUE(top == each);  // set_all leaves no bit past the end
+    BitSet meet = top;
+    meet &= a;
+    EXPECT_TRUE(meet == a);
 
-  BitSet empty(70);
-  EXPECT_FALSE(empty.any());
-  empty |= a;
-  EXPECT_TRUE(empty == a);
+    BitSet empty(bits);
+    EXPECT_FALSE(empty.any());
+    empty |= a;
+    EXPECT_TRUE(empty == a);
+  }
 }
 
 // ---------------------------------------------------------------------------
