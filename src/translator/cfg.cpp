@@ -606,10 +606,4 @@ void build_cfg(const Stmt& body, const TranslationUnit& unit, Cfg* cfg) {
   CfgBuilder(cfg, unit).build(body);
 }
 
-Cfg build_cfg(const Stmt& body, const TranslationUnit& unit) {
-  Cfg cfg;
-  build_cfg(body, unit, &cfg);
-  return cfg;
-}
-
 }  // namespace parade::translator

@@ -141,6 +141,5 @@ struct Cfg {
 /// Builds the CFG for a statement subtree (typically a parallel-region body)
 /// of `unit` into `cfg`, reusing its arrays.
 void build_cfg(const Stmt& body, const TranslationUnit& unit, Cfg* cfg);
-Cfg build_cfg(const Stmt& body, const TranslationUnit& unit);
 
 }  // namespace parade::translator

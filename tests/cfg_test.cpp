@@ -52,7 +52,7 @@ Built cfg_of(const std::string& source) {
       continue;
     }
     if (const Stmt* pragma = find_pragma(*item.function.body)) {
-      built.cfg = build_cfg(*pragma, built.unit);
+      build_cfg(*pragma, built.unit, &built.cfg);
       return built;
     }
   }
