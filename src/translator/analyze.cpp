@@ -341,8 +341,8 @@ void Analyzer::process_write(const AccessWrite& w, const Expr& expr, int line,
       auto m = match_scalar_update(unit_->tokens, expr.span);
       const bool compatible =
           m.has_value() && m->sym == w.sym &&
-          (m->apply_op == op ||
-           (text_is(op, "+") && text_is(m->apply_op, "-")));
+          ((op.size() == 1 && m->apply_op == op[0]) ||
+           (text_is(op, "+") && m->apply_op == '-'));
       if (!compatible) {
         const std::string var = name_of(w.sym);
         diag(kDiagReductionMisuse, Severity::kWarning, line, var,
@@ -692,7 +692,7 @@ void Analyzer::handle_sync(const Stmt& stmt, Env env, bool is_atomic) {
                  : "statement is not a scalar update "
                    "(x op= expr, x++, x = x op expr)";
   } else {
-    dec.var = std::string(shape->var);
+    dec.var = unit_->tokens[shape->var].text;
     std::size_t depth = 0;
     const SymbolInfo* sym = scopes_.lookup(shape->sym, &depth);
     if (sym == nullptr) {
@@ -1374,11 +1374,11 @@ std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
   };
 
   UpdateShape p;
-  p.var = at(0).text;
+  p.var = span.begin;
   p.sym = at(0).sym;
   if (n == 2 && (at(1).is_punct("++") || at(1).is_punct("--"))) {
-    p.combine_op = "+";
-    p.apply_op = at(1).is("++") ? "+" : "-";
+    p.combine_op = '+';
+    p.apply_op = at(1).is("++") ? '+' : '-';
     return p;  // the contribution is the literal 1: `expr` stays empty
   }
   const Token& op = at(1);
@@ -1386,20 +1386,20 @@ std::optional<UpdateShape> match_scalar_update(const std::vector<Token>& tokens,
       op.is("|=") || op.is("^=")) {
     auto expr = expr_from(2);
     if (!expr) return std::nullopt;
-    p.apply_op = std::string_view(op.text).substr(0, 1);
-    p.combine_op = op.is("-=") ? "+" : p.apply_op;
+    p.apply_op = op.text[0];
+    p.combine_op = op.is("-=") ? '+' : p.apply_op;
     p.expr = *expr;
     return p;
   }
-  if (op.is("=") && n >= 5 && at(2).text == p.var &&
+  if (op.is("=") && n >= 5 && at(2).text == at(0).text &&
       at(3).kind == TokKind::kPunct) {
     const Token& binop = at(3);
     if (binop.is("+") || binop.is("-") || binop.is("*") || binop.is("&") ||
         binop.is("|") || binop.is("^")) {
       auto expr = expr_from(4);
       if (!expr) return std::nullopt;
-      p.apply_op = binop.text;
-      p.combine_op = binop.is("-") ? "+" : p.apply_op;
+      p.apply_op = binop.text[0];
+      p.combine_op = binop.is("-") ? '+' : p.apply_op;
       p.expr = *expr;
       return p;
     }

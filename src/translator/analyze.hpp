@@ -109,10 +109,10 @@ struct SyncDecision {
 /// `x op= expr`, `x++`/`x--`, or `x = x op expr`, with no function calls in
 /// the contribution expression.
 struct UpdateShape {
-  std::string_view var;         // the updated name (a view of its token)
-  Sym sym = kNoSym;             // its symbol id
-  std::string_view combine_op;  // operator combining per-thread contributions
-  std::string_view apply_op;    // operator applying the combined value to var
+  std::size_t var = 0;    // index of the updated name's token
+  Sym sym = kNoSym;       // its symbol id (kNoSym before parse())
+  char combine_op = '+';  // operator combining per-thread contributions
+  char apply_op = '+';    // operator applying the combined value to var
   /// The contribution expression's tokens; empty for x++/x--, whose
   /// contribution is the literal 1.
   TokenSpan expr;

@@ -43,36 +43,21 @@ void Cfg::set_edges(const std::vector<std::pair<int, int>>& edges) {
   }
 }
 
-namespace {
-
-void mark_reachable(const Cfg& cfg, std::vector<char>* seen,
-                    std::vector<int>* work) {
-  seen->assign(cfg.blocks.size(), 0);
-  work->assign(1, Cfg::kEntry);
-  (*seen)[Cfg::kEntry] = 1;
-  while (!work->empty()) {
-    const int b = work->back();
-    work->pop_back();
-    for (const int s : cfg.succs(static_cast<std::size_t>(b))) {
+void Cfg::reachable(std::vector<char>* seen) {
+  std::vector<int>& work = scratch.work;
+  seen->assign(blocks.size(), 0);
+  work.assign(1, kEntry);
+  (*seen)[kEntry] = 1;
+  while (!work.empty()) {
+    const int b = work.back();
+    work.pop_back();
+    for (const int s : succs(static_cast<std::size_t>(b))) {
       if ((*seen)[static_cast<std::size_t>(s)] == 0) {
         (*seen)[static_cast<std::size_t>(s)] = 1;
-        work->push_back(s);
+        work.push_back(s);
       }
     }
   }
-}
-
-}  // namespace
-
-std::vector<char> Cfg::reachable() const {
-  std::vector<char> seen;
-  std::vector<int> work;
-  mark_reachable(*this, &seen, &work);
-  return seen;
-}
-
-void Cfg::reachable(std::vector<char>* seen) {
-  mark_reachable(*this, seen, &scratch.work);
 }
 
 bool Cfg::block_in_loop(int block, int loop) const {
@@ -394,7 +379,10 @@ class CfgBuilder {
   void walk_label(const Stmt& stmt) {
     const int label = new_block(stmt.line);
     if (!terminated_) edge(cur_, label);
-    edge(switch_decisions_.empty() ? Cfg::kEntry : switch_decisions_.back(),
+    const Token& first = tokens_[stmt.expr.span.begin];
+    const bool is_case = first.is_kw("case") || first.is_kw("default");
+    edge(is_case && !switch_decisions_.empty() ? switch_decisions_.back()
+                                               : Cfg::kEntry,
          label);
     cur_ = label;
     terminated_ = false;

@@ -127,10 +127,9 @@ struct Cfg {
   void set_edges(const std::vector<std::pair<int, int>>& edges);
 
   std::size_t edge_count() const;
-  /// blocks[i] reachable from entry (forward edges only; the fixpoint over
-  /// back edges changes nothing for reachability).
-  std::vector<char> reachable() const;
-  /// The same into `seen`, reusing its storage and the scratch stack.
+  /// Sets (*seen)[i] when blocks[i] is reachable from entry (forward edges
+  /// only; the fixpoint over back edges changes nothing for reachability).
+  /// Reuses `seen`'s storage and the scratch stack.
   void reachable(std::vector<char>* seen);
   /// True when `block`'s innermost-loop chain passes through `loop`.
   bool block_in_loop(int block, int loop) const;

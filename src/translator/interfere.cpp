@@ -393,7 +393,7 @@ class SeqWalker {
         std::string target;
         if (body != nullptr && body->kind == StmtKind::kRaw) {
           if (auto shape = match_scalar_update(unit_.tokens, body->expr.span)) {
-            target = shape->var;
+            target = unit_.tokens[shape->var].text;
           }
         }
         lock_stack_.push_back(

@@ -791,22 +791,6 @@ Status Parser::parse_unit() {
   return Status::ok();
 }
 
-/// Rebuilds the unit's symbol table from the lexer's ids, which are dense
-/// in order of first appearance. Tokens whose ids do not fit that order
-/// (made outside lex()) are interned afresh.
-void intern_symbols(std::vector<Token>& tokens, SymbolTable& symbols) {
-  for (const Token& t : tokens) {
-    if (t.kind != TokKind::kIdent) continue;
-    if (t.sym == symbols.size() && symbols.intern(t.text) == t.sym) continue;
-    if (t.sym < symbols.size() && symbols.name(t.sym) == t.text) continue;
-    symbols = SymbolTable();
-    for (Token& u : tokens) {
-      if (u.kind == TokKind::kIdent) u.sym = symbols.intern(u.text);
-    }
-    return;
-  }
-}
-
 }  // namespace
 
 bool space_before(const std::vector<Token>& tokens, std::size_t begin,
@@ -895,7 +879,9 @@ std::string TranslationUnit::text(const Expr& e) const {
 Result<TranslationUnit> parse(std::vector<Token> tokens) {
   TranslationUnit unit;
   unit.tokens = std::move(tokens);
-  intern_symbols(unit.tokens, unit.symbols);
+  for (Token& t : unit.tokens) {
+    if (t.kind == TokKind::kIdent) t.sym = unit.symbols.intern(t.text);
+  }
   if (Status s = Parser(unit).parse_unit(); !s) return s;
   return Result<TranslationUnit>(std::move(unit));
 }

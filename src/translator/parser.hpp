@@ -12,9 +12,9 @@
 namespace parade::translator {
 
 /// Parses the lexer's output; the unit keeps `tokens` (moved in, so pass an
-/// rvalue to avoid a copy) and every TokenSpan indexes into them. The
-/// unit's symbol table holds the lexer's identifier ids plus the clause
-/// variables the directives name.
+/// rvalue to avoid a copy) and every TokenSpan indexes into them. Each
+/// identifier token is interned into the unit's symbol table, which also
+/// holds the clause variables the directives name.
 Result<TranslationUnit> parse(std::vector<Token> tokens);
 
 /// The declared-type record of tokens [span.begin, span.end): the parser

@@ -171,8 +171,6 @@ Result<std::vector<Token>> lex(const std::string& source) {
     tokens.push_back(Token{kind, kNoSym, std::string(source, start, i - start),
                            line, start_column});
   };
-  SymbolTable symbols;
-
   while (i < n) {
     const char c = source[i];
     if (c == '\n') {
@@ -263,12 +261,8 @@ Result<std::vector<Token>> lex(const std::string& source) {
     if (is_alpha(c) || c == '_') {
       while (i < n && is_ident_char(source[i])) ++i;
       const std::string_view word(source.data() + start, i - start);
-      if (is_keyword(word)) {
-        push(TokKind::kKeyword, start, start_column);
-      } else {
-        push(TokKind::kIdent, start, start_column);
-        tokens.back().sym = symbols.intern(word);
-      }
+      push(is_keyword(word) ? TokKind::kKeyword : TokKind::kIdent, start,
+           start_column);
       continue;
     }
     // Numbers (ints, floats, hex, suffixes, exponents).

@@ -42,9 +42,9 @@ inline constexpr Sym kNoSym = ~Sym{0};
 
 struct Token {
   TokKind kind = TokKind::kEof;
-  /// kIdent: the identifier's id, dense in order of first appearance in the
-  /// unit (kNoSym for every other kind). It sits in the padding after
-  /// `kind`, so a token stays the size of its text plus 16 bytes.
+  /// kIdent: the identifier's id in its unit's SymbolTable, set by parse()
+  /// (kNoSym from lex() and for every other kind). It sits in the padding
+  /// after `kind`, so a token stays the size of its text plus 16 bytes.
   Sym sym = kNoSym;
   std::string text;
   int line = 0;
@@ -97,8 +97,8 @@ bool is_type_qualifier(std::string_view word);
 
 /// Tokenizes `source`. Comments are dropped; `#pragma omp` lines become
 /// kPragmaOmp tokens (text = everything after "omp"), other `#` lines become
-/// kHashLine tokens (text = whole line). Identifiers are interned as they
-/// are lexed: each token carries its name's id (Token::sym).
+/// kHashLine tokens (text = whole line). Every token's `sym` is kNoSym;
+/// parse() interns the identifiers.
 Result<std::vector<Token>> lex(const std::string& source);
 
 }  // namespace parade::translator

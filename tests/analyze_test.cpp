@@ -628,35 +628,39 @@ TEST(AnalyzeRegression, DivisionUpdateNoLongerSplitsDecision) {
 // ---------------------------------------------------------------------------
 // Update-shape matcher
 
-/// match_scalar_update over the tokens of `text` (without the EOF token).
-/// The shape's operator and name views point into the tokens, which stay
-/// alive until the next call.
-std::optional<UpdateShape> match_text(const std::string& text) {
-  static std::vector<Token> tokens;
-  tokens = lex(text).value_or_die();
+/// match_scalar_update over all of `tokens` but the EOF token.
+std::optional<UpdateShape> match_all(const std::vector<Token>& tokens) {
   return match_scalar_update(tokens, {0, tokens.size() - 1});
 }
 
-TEST(MatchScalarUpdate, Shapes) {
-  auto m = match_text("sum += x * 2;");
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->var, "sum");
-  EXPECT_EQ(m->combine_op, "+");
+/// True when `text` lexes to an update shape.
+bool matches(const std::string& text) {
+  return match_all(lex(text).value_or_die()).has_value();
+}
 
-  m = match_text("n++;");
+TEST(MatchScalarUpdate, Shapes) {
+  const std::vector<Token> sum = lex("sum += x * 2;").value_or_die();
+  auto m = match_all(sum);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->apply_op, "+");
+  EXPECT_EQ(sum[m->var].text, "sum");
+  EXPECT_EQ(m->combine_op, '+');
+
+  const std::vector<Token> inc = lex("n++;").value_or_die();
+  m = match_all(inc);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->apply_op, '+');
   EXPECT_TRUE(m->expr.empty());  // the contribution is the literal 1
 
-  m = match_text("v = v - 3;");
+  const std::vector<Token> sub = lex("v = v - 3;").value_or_die();
+  m = match_all(sub);
   ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->combine_op, "+");  // subtraction combines additively
-  EXPECT_EQ(m->apply_op, "-");
+  EXPECT_EQ(m->combine_op, '+');  // subtraction combines additively
+  EXPECT_EQ(m->apply_op, '-');
 
-  EXPECT_FALSE(match_text("v = w + 3;").has_value());
-  EXPECT_FALSE(match_text("v = v / 3;").has_value());
-  EXPECT_FALSE(match_text("v += f(3);").has_value());
-  EXPECT_FALSE(match_text("if (v) v++;").has_value());
+  EXPECT_FALSE(matches("v = w + 3;"));
+  EXPECT_FALSE(matches("v = v / 3;"));
+  EXPECT_FALSE(matches("v += f(3);"));
+  EXPECT_FALSE(matches("if (v) v++;"));
 }
 
 // ---------------------------------------------------------------------------

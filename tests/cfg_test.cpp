@@ -74,7 +74,7 @@ std::size_t count_events(const Cfg& cfg, CfgEventKind kind) {
 // CFG shape
 
 TEST(CfgShape, IfElseMakesDiamond) {
-  const Built built = cfg_of(
+  Built built = cfg_of(
       "int x;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -87,7 +87,7 @@ TEST(CfgShape, IfElseMakesDiamond) {
       "  }\n"
       "  return 0;\n"
       "}\n");
-  const Cfg& cfg = built.cfg;
+  Cfg& cfg = built.cfg;
   ASSERT_EQ(cfg.branches.size(), 1u);
   EXPECT_TRUE(cfg.branches[0].has_else);
   // The decision block has two successors, and both arms rejoin: every block
@@ -97,7 +97,8 @@ TEST(CfgShape, IfElseMakesDiamond) {
     if (cfg.succs(b).size() >= 2) saw_decision = true;
   }
   EXPECT_TRUE(saw_decision);
-  const std::vector<char> reach = cfg.reachable();
+  std::vector<char> reach;
+  cfg.reachable(&reach);
   for (std::size_t i = 0; i < cfg.blocks.size(); ++i) {
     EXPECT_TRUE(reach[i]) << "block " << i << " unreachable";
   }
@@ -147,7 +148,7 @@ TEST(CfgShape, NestedLoopsNestAndCarryBackEdges) {
 }
 
 TEST(CfgShape, EarlyReturnTerminatesPathInsideConstruct) {
-  const Built built = cfg_of(
+  Built built = cfg_of(
       "int x;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -159,12 +160,13 @@ TEST(CfgShape, EarlyReturnTerminatesPathInsideConstruct) {
       "  }\n"
       "  return 0;\n"
       "}\n");
-  const Cfg& cfg = built.cfg;
+  Cfg& cfg = built.cfg;
   // Both the early return and the construct's fall-through end reach exit.
   EXPECT_GE(cfg.preds(Cfg::kExit).size(), 2u);
   // The write after the guard is still reachable (the if has a fall-through
   // edge around the returning arm).
-  const std::vector<char> reach = cfg.reachable();
+  std::vector<char> reach;
+  cfg.reachable(&reach);
   bool write_reachable = false;
   for (std::size_t i = 0; i < cfg.blocks.size(); ++i) {
     for (const CfgEvent& e : cfg.events(i)) {
@@ -177,7 +179,7 @@ TEST(CfgShape, EarlyReturnTerminatesPathInsideConstruct) {
 }
 
 TEST(CfgShape, DeadCodeAfterReturnIsUnreachable) {
-  const Built built = cfg_of(
+  Built built = cfg_of(
       "int x;\n"
       "int main(void) {\n"
       "  #pragma omp parallel\n"
@@ -187,8 +189,9 @@ TEST(CfgShape, DeadCodeAfterReturnIsUnreachable) {
       "  }\n"
       "  return 0;\n"
       "}\n");
-  const Cfg& cfg = built.cfg;
-  const std::vector<char> reach = cfg.reachable();
+  Cfg& cfg = built.cfg;
+  std::vector<char> reach;
+  cfg.reachable(&reach);
   for (std::size_t i = 0; i < cfg.blocks.size(); ++i) {
     for (const CfgEvent& e : cfg.events(i)) {
       if (e.kind == CfgEventKind::kWrite && built.names(e, "x")) {
@@ -196,6 +199,51 @@ TEST(CfgShape, DeadCodeAfterReturnIsUnreachable) {
       }
     }
   }
+}
+
+TEST(CfgShape, GotoLabelInSwitchIsEnteredFromRegionEntry) {
+  const Built built = cfg_of(
+      "int x, y;\n"
+      "int main(void) {\n"
+      "  #pragma omp parallel\n"
+      "  {\n"
+      "    if (x) y = 0;\n"
+      "    switch (x) {\n"
+      "      case 0:\n"
+      "        y = 1;\n"
+      "        break;\n"
+      "      again:\n"
+      "        y = 2;\n"
+      "        break;\n"
+      "    }\n"
+      "  }\n"
+      "  return 0;\n"
+      "}\n");
+  const Cfg& cfg = built.cfg;
+  // The block that writes y on source line `line`.
+  auto writer = [&](int line) -> std::size_t {
+    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+      for (const CfgEvent& e : cfg.events(b)) {
+        if (e.kind == CfgEventKind::kWrite && built.names(e, "y") &&
+            e.line == line) {
+          return b;
+        }
+      }
+    }
+    ADD_FAILURE() << "no write of y on line " << line;
+    return 0;
+  };
+  auto entered_from_entry = [&](std::size_t b) {
+    for (const int p : cfg.preds(b)) {
+      if (p == Cfg::kEntry) return true;
+    }
+    return false;
+  };
+  // Gotos are not followed, so a goto target may run before anything
+  // earlier in the region; a case label is entered from the switch's
+  // decision, which follows the `if`, not from the entry.
+  EXPECT_TRUE(entered_from_entry(writer(11)));   // again: y = 2;
+  EXPECT_FALSE(entered_from_entry(writer(8)));   // case 0: y = 1;
 }
 
 TEST(CfgShape, WorksharingLoopAndNowaitAreTagged) {
